@@ -100,8 +100,8 @@ impl OperatingPoint {
     }
 
     /// Characterizes `base` at this operating point (no caching; the
-    /// cached paths are [`OperatingPoint::shared_library`] and the
-    /// engine's `MemoLibraryCache`).
+    /// cached paths are [`CellLibrary::shared_with_options`] over
+    /// [`OperatingPoint::tech`] and the engine's `MemoLibraryCache`).
     ///
     /// # Errors
     /// Propagates solver failures from the characterization sweeps.
@@ -111,19 +111,6 @@ impl OperatingPoint {
         opts: &CharacterizeOptions,
     ) -> Result<CellLibrary, SolverError> {
         CellLibrary::characterize(&self.tech(base), self.temp, opts)
-    }
-
-    /// The process-wide shared library for `base` at this operating
-    /// point (see [`CellLibrary::shared_with_options`]).
-    ///
-    /// # Panics
-    /// Panics if the characterization fails to converge.
-    pub fn shared_library(
-        &self,
-        base: &Technology,
-        opts: &CharacterizeOptions,
-    ) -> std::sync::Arc<CellLibrary> {
-        CellLibrary::shared_with_options(&self.tech(base), self.temp, opts)
     }
 
     /// The row-major `temps × vdd_scales` condition matrix: the cell
@@ -215,17 +202,5 @@ mod tests {
             op.request_key(&base, &opts),
             CellLibrary::request_key(&op.tech(&base), 325.0, &opts)
         );
-    }
-
-    #[test]
-    fn shared_library_reuses_the_process_memo() {
-        let base = Technology::d25();
-        let opts = CharacterizeOptions::coarse(&[CellType::Inv]);
-        let op = OperatingPoint::new(300.0, 0.97);
-        let a = op.shared_library(&base, &opts);
-        let b = op.shared_library(&base, &opts);
-        assert!(std::sync::Arc::ptr_eq(&a, &b), "one characterization per point");
-        assert_eq!(a.temp, 300.0);
-        assert_eq!(a.tech.vdd, base.vdd * 0.97);
     }
 }

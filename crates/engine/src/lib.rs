@@ -72,7 +72,6 @@
 
 pub mod block;
 pub mod cache;
-pub mod exec;
 pub mod mc;
 pub mod mlv;
 pub mod plan_cache;

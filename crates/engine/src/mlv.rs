@@ -27,9 +27,9 @@ use nanoleak_core::{
 use nanoleak_netlist::{Circuit, Pattern};
 
 use crate::block::{eval_block_timed, eval_packed_block_timed};
-use crate::exec::{par_map_with, resolve_threads};
 use crate::sweep::pattern_for_index;
 use crate::EngineError;
+use nanoleak_core::exec::{par_map_with, resolve_threads};
 
 /// Largest input-bit count [`MlvStrategy::Exhaustive`] will enumerate
 /// (`2^22` ≈ 4.2M estimator calls).

@@ -26,8 +26,8 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use crate::block::eval_block_timed;
-use crate::exec::{mix, par_map_with, resolve_threads};
 use crate::stats::ScalarStats;
+use nanoleak_core::exec::{mix, par_map_with, resolve_threads};
 
 /// Process-wide sweep telemetry (latency histograms only — never on
 /// the per-pattern path, which stays zero-allocation).

@@ -1,30 +1,33 @@
 //! Request/response schemas of the JSON API, plus the handlers that
-//! run the engine.
+//! run the engine — the one request path behind both front-ends.
 //!
-//! Requests are parsed from the mini-serde [`Value`] tree by hand
-//! (every field optional falls back to the CLI's defaults), so a
-//! client can POST `{"target": "s1196"}` and nothing more. Responses
-//! are built from `#[derive(Serialize)]` DTOs and encoded with the
-//! JSON text codec — floats round-trip bit-exactly, which is what
-//! makes the service's sweep results comparable `==` against an
-//! in-process [`sweep`] call.
+//! Requests are read from the mini-serde [`Value`] tree by hand, and
+//! every field is optional: the defaults and validation rules defined
+//! here are the only ones, so a client can POST `{"target": "s1196"}`
+//! and nothing more, and `nanoleak-cli` translates its flags into the
+//! same fields ([`Body::local`]). Responses are built from
+//! `#[derive(Serialize)]` DTOs and encoded with the JSON text codec —
+//! floats round-trip bit-exactly, which is what makes the service's
+//! sweep results comparable `==` against an in-process [`sweep`] call
+//! and the CLI's `--format json` output equal to the HTTP body.
 
+use std::borrow::Cow;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use nanoleak_cells::{CellLibrary, CellType, CharacterizeOptions, OperatingPoint};
+use nanoleak_core::exec::{par_map, resolve_threads};
 use nanoleak_core::{estimate_batch, CircuitLeakage, EstimatorMode, LoadingImpact};
-use nanoleak_device::Technology;
-use nanoleak_engine::exec::{par_map, resolve_threads};
+use nanoleak_device::{LeakageBreakdown, Technology};
 use nanoleak_engine::{
-    mc_streaming_mode, mlv_search, shard_count, sweep, sweep_streaming, EngineError, McMode,
-    McShard, MemoLibraryCache, MlvConfig, MlvGoal, MlvStrategy, SweepConfig, SweepShard,
+    mc_streaming_mode, mlv_search, shard_count, sweep, sweep_streaming, CacheOutcome, EngineError,
+    McMode, McShard, MemoLibraryCache, MlvConfig, MlvGoal, MlvStrategy, SweepConfig, SweepShard,
     SweepStats,
 };
 use nanoleak_netlist::bench_format::parse_bench;
 use nanoleak_netlist::generate::{alu, iscas_like, multiplier};
 use nanoleak_netlist::normalize::normalize;
-use nanoleak_netlist::{Circuit, NetId, Pattern};
+use nanoleak_netlist::{Circuit, NetId, Pattern, RawCircuit};
 use nanoleak_opt::{optimize_with, OptimizeConfig, RoundProgress};
 use nanoleak_variation::{char_opts_for, CircuitMcConfig, McSummary, VariationSigmas};
 use rand::SeedableRng;
@@ -68,10 +71,17 @@ impl ApiError {
 // Request parsing.
 // ---------------------------------------------------------------------
 
-/// A JSON request body, wrapped for typed field access with defaults.
+/// A request body, wrapped for typed field access with defaults.
+///
+/// The two front-ends differ only in how a body is built:
+/// [`Body::parse`] takes HTTP bytes (builtin or inline-`.bench`
+/// circuits only, request limits enforced), [`Body::local`] carries a
+/// circuit the CLI loaded itself and skips the limits.
 #[derive(Debug)]
 pub struct Body {
     fields: Vec<(String, Value)>,
+    /// The named circuit of a [`Body::local`] request.
+    local: Option<(String, Circuit)>,
 }
 
 impl Body {
@@ -80,9 +90,28 @@ impl Body {
         let v = json::value_from_str(text)
             .map_err(|e| ApiError::bad(format!("malformed JSON body: {e}")))?;
         match v {
-            Value::Record(fields) => Ok(Self { fields }),
+            Value::Record(fields) => Ok(Self { fields, local: None }),
             other => Err(ApiError::bad(format!("expected a JSON object, got {other:?}"))),
         }
+    }
+
+    /// A request built in-process: `fields` as an HTTP body would carry
+    /// them, plus the circuit (reported as `name`) the caller already
+    /// loaded, which replaces `"target"`/`"bench"` resolution. The
+    /// request limits do not apply — they protect a shared server from
+    /// its clients, while a local caller spends its own machine.
+    pub fn local(fields: Vec<(String, Value)>, name: String, circuit: Circuit) -> Self {
+        Self { fields, local: Some((name, circuit)) }
+    }
+
+    /// A count field with a default, refused above `max` on HTTP
+    /// requests.
+    fn bounded(&self, name: &str, default: usize, max: usize) -> Result<usize, ApiError> {
+        let value = self.get(name, default)?;
+        if value > max && self.local.is_none() {
+            return Err(ApiError::bad(format!("'{name}' of {value} exceeds the limit of {max}")));
+        }
+        Ok(value)
     }
 
     /// Typed access to an optional field (absent and `null` are both
@@ -103,14 +132,28 @@ impl Body {
     }
 }
 
-/// Resolves the request's circuit: `"bench"` (inline `.bench` text)
-/// wins over `"target"` (a builtin generator name).
+/// The builtin generator circuit called `name`: an ISCAS'89 stand-in
+/// (`s838` … `s13207`), `alu88` or `mult88`.
+pub fn builtin_circuit(name: &str) -> Option<RawCircuit> {
+    match name {
+        "alu88" => Some(alu(8)),
+        "mult88" => Some(multiplier(8)),
+        other => iscas_like(other),
+    }
+}
+
+/// Resolves the request's circuit: the one a [`Body::local`] request
+/// carries, else `"bench"` (inline `.bench` text), which wins over
+/// `"target"` (a builtin generator name).
 ///
 /// Unlike the CLI, the service never reads circuit files from its own
 /// filesystem — an HTTP `"target"` naming a path would otherwise be a
 /// read/probe oracle for anything the server process can open. Remote
 /// clients ship netlists inline via `"bench"`.
-pub fn resolve_circuit(body: &Body) -> Result<(String, Circuit), ApiError> {
+pub fn resolve_circuit(body: &Body) -> Result<(String, Cow<'_, Circuit>), ApiError> {
+    if let Some((name, circuit)) = &body.local {
+        return Ok((name.clone(), Cow::Borrowed(circuit)));
+    }
     let target: Option<String> = body.opt("target")?;
     let bench: Option<String> = body.opt("bench")?;
     let (name, raw) = match (target, bench) {
@@ -120,23 +163,19 @@ pub fn resolve_circuit(body: &Body) -> Result<(String, Circuit), ApiError> {
             ("inline".to_string(), raw)
         }
         (Some(target), None) => {
-            let raw = match target.as_str() {
-                "alu88" => alu(8),
-                "mult88" => multiplier(8),
-                other => iscas_like(other).ok_or_else(|| {
-                    ApiError::unprocessable(format!(
-                        "unknown circuit '{other}' (builtin names only; \
-                         send file contents inline via 'bench')"
-                    ))
-                })?,
-            };
+            let raw = builtin_circuit(&target).ok_or_else(|| {
+                ApiError::unprocessable(format!(
+                    "unknown circuit '{target}' (builtin names only; \
+                     send file contents inline via 'bench')"
+                ))
+            })?;
             (target, raw)
         }
         (None, None) => return Err(ApiError::bad("missing 'target' (or inline 'bench')")),
     };
     let circuit = normalize(&raw)
         .map_err(|e| ApiError::unprocessable(format!("normalization failed: {e}")))?;
-    Ok((name, circuit))
+    Ok((name, Cow::Owned(circuit)))
 }
 
 /// The technology named by a request (`"d25"` default, `"d50"`).
@@ -144,7 +183,7 @@ pub fn resolve_tech(body: &Body) -> Result<Technology, ApiError> {
     match body.get::<String>("tech", "d25".into())?.as_str() {
         "d25" | "D25" => Ok(Technology::d25()),
         "d50" | "D50" => Ok(Technology::d50()),
-        other => Err(ApiError::bad(format!("tech: expected d25|d50, got '{other}'"))),
+        other => Err(ApiError::bad(format!("'tech': expected d25|d50, got '{other}'"))),
     }
 }
 
@@ -175,7 +214,7 @@ pub fn resolve_char_opts(body: &Body) -> Result<CharacterizeOptions, ApiError> {
     }
 }
 
-/// Most vectors (or MLV samples/steps) one request may ask for — a
+/// Most vectors (or MLV samples/steps) one HTTP request may ask for — a
 /// remote client must not be able to pin a worker for hours.
 pub const MAX_REQUEST_VECTORS: usize = 100_000;
 /// Much lower vector cap for `mode: "direct"`, whose per-gate
@@ -191,13 +230,6 @@ pub const MAX_REQUEST_RESTARTS: usize = 256;
 /// partial stats stay resident until the job is evicted).
 pub const MAX_JOB_SHARDS: usize = 1024;
 
-fn check_limit(name: &str, value: usize, max: usize) -> Result<usize, ApiError> {
-    if value > max {
-        return Err(ApiError::bad(format!("'{name}' of {value} exceeds the limit of {max}")));
-    }
-    Ok(value)
-}
-
 /// The `"lanes"` field shared by sweep/MLV/MC requests: `0` (auto,
 /// the 64-wide block kernel), `64` (block explicitly), or `1` (the
 /// scalar reference path). A throughput knob only — results are
@@ -206,7 +238,7 @@ fn resolve_lanes_field(body: &Body) -> Result<usize, ApiError> {
     let lanes = body.get("lanes", 0usize)?;
     if !matches!(lanes, 0 | 1 | 64) {
         return Err(ApiError::bad(format!(
-            "'lanes' must be 0 (auto), 1 (scalar), or 64 (block), got {lanes}"
+            "'lanes': expected 0 (auto), 1 (scalar), or 64 (block), got {lanes}"
         )));
     }
     Ok(lanes)
@@ -217,11 +249,13 @@ fn parse_mode(raw: &str) -> Result<EstimatorMode, ApiError> {
         "lut" => Ok(EstimatorMode::Lut),
         "noloading" => Ok(EstimatorMode::NoLoading),
         "direct" => Ok(EstimatorMode::DirectSolve),
-        other => Err(ApiError::bad(format!("mode: expected lut|noloading|direct, got '{other}'"))),
+        other => {
+            Err(ApiError::bad(format!("'mode': expected lut|noloading|direct, got '{other}'")))
+        }
     }
 }
 
-/// The sweep parameters of a request, CLI defaults applied and
+/// The sweep parameters of a request, defaults applied and
 /// client-controlled work bounded (the direct-solve mode gets a much
 /// smaller vector budget than the LUT fast path).
 pub fn resolve_sweep_config(body: &Body) -> Result<SweepConfig, ApiError> {
@@ -230,14 +264,14 @@ pub fn resolve_sweep_config(body: &Body) -> Result<SweepConfig, ApiError> {
         EstimatorMode::DirectSolve => MAX_REQUEST_DIRECT_VECTORS,
         EstimatorMode::Lut | EstimatorMode::NoLoading => MAX_REQUEST_VECTORS,
     };
-    let vectors = check_limit("vectors", body.get("vectors", 100usize)?, max_vectors)?;
+    let vectors = body.bounded("vectors", 100, max_vectors)?;
     if vectors == 0 {
         return Err(ApiError::bad("'vectors' must be at least 1"));
     }
     Ok(SweepConfig {
         vectors,
         seed: body.get("seed", 2005u64)?,
-        threads: check_limit("threads", body.get("threads", 0usize)?, MAX_REQUEST_THREADS)?,
+        threads: body.bounded("threads", 0, MAX_REQUEST_THREADS)?,
         mode,
         lanes: resolve_lanes_field(body)?,
     })
@@ -245,13 +279,13 @@ pub fn resolve_sweep_config(body: &Body) -> Result<SweepConfig, ApiError> {
 
 /// One shard-size field (`"shard_vectors"` on sweeps,
 /// `"shard_samples"` on MC jobs): units per streamed shard (`0` =
-/// monolithic), bounded so one job cannot pin [`MAX_JOB_SHARDS`]+
-/// partials in the registry — a single policy shared by every
-/// streaming job kind.
+/// monolithic), bounded on HTTP requests so one job cannot pin
+/// [`MAX_JOB_SHARDS`]+ partials in the registry — a single policy
+/// shared by every streaming job kind.
 fn resolve_shard_field(body: &Body, field: &str, units: usize) -> Result<usize, ApiError> {
     let shard_size = body.get(field, 0usize)?;
     let shards = shard_count(units, shard_size);
-    if shards > MAX_JOB_SHARDS {
+    if shards > MAX_JOB_SHARDS && body.local.is_none() {
         return Err(ApiError::bad(format!(
             "'{field}' of {shard_size} over {units} units yields {shards} shards, \
              exceeding the limit of {MAX_JOB_SHARDS}: every shard partial stays \
@@ -268,14 +302,18 @@ pub fn resolve_shard_vectors(body: &Body, vectors: usize) -> Result<usize, ApiEr
     resolve_shard_field(body, "shard_vectors", vectors)
 }
 
-/// Observer of a streaming job's per-unit progress (sweep shards,
-/// grid cells). The job executor backs this with the job registry so
+/// Observer of a request's progress: the library it runs on and each
+/// streamed unit (sweep shards, grid cells, MC shards, optimization
+/// rounds). The job executor backs this with the job registry so
 /// clients can poll progress and page partials; synchronous endpoints
-/// use [`NoopObserver`].
+/// use [`NoopObserver`], and the CLI prints what it observes.
 pub trait JobObserver: Sync {
     /// Declares how many units the job will produce, before the first
     /// one runs.
     fn declare(&self, _total: usize) {}
+    /// Reports the characterized library the analysis runs on, how the
+    /// cache produced it, and how long that took.
+    fn library(&self, _lib: &Arc<CellLibrary>, _outcome: CacheOutcome, _elapsed: Duration) {}
     /// Records one finished unit's partial result.
     fn unit(&self, index: usize, partial: Value);
     /// Polled between units; `true` aborts the job.
@@ -311,18 +349,22 @@ pub fn fmt_pattern(p: &Pattern) -> String {
 
 fn library(
     cache: &MemoLibraryCache,
+    observer: &dyn JobObserver,
     tech: &Technology,
     op: &OperatingPoint,
     opts: &CharacterizeOptions,
 ) -> Result<Arc<CellLibrary>, ApiError> {
-    cache.get_or_characterize_at(tech, op, opts).map(|(lib, _)| lib).map_err(|e| match e {
+    let start = Instant::now();
+    let (lib, outcome) = cache.get_or_characterize_at(tech, op, opts).map_err(|e| match e {
         // A solver that won't converge on a well-formed request is a
         // processing failure (422, like sweep failures), not a server
         // fault; cache/I-O breakage is genuinely ours (500). The
         // `EngineError` Display already says which stage failed.
         EngineError::Solver(_) => ApiError::unprocessable(e.to_string()),
         other => ApiError { status: 500, message: other.to_string() },
-    })
+    })?;
+    observer.library(&lib, outcome, start.elapsed());
+    Ok(lib)
 }
 
 // ---------------------------------------------------------------------
@@ -353,6 +395,8 @@ pub struct EstimateResponse {
     pub mean_power_w: f64,
     /// Average loading impact on total leakage (fraction).
     pub loading_impact_avg: f64,
+    /// Average loading impact on each leakage component (fractions).
+    pub loading_impact_avg_components: LeakageBreakdown,
     /// Worst-vector loading impact (fraction).
     pub loading_impact_max: f64,
     /// Server-side wall clock \[ms\].
@@ -360,17 +404,21 @@ pub struct EstimateResponse {
 }
 
 /// Runs the estimate endpoint.
-pub fn run_estimate(cache: &MemoLibraryCache, body: &Body) -> Result<EstimateResponse, ApiError> {
+pub fn run_estimate(
+    cache: &MemoLibraryCache,
+    body: &Body,
+    observer: &dyn JobObserver,
+) -> Result<EstimateResponse, ApiError> {
     let start = Instant::now();
     let (target, circuit) = resolve_circuit(body)?;
     let tech = resolve_tech(body)?;
     let op = resolve_operating_point(body)?;
-    let vectors = check_limit("vectors", body.get("vectors", 100usize)?, MAX_REQUEST_VECTORS)?;
+    let vectors = body.bounded("vectors", 100, MAX_REQUEST_VECTORS)?;
     if vectors == 0 {
         return Err(ApiError::bad("'vectors' must be at least 1"));
     }
     let seed = body.get("seed", 2005u64)?;
-    let lib = library(cache, &tech, &op, &resolve_char_opts(body)?)?;
+    let lib = library(cache, observer, &tech, &op, &resolve_char_opts(body)?)?;
 
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let patterns = Pattern::random_batch(&circuit, &mut rng, vectors);
@@ -395,6 +443,7 @@ pub fn run_estimate(cache: &MemoLibraryCache, body: &Body) -> Result<EstimateRes
         mean_no_loading_a: mean(&unloaded),
         mean_power_w: mean(&loaded) * lib.tech.vdd,
         loading_impact_avg: impact.avg_total,
+        loading_impact_avg_components: impact.avg,
         loading_impact_max: impact.max_total,
         elapsed_ms: start.elapsed().as_secs_f64() * 1e3,
     })
@@ -432,12 +481,6 @@ pub struct SweepResponse {
     pub patterns_per_sec: f64,
 }
 
-/// Runs the sweep endpoint (the synchronous route; the job executor
-/// streams through [`run_sweep_streaming`] instead).
-pub fn run_sweep(cache: &MemoLibraryCache, body: &Body) -> Result<SweepResponse, ApiError> {
-    run_sweep_streaming(cache, body, &NoopObserver)
-}
-
 /// Runs a sweep in `"shard_vectors"`-sized shards, reporting each
 /// shard's [`SweepShard`] partial to `observer` as it completes. The
 /// merged stats in the response are bit-identical to a monolithic
@@ -454,7 +497,7 @@ pub fn run_sweep_streaming(
     let shard_vectors = resolve_shard_vectors(body, config.vectors)?;
     let shards = shard_count(config.vectors, shard_vectors);
     observer.declare(shards);
-    let lib = library(cache, &tech, &op, &resolve_char_opts(body)?)?;
+    let lib = library(cache, observer, &tech, &op, &resolve_char_opts(body)?)?;
     let report = sweep_streaming(&circuit, &lib, &config, shard_vectors, |partial: &SweepShard| {
         observer.unit(partial.shard, partial.to_value());
         !observer.cancelled()
@@ -513,19 +556,19 @@ pub struct MlvResponse {
 }
 
 /// The MLV-search parameters of a request (shared by `/v1/mlv` and
-/// `/v1/optimize`): goal, strategy, seed, threads — CLI defaults
-/// applied and client-controlled work bounded. Returns the raw goal
+/// `/v1/optimize`): goal, strategy, seed, threads — defaults applied
+/// and client-controlled work bounded. Returns the raw goal
 /// string alongside the config for response echoing.
 pub fn resolve_mlv_config(body: &Body) -> Result<(String, MlvConfig), ApiError> {
     let goal_raw: String = body.get("goal", "min".into())?;
     let goal = match goal_raw.as_str() {
         "min" => MlvGoal::Min,
         "max" => MlvGoal::Max,
-        other => return Err(ApiError::bad(format!("goal: expected min|max, got '{other}'"))),
+        other => return Err(ApiError::bad(format!("'goal': expected min|max, got '{other}'"))),
     };
-    let samples = check_limit("samples", body.get("samples", 1024usize)?, MAX_REQUEST_VECTORS)?;
-    let restarts = check_limit("restarts", body.get("restarts", 8usize)?, MAX_REQUEST_RESTARTS)?;
-    let max_steps = check_limit("max_steps", body.get("max_steps", 64usize)?, MAX_REQUEST_VECTORS)?;
+    let samples = body.bounded("samples", 1024, MAX_REQUEST_VECTORS)?;
+    let restarts = body.bounded("restarts", 8, MAX_REQUEST_RESTARTS)?;
+    let max_steps = body.bounded("max_steps", 64, MAX_REQUEST_VECTORS)?;
     if samples == 0 || restarts == 0 {
         return Err(ApiError::bad("'samples' and 'restarts' must be at least 1"));
     }
@@ -535,7 +578,7 @@ pub fn resolve_mlv_config(body: &Body) -> Result<(String, MlvConfig), ApiError> 
         "random" => MlvStrategy::Random { samples },
         other => {
             return Err(ApiError::bad(format!(
-                "strategy: expected exhaustive|random|hillclimb, got '{other}'"
+                "'strategy': expected exhaustive|random|hillclimb, got '{other}'"
             )))
         }
     };
@@ -543,7 +586,7 @@ pub fn resolve_mlv_config(body: &Body) -> Result<(String, MlvConfig), ApiError> 
         goal,
         strategy,
         seed: body.get("seed", 2005u64)?,
-        threads: check_limit("threads", body.get("threads", 0usize)?, MAX_REQUEST_THREADS)?,
+        threads: body.bounded("threads", 0, MAX_REQUEST_THREADS)?,
         mode: EstimatorMode::Lut,
         lanes: resolve_lanes_field(body)?,
     };
@@ -551,12 +594,16 @@ pub fn resolve_mlv_config(body: &Body) -> Result<(String, MlvConfig), ApiError> 
 }
 
 /// Runs the MLV endpoint.
-pub fn run_mlv(cache: &MemoLibraryCache, body: &Body) -> Result<MlvResponse, ApiError> {
+pub fn run_mlv(
+    cache: &MemoLibraryCache,
+    body: &Body,
+    observer: &dyn JobObserver,
+) -> Result<MlvResponse, ApiError> {
     let (target, circuit) = resolve_circuit(body)?;
     let tech = resolve_tech(body)?;
     let op = resolve_operating_point(body)?;
     let (goal_raw, config) = resolve_mlv_config(body)?;
-    let lib = library(cache, &tech, &op, &resolve_char_opts(body)?)?;
+    let lib = library(cache, observer, &tech, &op, &resolve_char_opts(body)?)?;
     let result = mlv_search(&circuit, &lib, &config)
         .map_err(|e| ApiError::unprocessable(format!("MLV search failed: {e}")))?;
     Ok(MlvResponse {
@@ -681,12 +728,6 @@ pub struct OptimizeResponse {
     pub elapsed_ms: f64,
 }
 
-/// Runs the optimize endpoint (the synchronous route; the job
-/// executor streams per-round progress through [`run_optimize_with`]).
-pub fn run_optimize(cache: &MemoLibraryCache, body: &Body) -> Result<OptimizeResponse, ApiError> {
-    run_optimize_with(cache, body, &NoopObserver)
-}
-
 /// Runs a leakage optimization, reporting each round's
 /// [`RoundProgress`] to `observer` as it completes (the declared unit
 /// count is the configured round bound; early convergence leaves the
@@ -702,7 +743,7 @@ pub fn run_optimize_with(
     let tech = resolve_tech(body)?;
     let op = resolve_operating_point(body)?;
     let (goal_raw, mlv) = resolve_mlv_config(body)?;
-    let max_rounds = check_limit("rounds", body.get("rounds", 4usize)?, MAX_REQUEST_OPT_ROUNDS)?;
+    let max_rounds = body.bounded("rounds", 4, MAX_REQUEST_OPT_ROUNDS)?;
     if max_rounds == 0 {
         return Err(ApiError::bad("'rounds' must be at least 1"));
     }
@@ -714,7 +755,7 @@ pub fn run_optimize_with(
         remap: body.get("remap", true)?,
     };
     observer.declare(max_rounds);
-    let lib = library(cache, &tech, &op, &resolve_char_opts(body)?)?;
+    let lib = library(cache, observer, &tech, &op, &resolve_char_opts(body)?)?;
     let result = optimize_with(&circuit, &lib, &config, |round| {
         observer.unit(round.round - 1, round_to_value(round));
         !observer.cancelled()
@@ -854,7 +895,7 @@ pub fn run_grid(
             return Err(cancelled_error());
         }
         let op = points[i];
-        let lib = library(cache, &tech, &op, &opts)?;
+        let lib = library(cache, observer, &tech, &op, &opts)?;
         let report = sweep(&circuit, &lib, &cell_config)
             .map_err(|e| ApiError::unprocessable(format!("sweep failed: {e}")))?;
         let cell = GridCell {
@@ -944,12 +985,12 @@ pub fn resolve_shard_samples(body: &Body, samples: usize) -> Result<usize, ApiEr
     resolve_shard_field(body, "shard_samples", samples)
 }
 
-/// The Monte-Carlo configuration of a request: CLI defaults applied,
+/// The Monte-Carlo configuration of a request: defaults applied,
 /// work bounded, sigma overrides honored (`"sigma_vt"` is the paper's
 /// Fig. 11 sweep variable — the inter-die threshold sigma in volts).
 pub fn resolve_mc_config(body: &Body, circuit: &Circuit) -> Result<CircuitMcConfig, ApiError> {
-    let samples = check_limit("samples", body.get("samples", 200usize)?, MAX_REQUEST_MC_SAMPLES)?;
-    let vectors = check_limit("vectors", body.get("vectors", 1usize)?, MAX_REQUEST_VECTORS)?;
+    let samples = body.bounded("samples", 200, MAX_REQUEST_MC_SAMPLES)?;
+    let vectors = body.bounded("vectors", 1, MAX_REQUEST_VECTORS)?;
     if samples == 0 || vectors == 0 {
         return Err(ApiError::bad("'samples' and 'vectors' must be at least 1"));
     }
@@ -974,7 +1015,7 @@ pub fn resolve_mc_config(body: &Body, circuit: &Circuit) -> Result<CircuitMcConf
         // Sharing the perturbation seed keeps the request surface
         // small; an explicit "pattern_seed" decouples the two streams.
         pattern_seed: body.get("pattern_seed", seed)?,
-        threads: check_limit("threads", body.get("threads", 0usize)?, MAX_REQUEST_THREADS)?,
+        threads: body.bounded("threads", 0, MAX_REQUEST_THREADS)?,
         char_opts: char_opts_for(circuit, body.get("coarse", false)?),
         lanes: resolve_lanes_field(body)?,
     })
@@ -1188,6 +1229,40 @@ mod tests {
         assert_eq!(resolve_shard_samples(&b, 2048).unwrap_err().status, 400);
         let b = Body::parse(r#"{"shard_samples": 4}"#).unwrap();
         assert_eq!(resolve_shard_samples(&b, 12).unwrap(), 4);
+    }
+
+    #[test]
+    fn local_bodies_skip_the_request_limits() {
+        let text = r#"{"vectors": 200000, "threads": 32, "shard_vectors": 1}"#;
+        let http = Body::parse(text).unwrap();
+        assert_eq!(resolve_sweep_config(&http).unwrap_err().status, 400);
+        assert_eq!(resolve_shard_vectors(&http, 200_000).unwrap_err().status, 400);
+        let circuit = normalize(&builtin_circuit("s838").unwrap()).unwrap();
+        let local = Body::local(Body::parse(text).unwrap().fields, "s838".into(), circuit);
+        let config = resolve_sweep_config(&local).unwrap();
+        assert_eq!((config.vectors, config.threads), (200_000, 32));
+        assert!(shard_count(config.vectors, 1) > MAX_JOB_SHARDS);
+        assert_eq!(resolve_shard_vectors(&local, config.vectors).unwrap(), 1);
+        // The carried circuit replaces "target" resolution.
+        let (name, resolved) = resolve_circuit(&local).unwrap();
+        assert_eq!(name, "s838");
+        assert!(matches!(resolved, Cow::Borrowed(_)));
+    }
+
+    #[test]
+    fn mode_parsing() {
+        assert_eq!(parse_mode("lut").unwrap(), EstimatorMode::Lut);
+        assert_eq!(parse_mode("noloading").unwrap(), EstimatorMode::NoLoading);
+        assert_eq!(parse_mode("direct").unwrap(), EstimatorMode::DirectSolve);
+        assert_eq!(parse_mode("spice").unwrap_err().status, 400);
+    }
+
+    #[test]
+    fn pattern_formatting() {
+        let p = Pattern { pi: vec![true, false], states: vec![] };
+        assert_eq!(fmt_pattern(&p), "10");
+        let p = Pattern { pi: vec![false], states: vec![true] };
+        assert_eq!(fmt_pattern(&p), "0|1");
     }
 
     #[test]

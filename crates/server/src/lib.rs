@@ -28,9 +28,10 @@
 //! | `DELETE /v1/jobs/{id}` | cancel (queued: immediate; running: at the next shard/cell) |
 //! | `GET /metrics` | Prometheus text exposition of every registered metric |
 //!
-//! Request bodies are JSON objects; every analysis field is optional
-//! and defaults to the CLI's defaults (`vectors` 100, `seed` 2005,
-//! `temp` 300 K, `vdd_scale` 1.0, `mode` `"lut"`). Circuits come as
+//! Request bodies are JSON objects; every analysis field is optional,
+//! with the defaults [`api`] defines for both front-ends (`vectors`
+//! 100, `seed` 2005, `temp` 300 K, `vdd_scale` 1.0, `mode` `"lut"`);
+//! `nanoleak-cli` runs the same [`api`] handlers. Circuits come as
 //! `"target"` (a builtin name like `"s1196"`) or `"bench"` (inline
 //! netlist text — the service deliberately never reads files from its
 //! own filesystem). `"coarse": true` characterizes on the fast test
@@ -623,7 +624,7 @@ impl Server {
         } else {
             MemoLibraryCache::memory_only()
         };
-        let workers = nanoleak_engine::exec::resolve_threads(config.threads);
+        let workers = nanoleak_core::exec::resolve_threads(config.threads);
         let (queue, receiver) = pool::job_queue(config.queue_capacity.max(1));
         let telemetry = Telemetry::new();
         let jobs = JobRegistry::with_eviction(jobs::EvictionPolicy {

@@ -35,9 +35,9 @@ pub fn route(state: &ServerState, req: &Request) -> Response {
         ("GET", "/v1/stats") => ok_json(&state.stats()),
         ("GET", "/metrics") => metrics_route(state),
         ("POST", "/v1/estimate") => sync_endpoint(state, req, api::run_estimate),
-        ("POST", "/v1/sweep") => sync_endpoint(state, req, api::run_sweep),
+        ("POST", "/v1/sweep") => sync_endpoint(state, req, api::run_sweep_streaming),
         ("POST", "/v1/mlv") => sync_endpoint(state, req, api::run_mlv),
-        ("POST", "/v1/optimize") => sync_endpoint(state, req, api::run_optimize),
+        ("POST", "/v1/optimize") => sync_endpoint(state, req, api::run_optimize_with),
         ("POST", "/v1/jobs") => submit_job(state, req),
         (method, path) => {
             if let Some(rest) = path.strip_prefix("/v1/jobs/") {
@@ -230,17 +230,22 @@ fn job_trace_route(state: &ServerState, method: &str, id_raw: &str) -> Response 
     }
 }
 
-/// Runs a synchronous analysis endpoint: parse body, run, serialize.
+/// Runs a synchronous analysis endpoint: parse body, run with no
+/// observer, serialize.
 fn sync_endpoint<T: Serialize>(
     state: &ServerState,
     req: &Request,
-    run: impl FnOnce(&nanoleak_engine::MemoLibraryCache, &Body) -> Result<T, ApiError>,
+    run: impl FnOnce(
+        &nanoleak_engine::MemoLibraryCache,
+        &Body,
+        &dyn api::JobObserver,
+    ) -> Result<T, ApiError>,
 ) -> Response {
     let text = match req.body_text() {
         Ok(t) => t,
         Err(e) => return err_response(&ApiError { status: e.status, message: e.message }),
     };
-    match Body::parse(text).and_then(|body| run(&state.cache, &body)) {
+    match Body::parse(text).and_then(|body| run(&state.cache, &body, &api::NoopObserver)) {
         Ok(response) => ok_json(&response),
         Err(e) => err_response(&e),
     }
@@ -598,29 +603,29 @@ pub fn execute_job(state: &ServerState, id: u64) {
     nanoleak_obs::begin_capture();
     let started = std::time::Instant::now();
     let observer = RegistryObserver { state, id, cancel: cancel.clone(), deadline };
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let _job_span = nanoleak_obs::span!("job");
-        let body = Body::parse(&text)?;
-        match kind {
-            JobKind::Sweep => api::run_sweep_streaming(&state.cache, &body, &observer)
-                .map(|r| serialized(|| r.to_value())),
-            JobKind::Mlv => api::run_mlv(&state.cache, &body).map(|r| serialized(|| r.to_value())),
-            JobKind::Grid => {
-                api::run_grid(&state.cache, &body, &observer).map(|r| serialized(|| r.to_value()))
+    let outcome =
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _job_span = nanoleak_obs::span!("job");
+            let body = Body::parse(&text)?;
+            match kind {
+                JobKind::Sweep => api::run_sweep_streaming(&state.cache, &body, &observer)
+                    .map(|r| serialized(|| r.to_value())),
+                JobKind::Mlv => api::run_mlv(&state.cache, &body, &observer)
+                    .map(|r| serialized(|| r.to_value())),
+                JobKind::Grid => api::run_grid(&state.cache, &body, &observer)
+                    .map(|r| serialized(|| r.to_value())),
+                // MC jobs characterize unique perturbed dies: they run
+                // against the RAM-only `mc_cache` so the disk cache never
+                // fills with one-shot entries and the main memo keeps its
+                // warm nominal libraries.
+                JobKind::Mc => api::run_mc(&state.mc_cache, &body, &observer)
+                    .map(|r| serialized(|| r.to_value())),
+                // Optimize jobs report one unit per finished round, so
+                // pollers watch the objective converge live.
+                JobKind::Optimize => api::run_optimize_with(&state.cache, &body, &observer)
+                    .map(|r| serialized(|| r.to_value())),
             }
-            // MC jobs characterize unique perturbed dies: they run
-            // against the RAM-only `mc_cache` so the disk cache never
-            // fills with one-shot entries and the main memo keeps its
-            // warm nominal libraries.
-            JobKind::Mc => {
-                api::run_mc(&state.mc_cache, &body, &observer).map(|r| serialized(|| r.to_value()))
-            }
-            // Optimize jobs report one unit per finished round, so
-            // pollers watch the objective converge live.
-            JobKind::Optimize => api::run_optimize_with(&state.cache, &body, &observer)
-                .map(|r| serialized(|| r.to_value())),
-        }
-    }));
+        }));
     let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
     let trace = nanoleak_obs::end_capture();
     let result = match outcome {

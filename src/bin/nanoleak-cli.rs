@@ -1,87 +1,83 @@
-//! `nanoleak-cli` — leakage analysis of ISCAS89 `.bench` files (or
-//! built-in benchmarks) with the loading-aware estimator.
+//! `nanoleak-cli` — leakage analysis of ISCAS89 `.bench` files, Yosys
+//! gate-level JSON dumps (see [`nanoleak_netlist::yosys`]) and built-in
+//! benchmarks with the loading-aware estimator. `nanoleak-cli --help`
+//! lists every subcommand and the flags each one accepts.
 //!
-//! ```text
-//! nanoleak-cli estimate <target> [--vectors N] [--seed S] [--temp K] [--vdd-scale X]
-//!                                [--reference] [--format text|json] [--coarse]
-//!                                [--no-cache] [--cache-dir DIR]
-//! nanoleak-cli sweep    <target> [--vectors N] [--seed S] [--temp K] [--vdd-scale X]
-//!                                [--threads N] [--lanes 1|64] [--mode lut|noloading|direct]
-//!                                [--shard-vectors N] [--format text|json] [--coarse]
-//!                                [--no-cache] [--cache-dir DIR]
-//! nanoleak-cli mlv      <target> [--goal min|max] [--strategy exhaustive|random|hillclimb]
-//!                                [--samples N] [--restarts N] [--max-steps N]
-//!                                [--seed S] [--temp K] [--vdd-scale X] [--threads N]
-//!                                [--lanes 1|64] [--format text|json] [--coarse]
-//!                                [--no-cache] [--cache-dir DIR]
-//! nanoleak-cli optimize <target> [--rounds N] [--goal min|max]
-//!                                [--strategy exhaustive|random|hillclimb]
-//!                                [--samples N] [--restarts N] [--max-steps N]
-//!                                [--no-canonicalize] [--no-permute] [--no-remap]
-//!                                [--out FILE] [--seed S] [--temp K] [--vdd-scale X]
-//!                                [--threads N] [--format text|json] [--coarse]
-//!                                [--no-cache] [--cache-dir DIR]
-//! nanoleak-cli mc       <target> [--samples N] [--sigma-vt V] [--sigma-vt-intra V]
-//!                                [--vectors N] [--seed S] [--temp K] [--vdd-scale X]
-//!                                [--threads N] [--lanes 1|64] [--shard-samples N]
-//!                                [--format text|json] [--coarse]
-//! nanoleak-cli serve    [--addr HOST:PORT] [--threads N] [--queue N]
-//!                       [--keep-alive N] [--job-cap N]
-//!                       [--no-cache] [--cache-dir DIR]
-//! ```
+//! The analysis subcommands are a thin front-end over the service's
+//! request layer, [`nanoleak_serve::api`]: one table
+//! ([`REQUEST_FLAGS`]) translates flags into request-body fields
+//! (`--vdd-scale 0.9` → `"vdd_scale": 0.9`, `--no-remap` →
+//! `"remap": false`), the same `api::run_*` the HTTP router calls runs
+//! the request, and the output is rendered from the response it
+//! returns — `--format json` prints exactly the HTTP response body.
+//! Defaults and validation live in `api` alone. The front-end
+//! differences are the ones [`Body::local`] carries: the CLI reads
+//! circuit files itself and skips the HTTP request limits.
 //!
-//! `<target>` is a `.bench` path, a Yosys gate-level JSON dump
-//! (`.json`, see [`nanoleak_netlist::yosys`]), or a built-in name
-//! (`s838`, `s1196`, ..., `alu88`, `mult88`); `--circuit-format
-//! auto|bench|yosys` overrides the extension-based detection.
 //! Invoking with a target as the first argument (no subcommand)
 //! behaves like `estimate`, preserving the original CLI. Unknown
 //! `--flags` are rejected with an error instead of being silently
 //! ignored.
 //!
-//! Every subcommand analyzes at a first-class operating point
-//! (`--temp` × `--vdd-scale`, see `nanoleak_cells::OperatingPoint`),
-//! the same condition derivation the server's grid and MC jobs use.
-//!
 //! The characterized cell library is cached on disk between runs
 //! (`.nanoleak-cache/` or `$NANOLEAK_CACHE_DIR`); pass `--no-cache`
-//! to force re-characterization. `mc` is the exception: its per-sample
-//! libraries belong to unique perturbed dies, so they are memoized in
-//! RAM only — a disk cache would fill with one-shot entries.
+//! to force re-characterization. A cache directory that cannot be
+//! written only warns. `mc` is the exception: its per-sample libraries
+//! belong to unique perturbed dies, so they are memoized in RAM only —
+//! a disk cache would fill with one-shot entries.
 
+use std::path::PathBuf;
 use std::process::ExitCode;
-use std::sync::Arc;
-use std::time::Instant;
+use std::sync::{Arc, OnceLock};
+use std::time::Duration;
 
 use nanoleak::prelude::*;
-use nanoleak_cells::OperatingPoint;
-use nanoleak_engine::{
-    mc_streaming_mode, mlv_search, shard_count, sweep_streaming, CacheOutcome, LibraryCache,
-    McMode, MemoLibraryCache, MlvConfig, MlvGoal, MlvStrategy, ScalarStats, SweepConfig,
-};
-use nanoleak_netlist::generate::{alu, iscas_like, multiplier};
-use nanoleak_netlist::{parse_yosys_json, RawCircuit};
-use nanoleak_opt::{optimize_with, OptimizeConfig};
+use nanoleak_core::exec::resolve_threads;
+use nanoleak_engine::{McShard, SweepShard};
+use nanoleak_netlist::RawCircuit;
 use nanoleak_serve::api::{
-    circuit_to_value, fmt_pattern, round_to_value, EstimateResponse, McResponse, MlvResponse,
-    OptimizeResponse, SweepResponse,
+    self, ApiError, Body, EstimateResponse, JobObserver, McResponse, MlvResponse, OptimizeResponse,
+    SweepResponse,
 };
 use nanoleak_serve::{ServeConfig, Server};
-use nanoleak_variation::{char_opts_for, CircuitMcConfig, Stats, VariationSigmas};
+use nanoleak_variation::Stats;
 use rand::SeedableRng;
+use serde::{Deserialize, Serialize, Value};
 
 const USAGE: &str = "\
-usage: nanoleak-cli <command> <circuit.bench | design.json | s838 | s1196 | s1423 | s5378 | s9234 | s13207 | alu88 | mult88> [options]
+usage: nanoleak-cli <command> <target> [options]
+       nanoleak-cli <target> [estimate options]
+       nanoleak-cli serve [serve options]
 
-commands:
+<target> is a circuit.bench file, a design.json Yosys gate-level dump, or a
+built-in name: s838 s1196 s1423 s5378 s9234 s13207 alu88 mult88
+
+commands and the options each accepts:
   estimate   mean leakage and loading impact over random vectors (default)
+               [--vectors N] [--seed S] [--temp K] [--vdd-scale X] [--reference]
   sweep      parallel per-vector statistics over the input space
+               [--vectors N] [--seed S] [--temp K] [--vdd-scale X] [--threads N]
+               [--lanes 0|1|64] [--mode lut|noloading|direct] [--shard-vectors N]
   mlv        minimum/maximum-leakage input-vector search
+               [--goal min|max] [--strategy exhaustive|random|hillclimb]
+               [--samples N] [--restarts N] [--max-steps N] [--seed S]
+               [--temp K] [--vdd-scale X] [--threads N] [--lanes 0|1|64]
   optimize   leakage-aware netlist rewriting (pin permutations and NAND/NOR
              remapping, scored at the extreme vector)
+               [--rounds N] [--no-canonicalize] [--no-permute] [--no-remap]
+               [--out FILE] and every mlv option
   mc         circuit-level Monte-Carlo leakage distribution under process
              variation (loaded vs unloaded)
+               [--samples N] [--vectors N] [--sigma-vt V] [--sigma-vt-intra V]
+               [--seed S] [--temp K] [--vdd-scale X] [--threads N]
+               [--lanes 0|1|64] [--shard-samples N] [--exact]
   serve      long-lived HTTP/JSON analysis service (no circuit argument)
+               [--addr HOST:PORT] [--threads N] [--queue N] [--keep-alive N]
+               [--job-cap N] [--default-job-timeout-ms N] [--faults SPEC]
+               [--log-level L] [--no-cache] [--cache-dir DIR]
+  every command but serve also accepts
+               [--format text|json] [--coarse] [--no-cache] [--cache-dir DIR]
+               [--circuit-format auto|bench|yosys]
 
 common options:
   --vectors N     random vectors (estimate/sweep; patterns per MC sample for
@@ -89,13 +85,13 @@ common options:
   --seed S        RNG seed (default 2005)
   --temp K        temperature in kelvin (default 300)
   --vdd-scale X   supply-scale factor on the nominal Vdd (default 1.0)
-  --threads N     worker threads for sweep/mlv/mc/serve (default: all cores)
-  --lanes N       patterns per evaluation word for sweep/mlv/mc: 64 packs
-                  patterns 64-wide through the block kernel, 1 forces the
-                  scalar reference path, 0 picks automatically (default 0;
-                  results are bit-identical either way)
-  --format F      output format for estimate/sweep/mlv/mc: text (default)
-                  or json
+  --threads N     worker threads (default: all cores)
+  --lanes N       patterns per evaluation word: 64 packs patterns 64-wide
+                  through the block kernel, 1 forces the scalar reference
+                  path, 0 picks automatically (default 0; results are
+                  bit-identical either way)
+  --format F      output format: text (default) or json, the response body
+                  the HTTP service returns for the same request
   --coarse        characterize on the coarse 4-point test grid (fast,
                   lower LUT resolution)
   --no-cache      re-characterize instead of using the on-disk cache
@@ -105,9 +101,13 @@ common options:
                   and falls back to the built-in generator names
 
 estimate options:
-  --reference     also run the full transistor-level reference solve
+  --reference     also run the full transistor-level reference solve (text
+                  output only)
 
 sweep options:
+  --mode M            estimator: lut (default; the paper's loading-aware
+                      lookup tables), noloading (loading ignored), or direct
+                      (per-gate transistor-level re-solve; slow)
   --shard-vectors N   stream the sweep in shards of N vectors (progress per
                       shard on stderr; merged stats are bit-identical to a
                       monolithic run; default 0 = one shard)
@@ -161,6 +161,46 @@ serve options:
                   verbosity on stderr (default info; NANOLEAK_LOG
                   applies when the flag is absent)";
 
+/// How a request flag's argument becomes a request-body value.
+#[derive(Debug, Clone, Copy)]
+enum Arg {
+    /// `--flag N`: a non-negative integer.
+    Int,
+    /// `--flag X`: a float.
+    Float,
+    /// `--flag WORD`: a string the `api` resolver parses.
+    Word,
+    /// Bare `--flag`: the boolean field is set to this value.
+    Switch(bool),
+}
+
+/// Every flag that sets a request-body field: the flag, the field, how
+/// the argument is read, and the subcommands that accept it.
+const REQUEST_FLAGS: &[(&str, &str, Arg, &str)] = &[
+    ("--vectors", "vectors", Arg::Int, "estimate sweep mc"),
+    ("--seed", "seed", Arg::Int, "estimate sweep mlv optimize mc"),
+    ("--temp", "temp", Arg::Float, "estimate sweep mlv optimize mc"),
+    ("--vdd-scale", "vdd_scale", Arg::Float, "estimate sweep mlv optimize mc"),
+    ("--coarse", "coarse", Arg::Switch(true), "estimate sweep mlv optimize mc"),
+    ("--threads", "threads", Arg::Int, "sweep mlv optimize mc"),
+    ("--lanes", "lanes", Arg::Int, "sweep mlv optimize mc"),
+    ("--mode", "mode", Arg::Word, "sweep"),
+    ("--shard-vectors", "shard_vectors", Arg::Int, "sweep"),
+    ("--goal", "goal", Arg::Word, "mlv optimize"),
+    ("--strategy", "strategy", Arg::Word, "mlv optimize"),
+    ("--samples", "samples", Arg::Int, "mlv optimize mc"),
+    ("--restarts", "restarts", Arg::Int, "mlv optimize"),
+    ("--max-steps", "max_steps", Arg::Int, "mlv optimize"),
+    ("--rounds", "rounds", Arg::Int, "optimize"),
+    ("--no-canonicalize", "canonicalize", Arg::Switch(false), "optimize"),
+    ("--no-permute", "permute", Arg::Switch(false), "optimize"),
+    ("--no-remap", "remap", Arg::Switch(false), "optimize"),
+    ("--sigma-vt", "sigma_vt", Arg::Float, "mc"),
+    ("--sigma-vt-intra", "sigma_vt_intra", Arg::Float, "mc"),
+    ("--shard-samples", "shard_samples", Arg::Int, "mc"),
+    ("--exact", "exact", Arg::Switch(true), "mc"),
+];
+
 /// Strict argument list: every flag must be consumed by the active
 /// subcommand or parsing fails.
 struct Args {
@@ -204,12 +244,16 @@ impl Args {
         Ok(None)
     }
 
+    /// Consumes `--name value` parsed as `T`, if present.
+    fn take_opt<T: std::str::FromStr>(&mut self, name: &str) -> Result<Option<T>, String> {
+        self.take_value(name)?
+            .map(|raw| raw.parse().map_err(|_| format!("{name}: cannot parse '{raw}'")))
+            .transpose()
+    }
+
     /// Consumes `--name value` parsed as `T`, with a default.
     fn take_parsed<T: std::str::FromStr>(&mut self, name: &str, default: T) -> Result<T, String> {
-        match self.take_value(name)? {
-            None => Ok(default),
-            Some(raw) => raw.parse().map_err(|_| format!("{name}: cannot parse '{raw}'")),
-        }
+        Ok(self.take_opt(name)?.unwrap_or(default))
     }
 
     /// Consumes the leading positional argument. Only the *first*
@@ -266,24 +310,14 @@ fn main() -> ExitCode {
     };
 
     let mut args = Args::new(raw);
-    // `serve` is the one command without a circuit argument.
-    if command == "serve" {
-        return match cmd_serve(args) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(msg) => fail(&msg),
-        };
-    }
-    let Some(target) = args.take_positional() else {
-        return fail("missing circuit target (the target must come before options)");
-    };
-
-    let result = match command.as_str() {
-        "estimate" => cmd_estimate(&target, args),
-        "sweep" => cmd_sweep(&target, args),
-        "mlv" => cmd_mlv(&target, args),
-        "optimize" => cmd_optimize(&target, args),
-        "mc" => cmd_mc(&target, args),
-        _ => unreachable!("dispatch covers all commands"),
+    let result = if command == "serve" {
+        // `serve` is the one command without a circuit argument.
+        cmd_serve(args)
+    } else {
+        match args.take_positional() {
+            Some(target) => analyze(&command, &target, args),
+            None => Err("missing circuit target (the target must come before options)".into()),
+        }
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -291,32 +325,36 @@ fn main() -> ExitCode {
     }
 }
 
-/// On-disk netlist dialect of the circuit target: `--circuit-format`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CircuitFormat {
-    /// By extension: `.bench` → bench, `.json` → yosys, otherwise a
-    /// built-in generator name.
-    Auto,
-    Bench,
-    Yosys,
+/// Translates `command`'s flags into request-body fields.
+fn request_fields(command: &str, args: &mut Args) -> Result<Vec<(String, Value)>, String> {
+    let mut fields = Vec::new();
+    for &(flag, field, arg, commands) in REQUEST_FLAGS {
+        if !commands.split(' ').any(|c| c == command) {
+            continue;
+        }
+        let value = match arg {
+            Arg::Int => args.take_opt::<u64>(flag)?.map(|n| Value::Int(n.into())),
+            Arg::Float => args.take_opt(flag)?.map(Value::F64),
+            Arg::Word => args.take_value(flag)?.map(Value::Str),
+            Arg::Switch(on) => args.take_flag(flag).then_some(Value::Bool(on)),
+        };
+        fields.extend(value.map(|v| (field.to_string(), v)));
+    }
+    Ok(fields)
 }
 
-impl CircuitFormat {
-    fn take(args: &mut Args) -> Result<Self, String> {
-        match args.take_value("--circuit-format")?.as_deref() {
-            None | Some("auto") => Ok(CircuitFormat::Auto),
-            Some("bench") => Ok(CircuitFormat::Bench),
-            Some("yosys") => Ok(CircuitFormat::Yosys),
-            Some(other) => {
-                Err(format!("--circuit-format: expected auto|bench|yosys, got '{other}'"))
-            }
-        }
-    }
+/// An `api` error in the CLI's terms: the quoted request fields it
+/// names become the flags that set them (`'vectors'` → `--vectors`).
+fn cli_error(e: ApiError) -> String {
+    REQUEST_FLAGS
+        .iter()
+        .fold(e.message, |msg, (flag, field, ..)| msg.replace(&format!("'{field}'"), flag))
 }
 
 /// Resolves a `.bench` path, Yosys JSON dump, or built-in generator
-/// name to a circuit.
-fn load_circuit(target: &str, format: CircuitFormat) -> Result<Circuit, String> {
+/// name (`--circuit-format auto|bench|yosys`; auto goes by extension)
+/// to a circuit.
+fn load_circuit(target: &str, format: Option<String>) -> Result<Circuit, String> {
     let read = || -> Result<String, String> {
         std::fs::read_to_string(target).map_err(|e| format!("cannot read '{target}': {e}"))
     };
@@ -326,315 +364,247 @@ fn load_circuit(target: &str, format: CircuitFormat) -> Result<Circuit, String> 
     };
     // The empty name lets the importer keep the JSON module's name.
     let yosys = |text: &str| parse_yosys_json("", text).map_err(|e| format!("{target}: {e}"));
-    let raw = match format {
-        CircuitFormat::Bench => bench(&read()?)?,
-        CircuitFormat::Yosys => yosys(&read()?)?,
-        CircuitFormat::Auto if target.ends_with(".bench") => bench(&read()?)?,
-        CircuitFormat::Auto if target.ends_with(".json") => yosys(&read()?)?,
-        CircuitFormat::Auto => match target {
-            "alu88" => alu(8),
-            "mult88" => multiplier(8),
-            other => iscas_like(other).ok_or_else(|| format!("unknown circuit '{other}'"))?,
-        },
+    let raw = match format.as_deref() {
+        Some("bench") => bench(&read()?)?,
+        Some("yosys") => yosys(&read()?)?,
+        None | Some("auto") if target.ends_with(".bench") => bench(&read()?)?,
+        None | Some("auto") if target.ends_with(".json") => yosys(&read()?)?,
+        None | Some("auto") => {
+            api::builtin_circuit(target).ok_or_else(|| format!("unknown circuit '{target}'"))?
+        }
+        Some(other) => {
+            return Err(format!("--circuit-format: expected auto|bench|yosys, got '{other}'"))
+        }
     };
     normalize(&raw).map_err(|e| format!("normalization failed: {e}"))
 }
 
-/// Cache-related options shared by all subcommands.
-struct CacheOpts {
-    enabled: bool,
-    dir: Option<String>,
+/// What the CLI shows of a running request: how its library was
+/// obtained (stdout in text mode, stderr under `--format json`) and
+/// shard/round progress (stderr). It keeps the library for the text
+/// views that need it.
+struct Progress {
+    json: bool,
+    disk: Option<PathBuf>,
+    lib: OnceLock<Arc<CellLibrary>>,
 }
 
-impl CacheOpts {
-    fn take(args: &mut Args) -> Result<Self, String> {
-        let enabled = !args.take_flag("--no-cache");
-        let dir = args.take_value("--cache-dir")?;
-        Ok(Self { enabled, dir })
-    }
+/// An optimization round as `api::round_to_value` reports it.
+#[derive(Deserialize)]
+struct Round {
+    round: usize,
+    rounds_total: usize,
+    objective_a: f64,
+    accepted_permutations: usize,
+    accepted_remaps: usize,
 }
 
-/// Output format of the analysis subcommands.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum OutputFormat {
-    Text,
-    Json,
-}
-
-impl OutputFormat {
-    fn take(args: &mut Args) -> Result<Self, String> {
-        match args.take_value("--format")?.as_deref() {
-            None | Some("text") => Ok(OutputFormat::Text),
-            Some("json") => Ok(OutputFormat::Json),
-            Some(other) => Err(format!("--format: expected text|json, got '{other}'")),
-        }
-    }
-}
-
-/// The operating conditions of a run: `--temp` (kelvin) and
-/// `--vdd-scale`, bundled as the shared [`OperatingPoint`] the whole
-/// stack characterizes through.
-fn take_operating_point(args: &mut Args) -> Result<OperatingPoint, String> {
-    let op = OperatingPoint {
-        temp: args.take_parsed("--temp", 300.0)?,
-        vdd_scale: args.take_parsed("--vdd-scale", 1.0)?,
-    };
-    op.validate()?;
-    Ok(op)
-}
-
-/// `--coarse` selects the fast 4-point test grid (what the service's
-/// `"coarse": true` does); the default is the production 11-point
-/// resolution.
-fn take_char_opts(args: &mut Args) -> CharacterizeOptions {
-    if args.take_flag("--coarse") {
-        CharacterizeOptions::coarse(&CellType::ALL)
-    } else {
-        CharacterizeOptions::default()
-    }
-}
-
-/// Obtains the characterized library at an operating point, through
-/// the persistent cache unless disabled. With `quiet`, progress goes
-/// to stderr so stdout stays machine-parseable (`--format json`).
-fn load_library(
-    tech: &Technology,
-    op: &OperatingPoint,
-    opts: &CharacterizeOptions,
-    cache: &CacheOpts,
-    quiet: bool,
-) -> Arc<CellLibrary> {
-    macro_rules! info {
-        ($($arg:tt)*) => {
-            if quiet { eprintln!($($arg)*) } else { println!($($arg)*) }
-        };
-    }
-    let temp = op.temp;
-    if !cache.enabled {
-        info!("characterizing cell library for {} at {temp} K (cache disabled) ...", tech.name);
-        return op.shared_library(tech, opts);
-    }
-    let store = match &cache.dir {
-        Some(dir) => LibraryCache::new(dir),
-        None => LibraryCache::default_location(),
-    };
-    let t0 = Instant::now();
-    match store.load_or_characterize(&op.tech(tech), temp, opts) {
-        Ok((lib, outcome)) => {
-            let elapsed = t0.elapsed();
-            match outcome {
-                CacheOutcome::Hit => info!(
-                    "[cache] hit: loaded {} @ {temp} K from {} in {:.1} ms",
-                    tech.name,
-                    store.dir().display(),
-                    elapsed.as_secs_f64() * 1e3
-                ),
-                CacheOutcome::Miss => info!(
-                    "[cache] miss: characterized {} @ {temp} K in {:.2} s (stored in {})",
-                    tech.name,
-                    elapsed.as_secs_f64(),
-                    store.dir().display()
-                ),
-                CacheOutcome::Invalidated => info!(
-                    "[cache] stale entry replaced: re-characterized {} @ {temp} K in {:.2} s",
-                    tech.name,
-                    elapsed.as_secs_f64()
-                ),
-                // LibraryCache is the disk layer; RAM hits only come
-                // from the MemoLibraryCache used by `serve`.
-                CacheOutcome::MemoryHit => unreachable!("disk cache cannot hit RAM"),
+impl JobObserver for Progress {
+    fn library(&self, lib: &Arc<CellLibrary>, outcome: CacheOutcome, elapsed: Duration) {
+        let (name, temp, s) = (&lib.tech.name, lib.temp, elapsed.as_secs_f64());
+        let line = match (&self.disk, outcome) {
+            (None, _) => format!("characterized {name} @ {temp} K in {s:.2} s (disk cache off)"),
+            (Some(dir), CacheOutcome::Hit) => format!(
+                "[cache] hit: loaded {name} @ {temp} K from {} in {:.1} ms",
+                dir.display(),
+                s * 1e3
+            ),
+            (Some(_), CacheOutcome::Invalidated) => {
+                format!(
+                    "[cache] stale entry replaced: re-characterized {name} @ {temp} K in {s:.2} s"
+                )
             }
-            lib
+            (Some(dir), _) => format!(
+                "[cache] miss: characterized {name} @ {temp} K in {s:.2} s (stored in {})",
+                dir.display()
+            ),
+        };
+        if self.json {
+            eprintln!("{line}");
+        } else {
+            println!("{line}");
         }
-        Err(e) => {
-            eprintln!("warning: {e}; continuing without the disk cache");
-            op.shared_library(tech, opts)
+        let _ = self.lib.set(Arc::clone(lib));
+    }
+
+    fn unit(&self, _index: usize, partial: Value) {
+        if let Ok(s) = SweepShard::from_value(&partial) {
+            if s.shards_total > 1 {
+                eprintln!(
+                    "[sweep] shard {}/{}: {} vectors done (mean {:.4} uA)",
+                    s.shard + 1,
+                    s.shards_total,
+                    s.start + s.vectors,
+                    s.stats.total.mean * 1e6
+                );
+            }
+        } else if let Ok(s) = McShard::from_value(&partial) {
+            if s.shards_total > 1 {
+                eprintln!(
+                    "[mc] shard {}/{}: {} samples done (loaded mean {:.4} uA)",
+                    s.shard + 1,
+                    s.shards_total,
+                    s.start + s.samples,
+                    s.summary.loaded.total.mean * 1e6
+                );
+            }
+        } else if let Ok(r) = Round::from_value(&partial) {
+            eprintln!(
+                "[optimize] round {}/{}: objective {:.4} uA ({} permutation(s), {} remap(s))",
+                r.round,
+                r.rounds_total,
+                r.objective_a * 1e6,
+                r.accepted_permutations,
+                r.accepted_remaps
+            );
         }
     }
 }
 
-fn parse_mode(raw: Option<String>) -> Result<EstimatorMode, String> {
-    match raw.as_deref() {
-        None | Some("lut") => Ok(EstimatorMode::Lut),
-        Some("noloading") => Ok(EstimatorMode::NoLoading),
-        Some("direct") => Ok(EstimatorMode::DirectSolve),
-        Some(other) => Err(format!("--mode: expected lut|noloading|direct, got '{other}'")),
+/// Runs one request through the disk cache (`None` = RAM only),
+/// reporting progress, and returns the response plus the library it
+/// ran on. Unlike the server, which answers a failed cache write with
+/// a 500, the CLI warns and answers from RAM.
+fn run<T>(
+    json: bool,
+    disk: Option<LibraryCache>,
+    request: impl Fn(&MemoLibraryCache, &Progress) -> Result<T, ApiError>,
+) -> Result<(T, Option<Arc<CellLibrary>>), String> {
+    let attempt = |disk: Option<LibraryCache>| {
+        let progress =
+            Progress { json, disk: disk.as_ref().map(|d| d.dir().into()), lib: OnceLock::new() };
+        let memo = disk.map_or_else(MemoLibraryCache::memory_only, MemoLibraryCache::over);
+        request(&memo, &progress).map(|r| (r, progress.lib.into_inner()))
+    };
+    match attempt(disk.clone()) {
+        Err(e) if e.status == 500 && disk.is_some() => {
+            eprintln!("warning: {}; continuing without the disk cache", e.message);
+            attempt(None)
+        }
+        result => result,
+    }
+    .map_err(cli_error)
+}
+
+/// Prints a response: the HTTP body under `--format json`, else `text`.
+fn emit<T: Serialize>(json: bool, response: &T, text: impl FnOnce(&T)) {
+    if json {
+        println!("{}", serde::json::to_string_pretty(response));
+    } else {
+        text(response);
     }
 }
 
-fn cmd_estimate(target: &str, mut args: Args) -> Result<(), String> {
-    let vectors: usize = args.take_parsed("--vectors", 100)?;
-    let seed: u64 = args.take_parsed("--seed", 2005)?;
-    let op = take_operating_point(&mut args)?;
-    let with_reference = args.take_flag("--reference");
-    let format = OutputFormat::take(&mut args)?;
-    let char_opts = take_char_opts(&mut args);
-    let cache = CacheOpts::take(&mut args)?;
-    let circuit_format = CircuitFormat::take(&mut args)?;
+/// Runs one analysis subcommand: flags → request body → `api::run_*`
+/// → rendered response.
+fn analyze(command: &str, target: &str, mut args: Args) -> Result<(), String> {
+    let fields = request_fields(command, &mut args)?;
+    let json = match args.take_value("--format")?.as_deref() {
+        None | Some("text") => false,
+        Some("json") => true,
+        Some(other) => return Err(format!("--format: expected text|json, got '{other}'")),
+    };
+    let reference = command == "estimate" && args.take_flag("--reference");
+    let out = if command == "optimize" { args.take_value("--out")? } else { None };
+    let no_cache = args.take_flag("--no-cache");
+    let cache_dir = args.take_value("--cache-dir")?;
+    let circuit_format = args.take_value("--circuit-format")?;
     args.finish()?;
-    if with_reference && format == OutputFormat::Json {
+    if reference && json {
         // Refusing beats silently dropping the reference solve from
         // the JSON report.
         return Err("--reference is not supported with --format json".to_string());
     }
 
-    let t0 = Instant::now();
     let circuit = load_circuit(target, circuit_format)?;
-    if format == OutputFormat::Text {
+    if !json {
         println!("{}", CircuitStats::compute(&circuit));
     }
-    let tech = Technology::d25();
-    let lib = load_library(&tech, &op, &char_opts, &cache, format == OutputFormat::Json);
-
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let patterns = Pattern::random_batch(&circuit, &mut rng, vectors);
-
-    let loaded = estimate_batch(&circuit, &lib, &patterns, EstimatorMode::Lut)
-        .map_err(|e| format!("estimation failed: {e}"))?;
-    let unloaded = estimate_batch(&circuit, &lib, &patterns, EstimatorMode::NoLoading)
-        .expect("baseline estimation cannot fail after loaded pass");
-
-    let mean =
-        |rs: &[CircuitLeakage]| rs.iter().map(|r| r.total.total()).sum::<f64>() / rs.len() as f64;
-    let pairs: Vec<_> = loaded.iter().cloned().zip(unloaded.iter().cloned()).collect();
-    let impact = LoadingImpact::from_pairs(&pairs);
-
-    if format == OutputFormat::Json {
-        // The service's POST /v1/estimate response type, so one
-        // parser covers both transports by construction.
-        let report = EstimateResponse {
-            target: target.to_string(),
-            gates: circuit.gate_count(),
-            input_bits: circuit.inputs().len() + circuit.state_inputs().len(),
-            vectors,
-            seed,
-            temp: op.temp,
-            mean_total_a: mean(&loaded),
-            mean_no_loading_a: mean(&unloaded),
-            mean_power_w: mean(&loaded) * lib.tech.vdd,
-            loading_impact_avg: impact.avg_total,
-            loading_impact_max: impact.max_total,
-            elapsed_ms: t0.elapsed().as_secs_f64() * 1e3,
-        };
-        println!("{}", serde::json::to_string_pretty(&report));
-        return Ok(());
-    }
-
-    println!("\nleakage over {vectors} random vectors (mean):");
-    println!("  without loading : {:10.3} uA", mean(&unloaded) * 1e6);
-    println!("  with loading    : {:10.3} uA", mean(&loaded) * 1e6);
-    println!("  leakage power   : {:10.3} uW (with loading)", mean(&loaded) * lib.tech.vdd * 1e6);
-    println!("\nloading impact (avg over vectors):");
-    println!("  subthreshold    : {:+7.2} %", impact.avg.sub * 100.0);
-    println!("  gate tunneling  : {:+7.2} %", impact.avg.gate * 100.0);
-    println!("  junction BTBT   : {:+7.2} %", impact.avg.btbt * 100.0);
-    println!("  total           : {:+7.2} %", impact.avg_total * 100.0);
-    println!("loading impact (max over vectors): {:+7.2} %", impact.max_total * 100.0);
-
-    if with_reference {
-        let n = patterns.len().min(5);
-        println!("\nrunning full reference solve on {n} vectors (slow) ...");
-        match nanoleak_core::reference_batch(
-            &circuit,
-            &lib.tech,
-            op.temp,
-            &patterns[..n],
-            &ReferenceOptions::default(),
-        ) {
-            Ok(refs) => {
-                let accs: Vec<_> =
-                    loaded[..n].iter().zip(&refs).map(|(e, r)| accuracy(e, &r.leakage)).collect();
-                let mean_err =
-                    accs.iter().map(|a| a.total_rel_err.abs()).sum::<f64>() / accs.len() as f64;
-                println!(
-                    "  reference mean  : {:10.3} uA",
-                    refs.iter().map(|r| r.leakage.total.total()).sum::<f64>() / n as f64 * 1e6
-                );
-                println!("  estimator error : {:7.2} % (mean |total|)", mean_err * 100.0);
+    let body = Body::local(fields, target.to_string(), circuit);
+    // `mc` accepts the cache flags like every analysis command but
+    // never touches the disk: its per-die libraries are one-shot.
+    let disk = (!no_cache && command != "mc")
+        .then(|| cache_dir.map_or_else(LibraryCache::default_location, LibraryCache::new));
+    match command {
+        "estimate" => {
+            let (r, lib) = run(json, disk, |cache, p| api::run_estimate(cache, &body, p))?;
+            emit(json, &r, print_estimate);
+            if reference {
+                print_reference(&body, &r, &lib.expect("estimate reports its library"))?;
             }
-            Err(e) => eprintln!("  reference failed: {e}"),
         }
+        "sweep" => {
+            let (r, _) = run(json, disk, |cache, p| api::run_sweep_streaming(cache, &body, p))?;
+            emit(json, &r, print_sweep);
+        }
+        "mlv" => {
+            let (r, lib) = run(json, disk, |cache, p| api::run_mlv(cache, &body, p))?;
+            let vdd = lib.expect("mlv reports its library").tech.vdd;
+            emit(json, &r, |r| print_mlv(r, vdd));
+        }
+        "optimize" => {
+            let (r, _) = run(json, disk, |cache, p| api::run_optimize_with(cache, &body, p))?;
+            if let Some(path) = &out {
+                let netlist = serde::json::value_to_string(&r.netlist);
+                std::fs::write(path, netlist).map_err(|e| format!("cannot write '{path}': {e}"))?;
+                eprintln!("[optimize] wrote optimized netlist to {path}");
+            }
+            emit(json, &r, print_optimize);
+        }
+        "mc" => {
+            let (r, _) = run(json, disk, |cache, p| api::run_mc(cache, &body, p))?;
+            emit(json, &r, print_mc);
+        }
+        _ => unreachable!("dispatch covers all commands"),
     }
     Ok(())
 }
 
-/// The `--lanes` flag shared by sweep/mlv/mc: `0` (auto → the
-/// 64-wide block kernel), `64` (block explicitly), or `1` (the scalar
-/// reference path). A throughput knob only — results are
-/// bit-identical either way.
-fn take_lanes(args: &mut Args) -> Result<usize, String> {
-    let lanes: usize = args.take_parsed("--lanes", 0)?;
-    if !matches!(lanes, 0 | 1 | 64) {
-        return Err(format!("--lanes: expected 0 (auto), 1 (scalar), or 64 (block), got {lanes}"));
-    }
-    Ok(lanes)
+fn print_estimate(r: &EstimateResponse) {
+    let avg = &r.loading_impact_avg_components;
+    println!("\nleakage over {} random vectors (mean):", r.vectors);
+    println!("  without loading : {:10.3} uA", r.mean_no_loading_a * 1e6);
+    println!("  with loading    : {:10.3} uA", r.mean_total_a * 1e6);
+    println!("  leakage power   : {:10.3} uW (with loading)", r.mean_power_w * 1e6);
+    println!("\nloading impact (avg over vectors):");
+    println!("  subthreshold    : {:+7.2} %", avg.sub * 100.0);
+    println!("  gate tunneling  : {:+7.2} %", avg.gate * 100.0);
+    println!("  junction BTBT   : {:+7.2} %", avg.btbt * 100.0);
+    println!("  total           : {:+7.2} %", r.loading_impact_avg * 100.0);
+    println!("loading impact (max over vectors): {:+7.2} %", r.loading_impact_max * 100.0);
 }
 
-fn cmd_sweep(target: &str, mut args: Args) -> Result<(), String> {
-    let config = SweepConfig {
-        vectors: args.take_parsed("--vectors", 100)?,
-        seed: args.take_parsed("--seed", 2005)?,
-        threads: args.take_parsed("--threads", 0)?,
-        mode: parse_mode(args.take_value("--mode")?)?,
-        lanes: take_lanes(&mut args)?,
-    };
-    let op = take_operating_point(&mut args)?;
-    let shard_vectors: usize = args.take_parsed("--shard-vectors", 0)?;
-    let format = OutputFormat::take(&mut args)?;
-    let char_opts = take_char_opts(&mut args);
-    let cache = CacheOpts::take(&mut args)?;
-    let circuit_format = CircuitFormat::take(&mut args)?;
-    args.finish()?;
-    if config.vectors == 0 {
-        return Err("--vectors must be at least 1".to_string());
-    }
-
-    let circuit = load_circuit(target, circuit_format)?;
-    if format == OutputFormat::Text {
-        println!("{}", CircuitStats::compute(&circuit));
-    }
-    let tech = Technology::d25();
-    let lib = load_library(&tech, &op, &char_opts, &cache, format == OutputFormat::Json);
-
-    // Progress streams to stderr so `--format json` stdout stays
-    // machine-parseable; merged stats are bit-identical to a
-    // monolithic sweep for any shard size.
-    let shards = shard_count(config.vectors, shard_vectors);
-    let report = sweep_streaming(&circuit, &lib, &config, shard_vectors, |shard| {
-        if shards > 1 {
-            eprintln!(
-                "[sweep] shard {}/{shards}: {} vectors done (mean {:.4} uA)",
-                shard.shard + 1,
-                shard.start + shard.vectors,
-                shard.stats.total.mean * 1e6
+/// `estimate --reference`: the full transistor-level solve of the run's
+/// first (at most five) vectors, against the estimator's answer.
+fn print_reference(body: &Body, r: &EstimateResponse, lib: &CellLibrary) -> Result<(), String> {
+    let (_, circuit) = api::resolve_circuit(body).map_err(cli_error)?;
+    let n = r.vectors.min(5);
+    println!("\nrunning full reference solve on {n} vectors (slow) ...");
+    // The same seeded stream `run_estimate` drew its vectors from.
+    let mut rng = rand::rngs::StdRng::seed_from_u64(r.seed);
+    let patterns = Pattern::random_batch(&circuit, &mut rng, n);
+    let loaded = estimate_batch(&circuit, lib, &patterns, EstimatorMode::Lut)
+        .map_err(|e| format!("estimation failed: {e}"))?;
+    let opts = ReferenceOptions::default();
+    match nanoleak_core::reference_batch(&circuit, &lib.tech, lib.temp, &patterns, &opts) {
+        Ok(refs) => {
+            let accs: Vec<_> =
+                loaded.iter().zip(&refs).map(|(e, r)| accuracy(e, &r.leakage)).collect();
+            let mean_err =
+                accs.iter().map(|a| a.total_rel_err.abs()).sum::<f64>() / accs.len() as f64;
+            println!(
+                "  reference mean  : {:10.3} uA",
+                refs.iter().map(|r| r.leakage.total.total()).sum::<f64>() / n as f64 * 1e6
             );
+            println!("  estimator error : {:7.2} % (mean |total|)", mean_err * 100.0);
         }
-        true
-    })
-    .map_err(|e| format!("sweep failed: {e}"))?
-    .expect("CLI sweeps are never cancelled");
-    let s = &report.stats;
-    let t = &report.telemetry;
-
-    if format == OutputFormat::Json {
-        // The service's POST /v1/sweep response type (see estimate).
-        let report_json = SweepResponse {
-            target: target.to_string(),
-            gates: circuit.gate_count(),
-            temp: op.temp,
-            config,
-            shards,
-            min_vector: fmt_pattern(&s.min.pattern),
-            max_vector: fmt_pattern(&s.max.pattern),
-            stats: s.clone(),
-            elapsed_ms: t.elapsed.as_secs_f64() * 1e3,
-            patterns_per_sec: t.patterns_per_sec,
-        };
-        println!("{}", serde::json::to_string_pretty(&report_json));
-        return Ok(());
+        Err(e) => eprintln!("  reference failed: {e}"),
     }
+    Ok(())
+}
 
-    let ua = 1e6;
+fn print_sweep(r: &SweepResponse) {
+    let (s, ua) = (&r.stats, 1e6);
     let row = |name: &str, st: &ScalarStats| {
         println!(
             "  {name:<6} {:>10.4} {:>10.4} {:>10.4} {:>10.4} {:>10.4} {:>10.4} {:>10.4}",
@@ -659,368 +629,85 @@ fn cmd_sweep(target: &str, mut args: Args) -> Result<(), String> {
     println!(
         "\n  min vector : #{:<6} {} ({:.4} uA)",
         s.min.index,
-        fmt_pattern(&s.min.pattern),
+        r.min_vector,
         s.min.leakage.total() * ua
     );
     println!(
         "  max vector : #{:<6} {} ({:.4} uA)",
         s.max.index,
-        fmt_pattern(&s.max.pattern),
+        r.max_vector,
         s.max.leakage.total() * ua
     );
     println!(
         "\n  {} vectors on {} thread(s) in {:.3} s — {:.0} patterns/sec",
         s.vectors,
-        t.threads,
-        t.elapsed.as_secs_f64(),
-        t.patterns_per_sec
+        resolve_threads(r.config.threads).min(s.vectors),
+        r.elapsed_ms / 1e3,
+        r.patterns_per_sec
     );
-    Ok(())
 }
 
-/// The MLV-search flags shared by `mlv` and `optimize` (goal,
-/// strategy, seed, threads), mirroring the service's resolver.
-fn take_mlv_config(args: &mut Args) -> Result<MlvConfig, String> {
-    let goal = match args.take_value("--goal")?.as_deref() {
-        None | Some("min") => MlvGoal::Min,
-        Some("max") => MlvGoal::Max,
-        Some(other) => return Err(format!("--goal: expected min|max, got '{other}'")),
-    };
-    let samples: usize = args.take_parsed("--samples", 1024)?;
-    let restarts: usize = args.take_parsed("--restarts", 8)?;
-    let max_steps: usize = args.take_parsed("--max-steps", 64)?;
-    if samples == 0 {
-        return Err("--samples must be at least 1".to_string());
-    }
-    if restarts == 0 {
-        return Err("--restarts must be at least 1".to_string());
-    }
-    let strategy = match args.take_value("--strategy")?.as_deref() {
-        None | Some("hillclimb") => MlvStrategy::HillClimb { restarts, max_steps },
-        Some("exhaustive") => MlvStrategy::Exhaustive,
-        Some("random") => MlvStrategy::Random { samples },
-        Some(other) => {
-            return Err(format!("--strategy: expected exhaustive|random|hillclimb, got '{other}'"))
-        }
-    };
-    Ok(MlvConfig {
-        goal,
-        strategy,
-        seed: args.take_parsed("--seed", 2005)?,
-        threads: args.take_parsed("--threads", 0)?,
-        mode: EstimatorMode::Lut,
-        lanes: take_lanes(args)?,
-    })
-}
-
-fn goal_name(goal: MlvGoal) -> &'static str {
-    match goal {
-        MlvGoal::Min => "min",
-        MlvGoal::Max => "max",
-    }
-}
-
-fn cmd_mlv(target: &str, mut args: Args) -> Result<(), String> {
-    let config = take_mlv_config(&mut args)?;
-    let goal = config.goal;
-    let op = take_operating_point(&mut args)?;
-    let format = OutputFormat::take(&mut args)?;
-    let char_opts = take_char_opts(&mut args);
-    let cache = CacheOpts::take(&mut args)?;
-    let circuit_format = CircuitFormat::take(&mut args)?;
-    args.finish()?;
-
-    let circuit = load_circuit(target, circuit_format)?;
-    if format == OutputFormat::Text {
-        println!("{}", CircuitStats::compute(&circuit));
-    }
-    let tech = Technology::d25();
-    let lib = load_library(&tech, &op, &char_opts, &cache, format == OutputFormat::Json);
-
-    let result =
-        mlv_search(&circuit, &lib, &config).map_err(|e| format!("MLV search failed: {e}"))?;
-    let tel = &result.telemetry;
-
-    if format == OutputFormat::Json {
-        // The service's POST /v1/mlv response type, so one parser
-        // covers both transports by construction (floats print
-        // shortest-round-trip, decoding bit-exactly).
-        let goal_name = match goal {
-            MlvGoal::Min => "min",
-            MlvGoal::Max => "max",
-        };
-        let report = MlvResponse {
-            target: target.to_string(),
-            goal: goal_name.to_string(),
-            strategy: tel.strategy.to_string(),
-            vector: fmt_pattern(&result.pattern),
-            pattern: result.pattern.clone(),
-            objective_a: result.objective,
-            sub_a: result.leakage.total.sub,
-            gate_a: result.leakage.total.gate,
-            btbt_a: result.leakage.total.btbt,
-            evaluations: tel.evaluations,
-            improving_moves: tel.improving_moves,
-            restarts: tel.restarts,
-            // Search-only wall clock, matching the service's
-            // `POST /v1/mlv` semantics for the same field.
-            elapsed_ms: tel.elapsed.as_secs_f64() * 1e3,
-        };
-        println!("{}", serde::json::to_string_pretty(&report));
-        return Ok(());
-    }
-
-    let which = match goal {
-        MlvGoal::Min => "minimum",
-        MlvGoal::Max => "maximum",
-    };
-    println!("\n{which}-leakage vector ({} strategy):", tel.strategy);
-    println!("  vector   : {}", fmt_pattern(&result.pattern));
-    println!("  leakage  : {:.4} uA total", result.objective * 1e6);
+fn print_mlv(r: &MlvResponse, vdd: f64) {
+    // "min" / "max" + "imum".
+    println!("\n{}imum-leakage vector ({} strategy):", r.goal, r.strategy);
+    println!("  vector   : {}", r.vector);
+    println!("  leakage  : {:.4} uA total", r.objective_a * 1e6);
     println!(
         "  breakdown: sub {:.4} / gate {:.4} / btbt {:.4} uA",
-        result.leakage.total.sub * 1e6,
-        result.leakage.total.gate * 1e6,
-        result.leakage.total.btbt * 1e6
+        r.sub_a * 1e6,
+        r.gate_a * 1e6,
+        r.btbt_a * 1e6
     );
-    println!(
-        "  power    : {:.4} uW at {:.2} V",
-        result.objective * lib.tech.vdd * 1e6,
-        lib.tech.vdd
-    );
+    println!("  power    : {:.4} uW at {:.2} V", r.objective_a * vdd * 1e6, vdd);
     println!(
         "\n  {} evaluations, {} improving moves, {} restart(s) in {:.3} s",
-        tel.evaluations,
-        tel.improving_moves,
-        tel.restarts,
-        tel.elapsed.as_secs_f64()
+        r.evaluations,
+        r.improving_moves,
+        r.restarts,
+        r.elapsed_ms / 1e3
     );
-    Ok(())
 }
 
-fn cmd_optimize(target: &str, mut args: Args) -> Result<(), String> {
-    let mlv = take_mlv_config(&mut args)?;
-    let rounds: usize = args.take_parsed("--rounds", 4)?;
-    if rounds == 0 {
-        return Err("--rounds must be at least 1".to_string());
-    }
-    let config = OptimizeConfig {
-        mlv,
-        max_rounds: rounds,
-        canonicalize: !args.take_flag("--no-canonicalize"),
-        permute: !args.take_flag("--no-permute"),
-        remap: !args.take_flag("--no-remap"),
-    };
-    let out_path = args.take_value("--out")?;
-    let op = take_operating_point(&mut args)?;
-    let format = OutputFormat::take(&mut args)?;
-    let char_opts = take_char_opts(&mut args);
-    let cache = CacheOpts::take(&mut args)?;
-    let circuit_format = CircuitFormat::take(&mut args)?;
-    args.finish()?;
-
-    let t0 = Instant::now();
-    let circuit = load_circuit(target, circuit_format)?;
-    if format == OutputFormat::Text {
-        println!("{}", CircuitStats::compute(&circuit));
-    }
-    let tech = Technology::d25();
-    let lib = load_library(&tech, &op, &char_opts, &cache, format == OutputFormat::Json);
-
-    // Round progress goes to stderr so `--format json` stdout stays
-    // machine-parseable.
-    let result = optimize_with(&circuit, &lib, &config, |round| {
-        eprintln!(
-            "[optimize] round {}/{}: objective {:.4} uA ({} permutation(s), {} remap(s))",
-            round.round,
-            round.rounds_total,
-            round.objective_a * 1e6,
-            round.accepted_permutations,
-            round.accepted_remaps
-        );
-        true
-    })
-    .map_err(|e| format!("optimization failed: {e}"))?
-    .expect("CLI optimizations are never cancelled");
-
-    if let Some(path) = &out_path {
-        let netlist = serde::json::value_to_string(&circuit_to_value(&result.circuit));
-        std::fs::write(path, netlist).map_err(|e| format!("cannot write '{path}': {e}"))?;
-        eprintln!("[optimize] wrote optimized netlist to {path}");
-    }
-
-    if format == OutputFormat::Json {
-        // The service's POST /v1/optimize response type, so one
-        // parser covers both transports by construction.
-        let (pairs, dead) = result
-            .canonical
-            .as_ref()
-            .map_or((0, 0), |r| (r.inverter_pairs_removed, r.dead_gates_removed));
-        let response = OptimizeResponse {
-            target: target.to_string(),
-            goal: goal_name(config.mlv.goal).to_string(),
-            strategy: result.baseline.telemetry.strategy.to_string(),
-            gates_before: result.gates_before,
-            gates_after: result.gates_after,
-            rounds_run: result.rounds.len(),
-            max_rounds: rounds,
-            baseline_vector: fmt_pattern(&result.baseline.pattern),
-            baseline_a: result.baseline.objective,
-            improved_vector: fmt_pattern(&result.improved.pattern),
-            improved_a: result.improved.objective,
-            improved_power_w: result.improved.objective * lib.tech.vdd,
-            improvement_percent: result.improvement_percent(),
-            accepted_permutations: result.rounds.iter().map(|r| r.accepted_permutations).sum(),
-            accepted_remaps: result.rounds.iter().map(|r| r.accepted_remaps).sum(),
-            canonicalized: result.canonical.is_some(),
-            inverter_pairs_removed: pairs,
-            dead_gates_removed: dead,
-            reverted: result.reverted,
-            evaluations: result.evaluations,
-            rounds: result.rounds.iter().map(round_to_value).collect(),
-            netlist: circuit_to_value(&result.circuit),
-            elapsed_ms: t0.elapsed().as_secs_f64() * 1e3,
-        };
-        println!("{}", serde::json::to_string_pretty(&response));
-        return Ok(());
-    }
-
+fn print_optimize(r: &OptimizeResponse) {
     let ua = 1e6;
-    let which = match config.mlv.goal {
-        MlvGoal::Min => "minimum",
-        MlvGoal::Max => "maximum",
-    };
-    println!("\nleakage optimization at the {which}-leakage vector:");
-    if let Some(report) = &result.canonical {
+    println!("\nleakage optimization at the {}imum-leakage vector:", r.goal);
+    if r.canonicalized {
+        // The pre-pass keeps every gate it does not report removed.
         println!(
             "  canonical : {} -> {} gates ({} inverter pair(s), {} dead gate(s) removed)",
-            report.gates_before,
-            report.gates_after,
-            report.inverter_pairs_removed,
-            report.dead_gates_removed
+            r.gates_before,
+            r.gates_before - r.inverter_pairs_removed - r.dead_gates_removed,
+            r.inverter_pairs_removed,
+            r.dead_gates_removed
         );
     }
-    println!(
-        "  baseline  : {:.4} uA at {}",
-        result.baseline.objective * ua,
-        fmt_pattern(&result.baseline.pattern)
-    );
+    println!("  baseline  : {:.4} uA at {}", r.baseline_a * ua, r.baseline_vector);
     println!(
         "  improved  : {:.4} uA at {} ({:+.2} %)",
-        result.improved.objective * ua,
-        fmt_pattern(&result.improved.pattern),
-        -result.improvement_percent()
+        r.improved_a * ua,
+        r.improved_vector,
+        -r.improvement_percent
     );
     println!(
         "  rewrites  : {} pin permutation(s), {} NAND/NOR remap(s) over {} round(s)",
-        result.rounds.iter().map(|r| r.accepted_permutations).sum::<usize>(),
-        result.rounds.iter().map(|r| r.accepted_remaps).sum::<usize>(),
-        result.rounds.len()
+        r.accepted_permutations, r.accepted_remaps, r.rounds_run
     );
-    println!("  gates     : {} -> {}", result.gates_before, result.gates_after);
-    if result.reverted {
+    println!("  gates     : {} -> {}", r.gates_before, r.gates_after);
+    if r.reverted {
         println!("  (no rewrite survived the objective guard; input returned unchanged)");
     }
-    println!(
-        "\n  {} estimator evaluations in {:.3} s",
-        result.evaluations,
-        result.elapsed.as_secs_f64()
-    );
-    Ok(())
+    println!("\n  {} estimator evaluations in {:.3} s", r.evaluations, r.elapsed_ms / 1e3);
 }
 
-fn cmd_mc(target: &str, mut args: Args) -> Result<(), String> {
-    let samples: usize = args.take_parsed("--samples", 200)?;
-    let vectors: usize = args.take_parsed("--vectors", 1)?;
-    let seed: u64 = args.take_parsed("--seed", 2005)?;
-    let sigma_vt: f64 = args.take_parsed("--sigma-vt", 30e-3)?;
-    let sigma_vt_intra: f64 = args.take_parsed("--sigma-vt-intra", 30e-3)?;
-    let threads: usize = args.take_parsed("--threads", 0)?;
-    let lanes = take_lanes(&mut args)?;
-    let shard_samples: usize = args.take_parsed("--shard-samples", 0)?;
-    let op = take_operating_point(&mut args)?;
-    let format = OutputFormat::take(&mut args)?;
-    let coarse = args.take_flag("--coarse");
-    let exact = args.take_flag("--exact");
-    // Accepted for flag-set compatibility with the other subcommands,
-    // but deliberately unused: per-sample libraries belong to unique
-    // perturbed dies, so `mc` never reads or writes the disk cache.
-    let _ = CacheOpts::take(&mut args)?;
-    let circuit_format = CircuitFormat::take(&mut args)?;
-    args.finish()?;
-    if samples == 0 || vectors == 0 {
-        return Err("--samples and --vectors must be at least 1".to_string());
-    }
-
-    let circuit = load_circuit(target, circuit_format)?;
-    if format == OutputFormat::Text {
-        println!("{}", CircuitStats::compute(&circuit));
-    }
-    let tech = Technology::d25();
-    let sigmas =
-        VariationSigmas::paper_nominal().with_vt_inter(sigma_vt).with_vt_intra(sigma_vt_intra);
-    sigmas.validate()?;
-    let config = CircuitMcConfig {
-        samples,
-        seed,
-        sigmas,
-        op,
-        vectors,
-        pattern_seed: seed,
-        threads,
-        char_opts: char_opts_for(&circuit, coarse),
-        lanes,
-    };
-    // Per-sample libraries belong to unique perturbed dies: memoize in
-    // RAM (re-runs of one seed hit), never on disk (one-shot litter).
-    let cache = MemoLibraryCache::memory_only();
-    let shards = shard_count(samples, shard_samples);
-    let mode = McMode::from_exact(exact);
-    let report =
-        mc_streaming_mode(&circuit, &tech, &cache, &config, mode, shard_samples, |shard| {
-            if shards > 1 {
-                eprintln!(
-                    "[mc] shard {}/{shards}: {} samples done (loaded mean {:.4} uA)",
-                    shard.shard + 1,
-                    shard.start + shard.samples,
-                    shard.summary.loaded.total.mean * 1e6
-                );
-            }
-            true
-        })
-        .map_err(|e| format!("monte carlo failed: {e}"))?
-        .expect("CLI MC runs are never cancelled");
-    let summary = report.summary;
-    let tel = &report.telemetry;
-
-    if format == OutputFormat::Json {
-        // The service's "mc" job response type (see estimate/sweep).
-        let response = McResponse {
-            target: target.to_string(),
-            gates: circuit.gate_count(),
-            samples,
-            vectors,
-            seed,
-            pattern_seed: seed,
-            temp: op.temp,
-            vdd_scale: op.vdd_scale,
-            sigmas: config.sigmas,
-            shards,
-            exact,
-            summary,
-            elapsed_ms: tel.elapsed.as_secs_f64() * 1e3,
-            samples_per_sec: tel.samples_per_sec,
-        };
-        println!("{}", serde::json::to_string_pretty(&response));
-        return Ok(());
-    }
-
-    let ua = 1e6;
+fn print_mc(r: &McResponse) {
+    let (summary, ua) = (&r.summary, 1e6);
     println!(
-        "\nleakage distribution over {samples} perturbed dies \
-         (sigma_vt {:.0} mV inter / {:.0} mV intra, {vectors} vector(s)/sample) [uA]:",
-        sigma_vt * 1e3,
-        sigma_vt_intra * 1e3
+        "\nleakage distribution over {} perturbed dies \
+         (sigma_vt {:.0} mV inter / {:.0} mV intra, {} vector(s)/sample) [uA]:",
+        r.samples,
+        r.sigmas.vt_inter * 1e3,
+        r.sigmas.vt_intra * 1e3,
+        r.vectors
     );
     println!(
         "  {:<6} {:>12} {:>12} {:>12} {:>12}",
@@ -1045,10 +732,11 @@ fn cmd_mc(target: &str, mut args: Args) -> Result<(), String> {
         summary.std_shift * 100.0
     );
     println!(
-        "\n  {samples} samples in {:.3} s — {:.1} samples/sec{}",
-        tel.elapsed.as_secs_f64(),
-        tel.samples_per_sec,
-        if exact { " (exact per-die characterization)" } else { "" }
+        "\n  {} samples in {:.3} s — {:.1} samples/sec{}",
+        r.samples,
+        r.elapsed_ms / 1e3,
+        r.samples_per_sec,
+        if r.exact { " (exact per-die characterization)" } else { "" }
     );
     if let Some(fast) = &summary.fast {
         println!(
@@ -1068,18 +756,20 @@ fn cmd_mc(target: &str, mut args: Args) -> Result<(), String> {
             fast.tol
         );
     }
-    Ok(())
 }
 
 fn cmd_serve(mut args: Args) -> Result<(), String> {
     let defaults = ServeConfig::default();
-    let addr = args.take_value("--addr")?.unwrap_or_else(|| "127.0.0.1:8425".to_string());
-    let threads: usize = args.take_parsed("--threads", 0)?;
-    let queue_capacity: usize = args.take_parsed("--queue", 64)?;
-    let keep_alive_requests: usize =
-        args.take_parsed("--keep-alive", defaults.keep_alive_requests)?;
-    let finished_jobs_cap: usize = args.take_parsed("--job-cap", defaults.finished_jobs_cap)?;
-    let default_job_timeout_ms: u64 = args.take_parsed("--default-job-timeout-ms", 0)?;
+    let addr = args.take_value("--addr")?.unwrap_or(defaults.addr);
+    let threads = args.take_parsed("--threads", defaults.threads)?;
+    let queue_capacity = args.take_parsed("--queue", defaults.queue_capacity)?;
+    let keep_alive_requests = args.take_parsed("--keep-alive", defaults.keep_alive_requests)?;
+    let finished_jobs_cap = args.take_parsed("--job-cap", defaults.finished_jobs_cap)?;
+    // `--default-job-timeout-ms 0` means no deadline, like the default.
+    let default_job_timeout = match args.take_opt::<u64>("--default-job-timeout-ms")? {
+        Some(ms) => (ms > 0).then(|| Duration::from_millis(ms)),
+        None => defaults.default_job_timeout,
+    };
     // `--faults` wins over $NANOLEAK_FAULTS; either arms the global
     // failpoint registry before any worker starts.
     let armed_faults = match args.take_value("--faults")? {
@@ -1108,19 +798,19 @@ fn cmd_serve(mut args: Args) -> Result<(), String> {
     if finished_jobs_cap == 0 {
         return Err("--job-cap must be at least 1".to_string());
     }
-    let cache = CacheOpts::take(&mut args)?;
+    let disk_cache = defaults.disk_cache && !args.take_flag("--no-cache");
+    let cache_dir = args.take_value("--cache-dir")?.map(PathBuf::from).or(defaults.cache_dir);
     args.finish()?;
 
     let config = ServeConfig {
         addr,
         threads,
         queue_capacity,
-        cache_dir: cache.dir.map(std::path::PathBuf::from),
-        disk_cache: cache.enabled,
+        cache_dir,
+        disk_cache,
         keep_alive_requests,
         finished_jobs_cap,
-        default_job_timeout: (default_job_timeout_ms > 0)
-            .then(|| std::time::Duration::from_millis(default_job_timeout_ms)),
+        default_job_timeout,
         ..defaults
     };
     if armed_faults > 0 {
@@ -1210,17 +900,28 @@ mod tests {
     }
 
     #[test]
-    fn mode_parsing() {
-        assert_eq!(parse_mode(None).unwrap(), EstimatorMode::Lut);
-        assert_eq!(parse_mode(Some("noloading".into())).unwrap(), EstimatorMode::NoLoading);
-        assert!(parse_mode(Some("spice".into())).is_err());
+    fn flags_translate_into_request_fields() {
+        let mut a = args(&["--vdd-scale", "0.9", "--no-remap", "--goal", "max", "--rounds", "2"]);
+        let fields = request_fields("optimize", &mut a).unwrap();
+        a.finish().unwrap();
+        assert_eq!(
+            fields,
+            [
+                ("vdd_scale".to_string(), Value::F64(0.9)),
+                ("goal".to_string(), Value::Str("max".into())),
+                ("rounds".to_string(), Value::Int(2)),
+                ("remap".to_string(), Value::Bool(false)),
+            ]
+        );
+        // Each subcommand takes only its own flags.
+        let mut a = args(&["--threads", "2"]);
+        assert!(request_fields("estimate", &mut a).unwrap().is_empty());
+        assert!(a.finish().unwrap_err().contains("--threads"));
     }
 
     #[test]
-    fn pattern_formatting() {
-        let p = Pattern { pi: vec![true, false], states: vec![] };
-        assert_eq!(fmt_pattern(&p), "10");
-        let p = Pattern { pi: vec![false], states: vec![true] };
-        assert_eq!(fmt_pattern(&p), "0|1");
+    fn api_errors_name_the_flags() {
+        let e = ApiError::bad("'samples' and 'vectors' must be at least 1");
+        assert_eq!(cli_error(e), "--samples and --vectors must be at least 1");
     }
 }

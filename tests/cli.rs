@@ -1,10 +1,14 @@
 //! End-to-end tests of the `nanoleak-cli` binary: the `--format json`
-//! machine interface of the `mlv` and `mc` subcommands, driven through
-//! a real process the way a harness would.
+//! machine interface, driven through a real process the way a harness
+//! would, and its parity with the HTTP service's response bodies.
 
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::process::Command;
+use std::time::{Duration, Instant};
 
+use nanoleak_serve::{ServeConfig, Server};
 use serde::{json, Deserialize as _, Value};
 
 fn cli() -> Command {
@@ -120,4 +124,120 @@ fn mc_rejects_unknown_flags_and_bad_values() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("--samples"), "{stderr}");
     let _ = std::fs::remove_file(&bench);
+}
+
+/// `--vectors 0` is refused by the shared request resolver before any
+/// characterization, so nothing lands in the cache directory.
+#[test]
+fn estimate_rejects_zero_vectors_before_characterizing() {
+    let dir = std::env::temp_dir().join(format!("nanoleak-cli-test-v0-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = cli()
+        .args(["estimate", "s838", "--vectors", "0", "--coarse", "--format", "json"])
+        .arg("--cache-dir")
+        .arg(&dir)
+        .output()
+        .expect("spawn");
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let first = stderr.lines().next().unwrap_or_default();
+    assert!(first.starts_with("error:") && first.contains("vectors"), "{stderr}");
+    let stored = std::fs::read_dir(&dir).map_or(0, |entries| entries.count());
+    assert_eq!(stored, 0, "no library may be characterized or stored");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One HTTP exchange with the in-process server; returns the status and
+/// the JSON body.
+fn http(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, Value) {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let head = format!(
+        "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+        body.len()
+    );
+    stream.write_all(head.as_bytes()).and_then(|()| stream.write_all(body.as_bytes())).unwrap();
+    let mut raw = String::new();
+    stream.read_to_string(&mut raw).expect("read response");
+    let status = raw.split_whitespace().nth(1).and_then(|s| s.parse().ok()).expect("status");
+    let (_, text) = raw.split_once("\r\n\r\n").expect("header/body split");
+    (status, json::value_from_str(text).unwrap_or_else(|e| panic!("bad JSON ({e}): {text}")))
+}
+
+/// Drops the wall-clock fields, the only ones allowed to differ.
+fn untimed(v: Value) -> Value {
+    let Value::Record(fields) = v else { panic!("expected object, got {v:?}") };
+    let timing = ["elapsed_ms", "patterns_per_sec", "samples_per_sec"];
+    Value::Record(fields.into_iter().filter(|(n, _)| !timing.contains(&n.as_str())).collect())
+}
+
+/// The CLI's `--format json` output is the HTTP response body for the
+/// same request: estimate, sweep, mlv and optimize through their sync
+/// endpoints, mc through a job's result.
+#[test]
+fn cli_json_equals_the_http_body() {
+    let config = ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        threads: 2,
+        disk_cache: false,
+        ..ServeConfig::default()
+    };
+    let server = Server::bind(&config).expect("bind ephemeral port");
+    let addr = server.local_addr().expect("bound address");
+    let shutdown = server.shutdown_handle();
+    let thread = std::thread::spawn(move || server.run());
+
+    let cases: [(&str, &[&str], &str); 5] = [
+        ("estimate", &["--vectors", "8", "--seed", "3"], r#""vectors": 8, "seed": 3"#),
+        (
+            "sweep",
+            &["--vectors", "40", "--shard-vectors", "16", "--vdd-scale", "0.9"],
+            r#""vectors": 40, "shard_vectors": 16, "vdd_scale": 0.9"#,
+        ),
+        (
+            "mlv",
+            &["--goal", "max", "--restarts", "2", "--max-steps", "8"],
+            r#""goal": "max", "restarts": 2, "max_steps": 8"#,
+        ),
+        (
+            "optimize",
+            &["--rounds", "1", "--restarts", "2", "--max-steps", "8", "--no-remap"],
+            r#""rounds": 1, "restarts": 2, "max_steps": 8, "remap": false"#,
+        ),
+        (
+            "mc",
+            &["--samples", "2", "--vectors", "2", "--seed", "5"],
+            r#""samples": 2, "vectors": 2, "seed": 5"#,
+        ),
+    ];
+    for (kind, flags, fields) in cases {
+        let mut args = vec![kind, "s838", "--coarse", "--no-cache", "--format", "json"];
+        args.extend_from_slice(flags);
+        let cli_json = untimed(run_json(&args));
+        let http_json = if kind == "mc" {
+            let job = format!(r#"{{"type": "mc", "target": "s838", "coarse": true, {fields}}}"#);
+            let (status, submitted) = http(addr, "POST", "/v1/jobs", &job);
+            assert_eq!(status, 202, "{submitted:?}");
+            let Value::Int(id) = get(&submitted, "id").clone() else { panic!("{submitted:?}") };
+            let deadline = Instant::now() + Duration::from_secs(300);
+            loop {
+                let (_, job) = http(addr, "GET", &format!("/v1/jobs/{id}"), "");
+                if !matches!(get(&job, "status"), Value::Str(s) if s == "queued" || s == "running")
+                {
+                    break;
+                }
+                assert!(Instant::now() < deadline, "mc job never finished: {job:?}");
+                std::thread::sleep(Duration::from_millis(50));
+            }
+            let (_, result) = http(addr, "GET", &format!("/v1/jobs/{id}/result"), "");
+            get(&result, "result").clone()
+        } else {
+            let body = format!(r#"{{"target": "s838", "coarse": true, {fields}}}"#);
+            let (status, response) = http(addr, "POST", &format!("/v1/{kind}"), &body);
+            assert_eq!(status, 200, "{kind}: {response:?}");
+            response
+        };
+        assert_eq!(cli_json, untimed(http_json), "{kind}: CLI and HTTP disagree");
+    }
+    shutdown.request();
+    thread.join().expect("server thread").expect("server run");
 }
