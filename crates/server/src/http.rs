@@ -13,8 +13,17 @@
 //! from ballooning memory, and every request is read under an
 //! absolute wall-clock deadline — a slow-trickle client cannot hold a
 //! handler thread past it.
+//!
+//! The write contract: [`write_response`] sends each response — status
+//! line, headers and body — in one `write_all` of one buffer. Written
+//! as a head and then a body, the body would wait on Nagle's algorithm
+//! until the client's delayed ACK of the head, ~43 ms on every
+//! kept-alive response. The connection loop writes under a deadline
+//! equal to the keep-alive idle deadline, so a client that stops
+//! reading cannot hold a handler thread in `write` either.
 
 use std::cell::Cell;
+use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::rc::Rc;
@@ -106,6 +115,17 @@ impl HttpError {
         Self { status: 400, message: message.into() }
     }
 }
+
+/// Every status an [`HttpError`] from [`Conn::read_request`] carries,
+/// with the `kind` label it counts under on
+/// `nanoleak_server_protocol_errors_total`.
+pub const ERROR_KINDS: [(u16, &str); 5] = [
+    (400, "malformed"),
+    (408, "timeout"),
+    (413, "body_too_large"),
+    (431, "header_too_large"),
+    (505, "version"),
+];
 
 /// Per-request read state shared between [`Conn`] and the reader it
 /// feeds its `BufReader` from: an absolute deadline (re-armed as the
@@ -368,36 +388,35 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Writes `response` to the stream. `close` selects the
-/// `Connection:` header the client sees — it must match what the
-/// server actually does next (close the socket, or loop for another
-/// request).
+/// Writes `response` to `out` (callers pass `&stream`) in a single
+/// `write_all` of one buffer — the write contract in the module docs.
+/// `close` selects the `Connection:` header the client sees — it must
+/// match what the server actually does next (close the socket, or
+/// loop for another request).
 pub fn write_response(
-    mut stream: &TcpStream,
+    mut out: impl Write,
     response: &Response,
     close: bool,
 ) -> std::io::Result<()> {
-    let request_id = match &response.request_id {
-        Some(id) => format!("X-Request-Id: {id}\r\n"),
-        None => String::new(),
-    };
-    let retry_after = match response.retry_after {
-        Some(seconds) => format!("Retry-After: {seconds}\r\n"),
-        None => String::new(),
-    };
-    let head = format!(
-        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n{}{}Connection: {}\r\n\r\n",
+    let mut wire = String::with_capacity(256 + response.body.len());
+    let _ = write!(
+        wire,
+        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n",
         response.status,
         reason(response.status),
         response.content_type,
         response.body.len(),
-        request_id,
-        retry_after,
-        if close { "close" } else { "keep-alive" },
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(response.body.as_bytes())?;
-    stream.flush()
+    if let Some(id) = &response.request_id {
+        let _ = write!(wire, "X-Request-Id: {id}\r\n");
+    }
+    if let Some(seconds) = response.retry_after {
+        let _ = write!(wire, "Retry-After: {seconds}\r\n");
+    }
+    let _ = write!(wire, "Connection: {}\r\n\r\n", if close { "close" } else { "keep-alive" });
+    wire.push_str(&response.body);
+    out.write_all(wire.as_bytes())?;
+    out.flush()
 }
 
 #[cfg(test)]
@@ -518,6 +537,51 @@ mod tests {
         raw.extend_from_slice(b"\r\n\r\n");
         let err = parse(&raw).unwrap_err();
         assert!(err.status == 400 || err.status == 431, "{err:?}");
+    }
+
+    /// A writer that keeps the bytes of each `write` call apart.
+    #[derive(Default)]
+    struct WriteLog(Vec<Vec<u8>>);
+
+    impl Write for WriteLog {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_response_leaves_in_one_write() {
+        let mut shed = Response::json(503, r#"{"error":{"code":503}}"#).with_retry_after(7);
+        shed.request_id = Some("req-42".into());
+        let cases = [
+            (shed, true, "HTTP/1.1 503 Service Unavailable"),
+            (Response::text(200, "ok\n"), false, "HTTP/1.1 200 OK"),
+        ];
+        for (response, close, status_line) in cases {
+            let mut log = WriteLog::default();
+            write_response(&mut log, &response, close).unwrap();
+            assert_eq!(log.0.len(), 1, "one write call carries the whole response");
+            let wire = String::from_utf8(log.0.remove(0)).unwrap();
+            let (head, body) = wire.split_once("\r\n\r\n").expect("head/body separator");
+            let mut lines = head.split("\r\n");
+            assert_eq!(lines.next(), Some(status_line));
+            let headers: Vec<(String, &str)> = lines
+                .map(|l| l.split_once(": ").expect("header line"))
+                .map(|(n, v)| (n.to_ascii_lowercase(), v))
+                .collect();
+            let header = |name: &str| headers.iter().find(|(n, _)| n == name).map(|(_, v)| *v);
+            assert_eq!(body, response.body);
+            assert_eq!(header("content-length"), Some(response.body.len().to_string().as_str()));
+            assert_eq!(header("connection"), Some(if close { "close" } else { "keep-alive" }));
+            assert_eq!(header("x-request-id"), response.request_id.as_deref());
+            let retry_after = response.retry_after.map(|s| s.to_string());
+            assert_eq!(header("retry-after"), retry_after.as_deref());
+        }
     }
 
     #[test]

@@ -93,7 +93,10 @@
 //!   `Connection:` negotiation, a per-connection request bound
 //!   ([`ServeConfig::keep_alive_requests`]), and an idle deadline
 //!   ([`ServeConfig::keep_alive_idle`]) that quietly closes idle
-//!   sockets but answers 408 to stalled partial requests.
+//!   sockets but answers 408 to stalled partial requests. Each
+//!   response leaves in one write ([`http::write_response`]): a head
+//!   and body written apart would wait on Nagle's algorithm for the
+//!   client's delayed ACK, ~43 ms on every kept-alive response.
 //! * **Bounded job registry** — finished jobs are evicted
 //!   oldest-first past [`ServeConfig::finished_jobs_cap`] (and a
 //!   TTL), with `evicted`/`resident` counters in `/v1/stats`, so the
@@ -129,6 +132,13 @@
 //!   each buffered excess answered `429` before the close. Sheds are
 //!   accounted by reason in `nanoleak_shed_total` and mirrored under
 //!   `resilience` in `/v1/stats`.
+//! * **Write deadline** — response writes run under a deadline equal
+//!   to the idle deadline ([`ServeConfig::keep_alive_idle`]). A client
+//!   that stops reading fills the socket buffers; once a write makes
+//!   no progress for that long, the connection closes and counts on
+//!   `nanoleak_server_write_timeouts_total`, so such a client can
+//!   neither hold a connection thread nor pin graceful shutdown,
+//!   which joins every connection thread.
 //! * **Fault injection** — `nanoleak-fault` failpoints (`cache-io`,
 //!   `cache-corrupt`, `characterize`, `slow-shard`) are compiled in
 //!   but cost one relaxed atomic load when disarmed; armed hits are
@@ -242,7 +252,9 @@ pub struct ServeConfig {
     /// pathological clients.
     pub keep_alive_requests: usize,
     /// How long a keep-alive connection may sit idle between requests
-    /// before the server closes it.
+    /// before the server closes it. Also the write deadline: a
+    /// response write that makes no progress for this long closes the
+    /// connection.
     pub keep_alive_idle: Duration,
     /// Most finished (done / failed / cancelled) jobs retained in the
     /// registry; beyond it the oldest-finished are evicted.
@@ -286,8 +298,14 @@ pub struct Telemetry {
     /// HTTP requests served (all routes, protocol errors included).
     pub requests: Counter,
     /// Requests rejected at the framing layer (bad request line,
-    /// oversized headers, slow-loris 408, …).
-    pub protocol_errors: Counter,
+    /// oversized headers, slow-loris 408, …), one counter per
+    /// [`http::ERROR_KINDS`] entry
+    /// (`nanoleak_server_protocol_errors_total{kind=…}`).
+    pub protocol_errors: [Counter; http::ERROR_KINDS.len()],
+    /// Connections closed because a response write made no progress
+    /// for the write deadline (the keep-alive idle deadline): a client
+    /// that stopped reading.
+    pub write_timeouts: Counter,
     /// End-to-end request latency, parse completion to response
     /// serialization.
     pub request_seconds: Histogram,
@@ -317,9 +335,16 @@ impl Telemetry {
             "nanoleak_server_requests_total",
             "HTTP requests served, protocol errors included",
         );
-        let protocol_errors = registry.counter(
-            "nanoleak_server_protocol_errors_total",
-            "Requests rejected at the HTTP framing layer",
+        let protocol_errors = http::ERROR_KINDS.map(|(_, kind)| {
+            registry.counter_with(
+                "nanoleak_server_protocol_errors_total",
+                "Requests rejected at the HTTP framing layer, by kind",
+                &[("kind", kind)],
+            )
+        });
+        let write_timeouts = registry.counter(
+            "nanoleak_server_write_timeouts_total",
+            "Connections closed because a response write made no progress for the write deadline",
         );
         let request_seconds = registry.histogram(
             "nanoleak_server_request_seconds",
@@ -342,6 +367,7 @@ impl Telemetry {
             registry,
             requests,
             protocol_errors,
+            write_timeouts,
             request_seconds,
             shed_queue_full,
             shed_predicted_deadline,
@@ -349,6 +375,14 @@ impl Telemetry {
             shed_connection_requests,
             workers_alive,
         }
+    }
+
+    /// The `nanoleak_server_protocol_errors_total` counter for an
+    /// [`http::HttpError`] status (`malformed` for a status
+    /// [`http::ERROR_KINDS`] does not list).
+    fn protocol_error(&self, status: u16) -> &Counter {
+        let kind = http::ERROR_KINDS.iter().position(|(s, _)| *s == status).unwrap_or(0);
+        &self.protocol_errors[kind]
     }
 
     /// Total requests shed across every reason.
@@ -794,8 +828,13 @@ fn resolve_request_id(request: &http::Request) -> String {
 /// Every parsed request runs under a thread-local request id
 /// (client-supplied or generated) that is stamped on log lines and
 /// echoed back as `X-Request-Id`.
+///
+/// Writes run under the idle deadline too: without it, a client that
+/// stops reading would block this thread in `write` for good, and
+/// [`Server::run`], which joins it, with it.
 fn handle_connection(state: &ServerState, stream: TcpStream, shutdown: &AtomicBool) {
     let _ = stream.set_nonblocking(false);
+    let _ = stream.set_write_timeout(Some(state.keep_alive_idle));
     let mut conn = http::Conn::new(&stream);
     let mut served: usize = 0;
     let mut bound_hit = false;
@@ -846,7 +885,7 @@ fn handle_connection(state: &ServerState, stream: TcpStream, shutdown: &AtomicBo
             // is unknowable past a framing failure.
             Err(e) => {
                 state.count_request();
-                state.telemetry.protocol_errors.inc();
+                state.telemetry.protocol_error(e.status).inc();
                 nanoleak_obs::warn!("server", "protocol error {}: {}", e.status, e.message);
                 let response = http::Response::json(
                     e.status,
@@ -855,7 +894,7 @@ fn handle_connection(state: &ServerState, stream: TcpStream, shutdown: &AtomicBo
                 (response, false)
             }
         };
-        if http::write_response(&stream, &response, !keep_alive).is_err() {
+        if !send(state, &stream, &response, !keep_alive) {
             return;
         }
         if !keep_alive {
@@ -882,11 +921,26 @@ fn handle_connection(state: &ServerState, stream: TcpStream, shutdown: &AtomicBo
                     .body(),
                 )
                 .with_retry_after(1);
-                if http::write_response(&stream, &shed, true).is_err() {
+                if !send(state, &stream, &shed, true) {
                     break;
                 }
             }
             return;
+        }
+    }
+}
+
+/// Writes one response on a connection; `false` when the connection
+/// is unusable. A write that made no progress for the write deadline
+/// counts on `nanoleak_server_write_timeouts_total`.
+fn send(state: &ServerState, stream: &TcpStream, response: &http::Response, close: bool) -> bool {
+    match http::write_response(stream, response, close) {
+        Ok(()) => true,
+        Err(e) => {
+            if matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut) {
+                state.telemetry.write_timeouts.inc();
+            }
+            false
         }
     }
 }

@@ -346,14 +346,18 @@ fn read_one_response(reader: &mut BufReader<&TcpStream>) -> Option<(u16, String,
 }
 
 /// The keep-alive acceptance criterion: one TCP connection serves
-/// 100+ sequential requests, each correctly framed and answered.
+/// 100+ sequential requests, each correctly framed and answered, and
+/// promptly: a response written in more than one piece stalls a warm
+/// connection on Nagle + the client's delayed ACK (~44 ms median).
 #[test]
 fn keep_alive_serves_100_requests_on_one_connection() {
     let server = TestServer::start(1, 8);
     let mut stream = TcpStream::connect(server.addr).expect("connect");
     let read_stream = stream.try_clone().expect("clone");
     let mut reader = BufReader::new(&read_stream);
+    let mut round_trips = Vec::new();
     for i in 0..120 {
+        let sent = Instant::now();
         // Alternate routes so framing errors can't hide behind
         // identical responses.
         if i % 2 == 0 {
@@ -363,12 +367,18 @@ fn keep_alive_serves_100_requests_on_one_connection() {
         }
         let (status, connection, body) =
             read_one_response(&mut reader).unwrap_or_else(|| panic!("EOF at request {i}"));
+        round_trips.push(sent.elapsed());
         assert_eq!(status, 200, "request {i}: {body}");
         assert_eq!(connection, "keep-alive", "request {i}");
         if i % 2 == 0 {
             assert_eq!(body, r#"{"status":"ok"}"#);
         }
     }
+    // Half of Linux's 40 ms minimum delayed-ACK timer: no round trip
+    // may typically wait on one.
+    round_trips.sort();
+    let median = round_trips[round_trips.len() / 2];
+    assert!(median < Duration::from_millis(20), "median round trip {median:?}");
     // Server-side request counter proves it was one warm path, not
     // silent reconnects.
     let (status, body) = request(&server, "GET", "/v1/stats", "");
@@ -446,6 +456,56 @@ fn slow_loris_partial_second_request_hits_the_idle_deadline() {
     assert!(assert_error(&body, 408).contains("deadline"));
     assert!(start.elapsed() < Duration::from_secs(5), "answered at the idle deadline");
     assert!(read_one_response(&mut reader).is_none(), "connection closed after 408");
+}
+
+/// Pipelined `GET /metrics` requests a client never reads: their
+/// responses (kilobytes each) far exceed what the loopback socket
+/// buffers hold, while the requests themselves (~38 KB) fit in the
+/// server's receive buffer, so the client's own write never blocks.
+const UNREAD_REQUESTS: usize = 1500;
+
+/// A client that stops reading fills the socket buffers and blocks its
+/// connection thread in `write`. The write deadline (the idle
+/// deadline) must close that connection, or graceful shutdown, which
+/// joins every connection thread, never returns.
+#[test]
+fn a_client_that_stops_reading_cannot_pin_shutdown() {
+    let server = TestServer::start_cfg(ServeConfig {
+        threads: 1,
+        queue_capacity: 8,
+        keep_alive_idle: Duration::from_millis(250),
+        keep_alive_requests: 10 * UNREAD_REQUESTS,
+        ..TestServer::base_config()
+    });
+    let mut stalled = TcpStream::connect(server.addr).expect("connect");
+    let pipelined = "GET /metrics HTTP/1.1\r\n\r\n".repeat(UNREAD_REQUESTS);
+    stalled.write_all(pipelined.as_bytes()).expect("pipeline");
+
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let text = loop {
+        let (_, _, text) = request_full(&server, "GET", "/metrics", "", "");
+        if metric(&text, "nanoleak_server_write_timeouts_total") > 0.0 {
+            break text;
+        }
+        assert!(Instant::now() < deadline, "the unread connection never hit its write deadline");
+        std::thread::sleep(Duration::from_millis(50));
+    };
+    assert_eq!(metric(&text, "nanoleak_server_write_timeouts_total"), 1.0);
+    let served = metric(&text, "nanoleak_server_requests_total");
+    assert!(served < UNREAD_REQUESTS as f64, "responses outgrew the buffers: {served} served");
+
+    // Shutdown joins every connection thread; it must finish while the
+    // client still holds its unread socket open.
+    let (done, finished) = std::sync::mpsc::channel();
+    let dropper = std::thread::spawn(move || {
+        drop(server);
+        let _ = done.send(());
+    });
+    finished
+        .recv_timeout(Duration::from_secs(10))
+        .expect("graceful shutdown finishes while a client has stopped reading");
+    dropper.join().expect("dropper thread");
+    drop(stalled);
 }
 
 /// An idle keep-alive connection is closed quietly (no 408 spam) once
@@ -940,6 +1000,11 @@ fn stats_and_metrics_are_views_over_the_same_instruments() {
     let Value::Int(id) = field(&body, "id") else { panic!("id: {body}") };
     let (state, _) = wait_for_job(&server, id, Duration::from_secs(120));
     assert_eq!(state, "done");
+    let mut broken = TcpStream::connect(server.addr).expect("connect");
+    broken.write_all(b"BROKEN\r\n\r\n").expect("write");
+    let mut reply = String::new();
+    broken.read_to_string(&mut reply).expect("read");
+    assert!(reply.starts_with("HTTP/1.1 400 "), "{reply}");
 
     // The same instruments answer both endpoints. `/metrics` is read
     // first and counts itself; the `/v1/stats` request right after is
@@ -984,6 +1049,13 @@ fn stats_and_metrics_are_views_over_the_same_instruments() {
     }
     assert_eq!(metric(&text, "nanoleak_jobs_submitted_total"), 1.0);
     assert_eq!(metric(&text, "nanoleak_jobs{status=\"done\"}"), 1.0);
+    // Every kind is exported from the start; the malformed request
+    // line moved only its own.
+    for kind in ["malformed", "timeout", "body_too_large", "header_too_large", "version"] {
+        let series = format!("nanoleak_server_protocol_errors_total{{kind=\"{kind}\"}}");
+        let expected = if kind == "malformed" { 1.0 } else { 0.0 };
+        assert_eq!(metric(&text, &series), expected, "{series}");
+    }
 }
 
 #[test]
