@@ -74,7 +74,7 @@ pub const SENS_PAIRS: [(usize, usize); 6] = [(0, 1), (0, 2), (0, 3), (1, 2), (1,
 /// Default linearization tolerance, as an estimated *relative* error
 /// at the entry's dominant current scale: an entry is delta-derived
 /// only while its estimated model error
-/// ([`VectorSens::error_estimate`], the measured corner-probe log
+/// (`VectorSens::error_estimate`, the measured corner-probe log
 /// misfits extrapolated to the draw and weighted by each value's
 /// relative magnitude) stays below this bound. The estimate is
 /// deliberately conservative; calibration against bit-exact
@@ -267,7 +267,7 @@ pub fn characterize_with_sensitivity(
 ///
 /// Every entry's model error at `deltas` is estimated from the
 /// corner-probe misfits recorded at characterization time
-/// ([`VectorSens::error_estimate`]); entries whose estimate exceeds
+/// (`VectorSens::error_estimate`); entries whose estimate exceeds
 /// `tol` are fully re-characterized against the die technology.
 /// `tol = f64::INFINITY` accepts every entry unconditionally (used for
 /// the probe libraries the block-kernel delta tables are compiled

@@ -34,7 +34,7 @@ use nanoleak_cells::{
 };
 use nanoleak_device::Technology;
 use nanoleak_obs::{global, Counter, Histogram};
-use nanoleak_variation::{DeltaProvider, DieDiag, LibraryProvider, McError, SensDeltaProvider};
+use nanoleak_variation::{DeltaProvider, DieDiag, McError, SensDeltaProvider};
 use parking_lot::Mutex;
 
 use crate::EngineError;
@@ -366,18 +366,20 @@ impl MemoCacheStats {
 #[derive(Debug)]
 pub struct MemoLibraryCache {
     disk: Option<LibraryCache>,
-    entries: Mutex<HashMap<u64, Arc<CellLibrary>>>,
-    /// Sensitivity slabs recorded alongside a library by
-    /// [`MemoLibraryCache::get_or_characterize_with_sens`], keyed by
-    /// the same request key. RAM-only (sensitivities are cheap to
-    /// re-record relative to their serialized size) and bounded by the
-    /// same residency cap as the library memo.
-    sens: Mutex<HashMap<u64, Arc<LibrarySens>>>,
+    /// Resident libraries by request key, each with the sensitivity
+    /// slabs recorded alongside it when it went through
+    /// [`MemoLibraryCache::get_or_characterize_with_sens`] (RAM-only:
+    /// sensitivities are cheap to re-record relative to their
+    /// serialized size).
+    entries: Mutex<HashMap<u64, MemoEntry>>,
     max_resident: usize,
     memory_hits: AtomicU64,
     disk_hits: AtomicU64,
     characterizations: AtomicU64,
 }
+
+/// One resident library and its sensitivity slabs, if traced.
+type MemoEntry = (Arc<CellLibrary>, Option<Arc<LibrarySens>>);
 
 /// Default bound on libraries held in RAM by a [`MemoLibraryCache`]
 /// (a characterized full-family library is several MB).
@@ -388,7 +390,6 @@ impl Default for MemoLibraryCache {
         Self {
             disk: None,
             entries: Mutex::new(HashMap::new()),
-            sens: Mutex::new(HashMap::new()),
             max_resident: MAX_RESIDENT_LIBRARIES,
             memory_hits: AtomicU64::new(0),
             disk_hits: AtomicU64::new(0),
@@ -436,7 +437,7 @@ impl MemoLibraryCache {
         opts: &CharacterizeOptions,
     ) -> Result<(Arc<CellLibrary>, CacheOutcome), EngineError> {
         let key = LibraryCache::request_key(tech, temp, opts);
-        if let Some(lib) = self.entries.lock().get(&key) {
+        if let Some((lib, _)) = self.entries.lock().get(&key) {
             self.memory_hits.fetch_add(1, Ordering::Relaxed);
             cache_metrics().memory_hits.inc();
             return Ok((Arc::clone(lib), CacheOutcome::MemoryHit));
@@ -470,18 +471,23 @@ impl MemoLibraryCache {
                 cache_metrics().characterize_seconds.record_duration(started.elapsed());
             }
         };
+        self.insert(key, (Arc::clone(&lib), None));
+        Ok((lib, outcome))
+    }
+
+    /// Makes `entry` resident under `key`, evicting an arbitrary other
+    /// entry only when a new key would exceed the residency bound —
+    /// arbitrary eviction keeps the bound without LRU bookkeeping, and
+    /// the disk layer (if any) still serves the evicted request
+    /// without re-solving.
+    fn insert(&self, key: u64, entry: MemoEntry) {
         let mut entries = self.entries.lock();
-        if entries.len() >= self.max_resident {
-            // Arbitrary eviction keeps the bound without LRU
-            // bookkeeping; the disk layer (if any) still serves the
-            // evicted request without re-solving.
+        if entries.len() >= self.max_resident && !entries.contains_key(&key) {
             if let Some(&evict) = entries.keys().next() {
                 entries.remove(&evict);
-                self.sens.lock().remove(&evict);
             }
         }
-        entries.insert(key, Arc::clone(&lib));
-        Ok((lib, outcome))
+        entries.insert(key, entry);
     }
 
     /// [`MemoLibraryCache::get_or_characterize`] at an
@@ -532,13 +538,10 @@ impl MemoLibraryCache {
         opts: &CharacterizeOptions,
     ) -> Result<(Arc<CellLibrary>, Arc<LibrarySens>, CacheOutcome), EngineError> {
         let key = LibraryCache::request_key(tech, temp, opts);
-        {
-            let entries = self.entries.lock();
-            if let (Some(lib), Some(sens)) = (entries.get(&key), self.sens.lock().get(&key)) {
-                self.memory_hits.fetch_add(1, Ordering::Relaxed);
-                cache_metrics().memory_hits.inc();
-                return Ok((Arc::clone(lib), Arc::clone(sens), CacheOutcome::MemoryHit));
-            }
+        if let Some((lib, Some(sens))) = self.entries.lock().get(&key) {
+            self.memory_hits.fetch_add(1, Ordering::Relaxed);
+            cache_metrics().memory_hits.inc();
+            return Ok((Arc::clone(lib), Arc::clone(sens), CacheOutcome::MemoryHit));
         }
         let started = std::time::Instant::now();
         let _span = nanoleak_obs::span!("library-sens", temp = temp);
@@ -556,21 +559,7 @@ impl MemoLibraryCache {
         if let Some(disk) = &self.disk {
             disk.store(&lib)?;
         }
-        let mut entries = self.entries.lock();
-        let mut sens_entries = self.sens.lock();
-        if entries.len() >= self.max_resident {
-            if let Some(&evict) = entries.keys().next() {
-                entries.remove(&evict);
-                sens_entries.remove(&evict);
-            }
-        }
-        if sens_entries.len() >= self.max_resident {
-            if let Some(&evict) = sens_entries.keys().next() {
-                sens_entries.remove(&evict);
-            }
-        }
-        entries.insert(key, Arc::clone(&lib));
-        sens_entries.insert(key, Arc::clone(&sens));
+        self.insert(key, (Arc::clone(&lib), Some(Arc::clone(&sens))));
         Ok((lib, sens, CacheOutcome::Miss))
     }
 
@@ -611,7 +600,7 @@ impl MemoLibraryCache {
 /// `nanoleak_delta_library_seconds` histogram — both visible at the
 /// server's `/metrics` endpoint.
 pub struct DeltaLibraryProvider<'a> {
-    inner: SensDeltaProvider<&'a MemoLibraryCache>,
+    inner: SensDeltaProvider<'a>,
 }
 
 impl<'a> DeltaLibraryProvider<'a> {
@@ -633,11 +622,6 @@ impl<'a> DeltaLibraryProvider<'a> {
     ) -> Result<Self, EngineError> {
         let (nominal, sens, _) = memo.get_or_characterize_with_sens(tech, temp, opts)?;
         Ok(Self { inner: SensDeltaProvider { nominal, sens, tol, fallback: memo } })
-    }
-
-    /// The nominal library every die derives from.
-    pub fn nominal(&self) -> &Arc<CellLibrary> {
-        &self.inner.nominal
     }
 
     /// The per-entry linearization-error tolerance (log units).
@@ -665,17 +649,6 @@ impl DeltaProvider for DeltaLibraryProvider<'_> {
             metrics.fallback_unrecognized.inc();
         }
         Ok((lib, diag))
-    }
-}
-
-impl LibraryProvider for DeltaLibraryProvider<'_> {
-    fn library(
-        &self,
-        tech: &Technology,
-        temp: f64,
-        opts: &CharacterizeOptions,
-    ) -> Result<Arc<CellLibrary>, McError> {
-        self.die_library(tech, temp, opts).map(|(lib, _)| lib)
     }
 }
 
@@ -800,6 +773,30 @@ mod tests {
             assert_ne!(outcome, CacheOutcome::Miss, "disk layer serves evictions");
         }
         let _ = std::fs::remove_dir_all(memo.disk().unwrap().dir());
+    }
+
+    #[test]
+    fn upgrading_a_resident_entry_with_sensitivities_evicts_nothing() {
+        // At the residency bound, tracing a key that is already
+        // resident replaces its entry in place; only a new key may
+        // evict. Map order is random per instance, so repeat on fresh
+        // memos to make an arbitrary-victim eviction show.
+        let tech = Technology::d25();
+        for _ in 0..8 {
+            let memo = MemoLibraryCache::memory_only().with_max_resident(2);
+            for temp in [300.0, 310.0] {
+                memo.get_or_characterize(&tech, temp, &opts()).unwrap();
+            }
+            let (_, _, outcome) =
+                memo.get_or_characterize_with_sens(&tech, 300.0, &opts()).unwrap();
+            assert_eq!(outcome, CacheOutcome::Miss, "plain entries carry no sensitivities");
+            assert_eq!(memo.resident(), 2);
+            let (_, outcome) = memo.get_or_characterize(&tech, 310.0, &opts()).unwrap();
+            assert_eq!(outcome, CacheOutcome::MemoryHit, "the other entry stayed resident");
+            let (_, _, outcome) =
+                memo.get_or_characterize_with_sens(&tech, 300.0, &opts()).unwrap();
+            assert_eq!(outcome, CacheOutcome::MemoryHit, "the upgrade kept its sensitivities");
+        }
     }
 
     #[test]

@@ -12,34 +12,33 @@
 //!   on a configurable number of threads. Per-pattern RNG streams are
 //!   derived from the base seed with SplitMix64, so the results (and
 //!   every merged statistic) are bit-identical for any thread count.
-//! * [`mlv_search`](crate::mlv::mlv_search) — **minimum/maximum
-//!   leakage input-vector search** for standby-power optimization,
-//!   with pluggable strategies: exhaustive enumeration (small input
-//!   counts), random sampling, and greedy bit-flip hill-climbing with
-//!   parallel restarts. Returns the best vector, its full leakage
-//!   report, and search telemetry.
-//! * [`LibraryCache`](crate::cache::LibraryCache) — a **persistent
-//!   characterization cache** that serializes [`CellLibrary`] LUTs to
+//! * [`mlv_search`] — **minimum/maximum leakage input-vector search**
+//!   for standby-power optimization, with pluggable strategies:
+//!   exhaustive enumeration (small input counts), random sampling,
+//!   and greedy bit-flip hill-climbing with parallel restarts. Returns
+//!   the best vector, its full leakage report, and search telemetry.
+//! * [`LibraryCache`] — a **persistent characterization cache** that
+//!   serializes [`CellLibrary`](nanoleak_cells::CellLibrary) LUTs to
 //!   disk behind a versioned, checksummed header keyed on the
 //!   technology/temperature/options hash, so repeated CLI and bench
 //!   runs skip the expensive characterize step entirely.
-//! * [`mc_streaming`](crate::mc::mc_streaming) — **circuit-level
-//!   Monte-Carlo variation** (the paper's Section 5.3 at circuit
-//!   scale): sharded, cancellable execution of
-//!   `nanoleak-variation`'s perturbed-die sampling, with per-sample
-//!   libraries served through the memoized cache and merged summaries
-//!   bit-identical to a monolithic run for any shard size or thread
-//!   count.
-//! * [`DeltaLibraryProvider`](crate::cache::DeltaLibraryProvider) —
-//!   **delta-from-nominal characterization** for the fast Monte-Carlo
-//!   path ([`mc_streaming_mode`](crate::mc::mc_streaming_mode)): the
-//!   nominal library is characterized once with traced Newton solves
-//!   recording per-`(cell, vector)` sensitivity slabs, and every
-//!   perturbed die's library is derived as `nominal + J·Δ` with a
-//!   per-entry linearization-error fallback to a full solve. The
-//!   exact path stays available end to end (`mc --exact`, the
-//!   server's `"exact"` MC-job flag) and fast runs self-report their
-//!   measured deviation from it.
+//! * [`mc_streaming_mode`] — **circuit-level Monte-Carlo variation**
+//!   (the paper's Section 5.3 at circuit scale): sharded, cancellable
+//!   execution of `nanoleak-variation`'s one perturbed-die driver,
+//!   with merged summaries bit-identical to a monolithic run for any
+//!   shard size or thread count. The [`McMode`] only picks the
+//!   driver's per-die library provider: the memoized cache, which
+//!   re-solves every die (exact), or the [`DeltaLibraryProvider`]
+//!   (fast).
+//! * [`DeltaLibraryProvider`] — **delta-from-nominal
+//!   characterization** for the fast mode: the nominal library is
+//!   characterized once with traced Newton solves recording
+//!   per-`(cell, vector)` sensitivity slabs, and every perturbed die's
+//!   library is derived as `nominal + J·Δ` with a per-entry
+//!   linearization-error fallback to a full solve. The exact mode
+//!   stays available end to end (`mc --exact`, the server's `"exact"`
+//!   MC-job flag) and fast runs self-report their measured deviation
+//!   from it.
 //!
 //! ## Quickstart
 //!
@@ -88,10 +87,7 @@ pub use cache::{
     CacheOutcome, DeltaLibraryProvider, LibraryCache, MemoCacheStats, MemoLibraryCache,
     CACHE_FORMAT_VERSION, MAX_RESIDENT_LIBRARIES,
 };
-pub use mc::{
-    mc_streaming, mc_streaming_mode, McMode, McReport, McShard, McTelemetry,
-    DEFAULT_DEVIATION_PROBE,
-};
+pub use mc::{mc_streaming_mode, McMode, McReport, McShard, McTelemetry, DEFAULT_DEVIATION_PROBE};
 pub use mlv::{mlv_search, MlvConfig, MlvGoal, MlvResult, MlvStrategy, MlvTelemetry};
 pub use plan_cache::{shared_plan, MAX_RESIDENT_PLANS};
 pub use stats::ScalarStats;

@@ -1,7 +1,8 @@
 //! Streaming circuit-level Monte-Carlo execution.
 //!
-//! [`mc_streaming`] runs `nanoleak-variation`'s circuit workload
-//! ([`run_circuit_mc_range`]) the way [`sweep_streaming`] runs pattern
+//! [`mc_streaming_mode`] runs `nanoleak-variation`'s circuit workload
+//! ([`run_circuit_mc_range`], the one driver of both modes) the way
+//! [`sweep_streaming`](crate::sweep::sweep_streaming) runs pattern
 //! sweeps: the sample space executes in contiguous index-order shards,
 //! each shard yields a serializable [`McShard`] partial (its own
 //! [`McSummary`] over the shard) to the caller's callback — the
@@ -11,21 +12,22 @@
 //! finishes with. Merged results are therefore **bit-identical for any
 //! shard size and thread count**.
 //!
-//! Per-sample libraries flow through the [`MemoLibraryCache`] (which
-//! implements [`LibraryProvider`]): unique perturbed dies miss and
-//! characterize, but re-running the same seed — a re-submitted job, a
-//! bench re-measure, the nominal corner — hits RAM or disk instead of
-//! the solver.
+//! The mode only picks the driver's [`DeltaProvider`]. Exact mode
+//! hands it the [`MemoLibraryCache`], which re-solves every die (unique
+//! perturbed dies miss and characterize, but re-running the same seed —
+//! a re-submitted job, a bench re-measure, the nominal corner — hits
+//! RAM or disk instead of the solver); fast mode hands it the
+//! [`DeltaLibraryProvider`] mounted on that memo.
 
+use std::sync::Arc;
 use std::time::Instant;
 
-use nanoleak_cells::DEFAULT_DELTA_TOL;
-use nanoleak_core::{resolve_lanes, LANES};
+use nanoleak_cells::{CellLibrary, CharacterizeOptions, DEFAULT_DELTA_TOL};
 use nanoleak_device::Technology;
 use nanoleak_netlist::Circuit;
 use nanoleak_variation::{
-    run_circuit_mc_range, run_circuit_mc_range_fast, summarize, CircuitMcConfig, FastMcDiag,
-    FastMcReport, LibraryProvider, McError, McSample, McSummary, DEFAULT_HIST_BINS,
+    run_circuit_mc_range, summarize, CircuitMcConfig, DeltaProvider, DieDiag, FastMcDiag,
+    FastMcReport, McError, McSample, McSummary, DEFAULT_HIST_BINS,
 };
 use serde::{Deserialize, Serialize};
 
@@ -45,18 +47,21 @@ fn mc_shard_seconds() -> &'static nanoleak_obs::Histogram {
     })
 }
 
-impl LibraryProvider for MemoLibraryCache {
-    fn library(
+/// The exact-mode provider: every die goes through the memo's full
+/// characterization path (`derived: false`).
+impl DeltaProvider for MemoLibraryCache {
+    fn die_library(
         &self,
         tech: &Technology,
         temp: f64,
-        opts: &nanoleak_cells::CharacterizeOptions,
-    ) -> Result<std::sync::Arc<nanoleak_cells::CellLibrary>, McError> {
-        self.get_or_characterize(tech, temp, opts).map(|(lib, _)| lib).map_err(|e| match e {
+        opts: &CharacterizeOptions,
+    ) -> Result<(Arc<CellLibrary>, DieDiag), McError> {
+        let (lib, _) = self.get_or_characterize(tech, temp, opts).map_err(|e| match e {
             EngineError::Solver(e) => McError::Solver(e),
             EngineError::Estimate(e) => McError::Estimate(e),
             other => McError::Library(other.to_string()),
-        })
+        })?;
+        Ok((lib, DieDiag::default()))
     }
 }
 
@@ -71,7 +76,7 @@ impl From<McError> for EngineError {
 }
 
 /// One completed shard of a streaming Monte Carlo, yielded to the
-/// [`mc_streaming`] callback as soon as its samples are done.
+/// [`mc_streaming_mode`] callback as soon as its samples are done.
 ///
 /// Serializable so job front-ends can page shard partials to clients
 /// incrementally (`GET /v1/jobs/{id}/result?shard=K` in
@@ -101,7 +106,7 @@ pub struct McTelemetry {
     pub samples_per_sec: f64,
 }
 
-/// Result of [`mc_streaming`] / [`mc_streaming_mode`].
+/// Result of [`mc_streaming_mode`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct McReport {
     /// Deterministic distribution summary over all samples. Fast runs
@@ -117,45 +122,24 @@ pub struct McReport {
 /// (reported in [`FastMcReport`]; excluded from `samples_per_sec`).
 pub const DEFAULT_DEVIATION_PROBE: usize = 4;
 
-/// Which per-die library path a Monte-Carlo run uses.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Which per-die library provider a Monte-Carlo run hands the driver.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum McMode {
     /// Every die runs a full characterization (through the memo) —
-    /// the pre-existing bit-exact path.
+    /// the bit-exact path.
     Exact,
     /// Dies derive their library from the nominal's traced
-    /// sensitivities ([`DeltaLibraryProvider`]); both arms evaluate
-    /// through the 64-lane block kernel. Degrades to [`McMode::Exact`]
-    /// if the traced nominal characterization fails.
-    Fast {
-        /// Per-entry linearization-error tolerance (log units).
-        tol: f64,
-        /// Leading samples re-run exactly for the deviation report.
-        deviation_probe: usize,
-    },
+    /// sensitivities ([`DeltaLibraryProvider`]) at
+    /// [`DEFAULT_DELTA_TOL`], and the first [`DEFAULT_DEVIATION_PROBE`]
+    /// samples re-run exactly for the deviation report. Degrades to
+    /// [`McMode::Exact`] if the traced nominal characterization fails.
+    Fast,
 }
 
 impl McMode {
-    /// The default fast mode: [`DEFAULT_DELTA_TOL`] tolerance,
-    /// [`DEFAULT_DEVIATION_PROBE`] probe samples.
+    /// The fast mode, [`McMode::Fast`].
     pub fn fast() -> Self {
-        McMode::Fast { tol: DEFAULT_DELTA_TOL, deviation_probe: DEFAULT_DEVIATION_PROBE }
-    }
-
-    /// Maps the CLI/server `exact` switch: `true` → [`McMode::Exact`],
-    /// `false` → the default [`McMode::fast`].
-    pub fn from_exact(exact: bool) -> Self {
-        if exact {
-            McMode::Exact
-        } else {
-            Self::fast()
-        }
-    }
-}
-
-impl Default for McMode {
-    fn default() -> Self {
-        Self::fast()
+        McMode::Fast
     }
 }
 
@@ -186,44 +170,44 @@ fn deviation(fast: &[McSample], exact: &[McSample]) -> (f64, f64) {
     (max, if n == 0 { 0.0 } else { sum / f64::from(n) })
 }
 
+/// Runs samples `start .. start + len` through the one driver and
+/// records the packed blocks they evaluated. `nanoleak-variation`
+/// stays free of observability dependencies, so its block-kernel work
+/// is counted here with the driver's own volume rule.
+fn run_range(
+    circuit: &Circuit,
+    tech: &Technology,
+    provider: &dyn DeltaProvider,
+    config: &CircuitMcConfig,
+    start: usize,
+    len: usize,
+) -> Result<(Vec<McSample>, FastMcDiag), EngineError> {
+    let out = run_circuit_mc_range(circuit, tech, provider, config, start, len)?;
+    let (blocks, tail_lane_waste) = config.packed_blocks_per_die();
+    crate::block::record_external_blocks(len as u64 * blocks, len as u64 * tail_lane_waste);
+    Ok(out)
+}
+
 /// Runs `config.samples` Monte-Carlo samples in contiguous shards of
 /// `shard_samples` (`0` = one monolithic shard), calling `on_shard`
 /// after each shard completes. The callback returning `false` cancels
 /// the run (`Ok(None)`); otherwise the merged report is returned,
-/// bit-identical to a monolithic run of the same config for any shard
-/// size and thread count.
+/// bit-identical to a monolithic run of the same config and mode for
+/// any shard size, thread count and lane setting.
 ///
-/// # Errors
-/// The first per-sample failure ([`EngineError::Solver`] /
-/// [`EngineError::Estimate`] / [`EngineError::Cache`]) in index order.
-///
-/// # Panics
-/// Panics if `config.samples` or `config.vectors` is zero.
-pub fn mc_streaming(
-    circuit: &Circuit,
-    tech: &Technology,
-    cache: &MemoLibraryCache,
-    config: &CircuitMcConfig,
-    shard_samples: usize,
-    on_shard: impl FnMut(&McShard) -> bool,
-) -> Result<Option<McReport>, EngineError> {
-    mc_streaming_mode(circuit, tech, cache, config, McMode::Exact, shard_samples, on_shard)
-}
-
-/// [`mc_streaming`] with an explicit [`McMode`].
-///
-/// [`McMode::Fast`] characterizes the nominal technology once with
-/// traced sensitivities and derives every die's library from it
-/// (`nominal + J·Δ` with per-entry fallback), running both fixture
-/// arms through the 64-lane block kernel. After the timed phase, the
-/// first `deviation_probe` samples re-run through the exact path and
-/// the measured max/mean relative deviation lands in `summary.fast`
-/// (the probe counts toward `elapsed` but not `samples_per_sec`).
-/// If the traced nominal characterization fails, the run degrades to
-/// exact and `nanoleak_mc_fallback_total{reason="sens-build"}` is
-/// incremented. Fast results within one mode are bit-identical across
-/// thread counts, shard sizes, and lane settings, but differ from
-/// exact results by the (reported) linearization error.
+/// `mode` picks the driver's provider once. [`McMode::Exact`] uses the
+/// `cache` memo, which re-solves every die. [`McMode::Fast`]
+/// characterizes the nominal technology once with traced
+/// sensitivities and derives every die's library from it
+/// (`nominal + J·Δ` with per-entry fallback); after the timed phase,
+/// the first [`DEFAULT_DEVIATION_PROBE`] samples re-run through the
+/// memo and the measured max/mean relative deviation lands in
+/// `summary.fast` (the probe counts toward `elapsed` but not
+/// `samples_per_sec`). If the traced nominal characterization fails,
+/// the run degrades to exact and
+/// `nanoleak_mc_fallback_total{reason="sens-build"}` is incremented.
+/// Fast results differ from exact results by the (reported)
+/// linearization error.
 ///
 /// # Errors
 /// The first per-sample failure ([`EngineError::Solver`] /
@@ -248,24 +232,25 @@ pub fn mc_streaming_mode(
     // Fast mode front-loads the one traced nominal characterization;
     // if that fails the run degrades to the exact path (counted, so
     // operators can see silent degradations at /metrics).
-    let prepared: Option<(DeltaLibraryProvider, usize)> = match mode {
+    let delta = match mode {
         McMode::Exact => None,
-        McMode::Fast { tol, deviation_probe } => {
-            let nominal_tech = config.op.tech(tech);
-            match DeltaLibraryProvider::prepare(
-                cache,
-                &nominal_tech,
-                config.op.temp,
-                &config.char_opts,
-                tol,
-            ) {
-                Ok(provider) => Some((provider, deviation_probe)),
-                Err(_) => {
-                    delta_metrics().fallback_sens_build.inc();
-                    None
-                }
+        McMode::Fast => match DeltaLibraryProvider::prepare(
+            cache,
+            &config.op.tech(tech),
+            config.op.temp,
+            &config.char_opts,
+            DEFAULT_DELTA_TOL,
+        ) {
+            Ok(provider) => Some(provider),
+            Err(_) => {
+                delta_metrics().fallback_sens_build.inc();
+                None
             }
-        }
+        },
+    };
+    let provider: &dyn DeltaProvider = match &delta {
+        Some(delta) => delta,
+        None => cache,
     };
 
     // Raw samples concatenate in index order; the final summary is the
@@ -288,31 +273,11 @@ pub fn mc_streaming_mode(
         let shard_start = Instant::now();
         let samples = {
             let _span = nanoleak_obs::span!("estimate", shard = shard, samples = len);
-            match &prepared {
-                Some((provider, _)) => {
-                    let (samples, shard_diag) =
-                        run_circuit_mc_range_fast(circuit, tech, provider, config, start, len)?;
-                    diag.merge(&shard_diag);
-                    samples
-                }
-                None => run_circuit_mc_range(circuit, tech, cache, config, start, len)?,
-            }
+            let (samples, shard_diag) = run_range(circuit, tech, provider, config, start, len)?;
+            diag.merge(&shard_diag);
+            samples
         };
         mc_shard_seconds().record_duration(shard_start.elapsed());
-        if resolve_lanes(config.lanes) != 1 {
-            // `nanoleak-variation` stays free of observability
-            // dependencies, so its per-die block-kernel work is
-            // accounted for here arithmetically: one unloaded-arm
-            // block per LANES patterns per sample, and on the fast
-            // path the loaded arm runs as blocks too.
-            let arms = if prepared.is_some() { 2 } else { 1 };
-            let per_sample = config.vectors.div_ceil(LANES) as u64;
-            let tail = ((LANES - config.vectors % LANES) % LANES) as u64;
-            crate::block::record_external_blocks(
-                arms * len as u64 * per_sample,
-                arms * len as u64 * tail,
-            );
-        }
         let partial = {
             let _span = nanoleak_obs::span!("merge", shard = shard);
             let partial = McShard {
@@ -335,21 +300,19 @@ pub fn mc_streaming_mode(
         let _span = nanoleak_obs::span!("merge");
         summarize(&merged, DEFAULT_HIST_BINS)
     };
-    if let Some((provider, deviation_probe)) = &prepared {
+    if let Some(delta) = &delta {
         // Deviation probe, after the timed phase: re-run the leading
         // samples bit-exactly and compare total leakage per arm. The
         // probe's full characterizations land in the memo, so a later
         // exact run of the same seed starts warm.
-        let probed = (*deviation_probe).min(config.samples);
-        let (max_deviation, mean_deviation) = if probed > 0 {
+        let probed = DEFAULT_DEVIATION_PROBE.min(config.samples);
+        let (max_deviation, mean_deviation) = {
             let _span = nanoleak_obs::span!("deviation-probe", samples = probed);
-            let exact = run_circuit_mc_range(circuit, tech, cache, config, 0, probed)?;
+            let (exact, _) = run_range(circuit, tech, cache, config, 0, probed)?;
             deviation(&merged[..probed], &exact)
-        } else {
-            (0.0, 0.0)
         };
         summary.fast =
-            Some(FastMcReport { diag, tol: provider.tol(), probed, max_deviation, mean_deviation });
+            Some(FastMcReport { diag, tol: delta.tol(), probed, max_deviation, mean_deviation });
     }
     Ok(Some(McReport {
         summary,
@@ -402,10 +365,18 @@ mod tests {
                 let cache = MemoLibraryCache::memory_only();
                 let cfg = CircuitMcConfig { threads, ..base.clone() };
                 let mut seen = Vec::new();
-                let report = mc_streaming(&circuit, &tech, &cache, &cfg, shard_samples, |s| {
-                    seen.push((s.shard, s.start, s.samples));
-                    true
-                })
+                let report = mc_streaming_mode(
+                    &circuit,
+                    &tech,
+                    &cache,
+                    &cfg,
+                    McMode::Exact,
+                    shard_samples,
+                    |s| {
+                        seen.push((s.shard, s.start, s.samples));
+                        true
+                    },
+                )
                 .unwrap()
                 .expect("not cancelled");
                 assert_eq!(
@@ -431,7 +402,7 @@ mod tests {
         let tech = Technology::d25();
         let cache = MemoLibraryCache::memory_only();
         let mut seen = 0;
-        let out = mc_streaming(&circuit, &tech, &cache, &config(6), 2, |_| {
+        let out = mc_streaming_mode(&circuit, &tech, &cache, &config(6), McMode::Exact, 2, |_| {
             seen += 1;
             seen < 2
         })
@@ -449,10 +420,14 @@ mod tests {
         let tech = Technology::d25();
         let cache = MemoLibraryCache::memory_only();
         let cfg = config(3);
-        let first = mc_streaming(&circuit, &tech, &cache, &cfg, 0, |_| true).unwrap().unwrap();
+        let first = mc_streaming_mode(&circuit, &tech, &cache, &cfg, McMode::Exact, 0, |_| true)
+            .unwrap()
+            .unwrap();
         let solves = cache.stats().characterizations;
         assert_eq!(solves, 3, "one characterization per unique die");
-        let second = mc_streaming(&circuit, &tech, &cache, &cfg, 0, |_| true).unwrap().unwrap();
+        let second = mc_streaming_mode(&circuit, &tech, &cache, &cfg, McMode::Exact, 0, |_| true)
+            .unwrap()
+            .unwrap();
         assert_eq!(cache.stats().characterizations, solves, "re-run served from RAM");
         assert_eq!(first.summary, second.summary);
     }
@@ -473,8 +448,11 @@ mod tests {
         assert!(exact.summary.fast.is_none(), "exact runs carry no fast report");
         assert_eq!(
             exact.summary,
-            mc_streaming(&circuit, &tech, &cache, &cfg, 0, |_| true).unwrap().unwrap().summary,
-            "mc_streaming is the exact mode"
+            mc_streaming_mode(&circuit, &tech, &cache, &cfg, McMode::Exact, 0, |_| true)
+                .unwrap()
+                .unwrap()
+                .summary,
+            "exact mode re-runs bit-identically from the warm memo"
         );
         let fast = mc_streaming_mode(&circuit, &tech, &cache, &cfg, McMode::fast(), 0, |_| true)
             .unwrap()
@@ -526,7 +504,8 @@ mod tests {
             char_opts: nanoleak_cells::CharacterizeOptions::coarse(&[CellType::Inv]),
             ..config(2)
         };
-        let err = mc_streaming(&circuit, &tech, &cache, &cfg, 0, |_| true).unwrap_err();
+        let err = mc_streaming_mode(&circuit, &tech, &cache, &cfg, McMode::Exact, 0, |_| true)
+            .unwrap_err();
         assert!(matches!(
             err,
             EngineError::Estimate(nanoleak_core::EstimateError::MissingCell(CellType::Nand2))

@@ -11,8 +11,8 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 use nanoleak_cells::{CellType, CharacterizeOptions};
 use nanoleak_device::Technology;
 use nanoleak_engine::{
-    mc_streaming, mc_streaming_mode, sweep_streaming, CacheOutcome, EngineError, LibraryCache,
-    McMode, MemoLibraryCache, SweepConfig,
+    mc_streaming_mode, sweep_streaming, CacheOutcome, EngineError, LibraryCache, McMode,
+    MemoLibraryCache, SweepConfig,
 };
 use nanoleak_fault::{arm, arm_limited, disarm_all, FaultAction};
 use nanoleak_netlist::{Circuit, CircuitBuilder};
@@ -184,7 +184,7 @@ fn slow_shard_error_stops_sweep_and_mc_between_shards() {
         ..nanoleak_variation::CircuitMcConfig::default()
     };
     let mut seen = 0;
-    let err = mc_streaming(&circuit, &tech, &memo, &mc, 2, |_| {
+    let err = mc_streaming_mode(&circuit, &tech, &memo, &mc, McMode::Exact, 2, |_| {
         seen += 1;
         arm("slow-shard", FaultAction::Error("shard gave up".into()));
         true

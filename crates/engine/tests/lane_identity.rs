@@ -10,11 +10,11 @@
 use nanoleak_cells::{CellLibrary, CellType, CharacterizeOptions};
 use nanoleak_device::Technology;
 use nanoleak_engine::{
-    mc_streaming, mlv_search, sweep, sweep_streaming, MemoLibraryCache, MlvConfig, MlvGoal,
-    MlvStrategy, SweepConfig,
+    mc_streaming_mode, mlv_search, sweep, sweep_streaming, McMode, MemoLibraryCache, MlvConfig,
+    MlvGoal, MlvStrategy, SweepConfig,
 };
 use nanoleak_netlist::{Circuit, CircuitBuilder};
-use nanoleak_variation::{char_opts_for, CircuitMcConfig, VariationSigmas};
+use nanoleak_variation::{char_opts_for, CircuitMcConfig, VariationSigmas, TABLE_AMORTIZE_VECTORS};
 use std::sync::Arc;
 
 fn library() -> Arc<CellLibrary> {
@@ -133,37 +133,53 @@ fn mlv_hill_climb_is_lane_invariant() {
 
 /// Monte Carlo: each die's loaded/unloaded arms fold per-pattern
 /// sums in the same order whether the patterns run packed or scalar,
-/// so summaries match bit-for-bit — including a per-die vector count
-/// (5) that never fills a block.
+/// so summaries match bit-for-bit in both modes — including a per-die
+/// vector count (5) that never fills a block, and one just past
+/// [`TABLE_AMORTIZE_VECTORS`], where the packed loaded arm switches to
+/// the table kernel and ends on a one-lane tail block.
 #[test]
 fn mc_summaries_are_bit_identical_across_lanes() {
     let circuit = chain_circuit(3);
     let tech = Technology::d25();
-    let base = CircuitMcConfig {
-        samples: 4,
-        seed: 11,
-        sigmas: VariationSigmas::paper_nominal(),
-        vectors: 5,
-        threads: 1,
-        lanes: 1,
-        char_opts: char_opts_for(&circuit, true),
-        ..Default::default()
-    };
-    let cache = MemoLibraryCache::memory_only();
-    let scalar =
-        mc_streaming(&circuit, &tech, &cache, &base, 0, |_| true).unwrap().expect("not cancelled");
-    for lanes in [0usize, 64] {
-        for threads in [1usize, 3] {
-            for shard_samples in [0usize, 3] {
-                let cfg = CircuitMcConfig { lanes, threads, ..base.clone() };
-                let cache = MemoLibraryCache::memory_only();
-                let block = mc_streaming(&circuit, &tech, &cache, &cfg, shard_samples, |_| true)
-                    .unwrap()
-                    .expect("not cancelled");
-                assert_eq!(
-                    scalar.summary, block.summary,
-                    "lanes = {lanes}, threads = {threads}, shard_samples = {shard_samples}"
-                );
+    for vectors in [5, TABLE_AMORTIZE_VECTORS + 1] {
+        for mode in [McMode::Exact, McMode::fast()] {
+            let base = CircuitMcConfig {
+                samples: 4,
+                seed: 11,
+                sigmas: VariationSigmas::paper_nominal(),
+                vectors,
+                threads: 1,
+                lanes: 1,
+                char_opts: char_opts_for(&circuit, true),
+                ..Default::default()
+            };
+            let cache = MemoLibraryCache::memory_only();
+            let scalar = mc_streaming_mode(&circuit, &tech, &cache, &base, mode, 0, |_| true)
+                .unwrap()
+                .expect("not cancelled");
+            for lanes in [0usize, 64] {
+                for threads in [1usize, 3] {
+                    for shard_samples in [0usize, 3] {
+                        let cfg = CircuitMcConfig { lanes, threads, ..base.clone() };
+                        let cache = MemoLibraryCache::memory_only();
+                        let block = mc_streaming_mode(
+                            &circuit,
+                            &tech,
+                            &cache,
+                            &cfg,
+                            mode,
+                            shard_samples,
+                            |_| true,
+                        )
+                        .unwrap()
+                        .expect("not cancelled");
+                        assert_eq!(
+                            scalar.summary, block.summary,
+                            "vectors = {vectors}, {mode:?}, lanes = {lanes}, threads = \
+                             {threads}, shard_samples = {shard_samples}"
+                        );
+                    }
+                }
             }
         }
     }

@@ -10,8 +10,8 @@
 //!   fixed power-of-two bucket layout ([`metrics::BUCKETS`] buckets),
 //!   so merging snapshots is associative and taking a snapshot is
 //!   allocation-free.
-//! * [`span`] — scoped spans ([`span!`]) recorded into a bounded
-//!   per-thread ring buffer while a capture is active
+//! * [`span`](mod@span) — scoped spans ([`span!`]) recorded into a
+//!   bounded per-thread ring buffer while a capture is active
 //!   ([`span::begin_capture`] / [`span::end_capture`]). The drained
 //!   [`span::Trace`] carries the span records (parent-linked, so a
 //!   tree can be rebuilt), per-name duration totals for cheap timing

@@ -2,9 +2,10 @@
 //!
 //! A capture is started on the thread that owns a unit of work (the
 //! server's job worker, a bench bin's timed region) with
-//! [`begin_capture`]; [`span!`] guards created on that thread while
-//! the capture is active record parent-linked [`SpanRecord`]s on
-//! drop. [`end_capture`] drains them into a [`Trace`].
+//! [`begin_capture`]; [`span!`](crate::span!) guards created on that
+//! thread while the capture is active record parent-linked
+//! [`SpanRecord`]s on drop. [`end_capture`] drains them into a
+//! [`Trace`].
 //!
 //! Costs are bounded by design: when no capture is active a span
 //! guard is a single thread-local flag check (no allocation, no
@@ -135,7 +136,7 @@ pub fn end_capture() -> Trace {
 }
 
 /// Whether a capture is active on the current thread (used by the
-/// [`span!`] macro to skip attribute formatting when idle).
+/// [`span!`](crate::span!) macro to skip attribute formatting when idle).
 pub fn capturing() -> bool {
     CAPTURE.with(|c| c.borrow().active)
 }
@@ -163,8 +164,9 @@ pub fn span(name: &'static str) -> Span {
     span_with(name, Vec::new())
 }
 
-/// Opens a span with pre-formatted attributes; prefer the [`span!`]
-/// macro, which skips formatting entirely when no capture is active.
+/// Opens a span with pre-formatted attributes; prefer the
+/// [`span!`](crate::span!) macro, which skips formatting entirely
+/// when no capture is active.
 pub fn span_with(name: &'static str, attrs: Vec<(&'static str, String)>) -> Span {
     CAPTURE.with(|c| {
         let mut c = c.borrow_mut();

@@ -17,8 +17,9 @@
 //!
 //! [`optimize`] explores both greedily, scoring every candidate with
 //! the compiled estimator at the circuit's minimum-leakage vector
-//! (from [`mlv_search`]) and re-searching the vector after each
-//! round. An optional score-gated [`canonicalize`] pre-pass
+//! (from [`mlv_search`](nanoleak_engine::mlv_search)) and
+//! re-searching the vector after each round. An optional score-gated
+//! [`canonicalize`](nanoleak_netlist::canonicalize) pre-pass
 //! (double-inverter elimination, dead-gate sweep) is kept only when
 //! the estimator agrees it lowers the objective.
 //!

@@ -8,8 +8,9 @@
 //! same fields ([`Body::local`]). Responses are built from
 //! `#[derive(Serialize)]` DTOs and encoded with the JSON text codec —
 //! floats round-trip bit-exactly, which is what makes the service's
-//! sweep results comparable `==` against an in-process [`sweep`] call
-//! and the CLI's `--format json` output equal to the HTTP body.
+//! sweep results comparable `==` against an in-process
+//! [`sweep`](fn@sweep) call and the CLI's `--format json` output
+//! equal to the HTTP body.
 
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -296,8 +297,9 @@ fn resolve_shard_field(body: &Body, field: &str, units: usize) -> Result<usize, 
     Ok(shard_size)
 }
 
-/// The `"shard_vectors"` field of a sweep job (see
-/// [`resolve_shard_field`] for the shared bound).
+/// The `"shard_vectors"` field of a sweep job: vectors per streamed
+/// shard (`0` = monolithic), bounded on HTTP requests to at most
+/// [`MAX_JOB_SHARDS`] shards.
 pub fn resolve_shard_vectors(body: &Body, vectors: usize) -> Result<usize, ApiError> {
     resolve_shard_field(body, "shard_vectors", vectors)
 }
@@ -484,7 +486,7 @@ pub struct SweepResponse {
 /// Runs a sweep in `"shard_vectors"`-sized shards, reporting each
 /// shard's [`SweepShard`] partial to `observer` as it completes. The
 /// merged stats in the response are bit-identical to a monolithic
-/// [`sweep`] of the same config, for any shard size.
+/// [`sweep`](fn@sweep) of the same config, for any shard size.
 pub fn run_sweep_streaming(
     cache: &MemoLibraryCache,
     body: &Body,
@@ -979,8 +981,9 @@ pub struct McResponse {
     pub samples_per_sec: f64,
 }
 
-/// The `"shard_samples"` field of an MC job (see
-/// [`resolve_shard_field`] for the shared bound).
+/// The `"shard_samples"` field of an MC job: samples per streamed
+/// shard (`0` = monolithic), bounded on HTTP requests to at most
+/// [`MAX_JOB_SHARDS`] shards.
 pub fn resolve_shard_samples(body: &Body, samples: usize) -> Result<usize, ApiError> {
     resolve_shard_field(body, "shard_samples", samples)
 }
@@ -1024,8 +1027,8 @@ pub fn resolve_mc_config(body: &Body, circuit: &Circuit) -> Result<CircuitMcConf
 /// Runs a circuit-level Monte-Carlo job in `"shard_samples"`-sized
 /// shards, reporting each shard's [`McShard`] partial to `observer` as
 /// it completes. The merged summary is bit-identical to a monolithic
-/// [`mc_streaming`] run of the same config, for any shard size and
-/// thread count — the same contract the sweep path holds.
+/// [`mc_streaming_mode`] run of the same config and mode, for any shard
+/// size and thread count — the same contract the sweep path holds.
 ///
 /// `cache` should be a **RAM-only** memo (the server routes MC jobs
 /// through `ServerState::mc_cache`): every sample is a unique
@@ -1048,7 +1051,7 @@ pub fn run_mc(
         &tech,
         cache,
         &config,
-        McMode::from_exact(exact),
+        if exact { McMode::Exact } else { McMode::Fast },
         shard_samples,
         |partial: &McShard| {
             observer.unit(partial.shard, partial.to_value());

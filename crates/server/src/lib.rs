@@ -7,8 +7,8 @@
 //! cold-start CLI per request. This crate is that process:
 //! dependency-free (raw [`std::net`] + the vendored mini-serde JSON
 //! codec), deterministic (a sweep served over HTTP is bit-identical
-//! to the same [`nanoleak_engine::sweep`] call in-process), and
-//! drain-on-shutdown.
+//! to the same [`nanoleak_engine::sweep`](fn@nanoleak_engine::sweep)
+//! call in-process), and drain-on-shutdown.
 //!
 //! ## Service
 //!
@@ -49,14 +49,15 @@
 //! `vdd_scales` condition matrix (cf. Sultan et al. on
 //! leakage-vs-temperature) built by `OperatingPoint::grid`, where
 //! every cell characterizes through the shared in-RAM
-//! [`MemoLibraryCache`](nanoleak_engine::MemoLibraryCache) and runs
+//! [`MemoLibraryCache`] and runs
 //! one deterministic sweep — cells fan across the worker pool in
 //! parallel, reduced back in cell order so the matrix is bit-identical
 //! to a sequential run.
 //!
 //! The `"mc"` job type is the paper's Section 5.3 at circuit scale: a
 //! circuit-level Monte-Carlo over die-to-die process variation
-//! ([`nanoleak_engine::mc_streaming`]), streaming per-shard
+//! ([`nanoleak_engine::mc_streaming_mode`], one driver whose `"exact"`
+//! flag only picks the per-die library provider), streaming per-shard
 //! distribution partials through the same `shards_done`/`shards_total`
 //! progress and `?shard=K` paging protocol as sharded sweeps, with the
 //! merged loaded/unloaded summary bit-identical to an in-process run.

@@ -15,7 +15,7 @@ use nanoleak_cells::{CellLibrary, CellType, CharacterizeOptions, OperatingPoint}
 use nanoleak_core::EstimatorMode;
 use nanoleak_device::Technology;
 use nanoleak_engine::{
-    mc_streaming, mc_streaming_mode, sweep, McMode, MemoLibraryCache, SweepConfig, SweepStats,
+    mc_streaming_mode, sweep, McMode, MemoLibraryCache, SweepConfig, SweepStats,
 };
 use nanoleak_netlist::bench_format::parse_bench;
 use nanoleak_netlist::generate::iscas_like;
@@ -678,8 +678,9 @@ fn shard_pages_of_cancelled_jobs_are_conflict_not_pending() {
 
 /// The MC tentpole over HTTP: a sharded `"mc"` job reports per-shard
 /// progress, pages each shard's distribution partial, and its merged
-/// summary is **bit-identical** to the in-process [`mc_streaming`]
-/// run of the same configuration — the serde JSON round trip included.
+/// summary is **bit-identical** to the in-process exact-mode
+/// [`mc_streaming_mode`] run of the same configuration — the serde
+/// JSON round trip included.
 #[test]
 fn mc_job_pages_partials_and_matches_in_process_bit_exactly() {
     let server = TestServer::start(2, 8);
@@ -737,7 +738,10 @@ fn mc_job_pages_partials_and_matches_in_process_bit_exactly() {
         lanes: 0,
     };
     let cache = MemoLibraryCache::memory_only();
-    let local = mc_streaming(&circuit, &Technology::d25(), &cache, &config, 2, |_| true)
+    let local =
+        mc_streaming_mode(&circuit, &Technology::d25(), &cache, &config, McMode::Exact, 2, |_| {
+            true
+        })
         .expect("local mc")
         .expect("not cancelled");
     assert_eq!(http_summary, local.summary, "HTTP MC must equal in-process MC exactly");

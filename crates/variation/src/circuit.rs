@@ -5,10 +5,15 @@
 //! inverter fixture ([`crate::run_inverter_mc`], Figs. 10–11). This
 //! module scales the question to whole logic circuits: every sample
 //! draws a die-wide process perturbation, derives a perturbed
-//! [`Technology`], characterizes it into a [`CellLibrary`] (through a
-//! pluggable, cacheable [`LibraryProvider`]), and estimates the
-//! circuit's leakage with and without loading on a compiled
-//! [`CompiledEstimator`] plan.
+//! [`Technology`], obtains its [`CellLibrary`] from a pluggable
+//! [`DeltaProvider`], and estimates the circuit's leakage with and
+//! without loading on a compiled [`CompiledEstimator`] plan.
+//!
+//! One driver, [`run_circuit_mc_range`], serves both modes; only the
+//! provider differs. [`SolverProvider`] (and the engine's memo)
+//! re-solve every die — the bit-exact mode — while
+//! [`SensDeltaProvider`] derives each die from a nominal library's
+//! recorded sensitivities — the fast mode.
 //!
 //! ## Modeling scope
 //!
@@ -102,71 +107,12 @@ impl From<EstimateError> for McError {
     }
 }
 
-/// Supplies the characterized library for one perturbed technology.
-///
-/// Every Monte-Carlo sample asks for a fresh `(tech, temp, options)`
-/// characterization; where that answer comes from is the caller's
-/// policy. [`SolverProvider`] characterizes directly (hermetic tests,
-/// one-shot runs); the engine layers its `MemoLibraryCache` behind
-/// this trait so repeated runs of the same seed hit RAM/disk instead
-/// of the solver. Implementations must be deterministic: the same
-/// request must yield the same library bit-for-bit, or the MC loses
-/// its reproducibility guarantee.
-pub trait LibraryProvider: Sync {
-    /// The characterized library for `tech` at `temp`.
-    ///
-    /// # Errors
-    /// [`McError`] describing the characterization or cache failure.
-    fn library(
-        &self,
-        tech: &Technology,
-        temp: f64,
-        opts: &CharacterizeOptions,
-    ) -> Result<Arc<CellLibrary>, McError>;
-}
-
-/// The trivial provider: characterize every request from scratch.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SolverProvider;
-
-impl LibraryProvider for SolverProvider {
-    fn library(
-        &self,
-        tech: &Technology,
-        temp: f64,
-        opts: &CharacterizeOptions,
-    ) -> Result<Arc<CellLibrary>, McError> {
-        Ok(Arc::new(CellLibrary::characterize(tech, temp, opts)?))
-    }
-}
-
-impl<P: LibraryProvider + ?Sized> LibraryProvider for &P {
-    fn library(
-        &self,
-        tech: &Technology,
-        temp: f64,
-        opts: &CharacterizeOptions,
-    ) -> Result<Arc<CellLibrary>, McError> {
-        (**self).library(tech, temp, opts)
-    }
-}
-
-impl<P: LibraryProvider + Send + ?Sized> LibraryProvider for Arc<P> {
-    fn library(
-        &self,
-        tech: &Technology,
-        temp: f64,
-        opts: &CharacterizeOptions,
-    ) -> Result<Arc<CellLibrary>, McError> {
-        (**self).library(tech, temp, opts)
-    }
-}
-
 /// How one die's library was produced by a [`DeltaProvider`].
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DieDiag {
     /// `true` when the library was derived from nominal sensitivities,
-    /// `false` when the die fell back to a full characterization (its
+    /// `false` when the die was fully characterized (always, from a
+    /// provider that re-solves; on a delta provider, when the die's
     /// perturbation was not recognized as a delta of the nominal).
     pub derived: bool,
     /// `(cell, vector)` entries in the derived library (0 on fallback).
@@ -178,15 +124,24 @@ pub struct DieDiag {
     pub max_est: f64,
 }
 
-/// Supplies per-die libraries for the fast Monte-Carlo path, reporting
-/// per die how the library was produced (delta-derived vs. fully
-/// solved). Implementations must be deterministic, like
-/// [`LibraryProvider`].
+/// Supplies the library of one perturbed die, reporting how it was
+/// produced (delta-derived vs. fully solved).
+///
+/// Every Monte-Carlo sample asks for a `(tech, temp, options)`
+/// library; where that answer comes from is the caller's policy.
+/// [`SolverProvider`] characterizes directly (hermetic tests, one-shot
+/// runs); the engine layers its `MemoLibraryCache` behind this trait
+/// so repeated runs of the same seed hit RAM/disk instead of the
+/// solver; [`SensDeltaProvider`] derives dies from nominal
+/// sensitivities. Implementations must be deterministic: the same
+/// request must yield the same library bit-for-bit, or the MC loses
+/// its reproducibility guarantee.
 pub trait DeltaProvider: Sync {
     /// The library for one perturbed die, plus derivation diagnostics.
     ///
     /// # Errors
-    /// [`McError`] describing the derivation or fallback failure.
+    /// [`McError`] describing the characterization, derivation or
+    /// cache failure.
     fn die_library(
         &self,
         tech: &Technology,
@@ -195,13 +150,29 @@ pub trait DeltaProvider: Sync {
     ) -> Result<(Arc<CellLibrary>, DieDiag), McError>;
 }
 
-/// The reference [`DeltaProvider`]: derives each die from a nominal
+/// The trivial provider: characterize every die from scratch
+/// (`derived: false`).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SolverProvider;
+
+impl DeltaProvider for SolverProvider {
+    fn die_library(
+        &self,
+        tech: &Technology,
+        temp: f64,
+        opts: &CharacterizeOptions,
+    ) -> Result<(Arc<CellLibrary>, DieDiag), McError> {
+        Ok((Arc::new(CellLibrary::characterize(tech, temp, opts)?), DieDiag::default()))
+    }
+}
+
+/// The reference delta provider: derives each die from a nominal
 /// library's recorded sensitivities ([`delta_library`]) when the die's
 /// perturbation round-trips through [`infer_deltas`], and falls back
-/// to `fallback` (a plain [`LibraryProvider`]) otherwise. The engine
+/// to `fallback` (a provider that re-solves) otherwise. The engine
 /// wraps this over its RAM memo and adds metrics.
-#[derive(Debug, Clone)]
-pub struct SensDeltaProvider<F> {
+#[derive(Clone)]
+pub struct SensDeltaProvider<'a> {
     /// The nominal library the sensitivities were recorded against.
     pub nominal: Arc<CellLibrary>,
     /// Per-`(cell, vector)` sensitivity models from the traced nominal
@@ -211,10 +182,10 @@ pub struct SensDeltaProvider<F> {
     /// estimating above it re-solve exactly.
     pub tol: f64,
     /// Full-characterization fallback for unrecognized requests.
-    pub fallback: F,
+    pub fallback: &'a dyn DeltaProvider,
 }
 
-impl<F: LibraryProvider + Sync> DeltaProvider for SensDeltaProvider<F> {
+impl DeltaProvider for SensDeltaProvider<'_> {
     fn die_library(
         &self,
         tech: &Technology,
@@ -233,8 +204,7 @@ impl<F: LibraryProvider + Sync> DeltaProvider for SensDeltaProvider<F> {
                 return Ok((Arc::new(lib), diag));
             }
         }
-        let lib = self.fallback.library(tech, temp, opts)?;
-        Ok((lib, DieDiag::default()))
+        self.fallback.die_library(tech, temp, opts)
     }
 }
 
@@ -363,9 +333,10 @@ pub struct McSummary {
     pub fast: Option<FastMcReport>,
 }
 
-/// Diagnostics of one fast (delta-derived) Monte-Carlo run, summed
-/// over dies in sample-index order — deterministic for any thread
-/// count or shard split.
+/// Per-die library diagnostics of one Monte-Carlo run, summed over
+/// dies in sample-index order — deterministic for any thread count or
+/// shard split. A provider that re-solves every die reports them all
+/// in `dies_full`.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct FastMcDiag {
     /// Dies whose library was derived from nominal sensitivities.
@@ -477,15 +448,39 @@ fn sample_tech(nominal: &Technology, config: &CircuitMcConfig, index: usize) -> 
     tech
 }
 
-/// Pattern count past which a per-die plan's loaded arm builds the
-/// block response tables instead of running the per-lane scalar
-/// service. A table build enumerates up to `2^MAX_SUPPORT_BITS`
-/// scalar evaluations per gate while one scalar block pass costs
-/// `LANES` per gate, so a plan evaluated fewer than a few blocks'
-/// worth of patterns never amortizes the build — measured on s838,
-/// tables cost ~40 ms/die against ~10 ms of scalar work at 64
-/// vectors. Four full blocks is roughly break-even.
-pub const TABLE_AMORTIZE_VECTORS: usize = 4 * LANES;
+/// Pattern count from which a die's loaded arm builds the block
+/// response tables instead of running the lane-by-lane scalar kernel.
+/// Every die compiles a fresh plan and evaluates it `vectors` times,
+/// so the table build must pay for itself within one die. Measured per
+/// fresh plan on s838 (coarse grid, one thread, 2-vCPU x86-64 host):
+/// the tables cost ~50 ms to build and then ~0.5 ms per 64 vectors,
+/// the lane-by-lane arm ~3.5 ms per 64 vectors, so tables break even
+/// at 1152 vectors (median of 9 runs, range 1024–1216). Larger
+/// circuits break even sooner (s5378: ~640).
+pub const TABLE_AMORTIZE_VECTORS: usize = 18 * LANES;
+
+impl CircuitMcConfig {
+    /// Whether each die's loaded (Lut) arm builds the block response
+    /// tables: the driver's one pattern-volume rule, the same in both
+    /// modes.
+    fn loaded_arm_tables(&self) -> bool {
+        self.vectors >= TABLE_AMORTIZE_VECTORS
+    }
+
+    /// 64-lane blocks one die runs through the word-parallel kernel,
+    /// and the unused lanes of their tail blocks: the unloaded arm's
+    /// blocks, plus the loaded arm's once it builds tables
+    /// ([`TABLE_AMORTIZE_VECTORS`]). `(0, 0)` on the scalar path
+    /// (`lanes == 1`).
+    pub fn packed_blocks_per_die(&self) -> (u64, u64) {
+        if resolve_lanes(self.lanes) == 1 {
+            return (0, 0);
+        }
+        let arms = if self.loaded_arm_tables() { 2 } else { 1 };
+        let blocks = self.vectors.div_ceil(LANES);
+        (arms * blocks as u64, arms * (blocks * LANES - self.vectors) as u64)
+    }
+}
 
 /// Per-worker reusable buffers for circuit MC samples. Plans share
 /// the circuit's dimensions, so every buffer warms once and then
@@ -501,20 +496,16 @@ struct SampleScratch {
 /// Evaluates one die's plan over the shared pattern set, returning the
 /// (loaded, unloaded) sums in pattern-index order.
 ///
-/// `block_loaded` selects the loaded (Lut) arm's kernel on the block
-/// path: `false` runs the per-lane scalar service, `true` runs the
-/// 64-lane block kernel with response tables. A per-die plan is
-/// evaluated exactly `vectors` times and then dropped, so tables only
-/// pay for themselves past [`TABLE_AMORTIZE_VECTORS`] — callers pick
-/// the flag from the pattern volume. Core guarantees both kernels
-/// agree bit-for-bit, so the flag never changes a result, only its
-/// cost.
+/// On the block path the loaded (Lut) arm runs the 64-lane kernel with
+/// response tables once the pattern volume amortizes them
+/// ([`TABLE_AMORTIZE_VECTORS`]) and the per-lane scalar kernel below
+/// that. Core guarantees both kernels agree bit-for-bit, so the rule
+/// never changes a result, only its cost.
 fn evaluate_plan(
     plan: &CompiledEstimator,
     circuit: &Circuit,
     config: &CircuitMcConfig,
     scratch: &mut SampleScratch,
-    block_loaded: bool,
 ) -> Result<(LeakageBreakdown, LeakageBreakdown), McError> {
     if resolve_lanes(config.lanes) == 1 {
         // Sequential index-order mean over the shared pattern set;
@@ -533,10 +524,10 @@ fn evaluate_plan(
     } else {
         // Block path: each 64-pattern chunk of the shared set is
         // packed once and reused by both arms. The unloaded arm runs
-        // the word-parallel kernel (no tables needed); the loaded arm
-        // runs the kernel `block_loaded` selects. Each arm's sum adds
-        // its per-pattern values in index order, so both means are
-        // bit-identical to the scalar path's.
+        // the word-parallel kernel (no tables needed). Each arm's sum
+        // adds its per-pattern values in index order, so both means
+        // are bit-identical to the scalar path's.
+        let tables = config.loaded_arm_tables();
         let mut loaded = LeakageBreakdown::ZERO;
         let mut unloaded = LeakageBreakdown::ZERO;
         if scratch.pack.pi_words().len() != circuit.inputs().len()
@@ -554,7 +545,7 @@ fn evaluate_plan(
                 scratch.pattern.fill_random(circuit, &mut rng);
                 scratch.pack.push(&scratch.pattern);
             }
-            if block_loaded {
+            if tables {
                 plan.estimate_block_into(&mut scratch.block, &scratch.pack, EstimatorMode::Lut)?;
             } else {
                 plan.estimate_block_scalar_into(
@@ -579,24 +570,6 @@ fn evaluate_plan(
 fn run_circuit_sample(
     circuit: &Circuit,
     nominal: &Technology,
-    provider: &dyn LibraryProvider,
-    config: &CircuitMcConfig,
-    index: usize,
-    scratch: &mut SampleScratch,
-) -> Result<McSample, McError> {
-    let tech = sample_tech(nominal, config, index);
-    let lib = provider.library(&tech, config.op.temp, &config.char_opts)?;
-    let plan = CompiledEstimator::compile(circuit, &lib)?;
-    let (loaded, unloaded) = evaluate_plan(&plan, circuit, config, scratch, false)?;
-    Ok(McSample {
-        loaded: loaded.scaled(1.0 / config.vectors as f64),
-        unloaded: unloaded.scaled(1.0 / config.vectors as f64),
-    })
-}
-
-fn run_circuit_sample_fast(
-    circuit: &Circuit,
-    nominal: &Technology,
     provider: &dyn DeltaProvider,
     config: &CircuitMcConfig,
     index: usize,
@@ -605,8 +578,7 @@ fn run_circuit_sample_fast(
     let tech = sample_tech(nominal, config, index);
     let (lib, diag) = provider.die_library(&tech, config.op.temp, &config.char_opts)?;
     let plan = CompiledEstimator::compile(circuit, &lib)?;
-    let tables = config.vectors >= TABLE_AMORTIZE_VECTORS;
-    let (loaded, unloaded) = evaluate_plan(&plan, circuit, config, scratch, tables)?;
+    let (loaded, unloaded) = evaluate_plan(&plan, circuit, config, scratch)?;
     let sample = McSample {
         loaded: loaded.scaled(1.0 / config.vectors as f64),
         unloaded: unloaded.scaled(1.0 / config.vectors as f64),
@@ -615,11 +587,18 @@ fn run_circuit_sample_fast(
 }
 
 /// Runs the contiguous sample range `start .. start + len` of the
-/// Monte Carlo, returning paired samples in index order — the
-/// building block streaming front-ends shard over. Each worker keeps
-/// one scratch set (scalar, block, and pattern buffers) across its
-/// samples — plans share the circuit's dimensions, so everything
-/// warms once.
+/// Monte Carlo, returning paired samples in index order and the
+/// provider's per-die diagnostics summed over the range — the one
+/// driver of both modes, and the building block streaming front-ends
+/// shard over. Each worker keeps one scratch set (scalar, block, and
+/// pattern buffers) across its samples — plans share the circuit's
+/// dimensions, so everything warms once.
+///
+/// Samples and diagnostics are bit-identical for any thread count,
+/// shard split, or `lanes` setting. With a provider that re-solves
+/// every die ([`SolverProvider`], the engine's memo) the samples are
+/// the bit-exact reference; a delta provider's differ from them by the
+/// linearization error its tolerance admits.
 ///
 /// # Errors
 /// The first per-sample [`McError`] in index order.
@@ -627,44 +606,6 @@ fn run_circuit_sample_fast(
 /// # Panics
 /// Panics if `config.vectors` is zero.
 pub fn run_circuit_mc_range(
-    circuit: &Circuit,
-    tech: &Technology,
-    provider: &dyn LibraryProvider,
-    config: &CircuitMcConfig,
-    start: usize,
-    len: usize,
-) -> Result<Vec<McSample>, McError> {
-    assert!(config.vectors > 0, "circuit MC needs at least one pattern per sample");
-    let nominal = config.op.tech(tech);
-    let per_sample: Vec<Result<McSample, McError>> =
-        par_map_with(len, config.threads, SampleScratch::default, |scratch, k| {
-            run_circuit_sample(circuit, &nominal, provider, config, start + k, scratch)
-        });
-    let mut samples = Vec::with_capacity(len);
-    for r in per_sample {
-        samples.push(r?);
-    }
-    Ok(samples)
-}
-
-/// The fast (delta-derived) counterpart of [`run_circuit_mc_range`]:
-/// per-die libraries come from a [`DeltaProvider`] (nominal
-/// sensitivities plus a full-solve fallback) instead of a per-die
-/// characterization, and the loaded (Lut) arm runs the 64-lane block
-/// kernel with response tables — the per-die library cost no longer
-/// dwarfs the table build.
-///
-/// Determinism matches the exact path's contract: samples and
-/// diagnostics are bit-identical for any thread count, shard split, or
-/// `lanes` setting. The *values* differ from the exact path by the
-/// linearization error the provider's tolerance admits.
-///
-/// # Errors
-/// The first per-sample [`McError`] in index order.
-///
-/// # Panics
-/// Panics if `config.vectors` is zero.
-pub fn run_circuit_mc_range_fast(
     circuit: &Circuit,
     tech: &Technology,
     provider: &dyn DeltaProvider,
@@ -676,7 +617,7 @@ pub fn run_circuit_mc_range_fast(
     let nominal = config.op.tech(tech);
     let per_sample: Vec<Result<(McSample, DieDiag), McError>> =
         par_map_with(len, config.threads, SampleScratch::default, |scratch, k| {
-            run_circuit_sample_fast(circuit, &nominal, provider, config, start + k, scratch)
+            run_circuit_sample(circuit, &nominal, provider, config, start + k, scratch)
         });
     let mut samples = Vec::with_capacity(len);
     let mut diag = FastMcDiag::default();
@@ -699,11 +640,11 @@ pub fn run_circuit_mc_range_fast(
 pub fn run_circuit_mc(
     circuit: &Circuit,
     tech: &Technology,
-    provider: &dyn LibraryProvider,
+    provider: &dyn DeltaProvider,
     config: &CircuitMcConfig,
 ) -> Result<CircuitMcResult, McError> {
     assert!(config.samples > 0, "circuit MC needs at least one sample");
-    let samples = run_circuit_mc_range(circuit, tech, provider, config, 0, config.samples)?;
+    let (samples, _) = run_circuit_mc_range(circuit, tech, provider, config, 0, config.samples)?;
     Ok(CircuitMcResult { config: config.clone(), samples })
 }
 
@@ -796,7 +737,7 @@ mod tests {
         let mut sharded = Vec::new();
         for (start, len) in [(0usize, 2usize), (2, 3), (5, 1)] {
             sharded.extend(
-                run_circuit_mc_range(&circuit, &tech, &SolverProvider, &cfg, start, len).unwrap(),
+                run_circuit_mc_range(&circuit, &tech, &SolverProvider, &cfg, start, len).unwrap().0,
             );
         }
         assert_eq!(sharded, mono.samples);

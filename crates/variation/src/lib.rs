@@ -22,10 +22,13 @@
 //!   (Figs. 10–11);
 //! * [`run_circuit_mc`] — the same question at circuit scale: each
 //!   sample derives a perturbed [`Technology`](nanoleak_device::Technology)
-//!   (die-wide draw), characterizes it through a pluggable
-//!   [`LibraryProvider`], and estimates the whole circuit with and
-//!   without loading on a compiled plan. Bit-identical for any thread
-//!   count or shard split (see [`circuit`]).
+//!   (die-wide draw), obtains its library from a pluggable
+//!   [`DeltaProvider`], and estimates the whole circuit with and
+//!   without loading on a compiled plan. One driver serves both modes:
+//!   [`SolverProvider`] re-solves every die (bit-exact),
+//!   [`SensDeltaProvider`] derives dies from nominal sensitivities
+//!   (fast). Bit-identical for any thread count or shard split (see
+//!   [`circuit`]).
 //!
 //! ## Example
 //!
@@ -46,10 +49,9 @@ pub mod sigmas;
 pub mod stats;
 
 pub use circuit::{
-    char_opts_for, run_circuit_mc, run_circuit_mc_range, run_circuit_mc_range_fast, summarize,
-    CircuitMcConfig, CircuitMcResult, DeltaProvider, DieDiag, FastMcDiag, FastMcReport,
-    LibraryProvider, McError, McSummary, SensDeltaProvider, SeriesSummary, SolverProvider,
-    DEFAULT_HIST_BINS, TABLE_AMORTIZE_VECTORS,
+    char_opts_for, run_circuit_mc, run_circuit_mc_range, summarize, CircuitMcConfig,
+    CircuitMcResult, DeltaProvider, DieDiag, FastMcDiag, FastMcReport, McError, McSummary,
+    SensDeltaProvider, SeriesSummary, SolverProvider, DEFAULT_HIST_BINS, TABLE_AMORTIZE_VECTORS,
 };
 pub use mc::{run_inverter_mc, series_of, stats_of, McConfig, McResult, McSample, Series};
 pub use sigmas::{gaussian, VariationSigmas};
@@ -153,12 +155,13 @@ mod proptests {
                 prop_assert_eq!(&multi.samples, &reference.samples);
                 // Shard invariance: split at `split`, concatenate.
                 let cfg = config(seed);
-                let mut sharded =
+                let (mut sharded, _) =
                     run_circuit_mc_range(&circuit, &tech, &SolverProvider, &cfg, 0, split)
                         .unwrap();
                 sharded.extend(
                     run_circuit_mc_range(&circuit, &tech, &SolverProvider, &cfg, split, 3 - split)
-                        .unwrap(),
+                        .unwrap()
+                        .0,
                 );
                 prop_assert_eq!(&sharded, &reference.samples);
                 prop_assert_eq!(summarize(&sharded, 8), reference.summary(8));
@@ -178,8 +181,7 @@ mod proptests {
     mod fast_determinism {
         use super::*;
         use crate::circuit::{
-            char_opts_for, run_circuit_mc_range, run_circuit_mc_range_fast, CircuitMcConfig,
-            SensDeltaProvider, SolverProvider,
+            char_opts_for, run_circuit_mc_range, CircuitMcConfig, SensDeltaProvider, SolverProvider,
         };
         use nanoleak_cells::{characterize_with_sensitivity, CellType, DEFAULT_DELTA_TOL};
         use nanoleak_core::LANES;
@@ -209,8 +211,8 @@ mod proptests {
         /// One traced nominal characterization shared by every case
         /// (the sensitivities depend only on the nominal request, not
         /// on the per-case seed).
-        fn provider() -> &'static SensDeltaProvider<SolverProvider> {
-            static PROVIDER: OnceLock<SensDeltaProvider<SolverProvider>> = OnceLock::new();
+        fn provider() -> &'static SensDeltaProvider<'static> {
+            static PROVIDER: OnceLock<SensDeltaProvider<'static>> = OnceLock::new();
             PROVIDER.get_or_init(|| {
                 let cfg = config(0);
                 let nominal_tech = cfg.op.tech(&Technology::d25());
@@ -221,7 +223,7 @@ mod proptests {
                     nominal: Arc::new(lib),
                     sens: Arc::new(sens),
                     tol: DEFAULT_DELTA_TOL,
-                    fallback: SolverProvider,
+                    fallback: &SolverProvider,
                 }
             })
         }
@@ -241,21 +243,21 @@ mod proptests {
                 let p = provider();
                 let scalar = CircuitMcConfig { threads: 1, lanes: 1, ..cfg.clone() };
                 let (reference, ref_diag) =
-                    run_circuit_mc_range_fast(&circuit, &tech, p, &scalar, 0, 3).unwrap();
+                    run_circuit_mc_range(&circuit, &tech, p, &scalar, 0, 3).unwrap();
                 // Thread-count and lane invariance (1 = per-pattern
                 // scalar path, LANES = 64-lane block kernel).
                 for lanes in [1usize, LANES] {
                     let cfg = CircuitMcConfig { threads, lanes, ..cfg.clone() };
                     let (again, diag) =
-                        run_circuit_mc_range_fast(&circuit, &tech, p, &cfg, 0, 3).unwrap();
+                        run_circuit_mc_range(&circuit, &tech, p, &cfg, 0, 3).unwrap();
                     prop_assert_eq!(&again, &reference, "lanes = {}", lanes);
                     prop_assert_eq!(diag, ref_diag);
                 }
                 // Shard invariance: split, concatenate, merge diags.
                 let (mut sharded, mut diag) =
-                    run_circuit_mc_range_fast(&circuit, &tech, p, &cfg, 0, split).unwrap();
+                    run_circuit_mc_range(&circuit, &tech, p, &cfg, 0, split).unwrap();
                 let (rest, rest_diag) =
-                    run_circuit_mc_range_fast(&circuit, &tech, p, &cfg, split, 3 - split).unwrap();
+                    run_circuit_mc_range(&circuit, &tech, p, &cfg, split, 3 - split).unwrap();
                 sharded.extend(rest);
                 diag.merge(&rest_diag);
                 prop_assert_eq!(&sharded, &reference);
@@ -265,7 +267,7 @@ mod proptests {
                 prop_assert_eq!(ref_diag.dies_derived, 3, "{:?}", ref_diag);
                 // ...and the exact path — untouched by the fast-path
                 // refactor — stays within tolerance of it.
-                let exact =
+                let (exact, _) =
                     run_circuit_mc_range(&circuit, &tech, &SolverProvider, &cfg, 0, 3).unwrap();
                 for (f, e) in reference.iter().zip(&exact) {
                     let (ft, et) = (f.loaded.total(), e.loaded.total());

@@ -114,7 +114,7 @@
 //! ## The optimizer
 //!
 //! The [`opt`] crate closes the loop from *estimating* standby leakage
-//! to *reducing* it ([`opt::optimize`](nanoleak_opt::optimize)): a
+//! to *reducing* it ([`opt::optimize`]): a
 //! deterministic greedy pass that permutes commutative gate pins and
 //! applies De-Morgan NAND↔NOR remaps, scoring every candidate with the
 //! compiled estimator at the minimum-leakage vector and re-searching
@@ -157,8 +157,9 @@ pub mod prelude {
         Bias, DeviceDesign, LeakageBreakdown, MosKind, Perturbation, Technology, Transistor,
     };
     pub use nanoleak_engine::{
-        mc_streaming, mlv_search, sweep, CacheOutcome, EngineError, LibraryCache, MemoLibraryCache,
-        MlvConfig, MlvGoal, MlvResult, MlvStrategy, ScalarStats, SweepConfig, SweepReport,
+        mc_streaming_mode, mlv_search, sweep, CacheOutcome, EngineError, LibraryCache, McMode,
+        MemoLibraryCache, MlvConfig, MlvGoal, MlvResult, MlvStrategy, ScalarStats, SweepConfig,
+        SweepReport,
     };
     pub use nanoleak_netlist::{
         bench_format::parse_bench, generate, normalize::normalize, parse_yosys_json, Circuit,
