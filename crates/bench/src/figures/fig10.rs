@@ -77,15 +77,15 @@ pub fn run(opts: &Options) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nanoleak_variation::Stats;
+    use nanoleak_core::Stats;
 
     #[test]
     fn loading_moves_the_subthreshold_distribution_right() {
         let tech = Technology::d25();
         let config = McConfig { samples: 150, ..Default::default() };
         let result = run_inverter_mc(&tech, &config).unwrap();
-        let u = Stats::of(&result.series(Series::Sub, false));
-        let l = Stats::of(&result.series(Series::Sub, true));
+        let u = Stats::sample(&result.series(Series::Sub, false));
+        let l = Stats::sample(&result.series(Series::Sub, true));
         assert!(l.mean > u.mean, "loaded {} vs unloaded {}", l.mean, u.mean);
     }
 }

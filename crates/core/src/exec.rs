@@ -34,6 +34,18 @@ pub fn resolve_threads(requested: usize) -> usize {
     }
 }
 
+/// Workers [`par_map_with`] (and so [`par_map`]) spawns for `n` items
+/// on `threads` requested workers: the request resolved by
+/// [`resolve_threads`] and capped at `n`, then one worker per
+/// contiguous chunk of `ceil(n / threads)` items — which can leave
+/// fewer workers than requested (9 items on 4 threads run 3 chunks
+/// of 3). Never below 1. Telemetry that reports a worker count calls
+/// this, so it cannot drift from what actually ran.
+pub fn worker_count(n: usize, threads: usize) -> usize {
+    let n = n.max(1);
+    n.div_ceil(n.div_ceil(resolve_threads(threads).min(n)))
+}
+
 /// Maps `f` over `0..n` on up to `threads` workers, returning results
 /// in index order.
 ///
@@ -71,12 +83,12 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, usize) -> T + Sync,
 {
-    let threads = resolve_threads(threads).min(n.max(1));
-    if threads <= 1 {
+    let workers = worker_count(n, threads);
+    if workers <= 1 {
         let mut scratch = init();
         return (0..n).map(|i| f(&mut scratch, i)).collect();
     }
-    let chunk = n.div_ceil(threads);
+    let chunk = n.div_ceil(workers);
     std::thread::scope(|scope| {
         let (init, f) = (&init, &f);
         let handles: Vec<_> = (0..n)
@@ -153,6 +165,21 @@ mod tests {
             assert!(workers <= threads.max(1), "{workers} inits for {threads} threads");
             assert_eq!(out.iter().filter(|(_, c)| *c == 1).count(), workers);
         }
+    }
+
+    #[test]
+    fn worker_count_is_the_number_of_workers_spawned() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        for n in [0, 1, 2, 9, 10, 100] {
+            for threads in [1, 2, 4, 8, 16] {
+                let inits = AtomicUsize::new(0);
+                par_map_with(n, threads, || inits.fetch_add(1, Ordering::SeqCst), |_, i| i);
+                let spawned = inits.load(Ordering::SeqCst);
+                assert_eq!(worker_count(n, threads), spawned, "n = {n}, threads = {threads}");
+            }
+        }
+        assert_eq!(worker_count(9, 4), 3, "three chunks of three");
+        assert_eq!(worker_count(2, 8), 2, "capped at the item count");
     }
 
     #[test]

@@ -27,6 +27,8 @@
 //!   [`BlockScratch`]), bit-identical to the scalar path.
 //! * [`exec`] — the workspace's deterministic parallel-execution
 //!   primitives (SplitMix64 seed streams, index-ordered `par_map`).
+//! * [`stats`] — the one summary-statistics type ([`Stats`]) that
+//!   sweeps and Monte-Carlo summaries share.
 //! * [`report`] / [`experiment`] — leakage reports, loading-impact
 //!   statistics (Figs. 12b/12c) and the batch experiment driver.
 //!
@@ -65,17 +67,20 @@ pub mod plan;
 pub mod reference;
 pub mod report;
 pub mod shared;
+pub mod stats;
 
 pub use error::EstimateError;
 pub use estimator::{estimate, estimate_batch, EstimatorMode};
 pub use experiment::{run_experiment, ExperimentConfig, ExperimentResult};
 pub use loading::LoadingState;
 pub use plan::{
-    resolve_lanes, BlockScratch, CompiledEstimator, EstimateScratch, PatternBlock, LANES,
+    pack_index_block, resolve_lanes, BlockScratch, CompiledEstimator, EstimateScratch,
+    PatternBlock, LANES,
 };
 pub use reference::{reference_batch, reference_leakage, ReferenceOptions, ReferenceResult};
 pub use report::{accuracy, Accuracy, CircuitLeakage, LoadingImpact};
 pub use shared::SharedEstimator;
+pub use stats::Stats;
 
 #[cfg(test)]
 mod proptests {

@@ -86,6 +86,17 @@
 //! contract as [`EstimateScratch`] once warm (the first `Lut`-mode
 //! block builds the response tables and sizes the runtime-current
 //! buffer).
+//!
+//! [`CompiledEstimator::estimate_block_scalar_into`] is the per-lane
+//! kernel behind the same block interface: it unpacks each lane and
+//! runs the scalar pass, with no table build. Every workload therefore
+//! has one block driver, whatever its `lanes` setting: the engine's
+//! sweeps and MLV scans and each Monte-Carlo die tile their patterns
+//! into blocks of [`resolve_lanes`]`(lanes)` lanes (seed-derived
+//! streams packed by [`pack_index_block`]), and `lanes` only picks the
+//! kernel — the packed kernel for 64-lane blocks, the per-lane one for
+//! 1-lane blocks and for a Monte-Carlo die's loaded arm below its
+//! table-amortization volume. It never picks the path or the result.
 
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
@@ -152,6 +163,45 @@ pub fn resolve_lanes(requested: usize) -> usize {
         1 | LANES => requested,
         other => panic!("unsupported lane count {other} (expected 1 or {LANES})"),
     }
+}
+
+/// Packs the seed-derived sweep patterns `start..start + count` into
+/// `block`, in lane = index order. Pattern `i` is what a `StdRng`
+/// seeded with SplitMix64 `mix(seed, i)` draws through
+/// [`Pattern::fill_random`]: the stream
+/// [`CompiledEstimator::estimate_index_into`] evaluates one pattern at
+/// a time and the engine's `pattern_for_index` returns. `pattern` is
+/// the per-lane buffer. A block whose arity does not match `circuit`
+/// (a `Default` one, say) is resized first, so one block can serve
+/// every plan over the circuit.
+///
+/// # Panics
+/// If `count > LANES`.
+pub fn pack_index_block(
+    circuit: &Circuit,
+    seed: u64,
+    start: usize,
+    count: usize,
+    pattern: &mut Pattern,
+    block: &mut PatternBlock,
+) {
+    assert!(count <= LANES, "{count} patterns exceed the {LANES}-lane block");
+    if block.pi_words().len() != circuit.inputs().len()
+        || block.state_words().len() != circuit.state_inputs().len()
+    {
+        *block = PatternBlock::for_circuit(circuit);
+    }
+    block.clear();
+    for i in start..start + count {
+        fill_index_pattern(circuit, seed, i, pattern);
+        block.push(pattern);
+    }
+}
+
+/// Refills `pattern` with the seed-derived sweep pattern at `index`.
+fn fill_index_pattern(circuit: &Circuit, seed: u64, index: usize, pattern: &mut Pattern) {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(mix(seed, index as u64));
+    pattern.fill_random(circuit, &mut rng);
 }
 
 /// The lazily built block-resolve plan: per-gate response tables plus
@@ -702,8 +752,7 @@ impl<'a> CompiledEstimator<'a> {
         mode: EstimatorMode,
     ) -> Result<LeakageBreakdown, EstimateError> {
         let mut pattern = std::mem::take(&mut scratch.pattern);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(mix(seed, index as u64));
-        pattern.fill_random(self.circuit, &mut rng);
+        fill_index_pattern(self.circuit, seed, index, &mut pattern);
         let out = self.estimate_into(scratch, &pattern, mode);
         scratch.pattern = pattern;
         out
@@ -801,8 +850,10 @@ impl<'a> CompiledEstimator<'a> {
     /// The per-lane reference kernel: every lane is unpacked and run
     /// through the scalar pipeline. Same results and totals layout as
     /// [`estimate_block_into`](Self::estimate_block_into), never any
-    /// table build — the right call when a plan is too short-lived to
-    /// amortize one (the MC path compiles a fresh plan per die).
+    /// table build — the kernel every 1-lane block runs on (`lanes =
+    /// 1`), and the right call when a plan is too short-lived to
+    /// amortize the tables (the MC path compiles a fresh plan per
+    /// die).
     ///
     /// # Errors
     /// As [`estimate_block_into`](Self::estimate_block_into).
@@ -819,9 +870,9 @@ impl<'a> CompiledEstimator<'a> {
     }
 
     /// Packs the seed-derived sweep patterns `start..start + count`
-    /// (the [`estimate_index_into`](Self::estimate_index_into)
-    /// stream) into the scratch's reusable block and evaluates them
-    /// via [`estimate_block_into`](Self::estimate_block_into).
+    /// ([`pack_index_block`]) into the scratch's reusable block and
+    /// evaluates them via
+    /// [`estimate_block_into`](Self::estimate_block_into).
     ///
     /// # Panics
     /// If `count > LANES`.
@@ -836,19 +887,9 @@ impl<'a> CompiledEstimator<'a> {
         count: usize,
         mode: EstimatorMode,
     ) -> Result<(), EstimateError> {
-        assert!(count <= LANES, "{count} patterns exceed the {LANES}-lane block");
         let mut block = std::mem::take(&mut scratch.index_block);
-        let (pis, states) = (self.circuit.inputs().len(), self.circuit.state_inputs().len());
-        if block.pi_words().len() != pis || block.state_words().len() != states {
-            block = PatternBlock::for_arity(pis, states);
-        }
-        block.clear();
         let mut pattern = std::mem::take(&mut scratch.inner.pattern);
-        for i in 0..count {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(mix(seed, (start + i) as u64));
-            pattern.fill_random(self.circuit, &mut rng);
-            block.push(&pattern);
-        }
+        pack_index_block(self.circuit, seed, start, count, &mut pattern, &mut block);
         scratch.inner.pattern = pattern;
         let out = self.estimate_block_into(scratch, &block, mode);
         scratch.index_block = block;

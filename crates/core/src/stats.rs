@@ -1,19 +1,26 @@
-//! Summary statistics over per-pattern scalar series.
+//! Summary statistics over index-ordered scalar series.
 
 use serde::{Deserialize, Serialize};
 
 /// Summary of one scalar series (e.g. total leakage over a sweep's
-/// input-pattern space): moments, extremes, and percentiles.
+/// input-pattern space, or over Monte-Carlo dies): moments, extremes,
+/// and percentiles.
 ///
-/// Built by a sequential pass over the series in pattern-index order,
-/// so the result is bit-identical for any thread count.
+/// Built by a sequential pass over the series in the order given —
+/// pattern- or sample-index order everywhere in the workspace — so the
+/// result is bit-identical for any thread count. The constructor picks
+/// the standard deviation's denominator: [`Stats::population`] divides
+/// by `n` (a sweep summarizes exactly the patterns it evaluated),
+/// [`Stats::sample`] by `n - 1` (Monte-Carlo dies estimate a process
+/// distribution).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ScalarStats {
+pub struct Stats {
     /// Number of samples.
     pub n: usize,
     /// Arithmetic mean.
     pub mean: f64,
-    /// Population standard deviation.
+    /// Standard deviation: population (`n`) or sample (`n - 1`)
+    /// denominator, per constructor.
     pub std: f64,
     /// Smallest sample.
     pub min: f64,
@@ -27,17 +34,36 @@ pub struct ScalarStats {
     pub p99: f64,
 }
 
-impl ScalarStats {
-    /// Computes the summary of a series.
+impl Stats {
+    /// Statistics of a whole population: standard deviation over `n`.
     ///
     /// # Panics
     /// Panics on an empty series or non-finite samples.
-    pub fn of(xs: &[f64]) -> Self {
+    pub fn population(xs: &[f64]) -> Self {
+        Self::with_ddof(xs, 0)
+    }
+
+    /// Statistics of a random sample: standard deviation over `n - 1`
+    /// (0 for a single sample).
+    ///
+    /// # Panics
+    /// Panics on an empty series or non-finite samples.
+    pub fn sample(xs: &[f64]) -> Self {
+        Self::with_ddof(xs, 1)
+    }
+
+    /// The one reduction behind both constructors; `ddof` is the
+    /// variance denominator's offset from `n`.
+    fn with_ddof(xs: &[f64], ddof: usize) -> Self {
         assert!(!xs.is_empty(), "stats of an empty series");
         assert!(xs.iter().all(|x| x.is_finite()), "non-finite sample in series");
         let n = xs.len();
         let mean = xs.iter().sum::<f64>() / n as f64;
-        let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
+        let var = if n > ddof {
+            xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / (n - ddof) as f64
+        } else {
+            0.0
+        };
         let mut sorted = xs.to_vec();
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
         Self {
@@ -69,8 +95,8 @@ impl ScalarStats {
 /// `hi = ceil(pos)` are both in-bounds — N = 1 short-circuits, N = 2
 /// interpolates between the only two samples, N = 3 hits the middle
 /// sample exactly at q = 0.5 (`pos = 1.0`, `lo == hi`, `frac = 0`).
-/// Empty series never reach here ([`ScalarStats::of`] rejects them,
-/// and the sweep merger skips empty shards).
+/// Empty series never reach here (the constructors reject them, and
+/// the sweep merger skips empty shards).
 fn percentile(sorted: &[f64], q: f64) -> f64 {
     let n = sorted.len();
     if n == 1 {
@@ -90,7 +116,7 @@ mod tests {
 
     #[test]
     fn known_series() {
-        let s = ScalarStats::of(&[1.0, 2.0, 3.0, 4.0]);
+        let s = Stats::population(&[1.0, 2.0, 3.0, 4.0]);
         assert_eq!(s.n, 4);
         assert!((s.mean - 2.5).abs() < 1e-12);
         assert!((s.std - (1.25f64).sqrt()).abs() < 1e-12);
@@ -102,7 +128,7 @@ mod tests {
     #[test]
     fn percentiles_interpolate() {
         let xs: Vec<f64> = (0..101).map(f64::from).collect();
-        let s = ScalarStats::of(&xs);
+        let s = Stats::population(&xs);
         assert!((s.p50 - 50.0).abs() < 1e-12);
         assert!((s.p90 - 90.0).abs() < 1e-12);
         assert!((s.p99 - 99.0).abs() < 1e-12);
@@ -110,8 +136,8 @@ mod tests {
 
     #[test]
     fn order_invariance() {
-        let a = ScalarStats::of(&[3.0, 1.0, 2.0]);
-        let b = ScalarStats::of(&[1.0, 2.0, 3.0]);
+        let a = Stats::population(&[3.0, 1.0, 2.0]);
+        let b = Stats::population(&[1.0, 2.0, 3.0]);
         assert_eq!(a.p50, b.p50);
         assert_eq!(a.min, b.min);
         // Note: mean/std are summed in input order by design; the
@@ -120,7 +146,7 @@ mod tests {
 
     #[test]
     fn singleton_series() {
-        let s = ScalarStats::of(&[7.5]);
+        let s = Stats::population(&[7.5]);
         assert_eq!(s.mean, 7.5);
         assert_eq!(s.p99, 7.5);
         assert_eq!(s.std, 0.0);
@@ -131,18 +157,18 @@ mod tests {
     #[test]
     fn small_n_percentiles_are_pinned() {
         // N = 1: every percentile is the sample itself.
-        let s = ScalarStats::of(&[3.25]);
+        let s = Stats::population(&[3.25]);
         assert_eq!((s.p50, s.p90, s.p99), (3.25, 3.25, 3.25));
 
         // N = 2: pos = q, interpolating between the two samples.
-        let s = ScalarStats::of(&[3.0, 1.0]);
+        let s = Stats::population(&[3.0, 1.0]);
         assert_eq!(s.p50, 1.0 + (3.0 - 1.0) * 0.5);
         assert_eq!(s.p90, 1.0 + (3.0 - 1.0) * 0.9);
         assert_eq!(s.p99, 1.0 + (3.0 - 1.0) * 0.99);
 
         // N = 3: pos = 2q; p50 lands exactly on the middle sample
         // (lo == hi == 1, frac 0 — no interpolation artifacts).
-        let s = ScalarStats::of(&[4.0, 1.0, 2.0]);
+        let s = Stats::population(&[4.0, 1.0, 2.0]);
         assert_eq!(s.p50, 2.0);
         let frac90 = 0.90 * 2.0 - 1.0;
         assert_eq!(s.p90, 2.0 + (4.0 - 2.0) * frac90);
@@ -156,25 +182,47 @@ mod tests {
     fn rank_edges_stay_in_bounds() {
         for n in 1..=5 {
             let xs: Vec<f64> = (0..n).map(f64::from).collect();
-            let s = ScalarStats::of(&xs);
+            let s = Stats::population(&xs);
             assert!(s.p99 <= s.max && s.p50 >= s.min, "n = {n}");
         }
     }
 
     #[test]
     fn cv_handles_zero_mean() {
-        assert_eq!(ScalarStats::of(&[0.0, 0.0]).cv(), 0.0);
+        assert_eq!(Stats::population(&[0.0, 0.0]).cv(), 0.0);
     }
 
     #[test]
     #[should_panic(expected = "empty series")]
     fn empty_series_panics() {
-        ScalarStats::of(&[]);
+        Stats::population(&[]);
     }
 
     #[test]
     #[should_panic(expected = "non-finite")]
     fn non_finite_rejected() {
-        ScalarStats::of(&[1.0, f64::NAN]);
+        Stats::population(&[1.0, f64::NAN]);
+    }
+
+    #[test]
+    fn stats_of_known_sample() {
+        let s = Stats::sample(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
+        assert!((s.mean - 5.0).abs() < 1e-12);
+        assert!((s.std - (32.0f64 / 7.0).sqrt()).abs() < 1e-12);
+        assert_eq!(s.min, 2.0);
+        assert_eq!(s.max, 9.0);
+        assert!((s.cv() - s.std / 5.0).abs() < 1e-15);
+    }
+
+    #[test]
+    fn single_sample_has_zero_std() {
+        let s = Stats::sample(&[3.0]);
+        assert_eq!(s.std, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "empty series")]
+    fn empty_sample_panics() {
+        Stats::sample(&[]);
     }
 }

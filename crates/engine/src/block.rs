@@ -1,7 +1,16 @@
-//! Block-kernel telemetry shared by the engine's workloads.
+//! The engine's one block driver and its telemetry.
 //!
-//! Every 64-lane block evaluation the engine issues — sweep shards,
-//! MLV scans, Monte-Carlo arms — is counted here so operators can see
+//! Sweeps and both MLV scans run through `par_blocks`: it tiles a
+//! workload's index range into blocks of `resolve_lanes(lanes)`
+//! patterns, one work item per block, and runs each block on the
+//! kernel its width calls for — the packed word-parallel kernel for
+//! 64-lane blocks, the per-lane scalar kernel for 1-lane blocks (which
+//! keeps per-pattern parallelism). The `lanes` knob therefore picks the
+//! kernel, never the code path or the result: both kernels produce
+//! bit-identical lane totals, and callers consume them in index order.
+//! Monte-Carlo dies tile the same way inside `nanoleak-variation`.
+//!
+//! Every packed block evaluation is counted here so operators can see
 //! how much of the load runs word-parallel, how much lane capacity
 //! tail blocks waste, and how long the packed kernel takes. The
 //! counters live in [`nanoleak_obs::global()`] and therefore surface
@@ -11,9 +20,13 @@
 
 use std::time::Instant;
 
+use nanoleak_core::exec::par_map_with;
 use nanoleak_core::{
-    BlockScratch, CompiledEstimator, EstimateError, EstimatorMode, PatternBlock, LANES,
+    resolve_lanes, BlockScratch, CompiledEstimator, EstimateError, EstimatorMode, PatternBlock,
+    LANES,
 };
+use nanoleak_device::LeakageBreakdown;
+use nanoleak_netlist::Pattern;
 
 /// Process-wide block-kernel telemetry.
 pub struct BlockMetrics {
@@ -45,43 +58,25 @@ pub fn block_metrics() -> &'static BlockMetrics {
     })
 }
 
-/// Evaluates the seed-derived index range `start .. start + count`
-/// (at most [`LANES`] patterns) through the packed block kernel,
-/// recording the block counters and kernel latency. Totals land in
-/// `scratch.totals()` in lane = index order, bit-identical to the
-/// scalar `estimate_index_into` stream.
+/// Evaluates one block on the kernel the tiling width calls for:
+/// `lanes` is the resolved width ([`resolve_lanes`]). A [`LANES`]-wide
+/// tiling runs the packed kernel — a partial tail block included —
+/// and records the block counters and kernel latency; a 1-lane tiling
+/// runs the per-lane scalar kernel and records nothing. Totals land in
+/// `scratch.totals()` in lane order either way, bit-identical.
 ///
 /// # Errors
 /// Forwards the kernel's [`EstimateError`].
-pub fn eval_block_timed(
-    plan: &CompiledEstimator<'_>,
-    scratch: &mut BlockScratch,
-    seed: u64,
-    start: usize,
-    count: usize,
-    mode: EstimatorMode,
-) -> Result<(), EstimateError> {
-    let t = Instant::now();
-    plan.estimate_index_block_into(scratch, seed, start, count, mode)?;
-    let m = block_metrics();
-    m.kernel_seconds.record_duration(t.elapsed());
-    m.blocks.inc();
-    m.tail_lane_waste.add((LANES - count) as u64);
-    Ok(())
-}
-
-/// Like [`eval_block_timed`] for a caller-packed [`PatternBlock`]
-/// (the MLV exhaustive scan packs bit-encoded assignments rather than
-/// seed-derived streams).
-///
-/// # Errors
-/// Forwards the kernel's [`EstimateError`].
-pub fn eval_packed_block_timed(
+fn eval_block_timed(
     plan: &CompiledEstimator<'_>,
     scratch: &mut BlockScratch,
     block: &PatternBlock,
+    lanes: usize,
     mode: EstimatorMode,
 ) -> Result<(), EstimateError> {
+    if lanes == 1 {
+        return plan.estimate_block_scalar_into(scratch, block, mode);
+    }
     let t = Instant::now();
     plan.estimate_block_into(scratch, block, mode)?;
     let m = block_metrics();
@@ -91,8 +86,45 @@ pub fn eval_packed_block_timed(
     Ok(())
 }
 
+/// The engine's block driver: tiles `0..n` into blocks of
+/// `resolve_lanes(lanes)` indexes (only the last can be partial) and
+/// maps them over `threads` workers, one work item per block. For
+/// each block, `pack(block, pattern, start, count)` packs indexes
+/// `start..start + count` (with `pattern` as the per-lane buffer),
+/// [`eval_block_timed`] evaluates it, and `reduce(start, totals)`
+/// turns the lane totals into the block's output. Each worker keeps
+/// one set of buffers, so the per-block loop never allocates beyond
+/// what `reduce` does.
+///
+/// Outputs return in block order, so any fold over them runs in index
+/// order and the result is the same for any `threads` or `lanes`.
+///
+/// # Errors
+/// The first block's [`EstimateError`], in block order.
+pub(crate) fn par_blocks<T: Send>(
+    plan: &CompiledEstimator<'_>,
+    lanes: usize,
+    threads: usize,
+    n: usize,
+    mode: EstimatorMode,
+    pack: impl Fn(&mut PatternBlock, &mut Pattern, usize, usize) + Sync,
+    reduce: impl Fn(usize, &[LeakageBreakdown]) -> T + Sync,
+) -> Result<Vec<T>, EstimateError> {
+    let lanes = resolve_lanes(lanes);
+    let init =
+        || (plan.block_scratch(), PatternBlock::for_circuit(plan.circuit()), Pattern::default());
+    par_map_with(n.div_ceil(lanes), threads, init, |(scratch, block, pattern), b| {
+        let start = b * lanes;
+        pack(block, pattern, start, lanes.min(n - start));
+        eval_block_timed(plan, scratch, block, lanes, mode)?;
+        Ok(reduce(start, scratch.totals()))
+    })
+    .into_iter()
+    .collect()
+}
+
 /// Records `blocks` block evaluations and `tail_lane_waste` unused
-/// tail lanes that happened outside [`eval_block_timed`] — the
+/// tail lanes that happened outside the engine's block driver — the
 /// Monte-Carlo path accounts for its per-die arms arithmetically so
 /// `nanoleak-variation` stays free of observability dependencies.
 pub fn record_external_blocks(blocks: u64, tail_lane_waste: u64) {

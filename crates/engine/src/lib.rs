@@ -74,7 +74,6 @@ pub mod cache;
 pub mod mc;
 pub mod mlv;
 pub mod plan_cache;
-pub mod stats;
 pub mod sweep;
 
 use std::fmt;
@@ -82,7 +81,7 @@ use std::fmt;
 use nanoleak_core::EstimateError;
 use nanoleak_solver::SolverError;
 
-pub use block::{block_metrics, eval_block_timed, BlockMetrics};
+pub use block::{block_metrics, BlockMetrics};
 pub use cache::{
     CacheOutcome, DeltaLibraryProvider, LibraryCache, MemoCacheStats, MemoLibraryCache,
     CACHE_FORMAT_VERSION, MAX_RESIDENT_LIBRARIES,
@@ -90,7 +89,6 @@ pub use cache::{
 pub use mc::{mc_streaming_mode, McMode, McReport, McShard, McTelemetry, DEFAULT_DEVIATION_PROBE};
 pub use mlv::{mlv_search, MlvConfig, MlvGoal, MlvResult, MlvStrategy, MlvTelemetry};
 pub use plan_cache::{shared_plan, MAX_RESIDENT_PLANS};
-pub use stats::ScalarStats;
 pub use sweep::{
     pattern_for_index, shard_count, sweep, sweep_streaming, ExtremeVector, SweepConfig,
     SweepMerger, SweepReport, SweepShard, SweepStats, SweepTelemetry,

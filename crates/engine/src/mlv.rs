@@ -13,6 +13,14 @@
 //!   parallel restarts; near-exact in practice at a tiny fraction of
 //!   the exhaustive cost.
 //!
+//! The two scans (exhaustive and random) score candidates through the
+//! engine's one block driver ([`par_blocks`](crate::block)), in blocks
+//! of `resolve_lanes(lanes)` candidates: [`MlvConfig::lanes`] picks
+//! the kernel — 64-candidate blocks on the packed word-parallel
+//! kernel, 1-candidate blocks on the per-lane scalar kernel — never the
+//! scan or its winner. Hill climbing scores one flip at a time on the
+//! scalar kernel.
+//!
 //! All strategies are deterministic for a given seed regardless of the
 //! thread count: candidates are scored in a fixed order and ties
 //! resolve to the earliest candidate.
@@ -21,12 +29,12 @@ use std::time::Instant;
 
 use nanoleak_cells::CellLibrary;
 use nanoleak_core::{
-    resolve_lanes, CircuitLeakage, CompiledEstimator, EstimateError, EstimateScratch,
-    EstimatorMode, PatternBlock, LANES,
+    pack_index_block, resolve_lanes, CircuitLeakage, CompiledEstimator, EstimateScratch,
+    EstimatorMode, PatternBlock,
 };
 use nanoleak_netlist::{Circuit, Pattern};
 
-use crate::block::{eval_block_timed, eval_packed_block_timed};
+use crate::block::par_blocks;
 use crate::sweep::pattern_for_index;
 use crate::EngineError;
 use nanoleak_core::exec::{par_map_with, resolve_threads};
@@ -105,12 +113,13 @@ pub struct MlvConfig {
     pub threads: usize,
     /// Estimator mode used to score candidates.
     pub mode: EstimatorMode,
-    /// Evaluation lanes: `0` (auto) and [`LANES`] score exhaustive /
-    /// random candidates through the 64-way block kernel; `1` forces
-    /// the scalar path. The winner is identical either way (per-block
-    /// earliest-best folds in block order reproduce the scalar
-    /// earliest-wins scan). Hill climbing always scores scalar — its
-    /// candidates are sequentially dependent.
+    /// Evaluation lanes: `0` (auto) and
+    /// [`LANES`](nanoleak_core::LANES) score exhaustive / random
+    /// candidates in 64-candidate blocks on the word-parallel kernel;
+    /// `1` in 1-candidate blocks on the per-lane scalar kernel. The
+    /// scan and the winner are the same either way. Hill climbing
+    /// always scores scalar — its candidates are sequentially
+    /// dependent.
     pub lanes: usize,
 }
 
@@ -156,13 +165,6 @@ pub struct MlvResult {
     pub telemetry: MlvTelemetry,
 }
 
-/// One scored candidate flowing through a search.
-#[derive(Debug, Clone)]
-struct Candidate {
-    pattern: Pattern,
-    objective: f64,
-}
-
 /// Refills `pattern` with the assignment encoded by the low `bits` of
 /// `index`: primary inputs first (bit 0 = first input), then DFF state
 /// bits. Allocation-free once the buffers are warm.
@@ -181,91 +183,33 @@ fn pattern_from_bits(circuit: &Circuit, index: u64) -> Pattern {
     p
 }
 
-/// Folds candidates in iteration order; ties keep the earliest, so
-/// the winner is deterministic for any thread count.
-fn pick_best(goal: MlvGoal, candidates: impl IntoIterator<Item = Candidate>) -> Option<Candidate> {
-    let mut best: Option<Candidate> = None;
-    for c in candidates {
-        match &best {
-            Some(b) if !goal.improves(c.objective, b.objective) => {}
-            _ => best = Some(c),
-        }
-    }
-    best
+/// Folds `(candidate, objective)` pairs in iteration order; ties keep
+/// the earliest, so the winner is deterministic for any thread count.
+fn earliest_best<C>(goal: MlvGoal, scored: impl IntoIterator<Item = (C, f64)>) -> Option<(C, f64)> {
+    scored.into_iter().reduce(|best, c| if goal.improves(c.1, best.1) { c } else { best })
 }
 
-/// Scores `n` candidates in parallel (per-worker scratch state, no
-/// per-candidate allocations) and picks the winning `(index,
-/// objective)`. Objectives are materialized in index order and the
-/// fold keeps the earliest on ties, so the winner is deterministic
-/// for any thread count — the winning *pattern* is regenerated from
-/// its index by the caller.
-fn scored_scan<S>(
-    goal: MlvGoal,
+/// Scores the candidates `0..n` through the engine's block driver
+/// ([`par_blocks`]) and picks the winning `(index, objective)`.
+/// `pack` fills a block with candidates `start..start + count`; each
+/// block reduces to its earliest-best candidate and the block winners
+/// fold in block order by the same rule. Two-level earliest-wins over
+/// an ordered tiling picks exactly the candidate a flat scan picks, so
+/// the winner is the same for any thread count and `lanes` setting —
+/// the winning *pattern* is regenerated from its index by the caller.
+fn scan_for_best(
+    plan: &CompiledEstimator<'_>,
+    config: &MlvConfig,
     threads: usize,
     n: usize,
-    init: impl Fn() -> S + Sync,
-    score_at: impl Fn(&mut S, usize) -> Result<f64, EstimateError> + Sync,
+    pack: impl Fn(&mut PatternBlock, &mut Pattern, usize, usize) + Sync,
 ) -> Result<(usize, f64), EngineError> {
-    let scored: Vec<Result<f64, EstimateError>> = par_map_with(n, threads, init, score_at);
-    let mut best: Option<(usize, f64)> = None;
-    for (i, r) in scored.into_iter().enumerate() {
-        let objective = r?;
-        match best {
-            Some((_, b)) if !goal.improves(objective, b) => {}
-            _ => best = Some((i, objective)),
-        }
-    }
-    Ok(best.expect("scored_scan evaluates at least one candidate"))
-}
-
-/// Earliest-best candidate of one scored block: `totals[j]` holds the
-/// objective breakdown of global candidate `start + j`, and ties keep
-/// the lowest index — the same rule [`scored_scan`] applies.
-fn block_best(
-    goal: MlvGoal,
-    start: usize,
-    totals: &[nanoleak_device::LeakageBreakdown],
-) -> (usize, f64) {
-    let mut best = (start, totals[0].total());
-    for (j, t) in totals.iter().enumerate().skip(1) {
-        let objective = t.total();
-        if goal.improves(objective, best.1) {
-            best = (start + j, objective);
-        }
-    }
-    best
-}
-
-/// Block-kernel counterpart of [`scored_scan`]: the candidate space
-/// tiles into [`LANES`]-sized blocks (only the last can be partial),
-/// `score_block` reduces each to its earliest-best `(index,
-/// objective)` (via [`block_best`]), and the per-block winners fold
-/// in block order with the same earliest-wins rule. Two-level
-/// earliest-wins over an ordered tiling picks exactly the candidate
-/// the flat scalar scan picks, for any thread count.
-fn scored_scan_block<S>(
-    goal: MlvGoal,
-    threads: usize,
-    n: usize,
-    init: impl Fn() -> S + Sync,
-    score_block: impl Fn(&mut S, usize, usize) -> Result<(usize, f64), EstimateError> + Sync,
-) -> Result<(usize, f64), EngineError> {
-    let blocks = n.div_ceil(LANES);
-    let per_block: Vec<Result<(usize, f64), EstimateError>> =
-        par_map_with(blocks, threads, init, |s, b| {
-            let start = b * LANES;
-            score_block(s, start, LANES.min(n - start))
-        });
-    let mut best: Option<(usize, f64)> = None;
-    for r in per_block {
-        let (index, objective) = r?;
-        match best {
-            Some((_, b)) if !goal.improves(objective, b) => {}
-            _ => best = Some((index, objective)),
-        }
-    }
-    Ok(best.expect("scored_scan_block evaluates at least one candidate"))
+    let winners =
+        par_blocks(plan, config.lanes, threads, n, config.mode, pack, |start, totals| {
+            let scored = totals.iter().enumerate().map(|(j, t)| (start + j, t.total()));
+            earliest_best(config.goal, scored).expect("blocks are never empty")
+        })?;
+    Ok(earliest_best(config.goal, winners).expect("scan_for_best evaluates at least one candidate"))
 }
 
 /// Searches for the extreme-leakage input vector of `circuit`.
@@ -294,88 +238,41 @@ pub fn mlv_search(
     // per-worker scratches.
     let shared = crate::plan_cache::shared_plan(circuit, library)?;
     let plan = shared.plan();
-    // Block scanning serves the two flat strategies; hill climbing is
+    // The two flat strategies scan in blocks; hill climbing is
     // sequentially dependent and always scores scalar.
-    let block_scan = resolve_lanes(config.lanes) != 1
-        && !matches!(config.strategy, MlvStrategy::HillClimb { .. });
-    if block_scan && config.mode == EstimatorMode::Lut {
+    if resolve_lanes(config.lanes) != 1
+        && !matches!(config.strategy, MlvStrategy::HillClimb { .. })
+        && config.mode == EstimatorMode::Lut
+    {
         // Charge the response-table build to the search setup, not
         // the first scored block (cached on the shared plan).
         plan.prepare_block();
     }
 
-    let (best, evaluations, improving_moves, restarts) = match config.strategy {
+    let ((pattern, objective), evaluations, improving_moves, restarts) = match config.strategy {
         MlvStrategy::Exhaustive => {
             let n = 1usize << bits;
-            let (index, objective) = if block_scan {
-                scored_scan_block(
-                    config.goal,
-                    threads,
-                    n,
-                    || {
-                        (
-                            plan.block_scratch(),
-                            PatternBlock::for_circuit(circuit),
-                            Pattern::default(),
-                        )
-                    },
-                    |(scratch, block, pattern), start, count| {
-                        block.clear();
-                        for j in 0..count {
-                            fill_pattern_from_bits(circuit, (start + j) as u64, pattern);
-                            block.push(pattern);
-                        }
-                        eval_packed_block_timed(plan, scratch, block, config.mode)?;
-                        Ok(block_best(config.goal, start, scratch.totals()))
-                    },
-                )?
-            } else {
-                scored_scan(
-                    config.goal,
-                    threads,
-                    n,
-                    || (plan.scratch(), Pattern::default()),
-                    |(scratch, pattern), i| {
+            let (index, objective) =
+                scan_for_best(plan, config, threads, n, |block, pattern, start, count| {
+                    block.clear();
+                    for i in start..start + count {
                         fill_pattern_from_bits(circuit, i as u64, pattern);
-                        plan.estimate_into(scratch, pattern, config.mode).map(|b| b.total())
-                    },
-                )?
-            };
-            let best = Candidate { pattern: pattern_from_bits(circuit, index as u64), objective };
-            (best, n as u64, 0, 1)
+                        block.push(pattern);
+                    }
+                })?;
+            ((pattern_from_bits(circuit, index as u64), objective), n as u64, 0, 1)
         }
         MlvStrategy::Random { samples } => {
             assert!(samples > 0, "random MLV search needs at least one sample");
-            let (index, objective) = if block_scan {
-                scored_scan_block(
-                    config.goal,
-                    threads,
-                    samples,
-                    || plan.block_scratch(),
-                    |scratch, start, count| {
-                        eval_block_timed(plan, scratch, config.seed, start, count, config.mode)?;
-                        Ok(block_best(config.goal, start, scratch.totals()))
-                    },
-                )?
-            } else {
-                scored_scan(
-                    config.goal,
-                    threads,
-                    samples,
-                    || plan.scratch(),
-                    |scratch, i| {
-                        plan.estimate_index_into(scratch, config.seed, i, config.mode)
-                            .map(|b| b.total())
-                    },
-                )?
-            };
-            let best =
-                Candidate { pattern: pattern_for_index(circuit, config.seed, index), objective };
-            (best, samples as u64, 0, 1)
+            let (index, objective) =
+                scan_for_best(plan, config, threads, samples, |block, pattern, start, count| {
+                    pack_index_block(circuit, config.seed, start, count, pattern, block);
+                })?;
+            ((pattern_for_index(circuit, config.seed, index), objective), samples as u64, 0, 1)
         }
         MlvStrategy::HillClimb { restarts, max_steps } => {
             assert!(restarts > 0, "hill climb needs at least one restart");
-            type ClimbOutcome = Result<(Candidate, u64, u64), EngineError>;
+            type ClimbOutcome = Result<((Pattern, f64), u64, u64), EngineError>;
             let climbs: Vec<ClimbOutcome> = par_map_with(
                 restarts,
                 threads,
@@ -390,17 +287,17 @@ pub fn mlv_search(
                 moves += m;
                 merged.push(cand);
             }
-            let best =
-                pick_best(config.goal, merged).expect("at least one restart produced a candidate");
+            let best = earliest_best(config.goal, merged)
+                .expect("at least one restart produced a candidate");
             (best, evals, moves, restarts)
         }
     };
 
     let mut scratch = plan.scratch();
-    let leakage = plan.estimate_report(&mut scratch, &best.pattern, config.mode)?;
+    let leakage = plan.estimate_report(&mut scratch, &pattern, config.mode)?;
     Ok(MlvResult {
-        pattern: best.pattern,
-        objective: best.objective,
+        pattern,
+        objective,
         leakage,
         telemetry: MlvTelemetry {
             strategy: config.strategy.name(),
@@ -422,7 +319,7 @@ fn climb(
     config: &MlvConfig,
     restart: usize,
     max_steps: usize,
-) -> Result<(Candidate, u64, u64), EngineError> {
+) -> Result<((Pattern, f64), u64, u64), EngineError> {
     // Restart streams reuse the sweep's per-index derivation, offset
     // so hill-climb starts differ from sweep/random sample patterns.
     let mut current = pattern_for_index(plan.circuit(), config.seed ^ 0x4d4c56, restart);
@@ -456,7 +353,7 @@ fn climb(
             None => break,
         }
     }
-    Ok((Candidate { pattern: current, objective }, evaluations, moves))
+    Ok(((current, objective), evaluations, moves))
 }
 
 /// Flips one bit of `pattern` (primary inputs first, then DFF states)

@@ -7,6 +7,13 @@
 //! sequentially over that order — so a sweep's output is bit-identical
 //! for any thread count.
 //!
+//! Every shard runs through the engine's one block driver
+//! ([`par_blocks`](crate::block)): its index range tiles into blocks of
+//! `resolve_lanes(lanes)` patterns, one work item per block, and
+//! [`SweepConfig::lanes`] picks the kernel — 64-pattern blocks on the
+//! packed word-parallel kernel, 1-pattern blocks on the per-lane
+//! scalar kernel — never the path or the statistics.
+//!
 //! Large sweeps stream: [`sweep_streaming`] executes the pattern space
 //! in contiguous index-order shards, yielding a [`SweepShard`] partial
 //! (its own [`SweepStats`] over the shard) after each one, and merges
@@ -19,15 +26,16 @@
 use std::time::Instant;
 
 use nanoleak_cells::CellLibrary;
-use nanoleak_core::{resolve_lanes, CompiledEstimator, EstimateError, EstimatorMode, LANES};
+use nanoleak_core::{
+    pack_index_block, resolve_lanes, CompiledEstimator, EstimateError, EstimatorMode, Stats,
+};
 use nanoleak_device::LeakageBreakdown;
 use nanoleak_netlist::{Circuit, Pattern};
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-use crate::block::eval_block_timed;
-use crate::stats::ScalarStats;
-use nanoleak_core::exec::{mix, par_map_with, resolve_threads};
+use crate::block::par_blocks;
+use nanoleak_core::exec::{mix, worker_count};
 
 /// Process-wide sweep telemetry (latency histograms only — never on
 /// the per-pattern path, which stays zero-allocation).
@@ -65,10 +73,12 @@ pub struct SweepConfig {
     pub threads: usize,
     /// Estimator mode for every pattern.
     pub mode: EstimatorMode,
-    /// Evaluation lanes: `0` (auto) and [`LANES`] run the 64-way
-    /// word-parallel block kernel; `1` forces the scalar path. Both
-    /// produce bit-identical statistics — this is a throughput knob,
-    /// never a results knob.
+    /// Evaluation lanes: `0` (auto) and
+    /// [`LANES`](nanoleak_core::LANES) tile the sweep into 64-pattern
+    /// blocks on the word-parallel kernel; `1` into 1-pattern blocks
+    /// on the per-lane scalar kernel. The driver is the same and the
+    /// statistics are bit-identical — this is a throughput knob, never
+    /// a results knob.
     pub lanes: usize,
 }
 
@@ -108,13 +118,13 @@ pub struct SweepStats {
     /// Number of patterns evaluated.
     pub vectors: usize,
     /// Statistics of total leakage \[A\].
-    pub total: ScalarStats,
+    pub total: Stats,
     /// Statistics of the subthreshold component \[A\].
-    pub sub: ScalarStats,
+    pub sub: Stats,
     /// Statistics of the gate-tunneling component \[A\].
-    pub gate: ScalarStats,
+    pub gate: Stats,
     /// Statistics of the junction BTBT component \[A\].
-    pub btbt: ScalarStats,
+    pub btbt: Stats,
     /// The lowest-leakage pattern seen (first index on ties).
     pub min: ExtremeVector,
     /// The highest-leakage pattern seen (first index on ties).
@@ -126,7 +136,8 @@ pub struct SweepStats {
 /// stats alone).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SweepTelemetry {
-    /// Worker threads actually used.
+    /// Worker threads the sweep spawned for its largest shard
+    /// (`exec::worker_count` over that shard's blocks).
     pub threads: usize,
     /// Wall-clock duration of the sweep.
     pub elapsed: std::time::Duration,
@@ -179,26 +190,24 @@ fn reduce_stats(
 
     SweepStats {
         vectors: totals.len(),
-        total: ScalarStats::of(&total_series),
-        sub: ScalarStats::of(&series(|b| b.sub)),
-        gate: ScalarStats::of(&series(|b| b.gate)),
-        btbt: ScalarStats::of(&series(|b| b.btbt)),
+        total: Stats::population(&total_series),
+        sub: Stats::population(&series(|b| b.sub)),
+        gate: Stats::population(&series(|b| b.gate)),
+        btbt: Stats::population(&series(|b| b.btbt)),
         min: extreme(true),
         max: extreme(false),
     }
 }
 
-/// Estimates the contiguous index range `start .. start + len` in
-/// parallel on the compiled plan, returning per-pattern totals in
-/// index order.
+/// Estimates the contiguous index range `start .. start + len` on the
+/// compiled plan through the engine's block driver
+/// ([`par_blocks`]) on `threads` requested workers, returning
+/// per-pattern totals in index order.
 ///
-/// With `lanes == 1` every pattern is estimated scalar; otherwise the
-/// range tiles into [`LANES`]-pattern blocks evaluated through the
-/// word-parallel kernel (only the final block can be partial). Each
-/// worker keeps one scratch across its share, and the per-pattern /
-/// per-block loops never touch the allocator — per-block results copy
-/// out once so the index-ordered series can concatenate. Both paths
-/// yield bit-identical totals.
+/// `config.lanes` picks the block width and with it the kernel: the
+/// range tiles into 64-pattern blocks on the word-parallel kernel, or
+/// 1-pattern blocks on the per-lane scalar kernel. Either way the
+/// totals are bit-identical.
 fn estimate_chunk(
     plan: &CompiledEstimator<'_>,
     config: &SweepConfig,
@@ -206,36 +215,14 @@ fn estimate_chunk(
     start: usize,
     len: usize,
 ) -> Result<Vec<LeakageBreakdown>, EstimateError> {
-    if resolve_lanes(config.lanes) == 1 {
-        let per_pattern: Vec<Result<LeakageBreakdown, EstimateError>> = par_map_with(
-            len,
-            threads,
-            || plan.scratch(),
-            |scratch, i| plan.estimate_index_into(scratch, config.seed, start + i, config.mode),
-        );
-        let mut totals = Vec::with_capacity(len);
-        for r in per_pattern {
-            totals.push(r?);
-        }
-        return Ok(totals);
-    }
-    let blocks = len.div_ceil(LANES);
-    let per_block: Vec<Result<Vec<LeakageBreakdown>, EstimateError>> = par_map_with(
-        blocks,
-        threads,
-        || plan.block_scratch(),
-        |scratch, b| {
-            let off = b * LANES;
-            let n = LANES.min(len - off);
-            eval_block_timed(plan, scratch, config.seed, start + off, n, config.mode)?;
-            Ok(scratch.totals().to_vec())
-        },
-    );
-    let mut totals = Vec::with_capacity(len);
-    for r in per_block {
-        totals.extend(r?);
-    }
-    Ok(totals)
+    let pack = |block: &mut _, pattern: &mut _, off: usize, count| {
+        pack_index_block(plan.circuit(), config.seed, start + off, count, pattern, block);
+    };
+    let per_block =
+        par_blocks(plan, config.lanes, threads, len, config.mode, pack, |_, totals| {
+            totals.to_vec()
+        })?;
+    Ok(per_block.concat())
 }
 
 /// One completed shard of a streaming sweep, yielded to the
@@ -351,11 +338,12 @@ pub fn sweep_streaming(
     mut on_shard: impl FnMut(&SweepShard) -> bool,
 ) -> Result<Option<SweepReport>, EstimateError> {
     assert!(config.vectors > 0, "sweep needs at least one vector");
-    // Clamp exactly like par_map will, so the telemetry reports the
-    // worker count actually used, not just the resolved request.
-    let threads = resolve_threads(config.threads).min(config.vectors);
     let shards_total = shard_count(config.vectors, shard_vectors);
     let shard_size = if shard_vectors == 0 { config.vectors } else { shard_vectors };
+    let lanes = resolve_lanes(config.lanes);
+    // One work item per block: the largest shard's block count decides
+    // how many workers the driver spawns.
+    let threads = worker_count(shard_size.min(config.vectors).div_ceil(lanes), config.threads);
     let start_time = Instant::now();
 
     // One plan per sweep, shared process-wide via the structural
@@ -369,7 +357,7 @@ pub fn sweep_streaming(
         // charged to the compile span, not the first shard (they are
         // cached on the shared plan, so isomorphic re-sweeps skip
         // this too). Only the Lut block path reads them.
-        if resolve_lanes(config.lanes) != 1 && config.mode == EstimatorMode::Lut {
+        if lanes != 1 && config.mode == EstimatorMode::Lut {
             shared.plan().prepare_block();
         }
         sweep_metrics().compile_seconds.record_duration(compile_start.elapsed());
@@ -401,7 +389,7 @@ pub fn sweep_streaming(
         let shard_start = Instant::now();
         let totals = {
             let _span = nanoleak_obs::span!("estimate", shard = shard, vectors = len);
-            estimate_chunk(plan, config, threads, start, len)?
+            estimate_chunk(plan, config, config.threads, start, len)?
         };
         sweep_metrics().shard_seconds.record_duration(shard_start.elapsed());
         let partial = {
@@ -610,6 +598,25 @@ mod tests {
         assert_eq!(merger.vectors(), 6);
         let merged = merger.finish(&circuit, 12).unwrap();
         assert_eq!(merged, mono.stats, "empty shards do not perturb the merge");
+    }
+
+    /// The reported worker count is what the block driver spawned for
+    /// the largest shard: one work item per `lanes`-pattern block.
+    #[test]
+    fn telemetry_reports_the_workers_the_driver_spawned() {
+        let circuit = small_circuit();
+        let lib = library();
+        let base = SweepConfig { vectors: 100, seed: 5, threads: 8, ..Default::default() };
+        for (lanes, shard_vectors, workers) in [(64, 0, 2), (1, 0, 8), (64, 33, 1), (1, 33, 7)] {
+            let cfg = SweepConfig { lanes, ..base };
+            let report = sweep_streaming(&circuit, &lib, &cfg, shard_vectors, |_| true)
+                .unwrap()
+                .expect("not cancelled");
+            assert_eq!(
+                report.telemetry.threads, workers,
+                "lanes = {lanes}, shard_vectors = {shard_vectors}"
+            );
+        }
     }
 
     #[test]

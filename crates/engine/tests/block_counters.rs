@@ -1,0 +1,133 @@
+//! Every workload's block counters count the packed blocks that ran.
+//!
+//! `nanoleak_block_blocks_total` and `nanoleak_block_tail_lane_waste_total`
+//! are process-global, so this binary holds a single test: no other
+//! test may evaluate blocks between a reading and the next.
+
+use nanoleak_cells::{CellLibrary, CellType};
+use nanoleak_core::LANES;
+use nanoleak_device::Technology;
+use nanoleak_engine::{
+    block_metrics, mc_streaming_mode, mlv_search, sweep_streaming, McMode, MemoLibraryCache,
+    MlvConfig, MlvStrategy, SweepConfig, DEFAULT_DEVIATION_PROBE,
+};
+use nanoleak_netlist::{Circuit, CircuitBuilder};
+use nanoleak_variation::{char_opts_for, CircuitMcConfig, TABLE_AMORTIZE_VECTORS};
+
+fn inverter_chain() -> Circuit {
+    let mut b = CircuitBuilder::new("counter-chain");
+    let a = b.add_input("a");
+    let m = b.add_gate(CellType::Inv, &[a], "m");
+    let y = b.add_gate(CellType::Inv, &[m], "y");
+    b.mark_output(y);
+    b.build().unwrap()
+}
+
+/// The `(blocks, tail lane waste)` the counters gained while `run` ran.
+fn counted(run: impl FnOnce()) -> (u64, u64) {
+    let metrics = block_metrics();
+    let before = (metrics.blocks.get(), metrics.tail_lane_waste.get());
+    run();
+    (metrics.blocks.get() - before.0, metrics.tail_lane_waste.get() - before.1)
+}
+
+/// `(blocks, tail lane waste)` of `n` patterns tiled into 64-lane
+/// blocks: `ceil(n / 64)` blocks, the last one wasting its empty lanes.
+fn packed(n: usize) -> (u64, u64) {
+    let blocks = n.div_ceil(LANES);
+    (blocks as u64, (blocks * LANES - n) as u64)
+}
+
+/// Sweeps and the MLV scans count `ceil(n / 64)` packed blocks plus
+/// their tail waste (a sharded sweep tiles each shard on its own);
+/// hill climbing and `lanes: 1` run the per-lane scalar kernel and
+/// count nothing. Every Monte-Carlo die evaluated — the timed samples
+/// plus, in fast mode, the deviation probe's exact re-runs — runs its
+/// unloaded arm as packed blocks, and its loaded arm too once the
+/// volume pays for the response tables. Each packed arm's partial tail
+/// block wastes its empty lanes.
+#[test]
+fn every_workload_counts_the_packed_blocks_it_ran() {
+    let circuit = inverter_chain();
+    let tech = Technology::d25();
+    let lib = CellLibrary::shared_with_options(&tech, 300.0, &char_opts_for(&circuit, true));
+
+    // 100 vectors = one full block plus a 36-lane tail; in shards of 33
+    // each of the three full shards is one 33-lane block and the last
+    // shard one 1-lane block.
+    let (b33, w33) = packed(33);
+    let (b1, w1) = packed(1);
+    for (shard_vectors, blocks) in [(0, packed(100)), (33, (3 * b33 + b1, 3 * w33 + w1))] {
+        for (lanes, expected) in [(0, blocks), (LANES, blocks), (1, (0, 0))] {
+            let config =
+                SweepConfig { vectors: 100, seed: 3, threads: 1, lanes, ..Default::default() };
+            let ran = counted(|| {
+                sweep_streaming(&circuit, &lib, &config, shard_vectors, |_| true)
+                    .unwrap()
+                    .expect("not cancelled");
+            });
+            assert_eq!(ran, expected, "sweep: shard_vectors = {shard_vectors}, lanes = {lanes}");
+        }
+    }
+
+    // The chain has one input bit, so exhaustive search scores 2
+    // candidates: one block wasting 62 lanes.
+    let scans = [
+        (MlvStrategy::Random { samples: 100 }, packed(100)),
+        (MlvStrategy::Exhaustive, packed(2)),
+        (MlvStrategy::HillClimb { restarts: 2, max_steps: 4 }, (0, 0)),
+    ];
+    for (strategy, blocks) in scans {
+        for (lanes, expected) in [(0, blocks), (LANES, blocks), (1, (0, 0))] {
+            let config = MlvConfig { strategy, threads: 1, lanes, ..Default::default() };
+            let ran = counted(|| {
+                mlv_search(&circuit, &lib, &config).unwrap();
+            });
+            assert_eq!(ran, expected, "mlv: {}, lanes = {lanes}", strategy.name());
+        }
+    }
+
+    // More samples than the probe re-runs, so the probe's dies are not
+    // a copy of the timed ones.
+    let samples = DEFAULT_DEVIATION_PROBE + 1;
+    // 100 = one full block plus a 36-lane tail, below the table
+    // threshold; the threshold plus one ends on a one-lane tail.
+    for vectors in [100, TABLE_AMORTIZE_VECTORS + 1] {
+        for mode in [McMode::Exact, McMode::fast()] {
+            for lanes in [0, 1] {
+                let config = CircuitMcConfig {
+                    samples,
+                    seed: 3,
+                    vectors,
+                    threads: 1,
+                    char_opts: char_opts_for(&circuit, true),
+                    lanes,
+                    ..Default::default()
+                };
+                let dies = match mode {
+                    McMode::Exact => samples,
+                    McMode::Fast => samples + DEFAULT_DEVIATION_PROBE.min(samples),
+                };
+                let arms = if vectors >= TABLE_AMORTIZE_VECTORS { 2 } else { 1 };
+                let (blocks, waste) = if lanes == 1 { (0, 0) } else { packed(vectors) };
+
+                let cache = MemoLibraryCache::memory_only();
+                let (ran_blocks, ran_waste) = counted(|| {
+                    mc_streaming_mode(&circuit, &tech, &cache, &config, mode, 2, |_| true)
+                        .unwrap()
+                        .expect("not cancelled");
+                });
+                assert_eq!(
+                    ran_blocks,
+                    dies as u64 * arms * blocks,
+                    "blocks: vectors = {vectors}, {mode:?}, lanes = {lanes}"
+                );
+                assert_eq!(
+                    ran_waste,
+                    dies as u64 * arms * waste,
+                    "tail lane waste: vectors = {vectors}, {mode:?}, lanes = {lanes}"
+                );
+            }
+        }
+    }
+}

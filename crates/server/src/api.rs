@@ -477,6 +477,10 @@ pub struct SweepResponse {
     pub min_vector: String,
     /// Maximum-leakage vector, printable form.
     pub max_vector: String,
+    /// Worker threads the sweep spawned for its largest shard (one
+    /// work item per `lanes`-pattern block, so a 100-vector sweep in
+    /// 64-lane blocks runs on at most 2).
+    pub threads: usize,
     /// Server-side wall clock \[ms\].
     pub elapsed_ms: f64,
     /// Sweep throughput \[patterns/s\].
@@ -517,6 +521,7 @@ pub fn run_sweep_streaming(
         min_vector: fmt_pattern(&report.stats.min.pattern),
         max_vector: fmt_pattern(&report.stats.max.pattern),
         stats: report.stats,
+        threads: report.telemetry.threads,
         elapsed_ms: report.telemetry.elapsed.as_secs_f64() * 1e3,
         patterns_per_sec: report.telemetry.patterns_per_sec,
     })

@@ -15,6 +15,14 @@
 //! [`SensDeltaProvider`] derives each die from a nominal library's
 //! recorded sensitivities — the fast mode.
 //!
+//! Each die runs one block loop over the shared pattern set: the set
+//! tiles into blocks of `resolve_lanes(lanes)` patterns, each packed
+//! once and evaluated by both arms. [`CircuitMcConfig::lanes`] picks
+//! the kernel, never the loop or the result: 64-pattern blocks run the
+//! packed word-parallel kernel (the loaded arm only from
+//! [`TABLE_AMORTIZE_VECTORS`] on, the per-lane scalar kernel below),
+//! 1-pattern blocks the per-lane scalar kernel in both arms.
+//!
 //! ## Modeling scope
 //!
 //! The LUT estimator shares one characterized device pair across the
@@ -49,8 +57,8 @@ use nanoleak_cells::{
 };
 use nanoleak_core::exec::{mix, par_map_with};
 use nanoleak_core::{
-    resolve_lanes, BlockScratch, CompiledEstimator, EstimateError, EstimateScratch, EstimatorMode,
-    PatternBlock, LANES,
+    pack_index_block, resolve_lanes, BlockScratch, CompiledEstimator, EstimateError, EstimatorMode,
+    PatternBlock, Stats, LANES,
 };
 use nanoleak_device::{LeakageBreakdown, Technology};
 use nanoleak_netlist::{Circuit, Pattern};
@@ -60,7 +68,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::mc::{series_of, McSample, Series};
 use crate::sigmas::VariationSigmas;
-use crate::stats::{Histogram, Stats};
+use crate::stats::Histogram;
 
 /// Errors from the circuit-level Monte Carlo.
 #[derive(Debug, Clone, PartialEq)]
@@ -235,10 +243,11 @@ pub struct CircuitMcConfig {
     /// characterizing cells the circuit never instantiates is pure
     /// waste at one library per sample.
     pub char_opts: CharacterizeOptions,
-    /// Evaluation lanes: `0` (auto) and [`LANES`] pack each sample's
-    /// shared pattern set into 64-lane blocks (packed once, reused by
-    /// both arms); `1` forces the scalar per-pattern path. Never
-    /// changes a bit of the result.
+    /// Evaluation lanes: `0` (auto) and [`LANES`] tile each sample's
+    /// shared pattern set into 64-pattern blocks (packed once, reused
+    /// by both arms) on the word-parallel kernel; `1` into 1-pattern
+    /// blocks on the per-lane scalar kernel. The driver is the same
+    /// and never changes a bit of the result.
     pub lanes: usize,
 }
 
@@ -424,7 +433,7 @@ pub fn summarize(samples: &[McSample], bins: usize) -> McSummary {
         sub: crate::mc::stats_of(samples, Series::Sub, loaded),
         gate: crate::mc::stats_of(samples, Series::Gate, loaded),
         btbt: crate::mc::stats_of(samples, Series::Btbt, loaded),
-        total: Stats::of(totals),
+        total: Stats::sample(totals),
         histogram: Histogram::of(totals, 0.0, hi, bins),
     };
     let loaded = arm(true, &loaded_total);
@@ -470,8 +479,8 @@ impl CircuitMcConfig {
     /// 64-lane blocks one die runs through the word-parallel kernel,
     /// and the unused lanes of their tail blocks: the unloaded arm's
     /// blocks, plus the loaded arm's once it builds tables
-    /// ([`TABLE_AMORTIZE_VECTORS`]). `(0, 0)` on the scalar path
-    /// (`lanes == 1`).
+    /// ([`TABLE_AMORTIZE_VECTORS`]). `(0, 0)` for 1-lane blocks
+    /// (`lanes == 1`), which run the per-lane scalar kernel.
     pub fn packed_blocks_per_die(&self) -> (u64, u64) {
         if resolve_lanes(self.lanes) == 1 {
             return (0, 0);
@@ -487,7 +496,6 @@ impl CircuitMcConfig {
 /// serves each per-die plan allocation-free.
 #[derive(Debug, Default)]
 struct SampleScratch {
-    scalar: EstimateScratch,
     block: BlockScratch,
     pack: PatternBlock,
     pattern: Pattern,
@@ -496,75 +504,44 @@ struct SampleScratch {
 /// Evaluates one die's plan over the shared pattern set, returning the
 /// (loaded, unloaded) sums in pattern-index order.
 ///
-/// On the block path the loaded (Lut) arm runs the 64-lane kernel with
-/// response tables once the pattern volume amortizes them
-/// ([`TABLE_AMORTIZE_VECTORS`]) and the per-lane scalar kernel below
-/// that. Core guarantees both kernels agree bit-for-bit, so the rule
-/// never changes a result, only its cost.
+/// The set tiles into blocks of `resolve_lanes(lanes)` patterns, each
+/// packed once and reused by both arms, and each arm's sum adds its
+/// lane totals in index order. `lanes` picks the kernel: 64-lane
+/// blocks run the unloaded arm on the word-parallel kernel, and the
+/// loaded (Lut) arm too once the pattern volume amortizes its response
+/// tables ([`TABLE_AMORTIZE_VECTORS`]), the per-lane scalar kernel
+/// below that; 1-lane blocks run both arms on the per-lane scalar
+/// kernel. Core guarantees the kernels agree bit-for-bit, so neither
+/// `lanes` nor the volume rule ever changes a result, only its cost.
 fn evaluate_plan(
     plan: &CompiledEstimator,
     circuit: &Circuit,
     config: &CircuitMcConfig,
     scratch: &mut SampleScratch,
 ) -> Result<(LeakageBreakdown, LeakageBreakdown), McError> {
-    if resolve_lanes(config.lanes) == 1 {
-        // Sequential index-order mean over the shared pattern set;
-        // both arms run on the same plan (the unloaded arm simply
-        // skips the loading pass), so one characterization serves
-        // both.
-        let scalar = &mut scratch.scalar;
-        let mut arm = |mode: EstimatorMode| -> Result<LeakageBreakdown, McError> {
-            let mut sum = LeakageBreakdown::ZERO;
-            for k in 0..config.vectors {
-                sum += plan.estimate_index_into(scalar, config.pattern_seed, k, mode)?;
-            }
-            Ok(sum)
-        };
-        Ok((arm(EstimatorMode::Lut)?, arm(EstimatorMode::NoLoading)?))
-    } else {
-        // Block path: each 64-pattern chunk of the shared set is
-        // packed once and reused by both arms. The unloaded arm runs
-        // the word-parallel kernel (no tables needed). Each arm's sum
-        // adds its per-pattern values in index order, so both means
-        // are bit-identical to the scalar path's.
-        let tables = config.loaded_arm_tables();
-        let mut loaded = LeakageBreakdown::ZERO;
-        let mut unloaded = LeakageBreakdown::ZERO;
-        if scratch.pack.pi_words().len() != circuit.inputs().len()
-            || scratch.pack.state_words().len() != circuit.state_inputs().len()
-        {
-            scratch.pack = PatternBlock::for_circuit(circuit);
-        }
-        let mut k = 0usize;
-        while k < config.vectors {
-            let n = LANES.min(config.vectors - k);
-            scratch.pack.clear();
-            for j in 0..n {
-                let mut rng =
-                    rand::rngs::StdRng::seed_from_u64(mix(config.pattern_seed, (k + j) as u64));
-                scratch.pattern.fill_random(circuit, &mut rng);
-                scratch.pack.push(&scratch.pattern);
-            }
-            if tables {
-                plan.estimate_block_into(&mut scratch.block, &scratch.pack, EstimatorMode::Lut)?;
+    let lanes = resolve_lanes(config.lanes);
+    let packed = lanes == LANES;
+    let arms = [
+        (EstimatorMode::Lut, packed && config.loaded_arm_tables()),
+        (EstimatorMode::NoLoading, packed),
+    ];
+    let SampleScratch { block, pack, pattern } = scratch;
+    let mut sums = [LeakageBreakdown::ZERO; 2];
+    for start in (0..config.vectors).step_by(lanes) {
+        let n = lanes.min(config.vectors - start);
+        pack_index_block(circuit, config.pattern_seed, start, n, pattern, pack);
+        for (&(mode, packed_kernel), sum) in arms.iter().zip(&mut sums) {
+            if packed_kernel {
+                plan.estimate_block_into(block, pack, mode)?;
             } else {
-                plan.estimate_block_scalar_into(
-                    &mut scratch.block,
-                    &scratch.pack,
-                    EstimatorMode::Lut,
-                )?;
+                plan.estimate_block_scalar_into(block, pack, mode)?;
             }
-            for t in scratch.block.totals() {
-                loaded += *t;
+            for t in block.totals() {
+                *sum += *t;
             }
-            plan.estimate_block_into(&mut scratch.block, &scratch.pack, EstimatorMode::NoLoading)?;
-            for t in scratch.block.totals() {
-                unloaded += *t;
-            }
-            k += n;
         }
-        Ok((loaded, unloaded))
     }
+    Ok((sums[0], sums[1]))
 }
 
 fn run_circuit_sample(
@@ -590,8 +567,8 @@ fn run_circuit_sample(
 /// Monte Carlo, returning paired samples in index order and the
 /// provider's per-die diagnostics summed over the range — the one
 /// driver of both modes, and the building block streaming front-ends
-/// shard over. Each worker keeps one scratch set (scalar, block, and
-/// pattern buffers) across its samples — plans share the circuit's
+/// shard over. Each worker keeps one scratch set (block and pattern
+/// buffers) across its samples — plans share the circuit's
 /// dimensions, so everything warms once.
 ///
 /// Samples and diagnostics are bit-identical for any thread count,

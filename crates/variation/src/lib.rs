@@ -55,7 +55,7 @@ pub use circuit::{
 };
 pub use mc::{run_inverter_mc, series_of, stats_of, McConfig, McResult, McSample, Series};
 pub use sigmas::{gaussian, VariationSigmas};
-pub use stats::{Histogram, Stats};
+pub use stats::Histogram;
 
 #[cfg(test)]
 mod proptests {

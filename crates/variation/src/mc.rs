@@ -16,13 +16,13 @@
 
 use nanoleak_cells::OperatingPoint;
 use nanoleak_core::exec::{mix, par_map};
+use nanoleak_core::Stats;
 use nanoleak_device::{DeviceDesign, LeakageBreakdown, Technology, Transistor};
 use nanoleak_solver::{solve_dc, MosNetlist, NewtonOptions, SolverError};
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use crate::sigmas::VariationSigmas;
-use crate::stats::Stats;
 
 /// Monte-Carlo configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -108,7 +108,7 @@ pub fn series_of(samples: &[McSample], which: Series, loaded: bool) -> Vec<f64> 
 /// Statistics of one series over a paired sample set (see
 /// [`series_of`]).
 pub fn stats_of(samples: &[McSample], which: Series, loaded: bool) -> Stats {
-    Stats::of(&series_of(samples, which, loaded))
+    Stats::sample(&series_of(samples, which, loaded))
 }
 
 /// Monte-Carlo result set.

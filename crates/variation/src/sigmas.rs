@@ -107,14 +107,14 @@ pub fn gaussian<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::Stats;
+    use nanoleak_core::Stats;
     use rand::SeedableRng;
 
     #[test]
     fn gaussian_moments() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(42);
         let xs: Vec<f64> = (0..20000).map(|_| gaussian(&mut rng)).collect();
-        let s = Stats::of(&xs);
+        let s = Stats::sample(&xs);
         assert!(s.mean.abs() < 0.03, "mean = {}", s.mean);
         assert!((s.std - 1.0).abs() < 0.03, "std = {}", s.std);
     }
@@ -136,7 +136,7 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
         let s = VariationSigmas::paper_nominal().with_vt_inter(50e-3);
         let xs: Vec<f64> = (0..5000).map(|_| s.sample_inter(&mut rng).dvth).collect();
-        let st = Stats::of(&xs);
+        let st = Stats::sample(&xs);
         assert!((st.std - 50e-3).abs() < 3e-3, "std = {}", st.std);
     }
 

@@ -1,50 +1,7 @@
-//! Sample statistics and histograms for Monte-Carlo results.
+//! Histograms for Monte-Carlo results (summary statistics are
+//! [`nanoleak_core::Stats`], shared with sweeps).
 
 use serde::{Deserialize, Serialize};
-
-/// Summary statistics of a sample set.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Stats {
-    /// Sample count.
-    pub n: usize,
-    /// Sample mean.
-    pub mean: f64,
-    /// Sample standard deviation (n-1 denominator).
-    pub std: f64,
-    /// Minimum.
-    pub min: f64,
-    /// Maximum.
-    pub max: f64,
-}
-
-impl Stats {
-    /// Computes statistics of `xs`.
-    ///
-    /// # Panics
-    /// Panics on an empty slice.
-    pub fn of(xs: &[f64]) -> Self {
-        assert!(!xs.is_empty(), "stats of empty sample");
-        let n = xs.len();
-        let mean = xs.iter().sum::<f64>() / n as f64;
-        let var = if n > 1 {
-            xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / (n - 1) as f64
-        } else {
-            0.0
-        };
-        let min = xs.iter().copied().fold(f64::INFINITY, f64::min);
-        let max = xs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        Self { n, mean, std: var.sqrt(), min, max }
-    }
-
-    /// Coefficient of variation `std / mean`.
-    pub fn cv(&self) -> f64 {
-        if self.mean == 0.0 {
-            0.0
-        } else {
-            self.std / self.mean
-        }
-    }
-}
 
 /// A fixed-width histogram.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -99,28 +56,6 @@ impl Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn stats_of_known_sample() {
-        let s = Stats::of(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
-        assert!((s.mean - 5.0).abs() < 1e-12);
-        assert!((s.std - (32.0f64 / 7.0).sqrt()).abs() < 1e-12);
-        assert_eq!(s.min, 2.0);
-        assert_eq!(s.max, 9.0);
-        assert!((s.cv() - s.std / 5.0).abs() < 1e-15);
-    }
-
-    #[test]
-    fn single_sample_has_zero_std() {
-        let s = Stats::of(&[3.0]);
-        assert_eq!(s.std, 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "empty sample")]
-    fn empty_sample_panics() {
-        Stats::of(&[]);
-    }
 
     #[test]
     fn histogram_bins_and_outliers() {

@@ -32,7 +32,6 @@ use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use nanoleak::prelude::*;
-use nanoleak_core::exec::resolve_threads;
 use nanoleak_engine::{McShard, SweepShard};
 use nanoleak_netlist::RawCircuit;
 use nanoleak_serve::api::{
@@ -40,7 +39,6 @@ use nanoleak_serve::api::{
     SweepResponse,
 };
 use nanoleak_serve::{ServeConfig, Server};
-use nanoleak_variation::Stats;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize, Value};
 
@@ -605,7 +603,7 @@ fn print_reference(body: &Body, r: &EstimateResponse, lib: &CellLibrary) -> Resu
 
 fn print_sweep(r: &SweepResponse) {
     let (s, ua) = (&r.stats, 1e6);
-    let row = |name: &str, st: &ScalarStats| {
+    let row = |name: &str, st: &Stats| {
         println!(
             "  {name:<6} {:>10.4} {:>10.4} {:>10.4} {:>10.4} {:>10.4} {:>10.4} {:>10.4}",
             st.mean * ua,
@@ -641,7 +639,7 @@ fn print_sweep(r: &SweepResponse) {
     println!(
         "\n  {} vectors on {} thread(s) in {:.3} s — {:.0} patterns/sec",
         s.vectors,
-        resolve_threads(r.config.threads).min(s.vectors),
+        r.threads,
         r.elapsed_ms / 1e3,
         r.patterns_per_sec
     );

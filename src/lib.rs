@@ -151,15 +151,14 @@ pub mod prelude {
     pub use nanoleak_core::{
         accuracy, estimate, estimate_batch, reference_leakage, resolve_lanes, BlockScratch,
         CircuitLeakage, CompiledEstimator, EstimateError, EstimateScratch, EstimatorMode,
-        LoadingImpact, PatternBlock, ReferenceOptions, LANES,
+        LoadingImpact, PatternBlock, ReferenceOptions, Stats, LANES,
     };
     pub use nanoleak_device::{
         Bias, DeviceDesign, LeakageBreakdown, MosKind, Perturbation, Technology, Transistor,
     };
     pub use nanoleak_engine::{
         mc_streaming_mode, mlv_search, sweep, CacheOutcome, EngineError, LibraryCache, McMode,
-        MemoLibraryCache, MlvConfig, MlvGoal, MlvResult, MlvStrategy, ScalarStats, SweepConfig,
-        SweepReport,
+        MemoLibraryCache, MlvConfig, MlvGoal, MlvResult, MlvStrategy, SweepConfig, SweepReport,
     };
     pub use nanoleak_netlist::{
         bench_format::parse_bench, generate, normalize::normalize, parse_yosys_json, Circuit,

@@ -126,10 +126,10 @@ fn compiled_sweep_stats_stay_pinned_to_the_reference_estimator() {
     for threads in [1, 3] {
         let report = sweep(&circuit, &lib, &SweepConfig { threads, ..base }).unwrap();
         let s = &report.stats;
-        assert_eq!(s.total, ScalarStats::of(&total_series), "threads = {threads}");
-        assert_eq!(s.sub, ScalarStats::of(&series(|b| b.sub)));
-        assert_eq!(s.gate, ScalarStats::of(&series(|b| b.gate)));
-        assert_eq!(s.btbt, ScalarStats::of(&series(|b| b.btbt)));
+        assert_eq!(s.total, Stats::population(&total_series), "threads = {threads}");
+        assert_eq!(s.sub, Stats::population(&series(|b| b.sub)));
+        assert_eq!(s.gate, Stats::population(&series(|b| b.gate)));
+        assert_eq!(s.btbt, Stats::population(&series(|b| b.btbt)));
         assert_eq!(s.min.index, argbest(true));
         assert_eq!(s.max.index, argbest(false));
         assert_eq!(s.min.leakage, totals[s.min.index]);
