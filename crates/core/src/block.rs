@@ -1,32 +1,33 @@
-//! The engine's one block driver and its telemetry.
+//! The one block driver and its telemetry.
 //!
-//! Sweeps and both MLV scans run through `par_blocks`: it tiles a
-//! workload's index range into blocks of `resolve_lanes(lanes)`
-//! patterns, one work item per block, and runs each block on the
-//! kernel its width calls for — the packed word-parallel kernel for
-//! 64-lane blocks, the per-lane scalar kernel for 1-lane blocks (which
-//! keeps per-pattern parallelism). The `lanes` knob therefore picks the
-//! kernel, never the code path or the result: both kernels produce
-//! bit-identical lane totals, and callers consume them in index order.
-//! Monte-Carlo dies tile the same way inside `nanoleak-variation`.
+//! Sweeps, both MLV scans and each Monte-Carlo die arm run through
+//! [`par_blocks`]: it tiles a workload's index range into blocks of
+//! `resolve_lanes(lanes)` patterns, one work item per block, and runs
+//! each block on the kernel its width calls for — the packed
+//! word-parallel kernel for 64-lane blocks, the per-lane scalar kernel
+//! for 1-lane blocks (which keeps per-pattern parallelism). The tiling
+//! width therefore picks the kernel, never the code path or the
+//! result: both kernels produce bit-identical lane totals, and callers
+//! consume them in index order.
 //!
-//! Every packed block evaluation is counted here so operators can see
-//! how much of the load runs word-parallel, how much lane capacity
-//! tail blocks waste, and how long the packed kernel takes. The
-//! counters live in [`nanoleak_obs::global()`] and therefore surface
-//! through `/metrics` and `?debug=timings` like every other engine
-//! metric. The per-lane arithmetic inside the kernel stays untouched:
-//! telemetry is recorded once per block, never per pattern.
+//! Every packed block evaluation is counted and timed here, where it
+//! runs, so operators can see how much of the load runs word-parallel,
+//! how much lane capacity tail blocks waste, and how long the packed
+//! kernel takes. The counters live in [`nanoleak_obs::global()`] and
+//! therefore surface through `/metrics` and `?debug=timings` like
+//! every other library metric. The per-lane arithmetic inside the
+//! kernel stays untouched: telemetry is recorded once per block, never
+//! per pattern.
 
 use std::time::Instant;
 
-use nanoleak_core::exec::par_map_with;
-use nanoleak_core::{
-    resolve_lanes, BlockScratch, CompiledEstimator, EstimateError, EstimatorMode, PatternBlock,
-    LANES,
-};
 use nanoleak_device::LeakageBreakdown;
 use nanoleak_netlist::Pattern;
+
+use crate::error::EstimateError;
+use crate::estimator::EstimatorMode;
+use crate::exec::par_map_with;
+use crate::plan::{resolve_lanes, BlockScratch, CompiledEstimator, PatternBlock, LANES};
 
 /// Process-wide block-kernel telemetry.
 pub struct BlockMetrics {
@@ -39,7 +40,7 @@ pub struct BlockMetrics {
     pub kernel_seconds: nanoleak_obs::Histogram,
 }
 
-/// The engine's shared block metrics, registered on first use.
+/// The shared block metrics, registered on first use.
 pub fn block_metrics() -> &'static BlockMetrics {
     static METRICS: std::sync::OnceLock<BlockMetrics> = std::sync::OnceLock::new();
     METRICS.get_or_init(|| BlockMetrics {
@@ -86,22 +87,26 @@ fn eval_block_timed(
     Ok(())
 }
 
-/// The engine's block driver: tiles `0..n` into blocks of
+/// The block driver: tiles `0..n` into blocks of
 /// `resolve_lanes(lanes)` indexes (only the last can be partial) and
 /// maps them over `threads` workers, one work item per block. For
 /// each block, `pack(block, pattern, start, count)` packs indexes
 /// `start..start + count` (with `pattern` as the per-lane buffer),
-/// [`eval_block_timed`] evaluates it, and `reduce(start, totals)`
-/// turns the lane totals into the block's output. Each worker keeps
-/// one set of buffers, so the per-block loop never allocates beyond
-/// what `reduce` does.
+/// the tiling width's kernel evaluates it (a packed block is counted
+/// and timed in [`block_metrics`]), and `reduce(start, totals)` turns
+/// the lane totals into the block's output. Each worker keeps one set
+/// of buffers, so the per-block loop never allocates beyond what
+/// `reduce` does.
 ///
 /// Outputs return in block order, so any fold over them runs in index
 /// order and the result is the same for any `threads` or `lanes`.
 ///
 /// # Errors
 /// The first block's [`EstimateError`], in block order.
-pub(crate) fn par_blocks<T: Send>(
+///
+/// # Panics
+/// If `lanes` is not `0`, `1` or [`LANES`] ([`resolve_lanes`]).
+pub fn par_blocks<T: Send>(
     plan: &CompiledEstimator<'_>,
     lanes: usize,
     threads: usize,
@@ -123,16 +128,6 @@ pub(crate) fn par_blocks<T: Send>(
     .collect()
 }
 
-/// Records `blocks` block evaluations and `tail_lane_waste` unused
-/// tail lanes that happened outside the engine's block driver — the
-/// Monte-Carlo path accounts for its per-die arms arithmetically so
-/// `nanoleak-variation` stays free of observability dependencies.
-pub fn record_external_blocks(blocks: u64, tail_lane_waste: u64) {
-    let m = block_metrics();
-    m.blocks.add(blocks);
-    m.tail_lane_waste.add(tail_lane_waste);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,11 +135,9 @@ mod tests {
     #[test]
     fn metrics_register_once_and_accumulate() {
         let before = block_metrics().blocks.get();
-        record_external_blocks(3, 5);
-        assert_eq!(block_metrics().blocks.get(), before + 3);
         // Same statics on re-entry: the registry never double-registers.
         let again = block_metrics();
         again.blocks.inc();
-        assert_eq!(block_metrics().blocks.get(), before + 4);
+        assert_eq!(block_metrics().blocks.get(), before + 1);
     }
 }

@@ -25,6 +25,10 @@
 //!   simulate kernel plus a table-driven resolve kernel
 //!   ([`CompiledEstimator::estimate_block_into`] /
 //!   [`BlockScratch`]), bit-identical to the scalar path.
+//! * [`block`] — the one block driver, [`par_blocks`]: sweeps, MLV
+//!   scans and Monte-Carlo die arms tile their patterns into blocks
+//!   through it, and it counts and times every packed block it runs
+//!   ([`block_metrics`], in [`nanoleak_obs::global()`]).
 //! * [`exec`] — the workspace's deterministic parallel-execution
 //!   primitives (SplitMix64 seed streams, index-ordered `par_map`).
 //! * [`stats`] — the one summary-statistics type ([`Stats`]) that
@@ -58,6 +62,7 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+pub mod block;
 pub mod error;
 pub mod estimator;
 pub mod exec;
@@ -69,6 +74,7 @@ pub mod report;
 pub mod shared;
 pub mod stats;
 
+pub use block::{block_metrics, par_blocks, BlockMetrics};
 pub use error::EstimateError;
 pub use estimator::{estimate, estimate_batch, EstimatorMode};
 pub use experiment::{run_experiment, ExperimentConfig, ExperimentResult};

@@ -89,14 +89,16 @@
 //!
 //! [`CompiledEstimator::estimate_block_scalar_into`] is the per-lane
 //! kernel behind the same block interface: it unpacks each lane and
-//! runs the scalar pass, with no table build. Every workload therefore
-//! has one block driver, whatever its `lanes` setting: the engine's
-//! sweeps and MLV scans and each Monte-Carlo die tile their patterns
-//! into blocks of [`resolve_lanes`]`(lanes)` lanes (seed-derived
-//! streams packed by [`pack_index_block`]), and `lanes` only picks the
-//! kernel — the packed kernel for 64-lane blocks, the per-lane one for
-//! 1-lane blocks and for a Monte-Carlo die's loaded arm below its
-//! table-amortization volume. It never picks the path or the result.
+//! runs the scalar pass, with no table build. Every workload runs
+//! through one block driver, [`par_blocks`](crate::par_blocks),
+//! whatever its `lanes` setting: the engine's sweeps and MLV scans and
+//! both arms of each Monte-Carlo die tile their patterns into blocks
+//! of [`resolve_lanes`]`(lanes)` lanes (seed-derived streams packed by
+//! [`pack_index_block`]), and the tiling width only picks the kernel —
+//! the packed kernel for 64-lane blocks, the per-lane one for 1-lane
+//! blocks (a Monte-Carlo die's loaded arm tiles in 1-lane blocks below
+//! its table-amortization volume). It never picks the path or the
+//! result.
 
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
@@ -249,8 +251,7 @@ struct BlockTables {
 /// allocation once the buffers are warm; keep one per worker thread.
 ///
 /// `Default` yields an unsized scratch that warms up on first use, so
-/// workers that see many plans over one circuit (the MC path) can
-/// reuse a single scratch across compiles.
+/// one scratch can serve many plans over one circuit.
 #[derive(Debug, Default)]
 pub struct BlockScratch {
     /// One packed word per net: bit `l` is lane `l`'s logic value.

@@ -40,6 +40,11 @@
 //!   MC-job flag) and fast runs self-report their measured deviation
 //!   from it.
 //!
+//! Sweeps, the MLV scans and every Monte-Carlo die evaluate their
+//! patterns through `nanoleak-core`'s one block driver,
+//! [`nanoleak_core::par_blocks`], which counts and times each packed
+//! block where it runs ([`block_metrics`], re-exported here).
+//!
 //! ## Quickstart
 //!
 //! ```
@@ -69,7 +74,6 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-pub mod block;
 pub mod cache;
 pub mod mc;
 pub mod mlv;
@@ -81,13 +85,13 @@ use std::fmt;
 use nanoleak_core::EstimateError;
 use nanoleak_solver::SolverError;
 
-pub use block::{block_metrics, BlockMetrics};
 pub use cache::{
     CacheOutcome, DeltaLibraryProvider, LibraryCache, MemoCacheStats, MemoLibraryCache,
     CACHE_FORMAT_VERSION, MAX_RESIDENT_LIBRARIES,
 };
 pub use mc::{mc_streaming_mode, McMode, McReport, McShard, McTelemetry, DEFAULT_DEVIATION_PROBE};
 pub use mlv::{mlv_search, MlvConfig, MlvGoal, MlvResult, MlvStrategy, MlvTelemetry};
+pub use nanoleak_core::{block_metrics, BlockMetrics};
 pub use plan_cache::{shared_plan, MAX_RESIDENT_PLANS};
 pub use sweep::{
     pattern_for_index, shard_count, sweep, sweep_streaming, ExtremeVector, SweepConfig,

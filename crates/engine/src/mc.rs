@@ -17,7 +17,9 @@
 //! perturbed dies miss and characterize, but re-running the same seed —
 //! a re-submitted job, a bench re-measure, the nominal corner — hits
 //! RAM or disk instead of the solver); fast mode hands it the
-//! [`DeltaLibraryProvider`] mounted on that memo.
+//! [`DeltaLibraryProvider`] mounted on that memo. Every die's packed
+//! blocks, the deviation probe's included, are counted and timed by
+//! core's block driver as they run ([`block_metrics`](crate::block_metrics)).
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -170,24 +172,6 @@ fn deviation(fast: &[McSample], exact: &[McSample]) -> (f64, f64) {
     (max, if n == 0 { 0.0 } else { sum / f64::from(n) })
 }
 
-/// Runs samples `start .. start + len` through the one driver and
-/// records the packed blocks they evaluated. `nanoleak-variation`
-/// stays free of observability dependencies, so its block-kernel work
-/// is counted here with the driver's own volume rule.
-fn run_range(
-    circuit: &Circuit,
-    tech: &Technology,
-    provider: &dyn DeltaProvider,
-    config: &CircuitMcConfig,
-    start: usize,
-    len: usize,
-) -> Result<(Vec<McSample>, FastMcDiag), EngineError> {
-    let out = run_circuit_mc_range(circuit, tech, provider, config, start, len)?;
-    let (blocks, tail_lane_waste) = config.packed_blocks_per_die();
-    crate::block::record_external_blocks(len as u64 * blocks, len as u64 * tail_lane_waste);
-    Ok(out)
-}
-
 /// Runs `config.samples` Monte-Carlo samples in contiguous shards of
 /// `shard_samples` (`0` = one monolithic shard), calling `on_shard`
 /// after each shard completes. The callback returning `false` cancels
@@ -273,7 +257,8 @@ pub fn mc_streaming_mode(
         let shard_start = Instant::now();
         let samples = {
             let _span = nanoleak_obs::span!("estimate", shard = shard, samples = len);
-            let (samples, shard_diag) = run_range(circuit, tech, provider, config, start, len)?;
+            let (samples, shard_diag) =
+                run_circuit_mc_range(circuit, tech, provider, config, start, len)?;
             diag.merge(&shard_diag);
             samples
         };
@@ -308,7 +293,7 @@ pub fn mc_streaming_mode(
         let probed = DEFAULT_DEVIATION_PROBE.min(config.samples);
         let (max_deviation, mean_deviation) = {
             let _span = nanoleak_obs::span!("deviation-probe", samples = probed);
-            let (exact, _) = run_range(circuit, tech, cache, config, 0, probed)?;
+            let (exact, _) = run_circuit_mc_range(circuit, tech, cache, config, 0, probed)?;
             deviation(&merged[..probed], &exact)
         };
         summary.fast =

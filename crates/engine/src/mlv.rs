@@ -14,7 +14,7 @@
 //!   the exhaustive cost.
 //!
 //! The two scans (exhaustive and random) score candidates through the
-//! engine's one block driver ([`par_blocks`](crate::block)), in blocks
+//! one block driver, [`nanoleak_core::par_blocks`], in blocks
 //! of `resolve_lanes(lanes)` candidates: [`MlvConfig::lanes`] picks
 //! the kernel — 64-candidate blocks on the packed word-parallel
 //! kernel, 1-candidate blocks on the per-lane scalar kernel — never the
@@ -29,12 +29,11 @@ use std::time::Instant;
 
 use nanoleak_cells::CellLibrary;
 use nanoleak_core::{
-    pack_index_block, resolve_lanes, CircuitLeakage, CompiledEstimator, EstimateScratch,
-    EstimatorMode, PatternBlock,
+    pack_index_block, par_blocks, resolve_lanes, CircuitLeakage, CompiledEstimator,
+    EstimateScratch, EstimatorMode, PatternBlock,
 };
 use nanoleak_netlist::{Circuit, Pattern};
 
-use crate::block::par_blocks;
 use crate::sweep::pattern_for_index;
 use crate::EngineError;
 use nanoleak_core::exec::{par_map_with, resolve_threads};
@@ -189,7 +188,7 @@ fn earliest_best<C>(goal: MlvGoal, scored: impl IntoIterator<Item = (C, f64)>) -
     scored.into_iter().reduce(|best, c| if goal.improves(c.1, best.1) { c } else { best })
 }
 
-/// Scores the candidates `0..n` through the engine's block driver
+/// Scores the candidates `0..n` through the one block driver
 /// ([`par_blocks`]) and picks the winning `(index, objective)`.
 /// `pack` fills a block with candidates `start..start + count`; each
 /// block reduces to its earliest-best candidate and the block winners

@@ -7,8 +7,8 @@
 //! sequentially over that order — so a sweep's output is bit-identical
 //! for any thread count.
 //!
-//! Every shard runs through the engine's one block driver
-//! ([`par_blocks`](crate::block)): its index range tiles into blocks of
+//! Every shard runs through the one block driver,
+//! [`nanoleak_core::par_blocks`]: its index range tiles into blocks of
 //! `resolve_lanes(lanes)` patterns, one work item per block, and
 //! [`SweepConfig::lanes`] picks the kernel — 64-pattern blocks on the
 //! packed word-parallel kernel, 1-pattern blocks on the per-lane
@@ -27,14 +27,14 @@ use std::time::Instant;
 
 use nanoleak_cells::CellLibrary;
 use nanoleak_core::{
-    pack_index_block, resolve_lanes, CompiledEstimator, EstimateError, EstimatorMode, Stats,
+    pack_index_block, par_blocks, resolve_lanes, CompiledEstimator, EstimateError, EstimatorMode,
+    Stats,
 };
 use nanoleak_device::LeakageBreakdown;
 use nanoleak_netlist::{Circuit, Pattern};
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-use crate::block::par_blocks;
 use nanoleak_core::exec::{mix, worker_count};
 
 /// Process-wide sweep telemetry (latency histograms only — never on
@@ -200,9 +200,9 @@ fn reduce_stats(
 }
 
 /// Estimates the contiguous index range `start .. start + len` on the
-/// compiled plan through the engine's block driver
-/// ([`par_blocks`]) on `threads` requested workers, returning
-/// per-pattern totals in index order.
+/// compiled plan through the one block driver ([`par_blocks`]) on
+/// `threads` requested workers, returning per-pattern totals in index
+/// order.
 ///
 /// `config.lanes` picks the block width and with it the kernel: the
 /// range tiles into 64-pattern blocks on the word-parallel kernel, or

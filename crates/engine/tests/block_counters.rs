@@ -1,8 +1,10 @@
-//! Every workload's block counters count the packed blocks that ran.
+//! Every workload's block counters count and time the packed blocks
+//! that ran.
 //!
-//! `nanoleak_block_blocks_total` and `nanoleak_block_tail_lane_waste_total`
-//! are process-global, so this binary holds a single test: no other
-//! test may evaluate blocks between a reading and the next.
+//! `nanoleak_block_blocks_total`, `nanoleak_block_tail_lane_waste_total`
+//! and `nanoleak_block_kernel_seconds` are process-global, so this
+//! binary holds a single test: no other test may evaluate blocks
+//! between a reading and the next.
 
 use nanoleak_cells::{CellLibrary, CellType};
 use nanoleak_core::LANES;
@@ -23,12 +25,18 @@ fn inverter_chain() -> Circuit {
     b.build().unwrap()
 }
 
-/// The `(blocks, tail lane waste)` the counters gained while `run` ran.
+/// The `(blocks, tail lane waste)` the counters gained while `run` ran,
+/// after checking that the kernel latency histogram timed every
+/// counted block.
+#[track_caller]
 fn counted(run: impl FnOnce()) -> (u64, u64) {
     let metrics = block_metrics();
-    let before = (metrics.blocks.get(), metrics.tail_lane_waste.get());
+    let timed = || metrics.kernel_seconds.snapshot().count();
+    let before = (metrics.blocks.get(), metrics.tail_lane_waste.get(), timed());
     run();
-    (metrics.blocks.get() - before.0, metrics.tail_lane_waste.get() - before.1)
+    let blocks = metrics.blocks.get() - before.0;
+    assert_eq!(timed() - before.2, blocks, "timed blocks against counted blocks");
+    (blocks, metrics.tail_lane_waste.get() - before.1)
 }
 
 /// `(blocks, tail lane waste)` of `n` patterns tiled into 64-lane

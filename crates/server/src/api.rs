@@ -232,9 +232,9 @@ pub const MAX_REQUEST_RESTARTS: usize = 256;
 pub const MAX_JOB_SHARDS: usize = 1024;
 
 /// The `"lanes"` field shared by sweep/MLV/MC requests: `0` (auto,
-/// the 64-wide block kernel), `64` (block explicitly), or `1` (the
-/// scalar reference path). A throughput knob only — results are
-/// bit-identical either way.
+/// the 64-wide block kernel), `64` (block explicitly), or `1`
+/// (1-pattern blocks on the per-lane kernel). A throughput knob only —
+/// results are bit-identical either way.
 fn resolve_lanes_field(body: &Body) -> Result<usize, ApiError> {
     let lanes = body.get("lanes", 0usize)?;
     if !matches!(lanes, 0 | 1 | 64) {

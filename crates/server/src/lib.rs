@@ -141,10 +141,10 @@
 //!   neither hold a connection thread nor pin graceful shutdown,
 //!   which joins every connection thread.
 //! * **Fault injection** — `nanoleak-fault` failpoints (`cache-io`,
-//!   `cache-corrupt`, `characterize`, `slow-shard`) are compiled in
-//!   but cost one relaxed atomic load when disarmed; armed hits are
-//!   exposed as `nanoleak_fault_injected_total{point=…}` on
-//!   `/metrics`, so chaos drills are observable end-to-end.
+//!   `cache-corrupt`, `characterize`, `char-sensitivity`, `slow-shard`)
+//!   are compiled in but cost one relaxed atomic load when disarmed;
+//!   armed hits are exposed as `nanoleak_fault_injected_total{point=…}`
+//!   on `/metrics`, so chaos drills are observable end-to-end.
 //!
 //! ## Telemetry
 //!

@@ -15,13 +15,14 @@
 //! [`SensDeltaProvider`] derives each die from a nominal library's
 //! recorded sensitivities — the fast mode.
 //!
-//! Each die runs one block loop over the shared pattern set: the set
-//! tiles into blocks of `resolve_lanes(lanes)` patterns, each packed
-//! once and evaluated by both arms. [`CircuitMcConfig::lanes`] picks
-//! the kernel, never the loop or the result: 64-pattern blocks run the
-//! packed word-parallel kernel (the loaded arm only from
-//! [`TABLE_AMORTIZE_VECTORS`] on, the per-lane scalar kernel below),
-//! 1-pattern blocks the per-lane scalar kernel in both arms.
+//! Each die runs both arms over the shared pattern set through core's
+//! one block driver, [`par_blocks`], on the die's own worker. The
+//! unloaded arm tiles at [`CircuitMcConfig::lanes`]; the loaded arm
+//! tiles at `lanes` from [`TABLE_AMORTIZE_VECTORS`] on and in
+//! 1-pattern blocks below it. The tiling width picks the kernel, never
+//! the loop or the result: 64-pattern blocks run the packed
+//! word-parallel kernel, 1-pattern blocks the per-lane scalar kernel,
+//! and the driver counts and times every packed block where it runs.
 //!
 //! ## Modeling scope
 //!
@@ -55,18 +56,17 @@ use nanoleak_cells::{
     delta_library, infer_deltas, CellLibrary, CellType, CharacterizeOptions, LibrarySens,
     OperatingPoint,
 };
-use nanoleak_core::exec::{mix, par_map_with};
+use nanoleak_core::exec::{mix, par_map};
 use nanoleak_core::{
-    pack_index_block, resolve_lanes, BlockScratch, CompiledEstimator, EstimateError, EstimatorMode,
-    PatternBlock, Stats, LANES,
+    pack_index_block, par_blocks, CompiledEstimator, EstimateError, EstimatorMode, Stats, LANES,
 };
 use nanoleak_device::{LeakageBreakdown, Technology};
-use nanoleak_netlist::{Circuit, Pattern};
+use nanoleak_netlist::Circuit;
 use nanoleak_solver::SolverError;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-use crate::mc::{series_of, McSample, Series};
+use crate::mc::{series_of, shifts, McSample, Series};
 use crate::sigmas::VariationSigmas;
 use crate::stats::Histogram;
 
@@ -244,10 +244,10 @@ pub struct CircuitMcConfig {
     /// waste at one library per sample.
     pub char_opts: CharacterizeOptions,
     /// Evaluation lanes: `0` (auto) and [`LANES`] tile each sample's
-    /// shared pattern set into 64-pattern blocks (packed once, reused
-    /// by both arms) on the word-parallel kernel; `1` into 1-pattern
-    /// blocks on the per-lane scalar kernel. The driver is the same
-    /// and never changes a bit of the result.
+    /// shared pattern set into 64-pattern blocks on the word-parallel
+    /// kernel (the loaded arm only from [`TABLE_AMORTIZE_VECTORS`]
+    /// on); `1` into 1-pattern blocks on the per-lane scalar kernel.
+    /// The driver is the same and never changes a bit of the result.
     pub lanes: usize,
 }
 
@@ -438,8 +438,7 @@ pub fn summarize(samples: &[McSample], bins: usize) -> McSummary {
     };
     let loaded = arm(true, &loaded_total);
     let unloaded = arm(false, &unloaded_total);
-    let mean_shift = (loaded.total.mean - unloaded.total.mean) / unloaded.total.mean;
-    let std_shift = (loaded.total.std - unloaded.total.std) / unloaded.total.std;
+    let (mean_shift, std_shift) = shifts(&loaded.total, &unloaded.total);
     McSummary { samples: samples.len(), loaded, unloaded, mean_shift, std_shift, fast: None }
 }
 
@@ -468,80 +467,30 @@ fn sample_tech(nominal: &Technology, config: &CircuitMcConfig, index: usize) -> 
 /// circuits break even sooner (s5378: ~640).
 pub const TABLE_AMORTIZE_VECTORS: usize = 18 * LANES;
 
-impl CircuitMcConfig {
-    /// Whether each die's loaded (Lut) arm builds the block response
-    /// tables: the driver's one pattern-volume rule, the same in both
-    /// modes.
-    fn loaded_arm_tables(&self) -> bool {
-        self.vectors >= TABLE_AMORTIZE_VECTORS
-    }
-
-    /// 64-lane blocks one die runs through the word-parallel kernel,
-    /// and the unused lanes of their tail blocks: the unloaded arm's
-    /// blocks, plus the loaded arm's once it builds tables
-    /// ([`TABLE_AMORTIZE_VECTORS`]). `(0, 0)` for 1-lane blocks
-    /// (`lanes == 1`), which run the per-lane scalar kernel.
-    pub fn packed_blocks_per_die(&self) -> (u64, u64) {
-        if resolve_lanes(self.lanes) == 1 {
-            return (0, 0);
-        }
-        let arms = if self.loaded_arm_tables() { 2 } else { 1 };
-        let blocks = self.vectors.div_ceil(LANES);
-        (arms * blocks as u64, arms * (blocks * LANES - self.vectors) as u64)
-    }
-}
-
-/// Per-worker reusable buffers for circuit MC samples. Plans share
-/// the circuit's dimensions, so every buffer warms once and then
-/// serves each per-die plan allocation-free.
-#[derive(Debug, Default)]
-struct SampleScratch {
-    block: BlockScratch,
-    pack: PatternBlock,
-    pattern: Pattern,
-}
-
 /// Evaluates one die's plan over the shared pattern set, returning the
 /// (loaded, unloaded) sums in pattern-index order.
 ///
-/// The set tiles into blocks of `resolve_lanes(lanes)` patterns, each
-/// packed once and reused by both arms, and each arm's sum adds its
-/// lane totals in index order. `lanes` picks the kernel: 64-lane
-/// blocks run the unloaded arm on the word-parallel kernel, and the
-/// loaded (Lut) arm too once the pattern volume amortizes its response
-/// tables ([`TABLE_AMORTIZE_VECTORS`]), the per-lane scalar kernel
-/// below that; 1-lane blocks run both arms on the per-lane scalar
-/// kernel. Core guarantees the kernels agree bit-for-bit, so neither
-/// `lanes` nor the volume rule ever changes a result, only its cost.
+/// Each arm runs through the block driver ([`par_blocks`]) on the
+/// die's own worker and adds its lane totals from zero in index order.
+/// The unloaded arm tiles at `lanes`; the loaded (Lut) arm tiles at
+/// `lanes` once the pattern volume amortizes its response tables
+/// ([`TABLE_AMORTIZE_VECTORS`]) and in 1-pattern blocks below that.
+/// The tiling width picks the kernel, and core guarantees the kernels
+/// agree bit-for-bit, so neither `lanes` nor the volume rule ever
+/// changes a result, only its cost.
 fn evaluate_plan(
     plan: &CompiledEstimator,
-    circuit: &Circuit,
     config: &CircuitMcConfig,
-    scratch: &mut SampleScratch,
-) -> Result<(LeakageBreakdown, LeakageBreakdown), McError> {
-    let lanes = resolve_lanes(config.lanes);
-    let packed = lanes == LANES;
-    let arms = [
-        (EstimatorMode::Lut, packed && config.loaded_arm_tables()),
-        (EstimatorMode::NoLoading, packed),
-    ];
-    let SampleScratch { block, pack, pattern } = scratch;
-    let mut sums = [LeakageBreakdown::ZERO; 2];
-    for start in (0..config.vectors).step_by(lanes) {
-        let n = lanes.min(config.vectors - start);
-        pack_index_block(circuit, config.pattern_seed, start, n, pattern, pack);
-        for (&(mode, packed_kernel), sum) in arms.iter().zip(&mut sums) {
-            if packed_kernel {
-                plan.estimate_block_into(block, pack, mode)?;
-            } else {
-                plan.estimate_block_scalar_into(block, pack, mode)?;
-            }
-            for t in block.totals() {
-                *sum += *t;
-            }
-        }
-    }
-    Ok((sums[0], sums[1]))
+) -> Result<(LeakageBreakdown, LeakageBreakdown), EstimateError> {
+    let arm = |mode, lanes| -> Result<LeakageBreakdown, EstimateError> {
+        let pack = |block: &mut _, pattern: &mut _, start, count| {
+            pack_index_block(plan.circuit(), config.pattern_seed, start, count, pattern, block);
+        };
+        let blocks = par_blocks(plan, lanes, 1, config.vectors, mode, pack, |_, t| t.to_vec())?;
+        Ok(blocks.iter().flatten().fold(LeakageBreakdown::ZERO, |sum, &t| sum + t))
+    };
+    let loaded_lanes = if config.vectors >= TABLE_AMORTIZE_VECTORS { config.lanes } else { 1 };
+    Ok((arm(EstimatorMode::Lut, loaded_lanes)?, arm(EstimatorMode::NoLoading, config.lanes)?))
 }
 
 fn run_circuit_sample(
@@ -550,12 +499,11 @@ fn run_circuit_sample(
     provider: &dyn DeltaProvider,
     config: &CircuitMcConfig,
     index: usize,
-    scratch: &mut SampleScratch,
 ) -> Result<(McSample, DieDiag), McError> {
     let tech = sample_tech(nominal, config, index);
     let (lib, diag) = provider.die_library(&tech, config.op.temp, &config.char_opts)?;
     let plan = CompiledEstimator::compile(circuit, &lib)?;
-    let (loaded, unloaded) = evaluate_plan(&plan, circuit, config, scratch)?;
+    let (loaded, unloaded) = evaluate_plan(&plan, config)?;
     let sample = McSample {
         loaded: loaded.scaled(1.0 / config.vectors as f64),
         unloaded: unloaded.scaled(1.0 / config.vectors as f64),
@@ -567,9 +515,8 @@ fn run_circuit_sample(
 /// Monte Carlo, returning paired samples in index order and the
 /// provider's per-die diagnostics summed over the range — the one
 /// driver of both modes, and the building block streaming front-ends
-/// shard over. Each worker keeps one scratch set (block and pattern
-/// buffers) across its samples — plans share the circuit's
-/// dimensions, so everything warms once.
+/// shard over. Dies are the unit of parallelism: each runs on one
+/// worker, which tiles both of its arms through the block driver.
 ///
 /// Samples and diagnostics are bit-identical for any thread count,
 /// shard split, or `lanes` setting. With a provider that re-solves
@@ -592,10 +539,9 @@ pub fn run_circuit_mc_range(
 ) -> Result<(Vec<McSample>, FastMcDiag), McError> {
     assert!(config.vectors > 0, "circuit MC needs at least one pattern per sample");
     let nominal = config.op.tech(tech);
-    let per_sample: Vec<Result<(McSample, DieDiag), McError>> =
-        par_map_with(len, config.threads, SampleScratch::default, |scratch, k| {
-            run_circuit_sample(circuit, &nominal, provider, config, start + k, scratch)
-        });
+    let per_sample: Vec<Result<(McSample, DieDiag), McError>> = par_map(len, config.threads, |k| {
+        run_circuit_sample(circuit, &nominal, provider, config, start + k)
+    });
     let mut samples = Vec::with_capacity(len);
     let mut diag = FastMcDiag::default();
     for r in per_sample {
@@ -762,10 +708,14 @@ mod tests {
         use serde::Deserialize as _;
         let circuit = small_circuit();
         let tech = Technology::d25();
-        let r = run_circuit_mc(&circuit, &tech, &SolverProvider, &small_config(3)).unwrap();
-        let summary = r.summary(8);
-        let text = serde::json::to_string(&summary);
-        let back = McSummary::from_value(&serde::json::value_from_str(&text).unwrap()).unwrap();
-        assert_eq!(back, summary, "JSON round-trip is bit-exact");
+        // One sample has no spread, and its std shift is still a number.
+        for samples in [3, 1] {
+            let cfg = small_config(samples);
+            let summary =
+                run_circuit_mc(&circuit, &tech, &SolverProvider, &cfg).unwrap().summary(8);
+            let text = serde::json::to_string(&summary);
+            let back = McSummary::from_value(&serde::json::value_from_str(&text).unwrap()).unwrap();
+            assert_eq!(back, summary, "JSON round-trip is bit-exact: samples = {samples}");
+        }
     }
 }

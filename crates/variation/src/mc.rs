@@ -111,6 +111,15 @@ pub fn stats_of(samples: &[McSample], which: Series, loaded: bool) -> Stats {
     Stats::sample(&series_of(samples, which, loaded))
 }
 
+/// Fig. 11's loading-induced shifts of total leakage, `(mean, std)`:
+/// the loaded statistic minus the unloaded one, as a fraction of the
+/// unloaded one. A zero unloaded spread (one sample, say) has no
+/// relative shift to report, so its std shift reads 0.
+pub(crate) fn shifts(loaded: &Stats, unloaded: &Stats) -> (f64, f64) {
+    let std = if unloaded.std == 0.0 { 0.0 } else { (loaded.std - unloaded.std) / unloaded.std };
+    ((loaded.mean - unloaded.mean) / unloaded.mean, std)
+}
+
 /// Monte-Carlo result set.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct McResult {
@@ -134,17 +143,18 @@ impl McResult {
     /// Fig. 11 (left): loading-induced shift of the mean of total
     /// leakage, as a fraction of the unloaded mean.
     pub fn mean_shift(&self) -> f64 {
-        let l = self.stats(Series::Total, true).mean;
-        let u = self.stats(Series::Total, false).mean;
-        (l - u) / u
+        self.total_shifts().0
     }
 
     /// Fig. 11 (right): loading-induced shift of the standard
-    /// deviation of total leakage, as a fraction of the unloaded std.
+    /// deviation of total leakage, as a fraction of the unloaded std
+    /// (0 when that std is zero).
     pub fn std_shift(&self) -> f64 {
-        let l = self.stats(Series::Total, true).std;
-        let u = self.stats(Series::Total, false).std;
-        (l - u) / u
+        self.total_shifts().1
+    }
+
+    fn total_shifts(&self) -> (f64, f64) {
+        shifts(&self.stats(Series::Total, true), &self.stats(Series::Total, false))
     }
 }
 

@@ -85,9 +85,9 @@ common options:
   --vdd-scale X   supply-scale factor on the nominal Vdd (default 1.0)
   --threads N     worker threads (default: all cores)
   --lanes N       patterns per evaluation word: 64 packs patterns 64-wide
-                  through the block kernel, 1 forces the scalar reference
-                  path, 0 picks automatically (default 0; results are
-                  bit-identical either way)
+                  through the block kernel, 1 runs 1-pattern blocks on the
+                  per-lane kernel, 0 picks automatically (default 0;
+                  results are bit-identical either way)
   --format F      output format: text (default) or json, the response body
                   the HTTP service returns for the same request
   --coarse        characterize on the coarse 4-point test grid (fast,

@@ -72,8 +72,8 @@
 //!   `--threads` value. Patterns run 64 to the machine word through
 //!   the compiled plan's block kernel
 //!   ([`CompiledEstimator::estimate_block_into`](nanoleak_core::CompiledEstimator::estimate_block_into));
-//!   `--lanes 1` forces the scalar reference path, with bit-identical
-//!   results either way.
+//!   `--lanes 1` runs 1-pattern blocks on the per-lane kernel, with
+//!   bit-identical results either way.
 //! * **MLV search** ([`engine::mlv_search`](nanoleak_engine::mlv::mlv_search)) —
 //!   find the minimum- (or maximum-) leakage input vector for standby
 //!   power, by exhaustive enumeration, random sampling, or parallel
