@@ -81,8 +81,7 @@ fn main() {
 
     // Capture the run as spans so the baseline JSON records where the
     // wall time went — the fixture stage plus the engine's own
-    // estimate/merge/library/characterize/library-sens spans from the
-    // cold runs.
+    // estimate/merge/characterize spans from the cold runs.
     nanoleak_obs::begin_capture();
 
     // ---- Inverter fixture (transistor level, single thread). ----
@@ -108,9 +107,6 @@ fn main() {
         char_opts: char_opts_for(&circuit, !full),
         ..Default::default()
     };
-    // One memo for both arms: the fast arm's deviation probe re-runs
-    // leading dies exactly, and those libraries are already resident
-    // from the exact arm (same seed, same request keys).
     let cache = MemoLibraryCache::memory_only();
     let exact = mc_streaming_mode(&circuit, &tech, &cache, &exact_cfg, McMode::Exact, 0, |_| true)
         .expect("exact circuit mc")
@@ -136,18 +132,17 @@ fn main() {
     let fast_sps = fast.telemetry.samples_per_sec;
     let fast_report = fast.summary.fast.expect("fast runs self-report");
 
-    // Only the cold runs are captured: the warm re-runs below would
+    // Only the cold runs are captured: the re-runs below would
     // double-count the estimate/merge stages.
     let trace = nanoleak_obs::end_capture();
     let stage_ms = |name: &str| trace.total_us(name) as f64 / 1e3;
 
-    // Exact re-run through the warm memo: bit-identical and solver-free.
-    let solves = cache.stats().characterizations;
-    let warm = mc_streaming_mode(&circuit, &tech, &cache, &exact_cfg, McMode::Exact, 0, |_| true)
-        .expect("warm exact mc")
-        .expect("not cancelled");
-    assert_eq!(exact.summary, warm.summary, "exact MC must reproduce bit-for-bit");
-    assert_eq!(cache.stats().characterizations, solves, "warm re-run must not re-solve");
+    // Exact re-run: bit-identical.
+    let exact_again =
+        mc_streaming_mode(&circuit, &tech, &cache, &exact_cfg, McMode::Exact, 0, |_| true)
+            .expect("exact mc rerun")
+            .expect("not cancelled");
+    assert_eq!(exact.summary, exact_again.summary, "exact MC must reproduce bit-for-bit");
     // Fast re-run: derivation is deterministic, deviation probe included.
     let fast_again =
         mc_streaming_mode(&circuit, &tech, &cache, &fast_cfg, McMode::fast(), 0, |_| true)
@@ -184,7 +179,7 @@ fn main() {
          \"probed\": {},\n      \"max_deviation_pct\": {:.4},\n      \
          \"mean_deviation_pct\": {:.4}\n    }},\n    \
          \"speedup_fast_over_exact\": {:.2}\n  }},\n  \"timings_ms\": {{\n    \
-         \"fixture\": {:.3},\n    \"library\": {:.3},\n    \"characterize\": {:.3},\n    \
+         \"fixture\": {:.3},\n    \"characterize\": {:.3},\n    \
          \"sens_build\": {:.3},\n    \"estimate\": {:.3},\n    \"merge\": {:.3}\n  }},\n  \
          \"seed\": 2005,\n  \"bit_identical\": true\n}}\n",
         fixture_sps,
@@ -205,7 +200,6 @@ fn main() {
         fast_report.mean_deviation * 100.0,
         speedup,
         fixture_secs * 1e3,
-        stage_ms("library"),
         stage_ms("characterize"),
         sens_build_secs * 1e3,
         stage_ms("estimate"),

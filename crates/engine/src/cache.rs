@@ -359,27 +359,35 @@ impl MemoCacheStats {
 /// this trades a rare duplicated solve for never serializing distinct
 /// requests behind one lock).
 ///
-/// Residency is bounded at [`MAX_RESIDENT_LIBRARIES`] entries (an
-/// arbitrary entry is evicted beyond that), so a long-lived server
-/// fed adversarially unique `(temp, Vdd)` requests cannot grow RAM
-/// without bound — evicted entries fall back to the disk layer.
+/// Residency is bounded at [`MAX_RESIDENT_LIBRARIES`] entries: beyond
+/// that the least recently used entry is evicted, so a long-lived
+/// server fed adversarially unique `(temp, Vdd)` requests cannot grow
+/// RAM without bound, and a library every job asks for stays resident
+/// — evicted entries fall back to the disk layer.
 #[derive(Debug)]
 pub struct MemoLibraryCache {
     disk: Option<LibraryCache>,
-    /// Resident libraries by request key, each with the sensitivity
-    /// slabs recorded alongside it when it went through
-    /// [`MemoLibraryCache::get_or_characterize_with_sens`] (RAM-only:
-    /// sensitivities are cheap to re-record relative to their
-    /// serialized size).
+    /// Resident libraries by request key (see [`MemoEntry`]).
     entries: Mutex<HashMap<u64, MemoEntry>>,
+    /// The clock that stamps each entry's last use.
+    clock: AtomicU64,
     max_resident: usize,
     memory_hits: AtomicU64,
     disk_hits: AtomicU64,
     characterizations: AtomicU64,
 }
 
-/// One resident library and its sensitivity slabs, if traced.
-type MemoEntry = (Arc<CellLibrary>, Option<Arc<LibrarySens>>);
+/// One resident library, with the sensitivity slabs recorded alongside
+/// it when it went through
+/// [`MemoLibraryCache::get_or_characterize_with_sens`] (RAM-only:
+/// sensitivities are cheap to re-record relative to their serialized
+/// size), and the clock stamp of its last use.
+#[derive(Debug)]
+struct MemoEntry {
+    lib: Arc<CellLibrary>,
+    sens: Option<Arc<LibrarySens>>,
+    used: u64,
+}
 
 /// Default bound on libraries held in RAM by a [`MemoLibraryCache`]
 /// (a characterized full-family library is several MB).
@@ -390,6 +398,7 @@ impl Default for MemoLibraryCache {
         Self {
             disk: None,
             entries: Mutex::new(HashMap::new()),
+            clock: AtomicU64::new(0),
             max_resident: MAX_RESIDENT_LIBRARIES,
             memory_hits: AtomicU64::new(0),
             disk_hits: AtomicU64::new(0),
@@ -437,10 +446,8 @@ impl MemoLibraryCache {
         opts: &CharacterizeOptions,
     ) -> Result<(Arc<CellLibrary>, CacheOutcome), EngineError> {
         let key = LibraryCache::request_key(tech, temp, opts);
-        if let Some((lib, _)) = self.entries.lock().get(&key) {
-            self.memory_hits.fetch_add(1, Ordering::Relaxed);
-            cache_metrics().memory_hits.inc();
-            return Ok((Arc::clone(lib), CacheOutcome::MemoryHit));
+        if let Some(lib) = self.recall(key, |e| Some(Arc::clone(&e.lib))) {
+            return Ok((lib, CacheOutcome::MemoryHit));
         }
         let started = std::time::Instant::now();
         let _span = nanoleak_obs::span!("library", temp = temp);
@@ -471,31 +478,45 @@ impl MemoLibraryCache {
                 cache_metrics().characterize_seconds.record_duration(started.elapsed());
             }
         };
-        self.insert(key, (Arc::clone(&lib), None));
+        self.insert(key, Arc::clone(&lib), None);
         Ok((lib, outcome))
     }
 
-    /// Makes `entry` resident under `key`, evicting an arbitrary other
-    /// entry only when a new key would exceed the residency bound —
-    /// arbitrary eviction keeps the bound without LRU bookkeeping, and
-    /// the disk layer (if any) still serves the evicted request
+    /// Recalls the resident entry under `key` through `pick`; an entry
+    /// `pick` accepts is stamped as just used and counts as a memory
+    /// hit.
+    fn recall<T>(&self, key: u64, pick: impl FnOnce(&MemoEntry) -> Option<T>) -> Option<T> {
+        let mut entries = self.entries.lock();
+        let entry = entries.get_mut(&key)?;
+        let hit = pick(entry)?;
+        entry.used = self.clock.fetch_add(1, Ordering::Relaxed);
+        self.memory_hits.fetch_add(1, Ordering::Relaxed);
+        cache_metrics().memory_hits.inc();
+        Some(hit)
+    }
+
+    /// Makes `lib` resident under `key`, evicting the least recently
+    /// used other entry only when a new key would exceed the residency
+    /// bound; the disk layer (if any) still serves the evicted request
     /// without re-solving.
-    fn insert(&self, key: u64, entry: MemoEntry) {
+    fn insert(&self, key: u64, lib: Arc<CellLibrary>, sens: Option<Arc<LibrarySens>>) {
         let mut entries = self.entries.lock();
         if entries.len() >= self.max_resident && !entries.contains_key(&key) {
-            if let Some(&evict) = entries.keys().next() {
+            if let Some(evict) = entries.iter().min_by_key(|(_, e)| e.used).map(|(&k, _)| k) {
                 entries.remove(&evict);
             }
         }
-        entries.insert(key, entry);
+        let used = self.clock.fetch_add(1, Ordering::Relaxed);
+        entries.insert(key, MemoEntry { lib, sens, used });
     }
 
     /// [`MemoLibraryCache::get_or_characterize`] at an
     /// [`OperatingPoint`]: derives the scaled technology through the
     /// shared [`OperatingPoint::tech`] path and characterizes at the
-    /// point's temperature. This is the one condition-derivation route
-    /// the server's grid and Monte-Carlo jobs use — no caller scales
-    /// `vdd` by hand anymore.
+    /// point's temperature. This is the condition-derivation route of
+    /// every analysis request (a Monte-Carlo nominal goes through the
+    /// same [`OperatingPoint::tech`]) — no caller scales `vdd` by hand
+    /// anymore.
     ///
     /// # Errors
     /// As [`MemoLibraryCache::get_or_characterize`].
@@ -518,9 +539,12 @@ impl MemoLibraryCache {
     /// from disk) has no recorded slabs, so the request re-runs the
     /// traced characterization — bit-identical library, now with
     /// sensitivities — and replaces the entry. The traced solve counts
-    /// as one characterization in [`MemoLibraryCache::stats`] and is
-    /// stored to the disk layer (as a plain library) when one is
-    /// attached.
+    /// as one characterization in [`MemoLibraryCache::stats`].
+    ///
+    /// The entry is RAM-only: this path never reads or writes the disk
+    /// layer, because sensitivities cannot be stored there. It is the
+    /// only memo entry a Monte-Carlo run makes (the fast mode's traced
+    /// nominal); per-die libraries never enter the memo.
     ///
     /// Chaos: the `char-sensitivity` failpoint injects a solver
     /// failure on the trace path (RAM recalls stay unaffected), so
@@ -528,9 +552,7 @@ impl MemoLibraryCache {
     /// exact path.
     ///
     /// # Errors
-    /// * [`EngineError::Solver`] if the traced characterization fails;
-    /// * [`EngineError::Cache`] if a fresh disk entry cannot be
-    ///   written.
+    /// [`EngineError::Solver`] if the traced characterization fails.
     pub fn get_or_characterize_with_sens(
         &self,
         tech: &Technology,
@@ -538,10 +560,10 @@ impl MemoLibraryCache {
         opts: &CharacterizeOptions,
     ) -> Result<(Arc<CellLibrary>, Arc<LibrarySens>, CacheOutcome), EngineError> {
         let key = LibraryCache::request_key(tech, temp, opts);
-        if let Some((lib, Some(sens))) = self.entries.lock().get(&key) {
-            self.memory_hits.fetch_add(1, Ordering::Relaxed);
-            cache_metrics().memory_hits.inc();
-            return Ok((Arc::clone(lib), Arc::clone(sens), CacheOutcome::MemoryHit));
+        if let Some((lib, sens)) =
+            self.recall(key, |e| Some((Arc::clone(&e.lib), Arc::clone(e.sens.as_ref()?))))
+        {
+            return Ok((lib, sens, CacheOutcome::MemoryHit));
         }
         let started = std::time::Instant::now();
         let _span = nanoleak_obs::span!("library-sens", temp = temp);
@@ -556,10 +578,7 @@ impl MemoLibraryCache {
         self.characterizations.fetch_add(1, Ordering::Relaxed);
         cache_metrics().characterizations.inc();
         cache_metrics().characterize_seconds.record_duration(started.elapsed());
-        if let Some(disk) = &self.disk {
-            disk.store(&lib)?;
-        }
-        self.insert(key, (Arc::clone(&lib), Some(Arc::clone(&sens))));
+        self.insert(key, Arc::clone(&lib), Some(Arc::clone(&sens)));
         Ok((lib, sens, CacheOutcome::Miss))
     }
 
@@ -578,19 +597,18 @@ impl MemoLibraryCache {
     }
 }
 
-/// The delta-from-nominal library source for fast Monte-Carlo runs,
-/// mounted on the RAM memo.
+/// The delta-from-nominal library source for fast Monte-Carlo runs.
 ///
 /// [`DeltaLibraryProvider::prepare`] characterizes the nominal
 /// technology **once** with traced Newton solves (recording
 /// per-`(cell, vector)` `∂I/∂Vt`- and `∂I/∂Vdd`-style sensitivity
-/// slabs through [`MemoLibraryCache::get_or_characterize_with_sens`]);
-/// every perturbed die's library is then *derived* as
-/// `nominal + J·Δ` instead of re-solved. A per-entry
+/// slabs through [`MemoLibraryCache::get_or_characterize_with_sens`],
+/// the run's only memo entry); every perturbed die's library is then
+/// *derived* as `nominal + J·Δ` instead of re-solved. A per-entry
 /// linearization-error check clamps individual entries back to a full
 /// solve when the tolerance is exceeded, and dies whose perturbation
-/// is not a recognizable delta of the nominal fall back to the memo's
-/// full characterization path.
+/// is not a recognizable delta of the nominal get a fresh full
+/// characterization. No die library enters the memo.
 ///
 /// Degradations surface in the process-wide metrics registry as
 /// `nanoleak_mc_fallback_total{reason="tolerance"|"unrecognized"}`
@@ -599,29 +617,29 @@ impl MemoLibraryCache {
 /// itself fails), and derivation wall time feeds the
 /// `nanoleak_delta_library_seconds` histogram — both visible at the
 /// server's `/metrics` endpoint.
-pub struct DeltaLibraryProvider<'a> {
-    inner: SensDeltaProvider<'a>,
+pub struct DeltaLibraryProvider {
+    inner: SensDeltaProvider,
 }
 
-impl<'a> DeltaLibraryProvider<'a> {
+impl DeltaLibraryProvider {
     /// Characterizes (or recalls from `memo`) the nominal library with
-    /// its sensitivity slabs and mounts the per-die deriver over the
-    /// memo; `tol` is the per-entry linearization-error tolerance in
-    /// log units ([`nanoleak_cells::DEFAULT_DELTA_TOL`] is the
+    /// its sensitivity slabs and mounts the per-die deriver on it;
+    /// `tol` is the per-entry linearization-error tolerance in log
+    /// units ([`nanoleak_cells::DEFAULT_DELTA_TOL`] is the
     /// default-tuned bound).
     ///
     /// # Errors
     /// As [`MemoLibraryCache::get_or_characterize_with_sens`]; callers
     /// running a fast MC degrade to the exact path on failure.
     pub fn prepare(
-        memo: &'a MemoLibraryCache,
+        memo: &MemoLibraryCache,
         tech: &Technology,
         temp: f64,
         opts: &CharacterizeOptions,
         tol: f64,
     ) -> Result<Self, EngineError> {
         let (nominal, sens, _) = memo.get_or_characterize_with_sens(tech, temp, opts)?;
-        Ok(Self { inner: SensDeltaProvider { nominal, sens, tol, fallback: memo } })
+        Ok(Self { inner: SensDeltaProvider { nominal, sens, tol } })
     }
 
     /// The per-entry linearization-error tolerance (log units).
@@ -630,7 +648,7 @@ impl<'a> DeltaLibraryProvider<'a> {
     }
 }
 
-impl DeltaProvider for DeltaLibraryProvider<'_> {
+impl DeltaProvider for DeltaLibraryProvider {
     fn die_library(
         &self,
         tech: &Technology,
@@ -776,11 +794,29 @@ mod tests {
     }
 
     #[test]
+    fn eviction_spares_the_most_recently_used_entry() {
+        // Map order is random per instance, so repeat on fresh memos:
+        // a victim picked by map order would show within a few rounds.
+        let tech = Technology::d25();
+        for _ in 0..8 {
+            let memo = MemoLibraryCache::memory_only().with_max_resident(2);
+            let (a, b, c) = (300.0, 310.0, 320.0);
+            memo.get_or_characterize(&tech, a, &opts()).unwrap();
+            memo.get_or_characterize(&tech, b, &opts()).unwrap();
+            let (_, outcome) = memo.get_or_characterize(&tech, a, &opts()).unwrap();
+            assert_eq!(outcome, CacheOutcome::MemoryHit);
+            memo.get_or_characterize(&tech, c, &opts()).unwrap();
+            assert_eq!(memo.resident(), 2);
+            let (_, outcome) = memo.get_or_characterize(&tech, a, &opts()).unwrap();
+            assert_eq!(outcome, CacheOutcome::MemoryHit, "the least recently used entry went");
+        }
+    }
+
+    #[test]
     fn upgrading_a_resident_entry_with_sensitivities_evicts_nothing() {
         // At the residency bound, tracing a key that is already
         // resident replaces its entry in place; only a new key may
-        // evict. Map order is random per instance, so repeat on fresh
-        // memos to make an arbitrary-victim eviction show.
+        // evict. Repeat on fresh memos, whose map orders differ.
         let tech = Technology::d25();
         for _ in 0..8 {
             let memo = MemoLibraryCache::memory_only().with_max_resident(2);

@@ -27,9 +27,10 @@
 //!   execution of `nanoleak-variation`'s one perturbed-die driver,
 //!   with merged summaries bit-identical to a monolithic run for any
 //!   shard size or thread count. The [`McMode`] only picks the
-//!   driver's per-die library provider: the memoized cache, which
+//!   driver's per-die library provider:
+//!   [`SolverProvider`](nanoleak_variation::SolverProvider), which
 //!   re-solves every die (exact), or the [`DeltaLibraryProvider`]
-//!   (fast).
+//!   (fast). Every die gets a fresh library of its own (see [`mc`]).
 //! * [`DeltaLibraryProvider`] — **delta-from-nominal
 //!   characterization** for the fast mode: the nominal library is
 //!   characterized once with traced Newton solves recording

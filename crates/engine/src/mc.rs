@@ -13,23 +13,28 @@
 //! shard size and thread count**.
 //!
 //! The mode only picks the driver's [`DeltaProvider`]. Exact mode
-//! hands it the [`MemoLibraryCache`], which re-solves every die (unique
-//! perturbed dies miss and characterize, but re-running the same seed —
-//! a re-submitted job, a bench re-measure, the nominal corner — hits
-//! RAM or disk instead of the solver); fast mode hands it the
-//! [`DeltaLibraryProvider`] mounted on that memo. Every die's packed
-//! blocks, the deviation probe's included, are counted and timed by
-//! core's block driver as they run ([`block_metrics`](crate::block_metrics)).
+//! hands it [`SolverProvider`], which characterizes every die afresh;
+//! fast mode hands it the [`DeltaLibraryProvider`], whose traced
+//! nominal comes from the [`MemoLibraryCache`]. Per-die libraries —
+//! exact dies, the deviation probe's re-solves and the fast mode's
+//! unrecognized-die fallbacks — never enter the memo: each die is
+//! drawn once per run, so memoizing it would only churn the memo and,
+//! through a disk layer, fill the disk with one-shot entries. The
+//! traced nominal is the one memo entry a run makes, and it is
+//! RAM-only ([`MemoLibraryCache::get_or_characterize_with_sens`]), so
+//! a Monte-Carlo run never writes to disk, whatever memo it is given.
+//! Every die's packed blocks, the deviation probe's included, are
+//! counted and timed by core's block driver as they run
+//! ([`block_metrics`](crate::block_metrics)).
 
-use std::sync::Arc;
 use std::time::Instant;
 
-use nanoleak_cells::{CellLibrary, CharacterizeOptions, DEFAULT_DELTA_TOL};
+use nanoleak_cells::DEFAULT_DELTA_TOL;
 use nanoleak_device::Technology;
 use nanoleak_netlist::Circuit;
 use nanoleak_variation::{
-    run_circuit_mc_range, summarize, CircuitMcConfig, DeltaProvider, DieDiag, FastMcDiag,
-    FastMcReport, McError, McSample, McSummary, DEFAULT_HIST_BINS,
+    run_circuit_mc_range, summarize, CircuitMcConfig, DeltaProvider, FastMcDiag, FastMcReport,
+    McError, McSample, McSummary, SolverProvider, DEFAULT_HIST_BINS,
 };
 use serde::{Deserialize, Serialize};
 
@@ -49,30 +54,11 @@ fn mc_shard_seconds() -> &'static nanoleak_obs::Histogram {
     })
 }
 
-/// The exact-mode provider: every die goes through the memo's full
-/// characterization path (`derived: false`).
-impl DeltaProvider for MemoLibraryCache {
-    fn die_library(
-        &self,
-        tech: &Technology,
-        temp: f64,
-        opts: &CharacterizeOptions,
-    ) -> Result<(Arc<CellLibrary>, DieDiag), McError> {
-        let (lib, _) = self.get_or_characterize(tech, temp, opts).map_err(|e| match e {
-            EngineError::Solver(e) => McError::Solver(e),
-            EngineError::Estimate(e) => McError::Estimate(e),
-            other => McError::Library(other.to_string()),
-        })?;
-        Ok((lib, DieDiag::default()))
-    }
-}
-
 impl From<McError> for EngineError {
     fn from(e: McError) -> Self {
         match e {
             McError::Solver(e) => EngineError::Solver(e),
             McError::Estimate(e) => EngineError::Estimate(e),
-            McError::Library(msg) => EngineError::Cache(msg),
         }
     }
 }
@@ -127,8 +113,8 @@ pub const DEFAULT_DEVIATION_PROBE: usize = 4;
 /// Which per-die library provider a Monte-Carlo run hands the driver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum McMode {
-    /// Every die runs a full characterization (through the memo) —
-    /// the bit-exact path.
+    /// Every die runs a fresh full characterization
+    /// ([`SolverProvider`]) — the bit-exact path.
     Exact,
     /// Dies derive their library from the nominal's traced
     /// sensitivities ([`DeltaLibraryProvider`]) at
@@ -179,23 +165,24 @@ fn deviation(fast: &[McSample], exact: &[McSample]) -> (f64, f64) {
 /// bit-identical to a monolithic run of the same config and mode for
 /// any shard size, thread count and lane setting.
 ///
-/// `mode` picks the driver's provider once. [`McMode::Exact`] uses the
-/// `cache` memo, which re-solves every die. [`McMode::Fast`]
+/// `mode` picks the driver's provider once. [`McMode::Exact`] uses
+/// [`SolverProvider`], which re-solves every die. [`McMode::Fast`]
 /// characterizes the nominal technology once with traced
-/// sensitivities and derives every die's library from it
-/// (`nominal + J·Δ` with per-entry fallback); after the timed phase,
-/// the first [`DEFAULT_DEVIATION_PROBE`] samples re-run through the
-/// memo and the measured max/mean relative deviation lands in
-/// `summary.fast` (the probe counts toward `elapsed` but not
-/// `samples_per_sec`). If the traced nominal characterization fails,
-/// the run degrades to exact and
+/// sensitivities, recalled from or recorded in `cache`, and derives
+/// every die's library from it (`nominal + J·Δ` with per-entry
+/// fallback); after the timed phase, the first
+/// [`DEFAULT_DEVIATION_PROBE`] samples re-run exactly and the measured
+/// max/mean relative deviation lands in `summary.fast` (the probe
+/// counts toward `elapsed` but not `samples_per_sec`). If the traced
+/// nominal characterization fails, the run degrades to exact and
 /// `nanoleak_mc_fallback_total{reason="sens-build"}` is incremented.
 /// Fast results differ from exact results by the (reported)
-/// linearization error.
+/// linearization error. Only the traced nominal enters `cache`, in
+/// RAM; no die library does, and nothing is written to disk.
 ///
 /// # Errors
 /// The first per-sample failure ([`EngineError::Solver`] /
-/// [`EngineError::Estimate`] / [`EngineError::Cache`]) in index order.
+/// [`EngineError::Estimate`]) in index order.
 ///
 /// # Panics
 /// Panics if `config.samples` or `config.vectors` is zero.
@@ -234,7 +221,7 @@ pub fn mc_streaming_mode(
     };
     let provider: &dyn DeltaProvider = match &delta {
         Some(delta) => delta,
-        None => cache,
+        None => &SolverProvider,
     };
 
     // Raw samples concatenate in index order; the final summary is the
@@ -287,13 +274,12 @@ pub fn mc_streaming_mode(
     };
     if let Some(delta) = &delta {
         // Deviation probe, after the timed phase: re-run the leading
-        // samples bit-exactly and compare total leakage per arm. The
-        // probe's full characterizations land in the memo, so a later
-        // exact run of the same seed starts warm.
+        // samples bit-exactly and compare total leakage per arm.
         let probed = DEFAULT_DEVIATION_PROBE.min(config.samples);
         let (max_deviation, mean_deviation) = {
             let _span = nanoleak_obs::span!("deviation-probe", samples = probed);
-            let (exact, _) = run_circuit_mc_range(circuit, tech, cache, config, 0, probed)?;
+            let (exact, _) =
+                run_circuit_mc_range(circuit, tech, &SolverProvider, config, 0, probed)?;
             deviation(&merged[..probed], &exact)
         };
         summary.fast =
@@ -313,7 +299,7 @@ mod tests {
     use super::*;
     use nanoleak_cells::CellType;
     use nanoleak_netlist::CircuitBuilder;
-    use nanoleak_variation::{char_opts_for, run_circuit_mc, SolverProvider};
+    use nanoleak_variation::{char_opts_for, run_circuit_mc};
 
     fn small_circuit() -> Circuit {
         let mut b = CircuitBuilder::new("engine-mc");
@@ -337,7 +323,7 @@ mod tests {
 
     /// The tentpole acceptance at the engine layer: sharded MC merges
     /// to exactly the monolithic summary across shard sizes and
-    /// thread counts, and the memoized provider changes nothing.
+    /// thread counts.
     #[test]
     fn sharded_mc_is_bit_identical_to_monolithic() {
         let circuit = small_circuit();
@@ -397,24 +383,22 @@ mod tests {
     }
 
     #[test]
-    fn memo_provider_reuses_libraries_across_reruns() {
-        // The same seed re-run through one cache must not
-        // re-characterize a single die — that is the point of routing
-        // the MC through the memoized library path.
+    fn dies_never_enter_the_memo() {
+        // Exact dies, probe dies and fallbacks get fresh libraries; the
+        // fast mode's traced nominal is the one entry a run makes.
         let circuit = small_circuit();
         let tech = Technology::d25();
         let cache = MemoLibraryCache::memory_only();
         let cfg = config(3);
-        let first = mc_streaming_mode(&circuit, &tech, &cache, &cfg, McMode::Exact, 0, |_| true)
+        mc_streaming_mode(&circuit, &tech, &cache, &cfg, McMode::Exact, 0, |_| true)
             .unwrap()
             .unwrap();
-        let solves = cache.stats().characterizations;
-        assert_eq!(solves, 3, "one characterization per unique die");
-        let second = mc_streaming_mode(&circuit, &tech, &cache, &cfg, McMode::Exact, 0, |_| true)
+        assert_eq!(cache.resident(), 0, "exact dies stay out of the memo");
+        assert_eq!(cache.stats().requests(), 0, "exact mode never asks the memo");
+        mc_streaming_mode(&circuit, &tech, &cache, &cfg, McMode::fast(), 0, |_| true)
             .unwrap()
             .unwrap();
-        assert_eq!(cache.stats().characterizations, solves, "re-run served from RAM");
-        assert_eq!(first.summary, second.summary);
+        assert_eq!(cache.resident(), 1, "only the traced nominal is memoized");
     }
 
     /// The tentpole acceptance at the engine layer, fast arm: the
@@ -437,7 +421,7 @@ mod tests {
                 .unwrap()
                 .unwrap()
                 .summary,
-            "exact mode re-runs bit-identically from the warm memo"
+            "exact mode re-runs bit-identically"
         );
         let fast = mc_streaming_mode(&circuit, &tech, &cache, &cfg, McMode::fast(), 0, |_| true)
             .unwrap()

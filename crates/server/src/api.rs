@@ -1034,11 +1034,8 @@ pub fn resolve_mc_config(body: &Body, circuit: &Circuit) -> Result<CircuitMcConf
 /// it completes. The merged summary is bit-identical to a monolithic
 /// [`mc_streaming_mode`] run of the same config and mode, for any shard
 /// size and thread count — the same contract the sweep path holds.
-///
-/// `cache` should be a **RAM-only** memo (the server routes MC jobs
-/// through `ServerState::mc_cache`): every sample is a unique
-/// perturbed die, and writing those one-shot libraries through a
-/// disk-backed cache would grow it without bound.
+/// `cache` is the same memo every other request runs on; the fast
+/// mode recalls its traced nominal library there.
 pub fn run_mc(
     cache: &MemoLibraryCache,
     body: &Body,

@@ -159,9 +159,9 @@
 //!   (engine / solver / cells instrumentation). Server families are
 //!   prefixed `nanoleak_server_*` and `nanoleak_jobs*`; library
 //!   families are `nanoleak_{solver,cells,cache,sweep,mc}_*`.
-//!   Per-instance cache counters carry a `cache="analysis"|"mc"`
-//!   label. `GET /v1/stats` reads the *same* instruments, so the two
-//!   views cannot drift.
+//!   The per-instance `nanoleak_server_cache_*` series count the one
+//!   [`ServerState::cache`]. `GET /v1/stats` reads the *same*
+//!   instruments, so the two views cannot drift.
 //! * **Spans** — job execution runs under a
 //!   [`nanoleak_obs::span!`] capture at shard granularity
 //!   (`job` → `compile` / `estimate` / `merge` / `serialize`, plus
@@ -405,15 +405,8 @@ impl std::fmt::Debug for Telemetry {
 #[derive(Debug)]
 pub struct ServerState {
     /// RAM-first characterization cache (disk-backed unless
-    /// disabled).
+    /// disabled), shared by every request and job kind.
     pub cache: MemoLibraryCache,
-    /// RAM-only cache for Monte-Carlo jobs. Every MC sample is a
-    /// unique perturbed die — persisting those libraries would grow
-    /// the disk cache without bound (one `.nlc` per die per seed) and
-    /// churn the bounded main memo out of its warm nominal entries, so
-    /// MC characterizations live in their own bounded RAM memo:
-    /// re-submitted same-seed jobs still hit, nothing touches disk.
-    pub mc_cache: MemoLibraryCache,
     /// The job registry.
     pub jobs: JobRegistry,
     /// Per-instance metrics instruments (also rendered by
@@ -671,7 +664,6 @@ impl Server {
             listener,
             state: ServerState {
                 cache,
-                mc_cache: MemoLibraryCache::memory_only(),
                 jobs,
                 telemetry,
                 queue: Mutex::new(Some(queue)),

@@ -76,9 +76,9 @@ pub fn route(state: &ServerState, req: &Request) -> Response {
 
 /// `GET /metrics`: Prometheus text exposition. Three sections, one
 /// buffer: the per-instance registry (HTTP traffic + job lifecycle),
-/// hand-rendered point-in-time families (uptime, workers, queue,
-/// per-instance caches labelled `cache="analysis"|"mc"`), then the
-/// process-global registry (solver / cells / engine instrumentation).
+/// hand-rendered point-in-time families (uptime, workers, queue, the
+/// server's characterization memo), then the process-global registry
+/// (solver / cells / engine instrumentation).
 fn metrics_route(state: &ServerState) -> Response {
     use nanoleak_obs::metrics::{family_header, sample_f64, sample_u64};
     let mut out = String::with_capacity(4096);
@@ -109,64 +109,38 @@ fn metrics_route(state: &ServerState) -> Response {
     );
     sample_u64(&mut out, "nanoleak_server_queue_capacity", &[], capacity as u64);
 
-    // Per-instance characterization caches: the disk-backed analysis
-    // memo and the RAM-only Monte-Carlo memo, as one labelled family
-    // per counter (the process-global `nanoleak_cache_*` series in
-    // the global registry aggregates both).
-    let caches = [
-        ("analysis", state.cache.stats(), state.cache.resident()),
-        ("mc", state.mc_cache.stats(), state.mc_cache.resident()),
-    ];
-    family_header(
-        &mut out,
-        "nanoleak_server_cache_memory_hits_total",
-        "counter",
-        "Characterization requests served from process RAM",
-    );
-    for (label, stats, _) in &caches {
-        sample_u64(
-            &mut out,
+    // The per-instance characterization memo (the process-global
+    // `nanoleak_cache_*` series in the global registry count every
+    // memo in the process).
+    let cache = state.cache.stats();
+    for (name, kind, help, value) in [
+        (
             "nanoleak_server_cache_memory_hits_total",
-            &[("cache", label)],
-            stats.memory_hits,
-        );
-    }
-    family_header(
-        &mut out,
-        "nanoleak_server_cache_disk_hits_total",
-        "counter",
-        "Characterization requests served from disk",
-    );
-    for (label, stats, _) in &caches {
-        sample_u64(
-            &mut out,
+            "counter",
+            "Characterization requests served from process RAM",
+            cache.memory_hits,
+        ),
+        (
             "nanoleak_server_cache_disk_hits_total",
-            &[("cache", label)],
-            stats.disk_hits,
-        );
-    }
-    family_header(
-        &mut out,
-        "nanoleak_server_cache_characterizations_total",
-        "counter",
-        "Characterization requests that ran the solver",
-    );
-    for (label, stats, _) in &caches {
-        sample_u64(
-            &mut out,
+            "counter",
+            "Characterization requests served from disk",
+            cache.disk_hits,
+        ),
+        (
             "nanoleak_server_cache_characterizations_total",
-            &[("cache", label)],
-            stats.characterizations,
-        );
-    }
-    family_header(&mut out, "nanoleak_server_cache_resident", "gauge", "Libraries resident in RAM");
-    for (label, _, resident) in &caches {
-        sample_u64(
-            &mut out,
+            "counter",
+            "Characterization requests that ran the solver",
+            cache.characterizations,
+        ),
+        (
             "nanoleak_server_cache_resident",
-            &[("cache", label)],
-            *resident as u64,
-        );
+            "gauge",
+            "Libraries resident in RAM",
+            state.cache.resident() as u64,
+        ),
+    ] {
+        family_header(&mut out, name, kind, help);
+        sample_u64(&mut out, name, &[], value);
     }
 
     // Fault-injection hit counters (chaos drills only — the family is
@@ -614,12 +588,9 @@ pub fn execute_job(state: &ServerState, id: u64) {
                     .map(|r| serialized(|| r.to_value())),
                 JobKind::Grid => api::run_grid(&state.cache, &body, &observer)
                     .map(|r| serialized(|| r.to_value())),
-                // MC jobs characterize unique perturbed dies: they run
-                // against the RAM-only `mc_cache` so the disk cache never
-                // fills with one-shot entries and the main memo keeps its
-                // warm nominal libraries.
-                JobKind::Mc => api::run_mc(&state.mc_cache, &body, &observer)
-                    .map(|r| serialized(|| r.to_value())),
+                JobKind::Mc => {
+                    api::run_mc(&state.cache, &body, &observer).map(|r| serialized(|| r.to_value()))
+                }
                 // Optimize jobs report one unit per finished round, so
                 // pollers watch the objective converge live.
                 JobKind::Optimize => api::run_optimize_with(&state.cache, &body, &observer)

@@ -772,6 +772,57 @@ fn mc_job_pages_partials_and_matches_in_process_bit_exactly() {
     assert!(report.max_deviation < report.tol, "deviation within tolerance: {report:?}");
 }
 
+/// MC jobs run on the server's one memo. A fast job adds its traced
+/// nominal there, an exact job adds nothing, and neither writes a
+/// `.nlc` file into the disk cache: per-die libraries are never
+/// memoized, and the traced nominal is RAM-only.
+#[test]
+fn mc_jobs_memoize_only_the_traced_nominal_and_write_no_disk_entry() {
+    let dir = std::env::temp_dir().join(format!("nanoleak-serve-mc-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let server = TestServer::start_cfg(ServeConfig {
+        threads: 1,
+        queue_capacity: 4,
+        cache_dir: Some(dir.clone()),
+        disk_cache: true,
+        ..TestServer::base_config()
+    });
+    let resident = || {
+        let (status, body) = request(&server, "GET", "/v1/stats", "");
+        assert_eq!(status, 200, "{body}");
+        match record_field(&field(&body, "cache"), "resident") {
+            Some(Value::Int(n)) => *n,
+            other => panic!("cache.resident: {other:?} in {body}"),
+        }
+    };
+    let run = |exact: bool| {
+        let bench_text = "INPUT(a)\\nINPUT(b)\\nOUTPUT(y)\\nn1 = NAND(a, b)\\ny = NOT(n1)\\n";
+        let submit = format!(
+            r#"{{"type": "mc", "bench": "{bench_text}", "samples": 3, "vectors": 2,
+                "coarse": true, "exact": {exact}}}"#
+        );
+        let (status, body) = request(&server, "POST", "/v1/jobs", &submit);
+        assert_eq!(status, 202, "{body}");
+        let Value::Int(id) = field(&body, "id") else { panic!("id: {body}") };
+        let (state, body) = wait_for_job(&server, id, Duration::from_secs(120));
+        assert_eq!(state, "done", "{body}");
+    };
+    let before = resident();
+    run(false);
+    assert_eq!(resident(), before + 1, "a fast job memoizes its traced nominal only");
+    run(true);
+    assert_eq!(resident(), before + 1, "an exact job memoizes nothing");
+    let entries: Vec<_> = std::fs::read_dir(&dir)
+        .map(|d| d.filter_map(Result::ok).map(|e| e.path()).collect())
+        .unwrap_or_default();
+    assert!(
+        !entries.iter().any(|p| p.extension().is_some_and(|e| e == "nlc")),
+        "MC wrote to the disk cache: {entries:?}"
+    );
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The job-result-leak fix observed over HTTP: under job churn the
 /// registry stays at its finished cap, evictions are surfaced in
 /// `/v1/stats`, and evicted jobs 404.
@@ -972,8 +1023,7 @@ fn metrics_endpoint_serves_parseable_prometheus_text() {
         "nanoleak_server_workers",
         "nanoleak_server_queue_depth",
         "nanoleak_server_queue_capacity",
-        "nanoleak_server_cache_memory_hits_total{cache=\"analysis\"}",
-        "nanoleak_server_cache_memory_hits_total{cache=\"mc\"}",
+        "nanoleak_server_cache_memory_hits_total",
     ] {
         assert!(text.contains(family), "family '{family}' missing from:\n{text}");
     }
@@ -1044,10 +1094,10 @@ fn stats_and_metrics_are_views_over_the_same_instruments() {
     assert_eq!(stats(&["jobs", "resident"]), metric(&text, "nanoleak_jobs_resident"));
     assert_eq!(stats(&["jobs", "evicted"]), metric(&text, "nanoleak_jobs_evicted_total"));
     for (stat, series) in [
-        ("memory_hits", "nanoleak_server_cache_memory_hits_total{cache=\"analysis\"}"),
-        ("disk_hits", "nanoleak_server_cache_disk_hits_total{cache=\"analysis\"}"),
-        ("characterizations", "nanoleak_server_cache_characterizations_total{cache=\"analysis\"}"),
-        ("resident", "nanoleak_server_cache_resident{cache=\"analysis\"}"),
+        ("memory_hits", "nanoleak_server_cache_memory_hits_total"),
+        ("disk_hits", "nanoleak_server_cache_disk_hits_total"),
+        ("characterizations", "nanoleak_server_cache_characterizations_total"),
+        ("resident", "nanoleak_server_cache_resident"),
     ] {
         assert_eq!(stats(&["cache", stat]), metric(&text, series), "cache.{stat}");
     }

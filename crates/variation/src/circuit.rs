@@ -10,10 +10,9 @@
 //! without loading on a compiled [`CompiledEstimator`] plan.
 //!
 //! One driver, [`run_circuit_mc_range`], serves both modes; only the
-//! provider differs. [`SolverProvider`] (and the engine's memo)
-//! re-solve every die — the bit-exact mode — while
-//! [`SensDeltaProvider`] derives each die from a nominal library's
-//! recorded sensitivities — the fast mode.
+//! provider differs. [`SolverProvider`] re-solves every die — the
+//! bit-exact mode — while [`SensDeltaProvider`] derives each die from
+//! a nominal library's recorded sensitivities — the fast mode.
 //!
 //! Each die runs both arms over the shared pattern set through core's
 //! one block driver, [`par_blocks`], on the die's own worker. The
@@ -78,9 +77,6 @@ pub enum McError {
     /// A per-sample estimate failed (e.g. a cell missing from the
     /// characterized set).
     Estimate(EstimateError),
-    /// The library provider failed outside the solver (cache I/O and
-    /// the like).
-    Library(String),
 }
 
 impl fmt::Display for McError {
@@ -88,7 +84,6 @@ impl fmt::Display for McError {
         match self {
             McError::Solver(e) => write!(f, "sample characterization failed: {e}"),
             McError::Estimate(e) => write!(f, "sample estimation failed: {e}"),
-            McError::Library(msg) => write!(f, "library provider: {msg}"),
         }
     }
 }
@@ -98,7 +93,6 @@ impl std::error::Error for McError {
         match self {
             McError::Solver(e) => Some(e),
             McError::Estimate(e) => Some(e),
-            McError::Library(_) => None,
         }
     }
 }
@@ -136,20 +130,19 @@ pub struct DieDiag {
 /// produced (delta-derived vs. fully solved).
 ///
 /// Every Monte-Carlo sample asks for a `(tech, temp, options)`
-/// library; where that answer comes from is the caller's policy.
-/// [`SolverProvider`] characterizes directly (hermetic tests, one-shot
-/// runs); the engine layers its `MemoLibraryCache` behind this trait
-/// so repeated runs of the same seed hit RAM/disk instead of the
-/// solver; [`SensDeltaProvider`] derives dies from nominal
-/// sensitivities. Implementations must be deterministic: the same
+/// library of its own die. [`SolverProvider`] characterizes it from
+/// scratch (the exact mode); [`SensDeltaProvider`] derives it from
+/// nominal sensitivities (the fast mode). Either way each die gets a
+/// fresh library: a perturbed die is drawn once per run, so there is
+/// nothing to memoize. Implementations must be deterministic: the same
 /// request must yield the same library bit-for-bit, or the MC loses
 /// its reproducibility guarantee.
 pub trait DeltaProvider: Sync {
     /// The library for one perturbed die, plus derivation diagnostics.
     ///
     /// # Errors
-    /// [`McError`] describing the characterization, derivation or
-    /// cache failure.
+    /// [`McError`] describing the characterization or derivation
+    /// failure.
     fn die_library(
         &self,
         tech: &Technology,
@@ -176,11 +169,11 @@ impl DeltaProvider for SolverProvider {
 
 /// The reference delta provider: derives each die from a nominal
 /// library's recorded sensitivities ([`delta_library`]) when the die's
-/// perturbation round-trips through [`infer_deltas`], and falls back
-/// to `fallback` (a provider that re-solves) otherwise. The engine
-/// wraps this over its RAM memo and adds metrics.
+/// perturbation round-trips through [`infer_deltas`], and characterizes
+/// it from scratch ([`SolverProvider`]) otherwise. The engine wraps
+/// this with metrics.
 #[derive(Clone)]
-pub struct SensDeltaProvider<'a> {
+pub struct SensDeltaProvider {
     /// The nominal library the sensitivities were recorded against.
     pub nominal: Arc<CellLibrary>,
     /// Per-`(cell, vector)` sensitivity models from the traced nominal
@@ -189,11 +182,9 @@ pub struct SensDeltaProvider<'a> {
     /// Per-entry linearization-error tolerance (log units); entries
     /// estimating above it re-solve exactly.
     pub tol: f64,
-    /// Full-characterization fallback for unrecognized requests.
-    pub fallback: &'a dyn DeltaProvider,
 }
 
-impl DeltaProvider for SensDeltaProvider<'_> {
+impl DeltaProvider for SensDeltaProvider {
     fn die_library(
         &self,
         tech: &Technology,
@@ -212,7 +203,7 @@ impl DeltaProvider for SensDeltaProvider<'_> {
                 return Ok((Arc::new(lib), diag));
             }
         }
-        self.fallback.die_library(tech, temp, opts)
+        SolverProvider.die_library(tech, temp, opts)
     }
 }
 
@@ -519,10 +510,10 @@ fn run_circuit_sample(
 /// worker, which tiles both of its arms through the block driver.
 ///
 /// Samples and diagnostics are bit-identical for any thread count,
-/// shard split, or `lanes` setting. With a provider that re-solves
-/// every die ([`SolverProvider`], the engine's memo) the samples are
-/// the bit-exact reference; a delta provider's differ from them by the
-/// linearization error its tolerance admits.
+/// shard split, or `lanes` setting. With [`SolverProvider`], which
+/// re-solves every die, the samples are the bit-exact reference; a
+/// delta provider's differ from them by the linearization error its
+/// tolerance admits.
 ///
 /// # Errors
 /// The first per-sample [`McError`] in index order.

@@ -211,8 +211,8 @@ mod proptests {
         /// One traced nominal characterization shared by every case
         /// (the sensitivities depend only on the nominal request, not
         /// on the per-case seed).
-        fn provider() -> &'static SensDeltaProvider<'static> {
-            static PROVIDER: OnceLock<SensDeltaProvider<'static>> = OnceLock::new();
+        fn provider() -> &'static SensDeltaProvider {
+            static PROVIDER: OnceLock<SensDeltaProvider> = OnceLock::new();
             PROVIDER.get_or_init(|| {
                 let cfg = config(0);
                 let nominal_tech = cfg.op.tech(&Technology::d25());
@@ -223,7 +223,6 @@ mod proptests {
                     nominal: Arc::new(lib),
                     sens: Arc::new(sens),
                     tol: DEFAULT_DELTA_TOL,
-                    fallback: &SolverProvider,
                 }
             })
         }

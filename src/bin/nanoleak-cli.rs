@@ -22,9 +22,7 @@
 //! The characterized cell library is cached on disk between runs
 //! (`.nanoleak-cache/` or `$NANOLEAK_CACHE_DIR`); pass `--no-cache`
 //! to force re-characterization. A cache directory that cannot be
-//! written only warns. `mc` is the exception: its per-sample libraries
-//! belong to unique perturbed dies, so they are memoized in RAM only —
-//! a disk cache would fill with one-shot entries.
+//! written only warns. Every analysis subcommand gets the same cache.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -519,9 +517,7 @@ fn analyze(command: &str, target: &str, mut args: Args) -> Result<(), String> {
         println!("{}", CircuitStats::compute(&circuit));
     }
     let body = Body::local(fields, target.to_string(), circuit);
-    // `mc` accepts the cache flags like every analysis command but
-    // never touches the disk: its per-die libraries are one-shot.
-    let disk = (!no_cache && command != "mc")
+    let disk = (!no_cache)
         .then(|| cache_dir.map_or_else(LibraryCache::default_location, LibraryCache::new));
     match command {
         "estimate" => {
