@@ -60,7 +60,7 @@ pub fn run(opts: &Options) {
         let unloaded = estimate_batch(circuit, &lib, &patterns, EstimatorMode::NoLoading)
             .expect("baseline estimation");
 
-        let pairs: Vec<_> = loaded.iter().cloned().zip(unloaded.iter().cloned()).collect();
+        let pairs: Vec<_> = loaded.iter().zip(&unloaded).map(|(l, u)| (l.total, u.total)).collect();
         let impact = nanoleak_core::LoadingImpact::from_pairs(&pairs);
 
         let est_mean_uw =
@@ -156,7 +156,7 @@ mod tests {
         let patterns = Pattern::random_batch(&circuit, &mut rng, 6);
         let loaded = estimate_batch(&circuit, &lib, &patterns, EstimatorMode::Lut).unwrap();
         let unloaded = estimate_batch(&circuit, &lib, &patterns, EstimatorMode::NoLoading).unwrap();
-        let pairs: Vec<_> = loaded.into_iter().zip(unloaded).collect();
+        let pairs: Vec<_> = loaded.iter().zip(&unloaded).map(|(l, u)| (l.total, u.total)).collect();
         let impact = nanoleak_core::LoadingImpact::from_pairs(&pairs);
         assert!(impact.avg.sub > 0.0, "{:?}", impact.avg);
         assert!(impact.avg.gate < 0.0, "{:?}", impact.avg);

@@ -1,14 +1,20 @@
-//! The one block driver and its telemetry.
+//! The one block driver, the one loaded-vs-unloaded evaluator, and
+//! their telemetry.
 //!
-//! Sweeps, both MLV scans and each Monte-Carlo die arm run through
-//! [`par_blocks`]: it tiles a workload's index range into blocks of
-//! `resolve_lanes(lanes)` patterns, one work item per block, and runs
-//! each block on the kernel its width calls for — the packed
+//! Sweeps, both MLV scans and both arms of every loading comparison
+//! run through [`par_blocks`]: it tiles a workload's index range into
+//! blocks of `resolve_lanes(lanes)` patterns, one work item per block,
+//! and runs each block on the kernel its width calls for — the packed
 //! word-parallel kernel for 64-lane blocks, the per-lane scalar kernel
 //! for 1-lane blocks (which keeps per-pattern parallelism). The tiling
 //! width therefore picks the kernel, never the code path or the
 //! result: both kernels produce bit-identical lane totals, and callers
 //! consume them in index order.
+//!
+//! [`loading_totals`] is the paper's circuit-level comparison — each
+//! pattern's leakage with loading and without it — and the only code
+//! that computes it for a pattern stream: every Monte-Carlo die and
+//! every `/v1/estimate` request call it.
 //!
 //! Every packed block evaluation is counted and timed here, where it
 //! runs, so operators can see how much of the load runs word-parallel,
@@ -126,6 +132,54 @@ pub fn par_blocks<T: Send>(
     })
     .into_iter()
     .collect()
+}
+
+/// Pattern count from which the loaded arm of [`loading_totals`] tiles
+/// at `lanes`, and so builds the block response tables, instead of
+/// running 1-pattern blocks on the per-lane scalar kernel. The rule is
+/// set for a fresh plan: a Monte-Carlo die compiles one and evaluates
+/// it `n` times, so the table build must pay for itself within one
+/// call. Measured per fresh plan on s838 (coarse grid, one thread,
+/// 2-vCPU x86-64 host): the tables cost ~50 ms to build and then
+/// ~0.5 ms per 64 vectors, the lane-by-lane arm ~3.5 ms per 64
+/// vectors, so tables break even at 1152 vectors (median of 9 runs,
+/// range 1024–1216). Larger circuits break even sooner (s5378: ~640).
+/// The rule does not look at whether a plan already holds its tables
+/// (a cached estimate plan may), so such a plan still runs 1-pattern
+/// blocks below the threshold.
+pub const TABLE_AMORTIZE_VECTORS: usize = 18 * LANES;
+
+/// The one loaded-vs-unloaded evaluator: the `n` patterns `pack` lays
+/// out (as in [`par_blocks`]), each estimated with loading (`Lut`) and
+/// without it (`NoLoading`), as `(loaded, unloaded)` totals in pattern
+/// order.
+///
+/// Each arm runs through [`par_blocks`] on `threads` workers. The
+/// unloaded arm tiles at `lanes`; the loaded arm tiles at `lanes` from
+/// [`TABLE_AMORTIZE_VECTORS`] patterns on and in 1-pattern blocks
+/// below that. Every total is bit-identical to a per-pattern
+/// [`CompiledEstimator::estimate_into`] call: `lanes`, `threads` and
+/// the volume rule move only the cost.
+///
+/// # Errors
+/// The first block's [`EstimateError`], loaded arm first.
+///
+/// # Panics
+/// If `lanes` is not `0`, `1` or [`LANES`] ([`resolve_lanes`]).
+pub fn loading_totals(
+    plan: &CompiledEstimator<'_>,
+    lanes: usize,
+    threads: usize,
+    n: usize,
+    pack: impl Fn(&mut PatternBlock, &mut Pattern, usize, usize) + Sync,
+) -> Result<Vec<(LeakageBreakdown, LeakageBreakdown)>, EstimateError> {
+    let arm = |mode, lanes| -> Result<Vec<LeakageBreakdown>, EstimateError> {
+        Ok(par_blocks(plan, lanes, threads, n, mode, &pack, |_, t| t.to_vec())?.concat())
+    };
+    let loaded_lanes = if n >= TABLE_AMORTIZE_VECTORS { lanes } else { 1 };
+    let loaded = arm(EstimatorMode::Lut, loaded_lanes)?;
+    let unloaded = arm(EstimatorMode::NoLoading, lanes)?;
+    Ok(loaded.into_iter().zip(unloaded).collect())
 }
 
 #[cfg(test)]

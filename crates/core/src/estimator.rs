@@ -136,7 +136,9 @@ fn estimate_gate(
 /// workspace-wide convention of [`crate::exec::resolve_threads`]
 /// (all cores, capped at 16), and results are materialized in pattern
 /// order — bit-identical to calling [`estimate`] per pattern, for any
-/// core count.
+/// core count. Every report keeps each gate's breakdown, which
+/// reference comparisons need; loaded-vs-unloaded totals alone come
+/// from [`loading_totals`](crate::loading_totals).
 ///
 /// # Errors
 /// [`EstimateError::MissingCell`] if the library lacks a used cell

@@ -26,15 +26,17 @@
 //!   ([`CompiledEstimator::estimate_block_into`] /
 //!   [`BlockScratch`]), bit-identical to the scalar path.
 //! * [`block`] — the one block driver, [`par_blocks`]: sweeps, MLV
-//!   scans and Monte-Carlo die arms tile their patterns into blocks
+//!   scans and loading comparisons tile their patterns into blocks
 //!   through it, and it counts and times every packed block it runs
-//!   ([`block_metrics`], in [`nanoleak_obs::global()`]).
+//!   ([`block_metrics`], in [`nanoleak_obs::global()`]). Beside it,
+//!   [`loading_totals`], the one loaded-vs-unloaded evaluator that
+//!   every Monte-Carlo die and every estimate request runs.
 //! * [`exec`] — the workspace's deterministic parallel-execution
 //!   primitives (SplitMix64 seed streams, index-ordered `par_map`).
 //! * [`stats`] — the one summary-statistics type ([`Stats`]) that
 //!   sweeps and Monte-Carlo summaries share.
-//! * [`report`] / [`experiment`] — leakage reports, loading-impact
-//!   statistics (Figs. 12b/12c) and the batch experiment driver.
+//! * [`report`] — leakage reports, estimator-vs-reference accuracy
+//!   and the loading-impact statistics of Figs. 12b/12c.
 //!
 //! ## Example
 //!
@@ -66,7 +68,6 @@ pub mod block;
 pub mod error;
 pub mod estimator;
 pub mod exec;
-pub mod experiment;
 pub mod loading;
 pub mod plan;
 pub mod reference;
@@ -74,10 +75,9 @@ pub mod report;
 pub mod shared;
 pub mod stats;
 
-pub use block::{block_metrics, par_blocks, BlockMetrics};
+pub use block::{block_metrics, loading_totals, par_blocks, BlockMetrics, TABLE_AMORTIZE_VECTORS};
 pub use error::EstimateError;
 pub use estimator::{estimate, estimate_batch, EstimatorMode};
-pub use experiment::{run_experiment, ExperimentConfig, ExperimentResult};
 pub use loading::LoadingState;
 pub use plan::{
     pack_index_block, resolve_lanes, BlockScratch, CompiledEstimator, EstimateScratch,

@@ -92,13 +92,15 @@
 //! runs the scalar pass, with no table build. Every workload runs
 //! through one block driver, [`par_blocks`](crate::par_blocks),
 //! whatever its `lanes` setting: the engine's sweeps and MLV scans and
-//! both arms of each Monte-Carlo die tile their patterns into blocks
-//! of [`resolve_lanes`]`(lanes)` lanes (seed-derived streams packed by
+//! both arms of every loading comparison
+//! ([`loading_totals`](crate::loading_totals), for each Monte-Carlo
+//! die and each estimate request) tile their patterns into blocks of
+//! [`resolve_lanes`]`(lanes)` lanes (seed-derived streams packed by
 //! [`pack_index_block`]), and the tiling width only picks the kernel —
 //! the packed kernel for 64-lane blocks, the per-lane one for 1-lane
-//! blocks (a Monte-Carlo die's loaded arm tiles in 1-lane blocks below
-//! its table-amortization volume). It never picks the path or the
-//! result.
+//! blocks (a loaded arm tiles in 1-lane blocks below
+//! [`TABLE_AMORTIZE_VECTORS`](crate::TABLE_AMORTIZE_VECTORS)). It
+//! never picks the path or the result.
 
 use std::cmp::Ordering;
 use std::collections::BTreeMap;

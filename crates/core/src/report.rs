@@ -24,21 +24,20 @@ impl CircuitLeakage {
         vdd * self.total.total()
     }
 
-    /// Per-component relative change of `self` against `base`
-    /// (the paper's "% variation in leakage due to loading" metric of
-    /// Fig. 12b/c when `base` is the no-loading estimate).
-    pub fn relative_change(&self, base: &Self) -> LeakageBreakdown {
-        self.total.relative_to(&base.total, 1e-18)
-    }
-
     /// Relative change of the *total* leakage against `base`.
     pub fn total_relative_change(&self, base: &Self) -> f64 {
-        let b = base.total.total();
-        if b.abs() <= 1e-18 {
-            0.0
-        } else {
-            (self.total.total() - b) / b
-        }
+        total_relative(&self.total, &base.total)
+    }
+}
+
+/// Relative change of `total`'s summed leakage against `base`'s
+/// (0 when the base is below 1e-18 A).
+fn total_relative(total: &LeakageBreakdown, base: &LeakageBreakdown) -> f64 {
+    let b = base.total();
+    if b.abs() <= 1e-18 {
+        0.0
+    } else {
+        (total.total() - b) / b
     }
 }
 
@@ -104,12 +103,13 @@ pub struct LoadingImpact {
 }
 
 impl LoadingImpact {
-    /// Computes the impact statistics from per-pattern (loaded,
-    /// unloaded) report pairs.
+    /// Computes the impact statistics from per-pattern `(loaded,
+    /// unloaded)` leakage totals; the per-component change is the
+    /// paper's "% variation in leakage due to loading" of Fig. 12b/c.
     ///
     /// # Panics
     /// Panics on an empty batch.
-    pub fn from_pairs(pairs: &[(CircuitLeakage, CircuitLeakage)]) -> Self {
+    pub fn from_pairs(pairs: &[(LeakageBreakdown, LeakageBreakdown)]) -> Self {
         assert!(!pairs.is_empty(), "need at least one pattern");
         let n = pairs.len() as f64;
         let mut avg = LeakageBreakdown::ZERO;
@@ -122,8 +122,8 @@ impl LoadingImpact {
             }
         };
         for (loaded, unloaded) in pairs {
-            let rel = loaded.relative_change(unloaded);
-            let rel_total = loaded.total_relative_change(unloaded);
+            let rel = loaded.relative_to(unloaded, 1e-18);
+            let rel_total = total_relative(loaded, unloaded);
             avg += rel;
             avg_total += rel_total;
             keep_larger(&mut max.sub, rel.sub);
@@ -162,11 +162,10 @@ mod tests {
 
     #[test]
     fn loading_impact_statistics() {
-        let unloaded = CircuitLeakage::from_gates(vec![bd(100.0, 50.0, 10.0)]);
-        let loaded_a = CircuitLeakage::from_gates(vec![bd(110.0, 49.0, 9.5)]);
-        let loaded_b = CircuitLeakage::from_gates(vec![bd(104.0, 50.0, 10.0)]);
-        let impact =
-            LoadingImpact::from_pairs(&[(loaded_a, unloaded.clone()), (loaded_b, unloaded)]);
+        let unloaded = bd(100.0, 50.0, 10.0);
+        let loaded_a = bd(110.0, 49.0, 9.5);
+        let loaded_b = bd(104.0, 50.0, 10.0);
+        let impact = LoadingImpact::from_pairs(&[(loaded_a, unloaded), (loaded_b, unloaded)]);
         assert!((impact.avg.sub - 0.07).abs() < 1e-12);
         assert!((impact.max.sub - 0.10).abs() < 1e-12);
         assert!(impact.max.gate < 0.0, "gate change is negative");

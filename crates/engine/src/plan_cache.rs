@@ -23,18 +23,23 @@
 //!   [`CellLibrary::request_key`] inputs (tech, temperature,
 //!   characterization options), so equal keys mean bit-equal LUTs.
 //!
+//! Sweeps, MLV searches and estimate requests share plans through it.
 //! Monte-Carlo paths deliberately bypass this cache: each die
 //! perturbs the technology, producing single-use keys that would just
 //! churn residency.
 //!
-//! Residency is bounded at [`MAX_RESIDENT_PLANS`]; eviction picks an
-//! arbitrary entry (same policy as the library memo cache — the
-//! working set is tiny and any victim is recompilable). Hit/miss/
-//! eviction counters and a residency gauge live in
+//! Residency is bounded at [`MAX_RESIDENT_PLANS`]; past it the least
+//! recently used plan is evicted, as in the library memo cache. A
+//! victim is recompilable, but it takes its block response tables
+//! with it, and those cost far more to rebuild than the compile, so a
+//! plan every request asks for stays resident however many one-off
+//! plans pass through.
+//! Hit/miss/eviction counters and a residency gauge live in
 //! [`nanoleak_obs::global`] as `nanoleak_plan_cache_*`, so they show
 //! up on every `/metrics` scrape.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use nanoleak_cells::CellLibrary;
@@ -82,10 +87,18 @@ fn plan_cache_metrics() -> &'static PlanCacheMetrics {
 
 type Key = (u64, u64);
 
-fn cache() -> &'static Mutex<HashMap<Key, Arc<SharedEstimator>>> {
-    static CACHE: std::sync::OnceLock<Mutex<HashMap<Key, Arc<SharedEstimator>>>> =
-        std::sync::OnceLock::new();
+/// Resident plans, each with the [`clock`] stamp of its last use.
+type Plans = HashMap<Key, (Arc<SharedEstimator>, u64)>;
+
+fn cache() -> &'static Mutex<Plans> {
+    static CACHE: std::sync::OnceLock<Mutex<Plans>> = std::sync::OnceLock::new();
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
+}
+
+/// The next last-use stamp: one clock for every insert and hit.
+fn clock() -> u64 {
+    static CLOCK: AtomicU64 = AtomicU64::new(0);
+    CLOCK.fetch_add(1, Ordering::Relaxed)
 }
 
 /// The cache key for a (circuit, library) pair.
@@ -112,7 +125,8 @@ pub fn shared_plan(
 ) -> Result<Arc<SharedEstimator>, EstimateError> {
     let metrics = plan_cache_metrics();
     let key = plan_key(circuit, library);
-    if let Some(hit) = cache().lock().get(&key) {
+    if let Some((hit, used)) = cache().lock().get_mut(&key) {
+        *used = clock();
         metrics.hits.inc();
         return Ok(Arc::clone(hit));
     }
@@ -126,14 +140,16 @@ pub fn shared_plan(
     metrics.compile_seconds.record_duration(start.elapsed());
     let mut map = cache().lock();
     if !map.contains_key(&key) && map.len() >= MAX_RESIDENT_PLANS {
-        if let Some(&victim) = map.keys().next() {
+        if let Some(victim) = map.iter().min_by_key(|(_, (_, used))| *used).map(|(&k, _)| k) {
             map.remove(&victim);
             metrics.evictions.inc();
         }
     }
     // A racing caller may have inserted first; keep the incumbent so
     // every holder shares one plan.
-    let plan = Arc::clone(map.entry(key).or_insert(fresh));
+    let (plan, used) = map.entry(key).or_insert((fresh, 0));
+    *used = clock();
+    let plan = Arc::clone(plan);
     metrics.resident.set(map.len() as i64);
     Ok(plan)
 }

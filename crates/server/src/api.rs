@@ -18,17 +18,17 @@ use std::time::{Duration, Instant};
 
 use nanoleak_cells::{CellLibrary, CellType, CharacterizeOptions, OperatingPoint};
 use nanoleak_core::exec::{par_map, resolve_threads};
-use nanoleak_core::{estimate_batch, CircuitLeakage, EstimatorMode, LoadingImpact};
+use nanoleak_core::{loading_totals, EstimateError, EstimatorMode, LoadingImpact};
 use nanoleak_device::{LeakageBreakdown, Technology};
 use nanoleak_engine::{
-    mc_streaming_mode, mlv_search, shard_count, sweep, sweep_streaming, CacheOutcome, EngineError,
-    McMode, McShard, MemoLibraryCache, MlvConfig, MlvGoal, MlvStrategy, SweepConfig, SweepShard,
-    SweepStats,
+    mc_streaming_mode, mlv_search, shard_count, shared_plan, sweep, sweep_streaming, CacheOutcome,
+    EngineError, McMode, McShard, MemoLibraryCache, MlvConfig, MlvGoal, MlvStrategy, SweepConfig,
+    SweepShard, SweepStats,
 };
 use nanoleak_netlist::bench_format::parse_bench;
 use nanoleak_netlist::generate::{alu, iscas_like, multiplier};
 use nanoleak_netlist::normalize::normalize;
-use nanoleak_netlist::{Circuit, NetId, Pattern, RawCircuit};
+use nanoleak_netlist::{Circuit, NetId, Pattern, PatternBlock, RawCircuit};
 use nanoleak_opt::{optimize_with, OptimizeConfig, RoundProgress};
 use nanoleak_variation::{char_opts_for, CircuitMcConfig, McSummary, VariationSigmas};
 use rand::SeedableRng;
@@ -405,7 +405,19 @@ pub struct EstimateResponse {
     pub elapsed_ms: f64,
 }
 
-/// Runs the estimate endpoint.
+/// The first `n` patterns of an estimate's vector stream for `seed`:
+/// [`Pattern::random_batch`] from a `StdRng` seeded with `seed`.
+/// `estimate --reference` re-draws its vectors through this too, so
+/// the reference solve sees the patterns the estimate averaged.
+pub fn estimate_patterns(circuit: &Circuit, seed: u64, n: usize) -> Vec<Pattern> {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    Pattern::random_batch(circuit, &mut rng, n)
+}
+
+/// Runs the estimate endpoint: both arms of core's one
+/// loaded-vs-unloaded evaluator ([`loading_totals`], at auto lanes on
+/// all cores) over the request's [`estimate_patterns`], on the plan
+/// the engine's structural cache shares ([`shared_plan`]).
 pub fn run_estimate(
     cache: &MemoLibraryCache,
     body: &Body,
@@ -422,16 +434,21 @@ pub fn run_estimate(
     let seed = body.get("seed", 2005u64)?;
     let lib = library(cache, observer, &tech, &op, &resolve_char_opts(body)?)?;
 
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let patterns = Pattern::random_batch(&circuit, &mut rng, vectors);
-    let loaded = estimate_batch(&circuit, &lib, &patterns, EstimatorMode::Lut)
-        .map_err(|e| ApiError::unprocessable(format!("estimation failed: {e}")))?;
-    let unloaded = estimate_batch(&circuit, &lib, &patterns, EstimatorMode::NoLoading)
-        .map_err(|e| ApiError::unprocessable(format!("estimation failed: {e}")))?;
+    let patterns = estimate_patterns(&circuit, seed, vectors);
+    let failed = |e: EstimateError| ApiError::unprocessable(format!("estimation failed: {e}"));
+    let shared = shared_plan(&circuit, &lib).map_err(failed)?;
+    let pack = |block: &mut PatternBlock, _: &mut Pattern, start: usize, count: usize| {
+        block.clear();
+        for pattern in &patterns[start..start + count] {
+            block.push(pattern);
+        }
+    };
+    let pairs = loading_totals(shared.plan(), 0, 0, vectors, pack).map_err(failed)?;
 
-    let mean =
-        |rs: &[CircuitLeakage]| rs.iter().map(|r| r.total.total()).sum::<f64>() / rs.len() as f64;
-    let pairs: Vec<_> = loaded.iter().cloned().zip(unloaded.iter().cloned()).collect();
+    let mean = |arm: fn(&(LeakageBreakdown, LeakageBreakdown)) -> f64| {
+        pairs.iter().map(arm).sum::<f64>() / vectors as f64
+    };
+    let mean_total_a = mean(|(loaded, _)| loaded.total());
     let impact = LoadingImpact::from_pairs(&pairs);
 
     Ok(EstimateResponse {
@@ -441,9 +458,9 @@ pub fn run_estimate(
         vectors,
         seed,
         temp: op.temp,
-        mean_total_a: mean(&loaded),
-        mean_no_loading_a: mean(&unloaded),
-        mean_power_w: mean(&loaded) * lib.tech.vdd,
+        mean_total_a,
+        mean_no_loading_a: mean(|(_, unloaded)| unloaded.total()),
+        mean_power_w: mean_total_a * lib.tech.vdd,
         loading_impact_avg: impact.avg_total,
         loading_impact_avg_components: impact.avg,
         loading_impact_max: impact.max_total,
@@ -940,9 +957,11 @@ pub fn run_grid(
 // ---------------------------------------------------------------------
 
 /// Most Monte-Carlo samples one job may request. Each sample is a
-/// full characterization of a perturbed die — orders of magnitude more
-/// solver work than a sweep vector — so the budget is correspondingly
-/// smaller than [`MAX_REQUEST_VECTORS`].
+/// perturbed die with a library of its own — a full characterization
+/// in exact mode, a derivation from nominal sensitivities (with
+/// per-entry re-solves) in fast mode — plus a fresh plan, so even a
+/// fast sample costs orders of magnitude more than a sweep vector and
+/// the budget is correspondingly smaller than [`MAX_REQUEST_VECTORS`].
 pub const MAX_REQUEST_MC_SAMPLES: usize = 2048;
 
 /// Response of an `"mc"` job (and of `nanoleak-cli mc --format json`):
@@ -1252,6 +1271,47 @@ mod tests {
         let (name, resolved) = resolve_circuit(&local).unwrap();
         assert_eq!(name, "s838");
         assert!(matches!(resolved, Cow::Borrowed(_)));
+    }
+
+    /// The estimate's means and loading impact equal the same
+    /// reductions over per-pattern `estimate_into` totals of its
+    /// vector stream, below the table threshold and past it, where the
+    /// loaded arm runs on the packed table kernel.
+    #[test]
+    fn estimate_equals_per_pattern_reductions() {
+        use nanoleak_core::{CompiledEstimator, TABLE_AMORTIZE_VECTORS};
+        let cache = MemoLibraryCache::memory_only();
+        let (seed, coarse) = (3, CharacterizeOptions::coarse(&CellType::ALL));
+        for vectors in [70, TABLE_AMORTIZE_VECTORS + 1] {
+            let text =
+                format!(r#"{{"target":"s838","coarse":true,"vectors":{vectors},"seed":{seed}}}"#);
+            let body = Body::parse(&text).unwrap();
+            let r = run_estimate(&cache, &body, &NoopObserver).unwrap();
+
+            let (_, circuit) = resolve_circuit(&body).unwrap();
+            let op = OperatingPoint::default();
+            let (lib, _) = cache.get_or_characterize_at(&Technology::d25(), &op, &coarse).unwrap();
+            let plan = CompiledEstimator::compile(&circuit, &lib).unwrap();
+            let mut s = plan.scratch();
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let pairs: Vec<_> = Pattern::random_batch(&circuit, &mut rng, vectors)
+                .iter()
+                .map(|p| {
+                    let loaded = plan.estimate_into(&mut s, p, EstimatorMode::Lut).unwrap();
+                    (loaded, plan.estimate_into(&mut s, p, EstimatorMode::NoLoading).unwrap())
+                })
+                .collect();
+            let loaded = pairs.iter().map(|(l, _)| l.total()).sum::<f64>() / vectors as f64;
+            let unloaded = pairs.iter().map(|(_, u)| u.total()).sum::<f64>() / vectors as f64;
+            let impact = LoadingImpact::from_pairs(&pairs);
+            assert_eq!(r.vectors, vectors);
+            assert_eq!(r.mean_total_a, loaded, "vectors = {vectors}");
+            assert_eq!(r.mean_no_loading_a, unloaded, "vectors = {vectors}");
+            assert_eq!(r.mean_power_w, loaded * lib.tech.vdd, "vectors = {vectors}");
+            assert_eq!(r.loading_impact_avg, impact.avg_total, "vectors = {vectors}");
+            assert_eq!(r.loading_impact_avg_components, impact.avg, "vectors = {vectors}");
+            assert_eq!(r.loading_impact_max, impact.max_total, "vectors = {vectors}");
+        }
     }
 
     #[test]

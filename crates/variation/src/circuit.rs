@@ -15,13 +15,13 @@
 //! a nominal library's recorded sensitivities — the fast mode.
 //!
 //! Each die runs both arms over the shared pattern set through core's
-//! one block driver, [`par_blocks`], on the die's own worker. The
-//! unloaded arm tiles at [`CircuitMcConfig::lanes`]; the loaded arm
-//! tiles at `lanes` from [`TABLE_AMORTIZE_VECTORS`] on and in
-//! 1-pattern blocks below it. The tiling width picks the kernel, never
-//! the loop or the result: 64-pattern blocks run the packed
-//! word-parallel kernel, 1-pattern blocks the per-lane scalar kernel,
-//! and the driver counts and times every packed block where it runs.
+//! one loaded-vs-unloaded evaluator, [`loading_totals`], on the die's
+//! own worker, at [`CircuitMcConfig::lanes`] and under core's
+//! table-amortization rule
+//! ([`TABLE_AMORTIZE_VECTORS`](crate::TABLE_AMORTIZE_VECTORS)). The
+//! tiling width picks the kernel, never the loop or the result, and
+//! core's block driver counts and times every packed block where it
+//! runs.
 //!
 //! ## Modeling scope
 //!
@@ -56,9 +56,7 @@ use nanoleak_cells::{
     OperatingPoint,
 };
 use nanoleak_core::exec::{mix, par_map};
-use nanoleak_core::{
-    pack_index_block, par_blocks, CompiledEstimator, EstimateError, EstimatorMode, Stats, LANES,
-};
+use nanoleak_core::{loading_totals, pack_index_block, CompiledEstimator, EstimateError, Stats};
 use nanoleak_device::{LeakageBreakdown, Technology};
 use nanoleak_netlist::Circuit;
 use nanoleak_solver::SolverError;
@@ -234,11 +232,12 @@ pub struct CircuitMcConfig {
     /// characterizing cells the circuit never instantiates is pure
     /// waste at one library per sample.
     pub char_opts: CharacterizeOptions,
-    /// Evaluation lanes: `0` (auto) and [`LANES`] tile each sample's
-    /// shared pattern set into 64-pattern blocks on the word-parallel
-    /// kernel (the loaded arm only from [`TABLE_AMORTIZE_VECTORS`]
-    /// on); `1` into 1-pattern blocks on the per-lane scalar kernel.
-    /// The driver is the same and never changes a bit of the result.
+    /// Evaluation lanes, handed to [`loading_totals`]: `0` (auto) and
+    /// `64` tile each sample's shared pattern set into 64-pattern
+    /// blocks on the word-parallel kernel (the loaded arm only from
+    /// [`TABLE_AMORTIZE_VECTORS`](crate::TABLE_AMORTIZE_VECTORS) on);
+    /// `1` into 1-pattern blocks on the per-lane scalar kernel. Never
+    /// changes a bit of the result.
     pub lanes: usize,
 }
 
@@ -447,43 +446,8 @@ fn sample_tech(nominal: &Technology, config: &CircuitMcConfig, index: usize) -> 
     tech
 }
 
-/// Pattern count from which a die's loaded arm builds the block
-/// response tables instead of running the lane-by-lane scalar kernel.
-/// Every die compiles a fresh plan and evaluates it `vectors` times,
-/// so the table build must pay for itself within one die. Measured per
-/// fresh plan on s838 (coarse grid, one thread, 2-vCPU x86-64 host):
-/// the tables cost ~50 ms to build and then ~0.5 ms per 64 vectors,
-/// the lane-by-lane arm ~3.5 ms per 64 vectors, so tables break even
-/// at 1152 vectors (median of 9 runs, range 1024–1216). Larger
-/// circuits break even sooner (s5378: ~640).
-pub const TABLE_AMORTIZE_VECTORS: usize = 18 * LANES;
-
-/// Evaluates one die's plan over the shared pattern set, returning the
-/// (loaded, unloaded) sums in pattern-index order.
-///
-/// Each arm runs through the block driver ([`par_blocks`]) on the
-/// die's own worker and adds its lane totals from zero in index order.
-/// The unloaded arm tiles at `lanes`; the loaded (Lut) arm tiles at
-/// `lanes` once the pattern volume amortizes its response tables
-/// ([`TABLE_AMORTIZE_VECTORS`]) and in 1-pattern blocks below that.
-/// The tiling width picks the kernel, and core guarantees the kernels
-/// agree bit-for-bit, so neither `lanes` nor the volume rule ever
-/// changes a result, only its cost.
-fn evaluate_plan(
-    plan: &CompiledEstimator,
-    config: &CircuitMcConfig,
-) -> Result<(LeakageBreakdown, LeakageBreakdown), EstimateError> {
-    let arm = |mode, lanes| -> Result<LeakageBreakdown, EstimateError> {
-        let pack = |block: &mut _, pattern: &mut _, start, count| {
-            pack_index_block(plan.circuit(), config.pattern_seed, start, count, pattern, block);
-        };
-        let blocks = par_blocks(plan, lanes, 1, config.vectors, mode, pack, |_, t| t.to_vec())?;
-        Ok(blocks.iter().flatten().fold(LeakageBreakdown::ZERO, |sum, &t| sum + t))
-    };
-    let loaded_lanes = if config.vectors >= TABLE_AMORTIZE_VECTORS { config.lanes } else { 1 };
-    Ok((arm(EstimatorMode::Lut, loaded_lanes)?, arm(EstimatorMode::NoLoading, config.lanes)?))
-}
-
+/// Sample `index`: its die's library, a fresh plan over it, and the
+/// mean of both arms' [`loading_totals`], each summed in pattern order.
 fn run_circuit_sample(
     circuit: &Circuit,
     nominal: &Technology,
@@ -494,7 +458,12 @@ fn run_circuit_sample(
     let tech = sample_tech(nominal, config, index);
     let (lib, diag) = provider.die_library(&tech, config.op.temp, &config.char_opts)?;
     let plan = CompiledEstimator::compile(circuit, &lib)?;
-    let (loaded, unloaded) = evaluate_plan(&plan, config)?;
+    let pack = |block: &mut _, pattern: &mut _, start, count| {
+        pack_index_block(circuit, config.pattern_seed, start, count, pattern, block);
+    };
+    let pairs = loading_totals(&plan, config.lanes, 1, config.vectors, pack)?;
+    let zero = LeakageBreakdown::ZERO;
+    let (loaded, unloaded) = pairs.iter().fold((zero, zero), |(l, u), &(a, b)| (l + a, u + b));
     let sample = McSample {
         loaded: loaded.scaled(1.0 / config.vectors as f64),
         unloaded: unloaded.scaled(1.0 / config.vectors as f64),
@@ -507,7 +476,8 @@ fn run_circuit_sample(
 /// provider's per-die diagnostics summed over the range — the one
 /// driver of both modes, and the building block streaming front-ends
 /// shard over. Dies are the unit of parallelism: each runs on one
-/// worker, which tiles both of its arms through the block driver.
+/// worker, which evaluates both of its arms through
+/// [`loading_totals`].
 ///
 /// Samples and diagnostics are bit-identical for any thread count,
 /// shard split, or `lanes` setting. With [`SolverProvider`], which

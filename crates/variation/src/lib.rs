@@ -51,9 +51,12 @@ pub mod stats;
 pub use circuit::{
     char_opts_for, run_circuit_mc, run_circuit_mc_range, summarize, CircuitMcConfig,
     CircuitMcResult, DeltaProvider, DieDiag, FastMcDiag, FastMcReport, McError, McSummary,
-    SensDeltaProvider, SeriesSummary, SolverProvider, DEFAULT_HIST_BINS, TABLE_AMORTIZE_VECTORS,
+    SensDeltaProvider, SeriesSummary, SolverProvider, DEFAULT_HIST_BINS,
 };
 pub use mc::{run_inverter_mc, series_of, stats_of, McConfig, McResult, McSample, Series};
+/// The volume rule each die's loaded arm runs under, defined beside
+/// core's [`loading_totals`](nanoleak_core::loading_totals).
+pub use nanoleak_core::TABLE_AMORTIZE_VECTORS;
 pub use sigmas::{gaussian, VariationSigmas};
 pub use stats::Histogram;
 

@@ -37,7 +37,6 @@ use nanoleak_serve::api::{
     SweepResponse,
 };
 use nanoleak_serve::{ServeConfig, Server};
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize, Value};
 
 const USAGE: &str = "\
@@ -137,7 +136,8 @@ mc options:
                       nominal library's recorded sensitivities — 10-100x
                       faster, with the measured max/mean deviation from
                       the exact path reported alongside the summary
-  (mc ignores the disk cache: per-sample libraries are RAM-memoized only)
+  (mc neither reads nor writes the disk cache: every die gets a fresh
+   library, and the fast mode's traced nominal stays in RAM)
 
 serve options:
   --addr A        bind address (default 127.0.0.1:8425)
@@ -574,9 +574,7 @@ fn print_reference(body: &Body, r: &EstimateResponse, lib: &CellLibrary) -> Resu
     let (_, circuit) = api::resolve_circuit(body).map_err(cli_error)?;
     let n = r.vectors.min(5);
     println!("\nrunning full reference solve on {n} vectors (slow) ...");
-    // The same seeded stream `run_estimate` drew its vectors from.
-    let mut rng = rand::rngs::StdRng::seed_from_u64(r.seed);
-    let patterns = Pattern::random_batch(&circuit, &mut rng, n);
+    let patterns = api::estimate_patterns(&circuit, r.seed, n);
     let loaded = estimate_batch(&circuit, lib, &patterns, EstimatorMode::Lut)
         .map_err(|e| format!("estimation failed: {e}"))?;
     let opts = ReferenceOptions::default();

@@ -48,7 +48,7 @@ fn circuit_level_cancellation_keeps_net_effect_moderate() {
     let patterns = Pattern::random_batch(&circuit, &mut rng, 12);
     let loaded = estimate_batch(&circuit, &lib, &patterns, EstimatorMode::Lut).unwrap();
     let unloaded = estimate_batch(&circuit, &lib, &patterns, EstimatorMode::NoLoading).unwrap();
-    let pairs: Vec<_> = loaded.into_iter().zip(unloaded).collect();
+    let pairs: Vec<_> = loaded.iter().zip(&unloaded).map(|(l, u)| (l.total, u.total)).collect();
     let impact = LoadingImpact::from_pairs(&pairs);
     assert!(
         impact.avg_total > 0.0 && impact.avg_total < 0.10,

@@ -73,7 +73,7 @@ fn loading_statistics_have_paper_signs_on_multiplier() {
     let patterns = Pattern::random_batch(&circuit, &mut rng, 8);
     let loaded = estimate_batch(&circuit, &lib, &patterns, EstimatorMode::Lut).unwrap();
     let unloaded = estimate_batch(&circuit, &lib, &patterns, EstimatorMode::NoLoading).unwrap();
-    let pairs: Vec<_> = loaded.into_iter().zip(unloaded).collect();
+    let pairs: Vec<_> = loaded.iter().zip(&unloaded).map(|(l, u)| (l.total, u.total)).collect();
     let impact = LoadingImpact::from_pairs(&pairs);
     assert!(impact.avg.sub > 0.0, "{:?}", impact.avg);
     assert!(impact.avg.gate < 0.0, "{:?}", impact.avg);
