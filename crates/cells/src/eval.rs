@@ -10,8 +10,7 @@
 
 use nanoleak_device::{LeakageBreakdown, Technology};
 use nanoleak_solver::{
-    dc_evaluate_at, solve_dc, solve_dc_traced, DcTrace, MosNetlist, NewtonOptions, NodeId,
-    SolverError,
+    solve_dc, solve_dc_traced, DcSolution, DcTrace, MosNetlist, NewtonOptions, NodeId, SolverError,
 };
 
 use crate::cell_type::CellType;
@@ -81,7 +80,9 @@ pub fn eval_isolated(
     for &(node, v) in &pins.internals {
         guess[node.0] = v;
     }
-    let sol = solve_dc(&nl, temp, Some(&guess), &NewtonOptions::default())?;
+    let sol = solve_with_retry(&pins, vdd_v, &guess, |g| {
+        solve_dc(&nl, temp, Some(g), &NewtonOptions::default())
+    })?;
     Ok(extract(&nl, &sol, &pins, &ins, output_level))
 }
 
@@ -108,8 +109,7 @@ pub fn eval_loaded(
     il_out: f64,
 ) -> Result<CellSolution, SolverError> {
     let fx = loaded_fixture(tech, cell, vector, il_in, il_out)?;
-    let sol = solve_dc(&fx.nl, temp, Some(&fx.guess), &NewtonOptions::default())?;
-    Ok(extract(&fx.nl, &sol, &fx.pins, &fx.ins, fx.output_level))
+    solve_fixture(&fx, temp, &fx.guess)
 }
 
 /// The measurement fixture of [`eval_loaded`] before solving: netlist,
@@ -123,6 +123,7 @@ pub(crate) struct LoadedFixture {
     pub pins: CellPins,
     pub guess: Vec<f64>,
     pub output_level: bool,
+    pub vdd: f64,
 }
 
 pub(crate) fn loaded_fixture(
@@ -173,7 +174,7 @@ pub(crate) fn loaded_fixture(
     for &(node, v) in &pins.internals {
         guess[node.0] = v;
     }
-    Ok(LoadedFixture { nl, ins, pins, guess, output_level })
+    Ok(LoadedFixture { nl, ins, pins, guess, output_level, vdd: vdd_v })
 }
 
 /// A loaded evaluation that also keeps the solver trace (unknown
@@ -196,22 +197,12 @@ pub(crate) fn eval_loaded_traced(
     il_out: f64,
 ) -> Result<TracedEval, SolverError> {
     let fx = loaded_fixture(tech, cell, vector, il_in, il_out)?;
-    let (sol, trace) = solve_dc_traced(&fx.nl, temp, Some(&fx.guess), &NewtonOptions::default())?;
+    let (sol, trace) = solve_with_retry(&fx.pins, fx.vdd, &fx.guess, |g| {
+        solve_dc_traced(&fx.nl, temp, Some(g), &NewtonOptions::default())
+    })?;
     let x_star = trace.unknown_voltages(&sol);
     let solution = extract(&fx.nl, &sol, &fx.pins, &fx.ins, fx.output_level);
     Ok(TracedEval { solution, trace, x_star })
-}
-
-/// Evaluates a fixture at prescribed unknown voltages — no Newton
-/// solve, just the device equations at that operating point.
-#[allow(dead_code)]
-pub(crate) fn eval_fixture_at(
-    fx: &LoadedFixture,
-    temp: f64,
-    x: &[f64],
-) -> Result<CellSolution, SolverError> {
-    let sol = dc_evaluate_at(&fx.nl, temp, x)?;
-    Ok(extract(&fx.nl, &sol, &fx.pins, &fx.ins, fx.output_level))
 }
 
 /// Solves a fixture from an explicit full-node guess (the sensitivity
@@ -221,15 +212,42 @@ pub(crate) fn solve_fixture(
     temp: f64,
     guess: &[f64],
 ) -> Result<CellSolution, SolverError> {
-    let sol = solve_dc(&fx.nl, temp, Some(guess), &NewtonOptions::default())?;
+    let sol = solve_with_retry(&fx.pins, fx.vdd, guess, |g| {
+        solve_dc(&fx.nl, temp, Some(g), &NewtonOptions::default())
+    })?;
     Ok(extract(&fx.nl, &sol, &fx.pins, &fx.ins, fx.output_level))
+}
+
+/// Runs `solve` from `guess`, the one way every cell solve starts. A
+/// solve that does not converge is retried once with each stack node
+/// started at the rail its stack hangs from (its suggested start sits
+/// 50 mV inside that rail): on a strongly perturbed die Newton can
+/// stall from the 50 mV start yet converge from the rail, as a +120 mV
+/// Vt NAND4 with vector `0001` does. A first attempt that converges is
+/// returned untouched.
+fn solve_with_retry<T>(
+    pins: &CellPins,
+    vdd: f64,
+    guess: &[f64],
+    solve: impl Fn(&[f64]) -> Result<T, SolverError>,
+) -> Result<T, SolverError> {
+    match solve(guess) {
+        Err(SolverError::NoConvergence { .. }) if !pins.internals.is_empty() => {
+            let mut from_rails = guess.to_vec();
+            for &(node, start) in &pins.internals {
+                from_rails[node.0] = if start < 0.5 * vdd { 0.0 } else { vdd };
+            }
+            solve(&from_rails)
+        }
+        first => first,
+    }
 }
 
 /// Collects the DUT-only quantities from a converged solution.
 fn extract(
     nl: &MosNetlist,
-    sol: &nanoleak_solver::DcSolution,
-    pins: &crate::topology::CellPins,
+    sol: &DcSolution,
+    pins: &CellPins,
     ins: &[NodeId],
     output_level: bool,
 ) -> CellSolution {
@@ -395,6 +413,35 @@ mod tests {
         let min_idx =
             totals.iter().enumerate().min_by(|a, b| a.1.partial_cmp(b.1).unwrap()).unwrap().0;
         assert_ne!(min_idx, InputVector::parse("00").unwrap().index(), "totals = {totals:?}");
+    }
+
+    #[test]
+    fn strongly_perturbed_nand4_stack_converges() {
+        // A Monte-Carlo die (+120 mV Vt, -0.148 nm Tox, +3.8 nm L,
+        // +14 mV Vdd) on which Newton stalls from the 50 mV stack-node
+        // start for NAND4 vectors 0000 and 0001; the rail restart
+        // converges.
+        let die = nanoleak_device::Perturbation {
+            dl: 3.828240535703536e-9,
+            dtox: -1.4761033706512228e-10,
+            dvth: 0.12030903968447328,
+            dvdd: 0.0140636661469293,
+        };
+        let mut tech = tech();
+        tech.nmos = die.apply(&tech.nmos);
+        tech.pmos = die.apply(&tech.pmos);
+        tech.vdd += die.dvdd;
+        for v in ["0001", "0000"] {
+            let v = InputVector::parse(v).unwrap();
+            let s = eval_loaded(&tech, 300.0, CellType::Nand4, v, &[0.0; 4], 0.0).unwrap();
+            assert!(s.output_level && s.output_voltage > 0.85, "{v}: Vout = {}", s.output_voltage);
+            // The stack settles within tens of mV of ground (gate
+            // tunneling on this thin-oxide die may pull it below).
+            for &x in &s.internal_voltages {
+                assert!(x.abs() < 0.05, "{v}: stack node at {x} V");
+            }
+            assert!(s.breakdown.total() > 0.0);
+        }
     }
 
     #[test]

@@ -230,9 +230,12 @@ pub struct DeltaReport {
 
 /// Characterizes like [`CellLibrary::characterize`] — the returned
 /// library is bit-identical to it — while also extracting per-axis
-/// sensitivities from the traced solves. Costs roughly one extra
-/// Jacobian factorization plus `4` residual probes per Newton solve; no
-/// additional solves.
+/// sensitivities from the traced solves. Each nominal solve costs one
+/// extra Jacobian factorization and brings 28 probe solves: one per
+/// probe technology (`±h` and `±2h` on each of the four axes, plus a
+/// `(+2h,+2h)`/`(-2h,-2h)` corner pair for each of the six axis pairs),
+/// each warm-started from the factored Jacobian's prediction and
+/// typically converging in a couple of Newton steps.
 ///
 /// # Errors
 /// Propagates solver failures, including a singular Jacobian at any

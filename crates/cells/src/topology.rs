@@ -19,7 +19,8 @@ pub struct CellPins {
     /// Output node.
     pub output: NodeId,
     /// Internal (stack) nodes, each with a suggested initial voltage
-    /// for the Newton solve.
+    /// for the Newton solve: 50 mV inside the rail its stack hangs
+    /// from.
     pub internals: Vec<(NodeId, f64)>,
     /// Device index range of this cell inside the netlist.
     pub device_range: std::ops::Range<usize>,

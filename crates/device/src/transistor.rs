@@ -11,6 +11,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::bias::{Bias, LeakageBreakdown, TerminalCurrents};
+use crate::gate_tunneling::GateCurrents;
 use crate::params::{logistic, MosParams};
 use crate::{btbt, gate_tunneling, subthreshold, DeviceDesign, MosKind};
 
@@ -69,31 +70,39 @@ impl Transistor {
     /// current counts as subthreshold leakage only for an OFF device —
     /// an ON device merely conducts other devices' leakage).
     pub fn leakage(&self, bias: Bias, t: f64) -> (TerminalCurrents, LeakageBreakdown) {
+        let (tc, mech) = self.evaluate(bias, t);
+        (tc, mech.breakdown(&self.params, t))
+    }
+
+    /// Terminal currents only, the quantity a KCL solver iterates on.
+    /// Bit for bit the currents of [`Transistor::leakage`], which runs
+    /// the same formula and only adds the mechanism breakdown.
+    pub fn terminal_currents(&self, bias: Bias, t: f64) -> TerminalCurrents {
+        self.evaluate(bias, t).0
+    }
+
+    /// The polarity transform over the n-like core.
+    fn evaluate(&self, bias: Bias, t: f64) -> (TerminalCurrents, Mechanisms) {
         match self.params.kind {
             MosKind::Nmos => Self::core(&self.params, bias, t),
             MosKind::Pmos => {
-                let (tc, bd) = Self::core(&self.params, bias.negated(), t);
-                (tc.negated(), bd)
+                let (tc, mech) = Self::core(&self.params, bias.negated(), t);
+                (tc.negated(), mech)
             }
         }
     }
 
-    /// Terminal currents only (convenience for solvers).
-    pub fn terminal_currents(&self, bias: Bias, t: f64) -> TerminalCurrents {
-        self.leakage(bias, t).0
-    }
-
     /// N-like core: normalizes source/drain order then assembles the
     /// three mechanisms.
-    fn core(p: &MosParams, bias: Bias, t: f64) -> (TerminalCurrents, LeakageBreakdown) {
+    fn core(p: &MosParams, bias: Bias, t: f64) -> (TerminalCurrents, Mechanisms) {
         if bias.vd < bias.vs {
-            let (tc, bd) = Self::core_ordered(p, bias.swapped_ds(), t);
-            return (tc.swapped_ds(), bd);
+            let (tc, mech) = Self::core_ordered(p, bias.swapped_ds(), t);
+            return (tc.swapped_ds(), mech);
         }
         Self::core_ordered(p, bias, t)
     }
 
-    fn core_ordered(p: &MosParams, bias: Bias, t: f64) -> (TerminalCurrents, LeakageBreakdown) {
+    fn core_ordered(p: &MosParams, bias: Bias, t: f64) -> (TerminalCurrents, Mechanisms) {
         debug_assert!(bias.vd >= bias.vs);
         let mut tc = TerminalCurrents::ZERO;
 
@@ -117,20 +126,34 @@ impl Transistor {
         tc.s += js;
         tc.b -= js;
 
-        // Breakdown: channel current is "subthreshold leakage" only if
-        // the device is OFF, gate counts every oxide component, BTBT
-        // counts the pure tunneling part. The ON/OFF classifier is a
-        // logic-state detector (midpoint well above any leakage-state
-        // node excursion, fixed 25 mV width) so that mV-scale loading
-        // shifts and temperature-induced Vth drift never leak into the
-        // attribution itself.
+        (tc, Mechanisms { bias, i_ch, gc })
+    }
+}
+
+/// What the breakdown reads of one core evaluation, in the core's
+/// normalized (n-like, `vds >= 0`) frame.
+struct Mechanisms {
+    bias: Bias,
+    i_ch: f64,
+    gc: GateCurrents,
+}
+
+impl Mechanisms {
+    /// Channel current is "subthreshold leakage" only if the device is
+    /// OFF, gate counts every oxide component, BTBT counts the pure
+    /// tunneling part. The ON/OFF classifier is a logic-state detector
+    /// (midpoint well above any leakage-state node excursion, fixed
+    /// 25 mV width) so that mV-scale loading shifts and
+    /// temperature-induced Vth drift never leak into the attribution
+    /// itself.
+    fn breakdown(&self, p: &MosParams, t: f64) -> LeakageBreakdown {
+        let bias = self.bias;
         let off_weight = 1.0 - logistic((bias.vgs() - (p.vth0 + 0.15)) / 0.025);
-        let bd = LeakageBreakdown {
-            sub: i_ch.abs() * off_weight,
-            gate: gc.magnitude(),
+        LeakageBreakdown {
+            sub: self.i_ch.abs() * off_weight,
+            gate: self.gc.magnitude(),
             btbt: btbt::ibtbt(p, bias.vdb(), t) + btbt::ibtbt(p, bias.vsb(), t),
-        };
-        (tc, bd)
+        }
     }
 }
 
@@ -239,6 +262,35 @@ mod tests {
         assert!((a.d - b.s).abs() < 1e-18);
         assert!((a.s - b.d).abs() < 1e-18);
         assert!((a.g - b.g).abs() < 1e-18);
+    }
+
+    #[test]
+    fn terminal_currents_are_the_leakage_currents_bit_for_bit() {
+        // The solvers iterate on `terminal_currents` and report from
+        // `leakage`; both must stamp the same bits. The grid crosses
+        // both source/drain orders (vd below and above vs) and the
+        // sub-zero and above-rail excursions of loaded nodes.
+        let levels = [-0.05, 0.0, 0.013, 0.05, 0.45, 0.887, 0.9, 0.95];
+        let bits = |tc: TerminalCurrents| [tc.d, tc.g, tc.s, tc.b].map(f64::to_bits);
+        let mut checked = 0;
+        for dev in [nmos(), pmos(), nmos().scaled_width(4.0)] {
+            for temp in [300.0, 380.0] {
+                for vg in levels {
+                    for vd in levels {
+                        for vs in levels {
+                            for vb in [0.0, 0.9] {
+                                let bias = Bias::new(vg, vd, vs, vb);
+                                let full = dev.leakage(bias, temp).0;
+                                let fast = dev.terminal_currents(bias, temp);
+                                assert_eq!(bits(fast), bits(full), "{bias:?} at {temp} K");
+                                checked += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(checked, 3 * 2 * 8 * 8 * 8 * 2);
     }
 
     #[test]

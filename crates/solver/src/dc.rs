@@ -9,7 +9,7 @@
 use nanoleak_device::{Bias, LeakageBreakdown, TerminalCurrents};
 
 use crate::error::SolverError;
-use crate::netlist::{MosNetlist, NodeId};
+use crate::netlist::{Device, MosNetlist, NodeId};
 use crate::newton::{self, NewtonOptions, NewtonStats};
 
 /// A converged operating point with its leakage accounting.
@@ -79,13 +79,165 @@ fn evaluate_devices(
     let mut currents = Vec::with_capacity(netlist.device_count());
     let mut breakdowns = Vec::with_capacity(netlist.device_count());
     for dev in netlist.devices() {
-        let bias =
-            Bias::new(voltages[dev.g.0], voltages[dev.d.0], voltages[dev.s.0], voltages[dev.b.0]);
-        let (tc, bd) = dev.transistor.leakage(bias, temp);
+        let (tc, bd) = dev.transistor.leakage(bias_at(dev, voltages), temp);
         currents.push(tc);
         breakdowns.push(bd);
     }
     (currents, breakdowns)
+}
+
+fn bias_at(dev: &Device, voltages: &[f64]) -> Bias {
+    Bias::new(voltages[dev.g.0], voltages[dev.d.0], voltages[dev.s.0], voltages[dev.b.0])
+}
+
+/// A device's terminal currents in the order the KCL rows sum them:
+/// drain, gate, source, bulk.
+fn stamp(tc: &TerminalCurrents) -> [f64; 4] {
+    [tc.d, tc.g, tc.s, tc.b]
+}
+
+/// The KCL equations of one netlist at one temperature, the system the
+/// DC solve hands to Newton.
+///
+/// Row `k` of the residual is the current flowing from the `k`-th
+/// floating node into device terminals, summed in device order and
+/// drain/gate/source/bulk order within a device, minus the node's
+/// injection. The system keeps every device's currents at the point of
+/// the latest residual, where Newton asks for the Jacobian, so a
+/// Jacobian column re-evaluates only the devices with a terminal on the
+/// perturbed node and re-sums the rows from the kept currents in that
+/// same order: every column is bit for bit the dense sweep's, which
+/// re-evaluates every device.
+struct KclSystem<'a> {
+    netlist: &'a MosNetlist,
+    temp: f64,
+    /// Floating nodes in slot order.
+    unknowns: Vec<NodeId>,
+    /// Every node's voltage: pinned nodes at their pins, floating nodes
+    /// at the point of the latest residual.
+    voltages: Vec<f64>,
+    /// Injection into each slot's node \[A\].
+    injections: Vec<f64>,
+    /// Each slot's residual terms as `(device, terminal)` pairs, in
+    /// summation order.
+    terms: Vec<Vec<(usize, usize)>>,
+    /// Each slot's incident devices (any terminal on its node),
+    /// ascending.
+    incident: Vec<Vec<usize>>,
+    /// Every device's [`stamp`] at `voltages`.
+    base: Vec<[f64; 4]>,
+    /// `base`, with the current column's devices re-evaluated.
+    work: Vec<[f64; 4]>,
+}
+
+impl<'a> KclSystem<'a> {
+    /// The system of `netlist`, with floating nodes starting from
+    /// `start` (full node vector; pinned entries are ignored).
+    fn new(netlist: &'a MosNetlist, temp: f64, start: &[f64]) -> Self {
+        let n_nodes = netlist.node_count();
+        let unknowns = netlist.unknown_nodes();
+        let mut slot_of: Vec<Option<usize>> = vec![None; n_nodes];
+        for (k, node) in unknowns.iter().enumerate() {
+            slot_of[node.0] = Some(k);
+        }
+        let mut terms = vec![Vec::new(); unknowns.len()];
+        let mut incident: Vec<Vec<usize>> = vec![Vec::new(); unknowns.len()];
+        for (di, dev) in netlist.devices().iter().enumerate() {
+            for (term, node) in [dev.d, dev.g, dev.s, dev.b].into_iter().enumerate() {
+                if let Some(k) = slot_of[node.0] {
+                    terms[k].push((di, term));
+                    if incident[k].last() != Some(&di) {
+                        incident[k].push(di);
+                    }
+                }
+            }
+        }
+        let voltages =
+            (0..n_nodes).map(|i| netlist.fixed_voltage(NodeId(i)).unwrap_or(start[i])).collect();
+        let injections = unknowns.iter().map(|n| netlist.injection(*n)).collect();
+        let n_dev = netlist.device_count();
+        Self {
+            netlist,
+            temp,
+            unknowns,
+            voltages,
+            injections,
+            terms,
+            incident,
+            base: vec![[0.0; 4]; n_dev],
+            work: vec![[0.0; 4]; n_dev],
+        }
+    }
+
+    fn load(&mut self, x: &[f64]) {
+        for (node, &v) in self.unknowns.iter().zip(x) {
+            self.voltages[node.0] = v;
+        }
+    }
+
+    fn currents(&self, dev: usize) -> [f64; 4] {
+        let dev = &self.netlist.devices()[dev];
+        stamp(&dev.transistor.terminal_currents(bias_at(dev, &self.voltages), self.temp))
+    }
+
+    /// Row `slot` of the residual over the given device currents.
+    fn row(&self, slot: usize, currents: &[[f64; 4]]) -> f64 {
+        let mut sum = 0.0;
+        for &(dev, term) in &self.terms[slot] {
+            sum += currents[dev][term];
+        }
+        sum - self.injections[slot]
+    }
+
+    /// Worst KCL imbalance over the floating nodes at the solution,
+    /// summed from the injection up.
+    fn worst_residual(&self, device_currents: &[TerminalCurrents]) -> f64 {
+        let mut worst = 0.0_f64;
+        for (slot, terms) in self.terms.iter().enumerate() {
+            let mut sum = -self.injections[slot];
+            for &(dev, term) in terms {
+                sum += stamp(&device_currents[dev])[term];
+            }
+            worst = worst.max(sum.abs());
+        }
+        worst
+    }
+}
+
+impl newton::System for KclSystem<'_> {
+    fn residual(&mut self, x: &[f64], f: &mut [f64]) {
+        self.load(x);
+        for dev in 0..self.base.len() {
+            self.base[dev] = self.currents(dev);
+        }
+        for (slot, fk) in f.iter_mut().enumerate() {
+            *fk = self.row(slot, &self.base);
+        }
+    }
+
+    fn jacobian(&mut self, x: &[f64], f: &[f64], step: f64, jac: &mut [f64]) {
+        debug_assert!(
+            self.unknowns.iter().zip(x).all(|(n, v)| self.voltages[n.0].to_bits() == v.to_bits()),
+            "the kept currents must be those of the latest residual, at `x`"
+        );
+        self.work.copy_from_slice(&self.base);
+        let n = x.len();
+        for j in 0..n {
+            let h = newton::column_step(step, x[j]);
+            let node = self.unknowns[j];
+            self.voltages[node.0] = x[j] + h;
+            for &dev in &self.incident[j] {
+                self.work[dev] = self.currents(dev);
+            }
+            for i in 0..n {
+                jac[i * n + j] = (self.row(i, &self.work) - f[i]) / h;
+            }
+            for &dev in &self.incident[j] {
+                self.work[dev] = self.base[dev];
+            }
+            self.voltages[node.0] = x[j];
+        }
+    }
 }
 
 /// Solves the DC operating point of `netlist` at temperature `temp`.
@@ -104,102 +256,7 @@ pub fn solve_dc(
     guess: Option<&[f64]>,
     opts: &NewtonOptions,
 ) -> Result<DcSolution, SolverError> {
-    let n_nodes = netlist.node_count();
-    if let Some(g) = guess {
-        if g.len() != n_nodes {
-            return Err(SolverError::BadProblem(format!(
-                "guess has {} entries for {} nodes",
-                g.len(),
-                n_nodes
-            )));
-        }
-    }
-    let unknowns = netlist.unknown_nodes();
-
-    // Assemble the full voltage vector template.
-    let vdd_est =
-        (0..n_nodes).filter_map(|i| netlist.fixed_voltage(NodeId(i))).fold(0.0_f64, f64::max);
-    let mut voltages: Vec<f64> = (0..n_nodes)
-        .map(|i| {
-            let node = NodeId(i);
-            netlist
-                .fixed_voltage(node)
-                .unwrap_or_else(|| guess.map(|g| g[i]).unwrap_or(0.5 * vdd_est))
-        })
-        .collect();
-
-    if unknowns.is_empty() {
-        let (device_currents, device_breakdowns) = evaluate_devices(netlist, &voltages, temp);
-        return Ok(DcSolution {
-            voltages,
-            device_currents,
-            device_breakdowns,
-            stats: NewtonStats { iterations: 0, residual: 0.0 },
-        });
-    }
-
-    // node index -> unknown slot (or None for pinned nodes).
-    let mut unknown_slot: Vec<Option<usize>> = vec![None; n_nodes];
-    for (k, node) in unknowns.iter().enumerate() {
-        unknown_slot[node.0] = Some(k);
-    }
-
-    let mut x: Vec<f64> = unknowns.iter().map(|n| voltages[n.0]).collect();
-    {
-        let template = voltages.clone();
-        let residual = |x: &[f64], f: &mut [f64]| {
-            let mut v = template.clone();
-            for (k, node) in unknowns.iter().enumerate() {
-                v[node.0] = x[k];
-            }
-            f.iter_mut().for_each(|fi| *fi = 0.0);
-            for dev in netlist.devices() {
-                let bias = Bias::new(v[dev.g.0], v[dev.d.0], v[dev.s.0], v[dev.b.0]);
-                let tc = dev.transistor.terminal_currents(bias, temp);
-                for (node, i) in [(dev.d, tc.d), (dev.g, tc.g), (dev.s, tc.s), (dev.b, tc.b)] {
-                    if let Some(k) = unknown_slot[node.0] {
-                        f[k] += i;
-                    }
-                }
-            }
-            for (k, node) in unknowns.iter().enumerate() {
-                f[k] -= netlist.injection(*node);
-            }
-        };
-        newton::solve(residual, &mut x, opts)?;
-    }
-    for (k, node) in unknowns.iter().enumerate() {
-        voltages[node.0] = x[k];
-    }
-    let (device_currents, device_breakdowns) = evaluate_devices(netlist, &voltages, temp);
-
-    // Re-derive the final residual for the stats (cheap, n is tiny).
-    let mut worst = 0.0_f64;
-    for node in &unknowns {
-        let mut sum = -netlist.injection(*node);
-        for (dev, tc) in netlist.devices().iter().zip(&device_currents) {
-            if dev.d == *node {
-                sum += tc.d;
-            }
-            if dev.g == *node {
-                sum += tc.g;
-            }
-            if dev.s == *node {
-                sum += tc.s;
-            }
-            if dev.b == *node {
-                sum += tc.b;
-            }
-        }
-        worst = worst.max(sum.abs());
-    }
-
-    Ok(DcSolution {
-        voltages,
-        device_currents,
-        device_breakdowns,
-        stats: NewtonStats { iterations: 0, residual: worst },
-    })
+    Ok(solve(netlist, temp, guess, opts, false)?.0)
 }
 
 /// The solver-side context of a traced DC solve: which nodes floated,
@@ -228,30 +285,6 @@ impl DcTrace {
     }
 }
 
-/// Assembles the full node-voltage vector for prescribed unknown
-/// voltages `x` (slot order = [`MosNetlist::unknown_nodes`]).
-fn assemble_voltages(netlist: &MosNetlist, x: &[f64]) -> Result<Vec<f64>, SolverError> {
-    let unknowns = netlist.unknown_nodes();
-    if x.len() != unknowns.len() {
-        return Err(SolverError::BadProblem(format!(
-            "{} unknown voltages for {} floating nodes",
-            x.len(),
-            unknowns.len()
-        )));
-    }
-    let n_nodes = netlist.node_count();
-    let mut v = vec![0.0; n_nodes];
-    for (i, vi) in v.iter_mut().enumerate() {
-        if let Some(fv) = netlist.fixed_voltage(NodeId(i)) {
-            *vi = fv;
-        }
-    }
-    for (k, node) in unknowns.iter().enumerate() {
-        v[node.0] = x[k];
-    }
-    Ok(v)
-}
-
 /// KCL residual of `netlist` evaluated at prescribed unknown voltages
 /// (no solve). Slot order matches [`MosNetlist::unknown_nodes`], which
 /// for a topology-identical rebuild (same construction order, new
@@ -261,50 +294,17 @@ fn assemble_voltages(netlist: &MosNetlist, x: &[f64]) -> Result<Vec<f64>, Solver
 /// [`SolverError::BadProblem`] if `x` does not match the floating-node
 /// count.
 pub fn dc_residual_at(netlist: &MosNetlist, temp: f64, x: &[f64]) -> Result<Vec<f64>, SolverError> {
-    let unknowns = netlist.unknown_nodes();
-    let v = assemble_voltages(netlist, x)?;
-    let n_nodes = netlist.node_count();
-    let mut unknown_slot: Vec<Option<usize>> = vec![None; n_nodes];
-    for (k, node) in unknowns.iter().enumerate() {
-        unknown_slot[node.0] = Some(k);
+    let mut sys = KclSystem::new(netlist, temp, &vec![0.0; netlist.node_count()]);
+    if x.len() != sys.unknowns.len() {
+        return Err(SolverError::BadProblem(format!(
+            "{} unknown voltages for {} floating nodes",
+            x.len(),
+            sys.unknowns.len()
+        )));
     }
-    let mut f = vec![0.0; unknowns.len()];
-    for dev in netlist.devices() {
-        let bias = Bias::new(v[dev.g.0], v[dev.d.0], v[dev.s.0], v[dev.b.0]);
-        let tc = dev.transistor.terminal_currents(bias, temp);
-        for (node, i) in [(dev.d, tc.d), (dev.g, tc.g), (dev.s, tc.s), (dev.b, tc.b)] {
-            if let Some(k) = unknown_slot[node.0] {
-                f[k] += i;
-            }
-        }
-    }
-    for (k, node) in unknowns.iter().enumerate() {
-        f[k] -= netlist.injection(*node);
-    }
+    let mut f = vec![0.0; x.len()];
+    newton::System::residual(&mut sys, x, &mut f);
     Ok(f)
-}
-
-/// Evaluates every device of `netlist` at prescribed unknown voltages
-/// (no solve), returning a full [`DcSolution`] whose `stats.residual`
-/// is the KCL imbalance at that point — the linearization-error signal
-/// the delta-library check consumes.
-///
-/// # Errors
-/// As [`dc_residual_at`].
-pub fn dc_evaluate_at(
-    netlist: &MosNetlist,
-    temp: f64,
-    x: &[f64],
-) -> Result<DcSolution, SolverError> {
-    let f = dc_residual_at(netlist, temp, x)?;
-    let voltages = assemble_voltages(netlist, x)?;
-    let (device_currents, device_breakdowns) = evaluate_devices(netlist, &voltages, temp);
-    Ok(DcSolution {
-        voltages,
-        device_currents,
-        device_breakdowns,
-        stats: NewtonStats { iterations: 0, residual: crate::linear::inf_norm(&f) },
-    })
 }
 
 /// [`solve_dc`], additionally returning the [`DcTrace`] (unknown
@@ -323,101 +323,55 @@ pub fn solve_dc_traced(
     guess: Option<&[f64]>,
     opts: &NewtonOptions,
 ) -> Result<(DcSolution, DcTrace), SolverError> {
+    solve(netlist, temp, guess, opts, true)
+}
+
+/// The one DC solve body; `traced` adds the Jacobian factored at the
+/// solution.
+fn solve(
+    netlist: &MosNetlist,
+    temp: f64,
+    guess: Option<&[f64]>,
+    opts: &NewtonOptions,
+    traced: bool,
+) -> Result<(DcSolution, DcTrace), SolverError> {
     let n_nodes = netlist.node_count();
-    if let Some(g) = guess {
-        if g.len() != n_nodes {
+    let start = match guess {
+        Some(g) if g.len() != n_nodes => {
             return Err(SolverError::BadProblem(format!(
                 "guess has {} entries for {} nodes",
                 g.len(),
                 n_nodes
             )));
         }
-    }
-    let unknowns = netlist.unknown_nodes();
-    let vdd_est =
-        (0..n_nodes).filter_map(|i| netlist.fixed_voltage(NodeId(i))).fold(0.0_f64, f64::max);
-    let mut voltages: Vec<f64> = (0..n_nodes)
-        .map(|i| {
-            let node = NodeId(i);
-            netlist
-                .fixed_voltage(node)
-                .unwrap_or_else(|| guess.map(|g| g[i]).unwrap_or(0.5 * vdd_est))
-        })
-        .collect();
-
-    if unknowns.is_empty() {
-        let (device_currents, device_breakdowns) = evaluate_devices(netlist, &voltages, temp);
-        let sol = DcSolution {
-            voltages,
-            device_currents,
-            device_breakdowns,
-            stats: NewtonStats { iterations: 0, residual: 0.0 },
-        };
-        return Ok((sol, DcTrace { unknowns, jacobian: None }));
-    }
-
-    let mut unknown_slot: Vec<Option<usize>> = vec![None; n_nodes];
-    for (k, node) in unknowns.iter().enumerate() {
-        unknown_slot[node.0] = Some(k);
-    }
-
-    let mut x: Vec<f64> = unknowns.iter().map(|n| voltages[n.0]).collect();
-    let jacobian = {
-        let template = voltages.clone();
-        let residual = |x: &[f64], f: &mut [f64]| {
-            let mut v = template.clone();
-            for (k, node) in unknowns.iter().enumerate() {
-                v[node.0] = x[k];
-            }
-            f.iter_mut().for_each(|fi| *fi = 0.0);
-            for dev in netlist.devices() {
-                let bias = Bias::new(v[dev.g.0], v[dev.d.0], v[dev.s.0], v[dev.b.0]);
-                let tc = dev.transistor.terminal_currents(bias, temp);
-                for (node, i) in [(dev.d, tc.d), (dev.g, tc.g), (dev.s, tc.s), (dev.b, tc.b)] {
-                    if let Some(k) = unknown_slot[node.0] {
-                        f[k] += i;
-                    }
-                }
-            }
-            for (k, node) in unknowns.iter().enumerate() {
-                f[k] -= netlist.injection(*node);
-            }
-        };
-        let (_, jac) = newton::solve_traced(residual, &mut x, opts)?;
-        jac
-    };
-    for (k, node) in unknowns.iter().enumerate() {
-        voltages[node.0] = x[k];
-    }
-    let (device_currents, device_breakdowns) = evaluate_devices(netlist, &voltages, temp);
-
-    let mut worst = 0.0_f64;
-    for node in &unknowns {
-        let mut sum = -netlist.injection(*node);
-        for (dev, tc) in netlist.devices().iter().zip(&device_currents) {
-            if dev.d == *node {
-                sum += tc.d;
-            }
-            if dev.g == *node {
-                sum += tc.g;
-            }
-            if dev.s == *node {
-                sum += tc.s;
-            }
-            if dev.b == *node {
-                sum += tc.b;
-            }
+        Some(g) => g.to_vec(),
+        None => {
+            let vdd_est = (0..n_nodes)
+                .filter_map(|i| netlist.fixed_voltage(NodeId(i)))
+                .fold(0.0_f64, f64::max);
+            vec![0.5 * vdd_est; n_nodes]
         }
-        worst = worst.max(sum.abs());
+    };
+    let mut sys = KclSystem::new(netlist, temp, &start);
+    let mut x: Vec<f64> = sys.unknowns.iter().map(|n| sys.voltages[n.0]).collect();
+    let mut iterations = 0;
+    let mut jacobian = None;
+    if !x.is_empty() {
+        iterations = newton::solve_system(&mut sys, &mut x, opts)?.iterations;
+        if traced {
+            jacobian = Some(newton::factor_at(&mut sys, &x, opts)?);
+        }
+        sys.load(&x);
     }
-
+    let (device_currents, device_breakdowns) = evaluate_devices(netlist, &sys.voltages, temp);
+    let residual = sys.worst_residual(&device_currents);
     let sol = DcSolution {
-        voltages,
+        voltages: sys.voltages,
         device_currents,
         device_breakdowns,
-        stats: NewtonStats { iterations: 0, residual: worst },
+        stats: NewtonStats { iterations, residual },
     };
-    Ok((sol, DcTrace { unknowns, jacobian: Some(jacobian) }))
+    Ok((sol, DcTrace { unknowns: sys.unknowns, jacobian }))
 }
 
 #[cfg(test)]
@@ -571,31 +525,212 @@ mod tests {
         let exact =
             solve_dc(&perturbed, 300.0, None, &NewtonOptions::default()).unwrap().node_voltage(out);
         assert!((predicted_out - exact).abs() < 2e-4, "predicted {predicted_out}, exact {exact}");
-        // And dc_evaluate_at reports consistent breakdowns plus the
-        // KCL imbalance the linearization check reads.
-        let eval = dc_evaluate_at(&perturbed, 300.0, &x_star).unwrap();
-        assert!(eval.total_breakdown().total() > 0.0);
-        assert!(eval.stats.residual > 0.0, "perturbed netlist at nominal point has imbalance");
+    }
+
+    /// The KCL residual as one plain closure over every device — the
+    /// dense reference the KCL system must reproduce bit for bit.
+    fn dense_residual(nl: &MosNetlist, temp: f64) -> impl Fn(&[f64], &mut [f64]) + '_ {
+        let unknowns = nl.unknown_nodes();
+        let template: Vec<f64> =
+            (0..nl.node_count()).map(|i| nl.fixed_voltage(NodeId(i)).unwrap_or(0.0)).collect();
+        move |x: &[f64], f: &mut [f64]| {
+            let mut v = template.clone();
+            for (k, node) in unknowns.iter().enumerate() {
+                v[node.0] = x[k];
+            }
+            f.iter_mut().for_each(|fi| *fi = 0.0);
+            for dev in nl.devices() {
+                let tc = dev.transistor.terminal_currents(bias_at(dev, &v), temp);
+                for (node, i) in [(dev.d, tc.d), (dev.g, tc.g), (dev.s, tc.s), (dev.b, tc.b)] {
+                    if let Some(k) = unknowns.iter().position(|u| *u == node) {
+                        f[k] += i;
+                    }
+                }
+            }
+            for (k, node) in unknowns.iter().enumerate() {
+                f[k] -= nl.injection(*node);
+            }
+        }
+    }
+
+    /// The dense forward-difference sweep: every column re-evaluates
+    /// the whole residual.
+    fn dense_jacobian(residual: &impl Fn(&[f64], &mut [f64]), x: &[f64], step: f64) -> Vec<f64> {
+        let n = x.len();
+        let (mut f, mut f_trial) = (vec![0.0; n], vec![0.0; n]);
+        residual(x, &mut f);
+        let mut jac = vec![0.0; n * n];
+        let mut x_pert = x.to_vec();
+        for j in 0..n {
+            let h = newton::column_step(step, x[j]);
+            x_pert[j] = x[j] + h;
+            residual(&x_pert, &mut f_trial);
+            for i in 0..n {
+                jac[i * n + j] = (f_trial[i] - f[i]) / h;
+            }
+            x_pert[j] = x[j];
+        }
+        jac
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// A NAND4 whose inputs are driven by inverters (the loaded
+    /// fixture's shape), with loading injections on every pin and the
+    /// output; returns the netlist and a rail-level initial guess.
+    fn nand4_fixture(levels: [bool; 4]) -> (MosNetlist, Vec<f64>) {
+        let tech = Technology::d25();
+        let mut nl = MosNetlist::new();
+        let vdd = nl.add_fixed_node("vdd", tech.vdd);
+        let gnd = nl.add_fixed_node("gnd", 0.0);
+        let n = Transistor::from_design(&tech.nmos);
+        let p = Transistor::from_design(&tech.pmos);
+        let mut pins = Vec::new();
+        for (i, &level) in levels.iter().enumerate() {
+            let drv = nl.add_fixed_node(&format!("drv{i}"), if level { 0.0 } else { tech.vdd });
+            let pin = nl.add_node(&format!("in{i}"));
+            nl.add_mos(n, pin, drv, gnd, gnd);
+            nl.add_mos(p, pin, drv, vdd, vdd);
+            nl.set_injection(pin, if level { -1.5e-6 } else { 2e-6 });
+            pins.push(pin);
+        }
+        let out = nl.add_node("out");
+        let mut upper = out;
+        for (i, &pin) in pins.iter().enumerate() {
+            let lower = if i == 3 { gnd } else { nl.add_node(&format!("x{}", i + 1)) };
+            nl.add_mos(n.scaled_width(4.0), upper, pin, lower, gnd);
+            upper = lower;
+        }
+        for &pin in &pins {
+            nl.add_mos(p, out, pin, vdd, vdd);
+        }
+        nl.set_injection(out, -3e-6);
+        let mut guess = vec![0.05; nl.node_count()];
+        for (pin, level) in pins.iter().zip(levels) {
+            guess[pin.0] = if level { tech.vdd } else { 0.0 };
+        }
+        guess[out.0] = tech.vdd;
+        (nl, guess)
+    }
+
+    /// Two series NMOS (both OFF, inputs 00) under two parallel PMOS;
+    /// returns (netlist, output, stack node).
+    fn nand2_stack() -> (MosNetlist, NodeId, NodeId) {
+        let tech = Technology::d25();
+        let mut nl = MosNetlist::new();
+        let vdd = nl.add_fixed_node("vdd", tech.vdd);
+        let gnd = nl.add_fixed_node("gnd", 0.0);
+        let a = nl.add_fixed_node("a", 0.0);
+        let b = nl.add_fixed_node("b", 0.0);
+        let out = nl.add_node("out");
+        let mid = nl.add_node("mid");
+        let n = Transistor::from_design(&tech.nmos).scaled_width(2.0);
+        let p = Transistor::from_design(&tech.pmos);
+        nl.add_mos(n, out, a, mid, gnd);
+        nl.add_mos(n, mid, b, gnd, gnd);
+        nl.add_mos(p, out, a, vdd, vdd);
+        nl.add_mos(p, out, b, vdd, vdd);
+        (nl, out, mid)
+    }
+
+    /// A PMOS load over a diode-connected NMOS (gate on its drain)
+    /// whose bulk is also tied to that drain: one device with three
+    /// terminals on one floating node. Its source is a second floating
+    /// node, which drains to ground through an OFF device.
+    fn diode_connected() -> MosNetlist {
+        let tech = Technology::d25();
+        let mut nl = MosNetlist::new();
+        let vdd = nl.add_fixed_node("vdd", tech.vdd);
+        let gnd = nl.add_fixed_node("gnd", 0.0);
+        let a = nl.add_node("a");
+        let m = nl.add_node("m");
+        let n = Transistor::from_design(&tech.nmos);
+        let p = Transistor::from_design(&tech.pmos);
+        nl.add_mos(p, a, gnd, vdd, vdd);
+        nl.add_mos(n, a, a, m, a);
+        nl.add_mos(n, m, gnd, gnd, gnd);
+        nl.set_injection(m, 1e-7);
+        nl
+    }
+
+    #[test]
+    fn kcl_jacobian_is_the_dense_sweep_bit_for_bit() {
+        let step = NewtonOptions::default().jacobian_step;
+        let (nand4, nand4_guess) = nand4_fixture([false, false, false, true]);
+        let netlists = [
+            inverter(0.0).0,
+            inverter(0.9).0,
+            nand2_stack().0,
+            nand4,
+            nand4_fixture([true, false, true, true]).0,
+            diode_connected(),
+        ];
+        for (case, nl) in netlists.iter().enumerate() {
+            let temp = if case % 2 == 0 { 300.0 } else { 370.0 };
+            let n = nl.unknown_nodes().len();
+            let dense = dense_residual(nl, temp);
+            // Rails, mid-rail and off-rail excursions, plus the NAND4's
+            // own start.
+            let mut points: Vec<Vec<f64>> = [0.0, 0.013, 0.45, 0.9, -0.02]
+                .iter()
+                .map(|&v| (0..n).map(|k| v + 0.01 * k as f64).collect())
+                .collect();
+            if case == 3 {
+                let unknowns = nl.unknown_nodes();
+                points.push(unknowns.iter().map(|u| nand4_guess[u.0]).collect());
+            }
+            let mut sys = KclSystem::new(nl, temp, &vec![0.0; nl.node_count()]);
+            for (p, x) in points.iter().enumerate() {
+                let mut f = vec![0.0; n];
+                newton::System::residual(&mut sys, x, &mut f);
+                let mut f_dense = vec![0.0; n];
+                dense(x, &mut f_dense);
+                assert_eq!(bits(&f), bits(&f_dense), "case {case}, point {p}: residual");
+                let mut jac = vec![0.0; n * n];
+                newton::System::jacobian(&mut sys, x, &f, step, &mut jac);
+                let reference = dense_jacobian(&dense, x, step);
+                assert_eq!(bits(&jac), bits(&reference), "case {case}, point {p}: jacobian");
+            }
+        }
+    }
+
+    #[test]
+    fn dc_solve_walks_the_dense_newton_path() {
+        let (nand4, nand4_guess) = nand4_fixture([false, false, false, true]);
+        let (nand4_b, nand4_b_guess) = nand4_fixture([true, true, false, true]);
+        let (inv, _) = inverter(0.0);
+        let inv_guess = vec![0.45; inv.node_count()];
+        let (nand2, _, _) = nand2_stack();
+        let nand2_guess = vec![0.45; nand2.node_count()];
+        let diode = diode_connected();
+        let diode_guess = vec![0.45; diode.node_count()];
+        let cases = [
+            (&inv, &inv_guess),
+            (&nand2, &nand2_guess),
+            (&nand4, &nand4_guess),
+            (&nand4_b, &nand4_b_guess),
+            (&diode, &diode_guess),
+        ];
+        let opts = NewtonOptions::default();
+        for (case, (nl, guess)) in cases.into_iter().enumerate() {
+            let sol = solve_dc(nl, 300.0, Some(guess), &opts).unwrap();
+            let unknowns = nl.unknown_nodes();
+            let mut x: Vec<f64> = unknowns.iter().map(|u| guess[u.0]).collect();
+            let stats = newton::solve(dense_residual(nl, 300.0), &mut x, &opts).unwrap();
+            let solved: Vec<f64> = unknowns.iter().map(|u| sol.voltages[u.0]).collect();
+            assert_eq!(bits(&solved), bits(&x), "case {case}: voltages");
+            assert_eq!(sol.stats.iterations, stats.iterations, "case {case}: iterations");
+            assert!(stats.iterations > 0, "case {case} must iterate");
+        }
     }
 
     #[test]
     fn nand2_stack_node_settles_low() {
         // Two series NMOS (both OFF, inputs 00): the stack node rises to
         // tens of mV — the classic stacking effect (paper Section 4).
-        let tech = Technology::d25();
-        let mut nl = MosNetlist::new();
-        let vdd = nl.add_fixed_node("vdd", tech.vdd);
-        let gnd = nl.add_fixed_node("gnd", 0.0);
-        let a = nl.add_fixed_node("a", 0.0);
-        let bpin = nl.add_fixed_node("b", 0.0);
-        let out = nl.add_node("out");
-        let mid = nl.add_node("mid");
-        let n = Transistor::from_design(&tech.nmos).scaled_width(2.0);
-        let p = Transistor::from_design(&tech.pmos);
-        nl.add_mos(n, out, a, mid, gnd);
-        nl.add_mos(n, mid, bpin, gnd, gnd);
-        nl.add_mos(p, out, a, vdd, vdd);
-        nl.add_mos(p, out, bpin, vdd, vdd);
+        let (nl, out, mid) = nand2_stack();
         let sol = solve_dc(&nl, 300.0, None, &NewtonOptions::default()).unwrap();
         let vmid = sol.node_voltage(mid);
         assert!(vmid > 0.01 && vmid < 0.30, "stack node = {} V", vmid);

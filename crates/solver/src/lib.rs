@@ -10,8 +10,9 @@
 //!
 //! * [`linear`] — dense LU with partial pivoting (no external
 //!   linear-algebra crate is available in the offline set);
-//! * [`newton`] — damped Newton–Raphson with numerical Jacobian,
-//!   SPICE-style voltage limiting, and a backtracking line search;
+//! * [`newton`] — damped Newton–Raphson with a forward-difference
+//!   Jacobian, SPICE-style voltage limiting, and a backtracking line
+//!   search;
 //! * [`scalar`] — bracketed Brent root finding, used by the
 //!   circuit-level net relaxation in `nanoleak-core`;
 //! * [`netlist`] / [`dc`] — transistor netlists and the operating-point
@@ -45,7 +46,7 @@ pub mod netlist;
 pub mod newton;
 pub mod scalar;
 
-pub use dc::{dc_evaluate_at, dc_residual_at, solve_dc, solve_dc_traced, DcSolution, DcTrace};
+pub use dc::{dc_residual_at, solve_dc, solve_dc_traced, DcSolution, DcTrace};
 pub use error::SolverError;
 pub use netlist::{Device, MosNetlist, NodeId};
 pub use newton::{FactoredJacobian, NewtonOptions, NewtonStats};

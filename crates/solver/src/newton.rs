@@ -1,11 +1,16 @@
 //! Damped Newton–Raphson for small nonlinear KCL systems.
 //!
 //! The residual is the vector of node-current imbalances; the Jacobian
-//! is formed by forward differences (the networks have at most a dozen
-//! unknowns, so the `n+1` evaluations per iteration are cheap). Two
-//! SPICE-style safeguards make the exponential device models tractable:
-//! per-component step limiting (voltages move at most `max_step` per
-//! iteration) and a backtracking line search on the residual norm.
+//! is formed by forward differences, one column per unknown. Who forms
+//! it depends on the caller: [`solve`] takes a plain residual closure
+//! and sweeps it densely (every column re-evaluates the whole
+//! residual), while the DC solve in [`crate::dc`] hands the iteration
+//! its KCL system, whose columns re-evaluate only the devices on the
+//! perturbed node and reproduce the dense sweep bit for bit. Two
+//! SPICE-style safeguards make the exponential device models
+//! tractable: per-component step limiting (voltages move at most
+//! `max_step` per iteration) and a backtracking line search on the
+//! residual norm.
 
 use std::sync::OnceLock;
 
@@ -120,7 +125,71 @@ pub fn solve<F>(
 where
     F: Fn(&[f64], &mut [f64]),
 {
-    let result = solve_inner(residual, x, opts);
+    solve_system(&mut Dense::new(residual, x.len()), x, opts)
+}
+
+/// A nonlinear system the iteration runs on: its residual, and the
+/// forward-difference Jacobian of that residual.
+pub(crate) trait System {
+    /// Writes the residual at `x` into `f`.
+    fn residual(&mut self, x: &[f64], f: &mut [f64]);
+
+    /// Writes the forward-difference Jacobian at `x` into `jac`
+    /// (row-major, `n × n`): column `j` is `(f(x + h e_j) - f) / h`
+    /// with `h = column_step(step, x[j])`. `f` is the residual at `x`,
+    /// and `x` the point of the latest [`System::residual`] call.
+    fn jacobian(&mut self, x: &[f64], f: &[f64], step: f64, jac: &mut [f64]);
+}
+
+/// The forward-difference step of a Jacobian column whose unknown sits
+/// at `xj`: `step` relative to `1 + |xj|`.
+#[inline]
+pub(crate) fn column_step(step: f64, xj: f64) -> f64 {
+    step * (1.0 + xj.abs())
+}
+
+/// A residual closure, differenced densely: every Jacobian column
+/// re-evaluates the whole residual.
+struct Dense<F> {
+    residual: F,
+    x_pert: Vec<f64>,
+    f_trial: Vec<f64>,
+}
+
+impl<F: Fn(&[f64], &mut [f64])> Dense<F> {
+    fn new(residual: F, n: usize) -> Self {
+        Self { residual, x_pert: vec![0.0; n], f_trial: vec![0.0; n] }
+    }
+}
+
+impl<F: Fn(&[f64], &mut [f64])> System for Dense<F> {
+    fn residual(&mut self, x: &[f64], f: &mut [f64]) {
+        (self.residual)(x, f);
+    }
+
+    fn jacobian(&mut self, x: &[f64], f: &[f64], step: f64, jac: &mut [f64]) {
+        let n = x.len();
+        self.x_pert.copy_from_slice(x);
+        for j in 0..n {
+            let h = column_step(step, x[j]);
+            self.x_pert[j] = x[j] + h;
+            (self.residual)(&self.x_pert, &mut self.f_trial);
+            for i in 0..n {
+                jac[i * n + j] = (self.f_trial[i] - f[i]) / h;
+            }
+            self.x_pert[j] = x[j];
+        }
+    }
+}
+
+/// Runs the iteration on `sys` and counts the solve in the global
+/// registry.
+pub(crate) fn solve_system<S: System>(
+    sys: &mut S,
+    x: &mut [f64],
+    opts: &NewtonOptions,
+) -> Result<NewtonStats, SolverError> {
+    let result = solve_inner(sys, x, opts);
     match &result {
         Ok(stats) => count_solve(stats.iterations, true),
         Err(SolverError::NoConvergence { iterations, .. }) => count_solve(*iterations, false),
@@ -157,56 +226,27 @@ impl FactoredJacobian {
     }
 }
 
-/// [`solve`], additionally returning the forward-difference Jacobian
-/// at the solution point, LU-factored.
-///
-/// The returned `x` is **bit-identical** to a plain [`solve`] of the
-/// same problem: the iteration runs unchanged and the Jacobian is
-/// built afterwards from a fresh forward-difference sweep around the
-/// converged state (the in-loop Jacobian is consumed by `lu_solve` and
-/// is one iteration stale anyway).
-///
-/// # Errors
-/// As [`solve`], plus [`SolverError::SingularMatrix`] if the Jacobian
-/// at the solution cannot be factored.
-pub fn solve_traced<F>(
-    residual: F,
-    x: &mut [f64],
+/// The forward-difference Jacobian of `sys` at `x`, LU-factored.
+pub(crate) fn factor_at<S: System>(
+    sys: &mut S,
+    x: &[f64],
     opts: &NewtonOptions,
-) -> Result<(NewtonStats, FactoredJacobian), SolverError>
-where
-    F: Fn(&[f64], &mut [f64]),
-{
-    let stats = solve(&residual, x, opts)?;
+) -> Result<FactoredJacobian, SolverError> {
     let n = x.len();
     let mut f = vec![0.0; n];
-    let mut f_trial = vec![0.0; n];
     let mut jac = vec![0.0; n * n];
-    let mut x_pert = vec![0.0; n];
-    residual(x, &mut f);
-    x_pert.copy_from_slice(x);
-    for j in 0..n {
-        let h = opts.jacobian_step * (1.0 + x[j].abs());
-        x_pert[j] = x[j] + h;
-        residual(&x_pert, &mut f_trial);
-        for i in 0..n {
-            jac[i * n + j] = (f_trial[i] - f[i]) / h;
-        }
-        x_pert[j] = x[j];
-    }
+    sys.residual(x, &mut f);
+    sys.jacobian(x, &f, opts.jacobian_step, &mut jac);
     let mut piv = Vec::new();
     lu_factor(&mut jac, &mut piv)?;
-    Ok((stats, FactoredJacobian { lu: jac, piv, n }))
+    Ok(FactoredJacobian { lu: jac, piv, n })
 }
 
-fn solve_inner<F>(
-    residual: F,
+fn solve_inner<S: System>(
+    sys: &mut S,
     x: &mut [f64],
     opts: &NewtonOptions,
-) -> Result<NewtonStats, SolverError>
-where
-    F: Fn(&[f64], &mut [f64]),
-{
+) -> Result<NewtonStats, SolverError> {
     let n = x.len();
     if n == 0 {
         return Err(SolverError::BadProblem("zero unknowns".to_string()));
@@ -215,27 +255,16 @@ where
     let mut f_trial = vec![0.0; n];
     let mut jac = vec![0.0; n * n];
     let mut dx = vec![0.0; n];
-    let mut x_pert = vec![0.0; n];
     let mut x_trial = vec![0.0; n];
 
-    residual(x, &mut f);
+    sys.residual(x, &mut f);
     let mut fnorm = inf_norm(&f);
 
     for iter in 0..opts.max_iter {
         if fnorm <= opts.tol_residual {
             return Ok(NewtonStats { iterations: iter, residual: fnorm });
         }
-        // Forward-difference Jacobian.
-        x_pert.copy_from_slice(x);
-        for j in 0..n {
-            let h = opts.jacobian_step * (1.0 + x[j].abs());
-            x_pert[j] = x[j] + h;
-            residual(&x_pert, &mut f_trial);
-            for i in 0..n {
-                jac[i * n + j] = (f_trial[i] - f[i]) / h;
-            }
-            x_pert[j] = x[j];
-        }
+        sys.jacobian(x, &f, opts.jacobian_step, &mut jac);
         // Newton direction: J dx = -f.
         dx.copy_from_slice(&f);
         for v in dx.iter_mut() {
@@ -259,7 +288,7 @@ where
             for i in 0..n {
                 x_trial[i] = x[i] + alpha * dx[i];
             }
-            residual(&x_trial, &mut f_trial);
+            sys.residual(&x_trial, &mut f_trial);
             let trial_norm = inf_norm(&f_trial);
             if trial_norm < fnorm {
                 x.copy_from_slice(&x_trial);
@@ -276,7 +305,7 @@ where
             for i in 0..n {
                 x[i] += alpha * dx[i];
             }
-            residual(x, &mut f);
+            sys.residual(x, &mut f);
             fnorm = inf_norm(&f);
             if inf_norm(&dx) * alpha < opts.tol_step {
                 break;
@@ -373,34 +402,6 @@ mod tests {
             solve(|_, _| {}, &mut x, &NewtonOptions::default()),
             Err(SolverError::BadProblem(_))
         ));
-    }
-
-    #[test]
-    fn traced_solve_is_bit_identical_and_jacobian_inverts() {
-        // Same stiff diode divider as above: the traced variant must
-        // land on the exact same bits, and its factored Jacobian must
-        // predict the response to a small source perturbation.
-        let vt = 0.02585;
-        let residual = |x: &[f64], f: &mut [f64]| {
-            f[0] = (x[0] - 1.0) / 1000.0 + 1e-14 * ((x[0] / vt).min(40.0).exp() - 1.0);
-        };
-        let mut plain = vec![0.5];
-        solve(residual, &mut plain, &NewtonOptions::default()).unwrap();
-        let mut traced = vec![0.5];
-        let (_, jac) = solve_traced(residual, &mut traced, &NewtonOptions::default()).unwrap();
-        assert_eq!(plain[0].to_bits(), traced[0].to_bits());
-        assert_eq!(jac.dim(), 1);
-        // Raising the source to 1.001 V shifts the node by dv where
-        // J dv = -∂f/∂p · dp = 1e-3/1000.
-        let mut dv = vec![1e-3 / 1000.0];
-        jac.solve(&mut dv).unwrap();
-        let mut exact = vec![0.5];
-        let shifted = |x: &[f64], f: &mut [f64]| {
-            f[0] = (x[0] - 1.001) / 1000.0 + 1e-14 * ((x[0] / vt).min(40.0).exp() - 1.0);
-        };
-        solve(shifted, &mut exact, &NewtonOptions::default()).unwrap();
-        let predicted = traced[0] + dv[0];
-        assert!((predicted - exact[0]).abs() < 1e-6, "predicted {predicted}, exact {}", exact[0]);
     }
 
     #[test]
