@@ -44,6 +44,13 @@ pub struct BlockMetrics {
     pub tail_lane_waste: nanoleak_obs::Counter,
     /// Wall time of one block evaluation (simulate + resolve).
     pub kernel_seconds: nanoleak_obs::Histogram,
+    /// Wall time of one plan's response-table build, layout included
+    /// (once per plan, on its first table-driven block).
+    pub table_build_seconds: nanoleak_obs::Histogram,
+    /// Terms the built table layouts left to per-lane runtime
+    /// evaluation (wider than their plan's width cap), summed over
+    /// builds.
+    pub runtime_terms: nanoleak_obs::Counter,
 }
 
 /// The shared block metrics, registered on first use.
@@ -61,6 +68,14 @@ pub fn block_metrics() -> &'static BlockMetrics {
         kernel_seconds: nanoleak_obs::global().histogram(
             "nanoleak_block_kernel_seconds",
             "Wall time to evaluate one pattern block (simulate + resolve)",
+        ),
+        table_build_seconds: nanoleak_obs::global().histogram(
+            "nanoleak_block_table_build_seconds",
+            "Wall time to lay out and build one plan's block response tables",
+        ),
+        runtime_terms: nanoleak_obs::global().counter(
+            "nanoleak_block_runtime_terms_total",
+            "Gate terms the built table layouts evaluate per lane at runtime",
         ),
     })
 }
@@ -140,14 +155,14 @@ pub fn par_blocks<T: Send>(
 /// set for a fresh plan: a Monte-Carlo die compiles one and evaluates
 /// it `n` times, so the table build must pay for itself within one
 /// call. Measured per fresh plan on s838 (coarse grid, one thread,
-/// 2-vCPU x86-64 host): the tables cost ~50 ms to build and then
-/// ~0.5 ms per 64 vectors, the lane-by-lane arm ~3.5 ms per 64
-/// vectors, so tables break even at 1152 vectors (median of 9 runs,
-/// range 1024–1216). Larger circuits break even sooner (s5378: ~640).
+/// 2-vCPU x86-64 host): the tables cost ~19 ms to build and then
+/// ~0.8 ms per 64 vectors, the lane-by-lane arm ~4 ms per 64 vectors,
+/// so tables break even at 448 vectors (7 blocks, median of 16 runs,
+/// range 5–9 blocks). s1196 breaks even at 8 blocks, s5378 at 3.
 /// The rule does not look at whether a plan already holds its tables
 /// (a cached estimate plan may), so such a plan still runs 1-pattern
 /// blocks below the threshold.
-pub const TABLE_AMORTIZE_VECTORS: usize = 18 * LANES;
+pub const TABLE_AMORTIZE_VECTORS: usize = 7 * LANES;
 
 /// The one loaded-vs-unloaded evaluator: the `n` patterns `pack` lays
 /// out (as in [`par_blocks`]), each estimated with loading (`Lut`) and

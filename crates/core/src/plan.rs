@@ -59,17 +59,22 @@
 //!    arithmetic actually depends on — with exactly the scalar
 //!    pass's floating-point operations in exactly the scalar order,
 //!    so a lookup is bit-identical to recomputing. Three tiers:
-//!    a gate whose whole clamped breakdown has at most
-//!    [`MAX_SUPPORT_BITS`] support nets (its inputs plus the inputs
-//!    of every gate loading its input and output nets) gets one
-//!    whole-gate table (one lookup per lane); wider gates split into
-//!    per-*term* tables (one per pin response and one for the output
-//!    response, each over its own narrower support, summed per lane
-//!    in the scalar order before the clamp); terms still wider than
-//!    the bound — high-fanout hub nets — evaluate at runtime from
-//!    per-lane net currents, folded in the scalar loading pass's
-//!    order. The global [`MAX_TABLE_ENTRIES`] budget caps total
-//!    table memory.
+//!    a gate may get one *whole-gate* table over the support of its
+//!    whole clamped breakdown (its inputs plus the inputs of every
+//!    gate loading its input and output nets; one lookup per lane);
+//!    any other gate splits into per-*term* tables (one per pin
+//!    response and one for the output response, each over its own
+//!    narrower support, summed per lane in the scalar order before
+//!    the clamp); and terms wider than the plan's width cap evaluate
+//!    at runtime from per-lane net currents, folded in the scalar
+//!    loading pass's order. The layout is decided from every gate's
+//!    support widths before any entry is built. A gate stays whole
+//!    only when its table is no larger than the sum of its term
+//!    tables. One width cap per plan — the largest width up to
+//!    [`MAX_SUPPORT_BITS`] at which every table that narrow or
+//!    narrower fits the [`MAX_TABLE_ENTRIES`] budget — decides which
+//!    tables are built, so the budget buys the narrowest tables (the
+//!    most lane lookups per entry) first.
 //!
 //! **The block path is bit-identical to the scalar path** — and hence
 //! to [`estimate`](crate::estimate) — for every mode: per-lane totals
@@ -105,6 +110,7 @@
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
+use std::time::Instant;
 
 use nanoleak_cells::{BreakdownLut, CellLibrary, CellType, InputVector};
 use nanoleak_device::LeakageBreakdown;
@@ -122,16 +128,19 @@ use crate::report::CircuitLeakage;
 const MAX_PINS: usize = 8;
 
 /// Largest support-net count a block response table covers
-/// (`2^bits` precomputed entries per table). Applies to whole-gate
-/// tables and per-term tables alike; on ISCAS-sized netlists ~75% of
-/// gates fit whole and all but a few percent of the remaining terms
-/// fit split, leaving only true high-fanout hubs on the runtime
-/// path.
+/// (`2^bits` precomputed entries per table), whole-gate and per-term
+/// tables alike: the ceiling of every plan's width cap. Terms wider
+/// than the cap run on the per-lane runtime path. On the paper suite
+/// the cap stays here through s1423 (under 60 runtime terms each:
+/// the true high-fanout hubs) and falls to 10, 8 and 7 on s5378,
+/// s9234 and s13207, whose budgets leave 307, 1,786 and 3,398 terms
+/// (4%, 11% and 14% of their split gates' terms) at runtime.
 pub const MAX_SUPPORT_BITS: usize = 12;
 
-/// Global budget of precomputed response-table entries per plan
-/// (~24 MiB of breakdowns at the cap). Gates past the budget fall
-/// back like over-wide ones.
+/// Budget of precomputed response-table entries per plan (~24 MiB of
+/// breakdowns at the cap). Where every table up to
+/// [`MAX_SUPPORT_BITS`] would not fit, the plan's width cap drops
+/// until the tables it admits do.
 pub const MAX_TABLE_ENTRIES: usize = 1 << 20;
 
 /// `tbl_off` sentinel: gate (or term) not served by a table.
@@ -208,16 +217,18 @@ fn fill_index_pattern(circuit: &Circuit, seed: u64, index: usize, pattern: &mut 
     pattern.fill_random(circuit, &mut rng);
 }
 
-/// The lazily built block-resolve plan: per-gate response tables plus
-/// the runtime-current fallback layout. Built once per
-/// [`CompiledEstimator`] (against its compile-time wiring) on first
-/// `Lut`-mode block estimate or [`CompiledEstimator::prepare_block`].
+/// The lazily built block-resolve plan: whole-gate and per-term
+/// response tables as the plan's [`Layout`] decides, plus the
+/// runtime-current layout for the terms wider than its width cap.
+/// Built once per [`CompiledEstimator`], against its compile-time
+/// wiring, by the first `Lut`-mode block estimate or
+/// [`CompiledEstimator::prepare_block`].
 struct BlockTables {
-    /// Per gate: offset of its `2^support` entry run in `tbl`, or
-    /// [`TABLE_FALLBACK`].
+    /// Per gate: offset of its whole-gate table's `2^support` entry
+    /// run in `tbl`, or [`TABLE_FALLBACK`] for a split gate.
     tbl_off: Vec<u32>,
-    /// CSR offsets into `sup_nets`, one per gate plus a tail
-    /// (fallback gates own an empty run).
+    /// CSR offsets into `sup_nets`, one per gate plus a tail (a split
+    /// gate's run holds its term tables' supports).
     sup_off: Vec<u32>,
     /// Flattened per-gate support nets; bit `j` of a table index is
     /// the value of support net `j`.
@@ -245,6 +256,72 @@ struct BlockTables {
     fallback_gates: usize,
     /// Terms evaluated at runtime (diagnostics/tests).
     rt_terms: usize,
+}
+
+/// One candidate response table: its support width, and where its
+/// support nets start in [`Layout::nets`] (kept only for candidates
+/// no wider than [`MAX_SUPPORT_BITS`], the only ones a plan can
+/// build).
+#[derive(Clone, Copy)]
+struct Support {
+    start: u32,
+    width: u32,
+}
+
+/// A plan's table layout, decided from support widths alone before
+/// any entry is built: every gate's whole-gate and per-term
+/// candidates, and the width cap that picks which of them become
+/// tables.
+struct Layout {
+    /// Support nets of the buildable candidates; bit `j` of a table
+    /// index is the value of the candidate's `j`-th net.
+    nets: Vec<u32>,
+    /// Per gate: its whole-gate candidate.
+    whole: Vec<Support>,
+    /// CSR offsets into `terms`, one per gate plus a tail.
+    term_off: Vec<u32>,
+    /// Per gate: one candidate per term, pins in order then the
+    /// output.
+    terms: Vec<Support>,
+    /// The widest table the plan builds: the largest width up to
+    /// [`MAX_SUPPORT_BITS`] at which all tables that narrow or
+    /// narrower fit [`MAX_TABLE_ENTRIES`].
+    cap: usize,
+}
+
+impl Layout {
+    /// Gate `g`'s term candidates, in the scalar accumulation order.
+    fn terms(&self, g: usize) -> &[Support] {
+        &self.terms[self.term_off[g] as usize..self.term_off[g + 1] as usize]
+    }
+
+    /// A buildable candidate's support nets.
+    fn nets(&self, s: Support) -> &[u32] {
+        &self.nets[s.start as usize..(s.start + s.width) as usize]
+    }
+
+    /// Whether gate `g` takes one whole-gate table under width cap
+    /// `cap`: the table fits the cap and is no larger than the sum of
+    /// the gate's term tables (each no wider than the whole support,
+    /// so all of them fit the cap too).
+    fn whole_at(&self, g: usize, cap: usize) -> bool {
+        let w = self.whole[g].width as usize;
+        w <= cap && 1usize << w <= self.terms(g).iter().map(|t| 1usize << t.width).sum::<usize>()
+    }
+
+    /// Table entries the layout builds under width cap `cap`.
+    fn entries_at(&self, cap: usize) -> usize {
+        (0..self.whole.len())
+            .map(|g| {
+                if self.whole_at(g, cap) {
+                    1usize << self.whole[g].width
+                } else {
+                    let built = self.terms(g).iter().filter(|t| t.width as usize <= cap);
+                    built.map(|t| 1usize << t.width).sum()
+                }
+            })
+            .sum()
+    }
 }
 
 /// Reusable per-worker buffers for the block path
@@ -465,11 +542,12 @@ pub struct CompiledEstimator<'a> {
     ys_slab: Vec<f64>,
     xs_slab: Vec<f64>,
     grids: Vec<PlanGrid>,
-    /// Snapshot of `in_nets` at compile time. The block response
-    /// tables are valid only while the live wiring still equals this
-    /// snapshot; `permute_gate_inputs` diverges from it (and undoing
-    /// the permutation restores it), and the block path compares
-    /// before trusting the tables.
+    /// Snapshot of `in_nets` at compile time, which the block
+    /// response tables are built from (as the circuit's `net_loads`
+    /// they fold are). They are valid only while the live wiring
+    /// still equals this snapshot; `permute_gate_inputs` diverges
+    /// from it (and undoing the permutation restores it), and the
+    /// block path compares before trusting the tables.
     compiled_wiring: Vec<u32>,
     /// Lazily built block-resolve plan (shared across threads).
     block: OnceLock<BlockTables>,
@@ -791,24 +869,42 @@ impl<'a> CompiledEstimator<'a> {
     /// Builds the block response tables now (they are otherwise built
     /// lazily by the first `Lut`-mode block estimate), so callers can
     /// charge the cost to a compile stage instead of the first shard.
-    /// No-op when the plan's wiring has been permuted away from its
-    /// compiled state.
+    /// The tables describe the compiled wiring, whatever permutation
+    /// is in force.
     pub fn prepare_block(&self) {
-        if self.in_nets == self.compiled_wiring {
-            let _ = self.block_tables();
-        }
+        let _ = self.block_tables();
     }
 
-    /// Gates the block plan serves through the runtime fallback
-    /// instead of a response table (support wider than
-    /// [`MAX_SUPPORT_BITS`] or past the [`MAX_TABLE_ENTRIES`]
-    /// budget). Builds the tables if needed.
+    /// Gates the block plan splits into per-term service instead of
+    /// one whole-gate table: those whose whole support is wider than
+    /// the plan's width cap or whose whole-gate table would be larger
+    /// than the sum of their term tables. Most of them are still
+    /// served by tables alone;
+    /// [`block_runtime_terms`](Self::block_runtime_terms) counts the
+    /// terms that are not. Builds the tables if needed.
     pub fn block_fallback_gates(&self) -> usize {
         self.block_tables().fallback_gates
     }
 
+    /// Terms of split gates the block plan evaluates per lane at
+    /// runtime because their support is wider than the plan's width
+    /// cap. Builds the tables if needed.
+    pub fn block_runtime_terms(&self) -> usize {
+        self.block_tables().rt_terms
+    }
+
+    /// The block tables, built on first use; each build is timed and
+    /// its runtime terms counted in
+    /// [`block_metrics`](crate::block_metrics).
     fn block_tables(&self) -> &BlockTables {
-        self.block.get_or_init(|| self.build_block_tables())
+        self.block.get_or_init(|| {
+            let start = Instant::now();
+            let tables = self.build_block_tables();
+            let m = crate::block::block_metrics();
+            m.table_build_seconds.record_duration(start.elapsed());
+            m.runtime_terms.add(tables.rt_terms as u64);
+            tables
+        })
     }
 
     /// Evaluates every packed lane of `block`, leaving one total per
@@ -1003,8 +1099,8 @@ impl<'a> CompiledEstimator<'a> {
     /// `Lut` block resolve: whole-gate table gates add their
     /// precomputed clamped breakdown (indexed by packed support-net
     /// state); split gates sum per-term deltas (table lookups, or
-    /// runtime evaluations from per-lane net currents for hub terms)
-    /// and clamp. Both accumulate into the lane totals in gate-id
+    /// runtime evaluations from per-lane net currents for terms wider
+    /// than the width cap) and clamp. Both accumulate into the lane totals in gate-id
     /// order, so every lane reproduces the scalar fold bit-for-bit.
     fn resolve_lut_block(&self, t: &BlockTables, scratch: &mut BlockScratch, len: usize) {
         // Per-lane currents for the nets runtime terms read, folded
@@ -1126,24 +1222,28 @@ impl<'a> CompiledEstimator<'a> {
         result
     }
 
-    /// Builds [`BlockTables`] against the compiled wiring. For every
-    /// gate, collect the support nets of its whole clamped breakdown
-    /// (its own inputs, plus the inputs of every gate loading its
-    /// gate-driven input nets and its output net — exactly the nets
-    /// its scalar `Lut` arithmetic depends on) and precompute one
-    /// entry per support state when it fits [`MAX_SUPPORT_BITS`].
-    /// Wider gates split into per-term tables over each term's own
-    /// narrower support; terms still too wide (or past the
-    /// [`MAX_TABLE_ENTRIES`] budget) register their net for runtime
-    /// per-lane current folding.
+    /// Builds [`BlockTables`] against the compiled wiring, in two
+    /// passes. The first ([`block_layout`](Self::block_layout))
+    /// computes every gate's whole-gate and per-term supports and the
+    /// plan's width cap without building an entry; the second
+    /// reserves `tbl` at its exact size and builds the tables the
+    /// layout admits: a gate whose whole-gate table is chosen gets
+    /// one entry per support state, a split gate one table per term
+    /// no wider than the cap, and every wider term registers its net
+    /// for runtime per-lane current folding.
     fn build_block_tables(&self) -> BlockTables {
         let n_gates = self.gate_cell.len();
         let n_nets = self.gate_driven.len();
+        let layout = self.block_layout();
+        // Net → bit position of the table under construction
+        // (u32::MAX = absent), reset after each table.
+        let mut pos_of: Vec<u32> = vec![u32::MAX; n_nets];
+        let entries = layout.entries_at(layout.cap);
         let mut t = BlockTables {
             tbl_off: Vec::with_capacity(n_gates),
             sup_off: Vec::with_capacity(n_gates + 1),
             sup_nets: Vec::new(),
-            tbl: Vec::new(),
+            tbl: Vec::with_capacity(entries),
             term_off: Vec::with_capacity(n_gates + 1),
             terms: Vec::new(),
             rt_nets: Vec::new(),
@@ -1155,89 +1255,56 @@ impl<'a> CompiledEstimator<'a> {
         };
         t.sup_off.push(0);
         t.term_off.push(0);
-        // Scratch for the support set under construction: `pos_of`
-        // maps net → bit position (u32::MAX = absent) and is reset
-        // after each table.
-        let mut pos_of: Vec<u32> = vec![u32::MAX; n_nets];
-        let mut support: Vec<u32> = Vec::new();
         for g in 0..n_gates {
-            let (s, e) = (self.in_off[g] as usize, self.in_off[g + 1] as usize);
-            let pins = e - s;
-            let out = self.out_net[g];
-            // Whole-gate support: own inputs + loads of every
-            // gate-driven pin net and of the output net. (Loads on
-            // ideal-source nets never matter: the scalar pass pins
-            // their loading to zero.)
-            support.clear();
-            Self::push_support(&mut support, &mut pos_of, &self.in_nets[s..e]);
-            for &net in self.in_nets[s..e].iter().chain(std::iter::once(&out)) {
-                if self.gate_driven[net as usize] {
-                    self.push_load_support(&mut support, &mut pos_of, net);
-                }
-            }
-            let width = support.len();
-            if width <= MAX_SUPPORT_BITS && t.tbl.len() + (1usize << width) <= MAX_TABLE_ENTRIES {
+            let s = self.in_off[g] as usize;
+            if layout.whole_at(g, layout.cap) {
+                let sup = layout.nets(layout.whole[g]);
                 t.tbl_off.push(t.tbl.len() as u32);
-                t.sup_nets.extend_from_slice(&support);
-                t.sup_off.push(t.sup_nets.len() as u32);
-                for idx in 0..1usize << width {
-                    let entry = self.gate_entry(g, idx, &pos_of);
-                    t.tbl.push(entry);
-                }
-                Self::clear_support(&mut support, &mut pos_of);
-                t.term_off.push(t.terms.len() as u32);
-                continue;
-            }
-            Self::clear_support(&mut support, &mut pos_of);
-
-            // Split gate: one term per pin response plus the output
-            // response, each over its own support.
-            t.tbl_off.push(TABLE_FALLBACK);
-            t.fallback_gates += 1;
-            for pin in 0..=pins {
-                let net = if pin < pins { self.in_nets[s + pin] } else { out };
-                // The term's LUT choice and own-pin subtraction read
-                // the gate's input vector, so the gate's inputs are
-                // always in support.
-                support.clear();
-                Self::push_support(&mut support, &mut pos_of, &self.in_nets[s..e]);
-                if self.gate_driven[net as usize] {
-                    self.push_load_support(&mut support, &mut pos_of, net);
-                }
-                let width = support.len();
-                if width <= MAX_SUPPORT_BITS && t.tbl.len() + (1usize << width) <= MAX_TABLE_ENTRIES
-                {
-                    t.terms.push(BlockTerm {
-                        tbl: t.tbl.len() as u32,
-                        sup_start: t.sup_nets.len() as u32,
-                        sup_len: width as u32,
-                        pin: pin as u32,
-                        net,
-                    });
-                    t.sup_nets.extend_from_slice(&support);
-                    for idx in 0..1usize << width {
-                        let entry = self.term_entry(g, pin, net, idx, &pos_of);
-                        t.tbl.push(entry);
+                t.sup_nets.extend_from_slice(sup);
+                Self::push_table(&mut t.tbl, sup, &mut pos_of, |idx, pos_of| {
+                    self.gate_entry(g, idx, pos_of)
+                });
+            } else {
+                t.tbl_off.push(TABLE_FALLBACK);
+                t.fallback_gates += 1;
+                let terms = layout.terms(g);
+                let pins = terms.len() - 1;
+                for (pin, &term) in terms.iter().enumerate() {
+                    let net =
+                        if pin < pins { self.compiled_wiring[s + pin] } else { self.out_net[g] };
+                    if term.width as usize <= layout.cap {
+                        let sup = layout.nets(term);
+                        t.terms.push(BlockTerm {
+                            tbl: t.tbl.len() as u32,
+                            sup_start: t.sup_nets.len() as u32,
+                            sup_len: term.width,
+                            pin: pin as u32,
+                            net,
+                        });
+                        t.sup_nets.extend_from_slice(sup);
+                        Self::push_table(&mut t.tbl, sup, &mut pos_of, |idx, pos_of| {
+                            self.term_entry(g, pin, net, idx, pos_of)
+                        });
+                    } else {
+                        t.rt_terms += 1;
+                        if self.gate_driven[net as usize] && t.rt_slot[net as usize] == u32::MAX {
+                            t.rt_slot[net as usize] = t.rt_nets.len() as u32;
+                            t.rt_nets.push(net);
+                        }
+                        t.terms.push(BlockTerm {
+                            tbl: TABLE_FALLBACK,
+                            sup_start: 0,
+                            sup_len: 0,
+                            pin: pin as u32,
+                            net,
+                        });
                     }
-                } else {
-                    t.rt_terms += 1;
-                    if self.gate_driven[net as usize] && t.rt_slot[net as usize] == u32::MAX {
-                        t.rt_slot[net as usize] = t.rt_nets.len() as u32;
-                        t.rt_nets.push(net);
-                    }
-                    t.terms.push(BlockTerm {
-                        tbl: TABLE_FALLBACK,
-                        sup_start: 0,
-                        sup_len: 0,
-                        pin: pin as u32,
-                        net,
-                    });
                 }
-                Self::clear_support(&mut support, &mut pos_of);
             }
             t.sup_off.push(t.sup_nets.len() as u32);
             t.term_off.push(t.terms.len() as u32);
         }
+        debug_assert_eq!(t.tbl.len(), entries, "the tables built are the layout's");
         t.rt_off.push(0);
         for &net in &t.rt_nets {
             for load in self.circuit.net_loads(NetId(net as usize)) {
@@ -1246,6 +1313,88 @@ impl<'a> CompiledEstimator<'a> {
             t.rt_off.push(t.rt_loads.len() as u32);
         }
         t
+    }
+
+    /// The table layout over the compiled wiring. Each gate's
+    /// whole-gate support holds its own inputs plus the inputs of
+    /// every gate loading its gate-driven input nets and its output
+    /// net — exactly the nets its scalar `Lut` arithmetic depends on
+    /// (loads on ideal-source nets never matter: the scalar pass pins
+    /// their loading to zero). Each term's support holds the gate's
+    /// inputs (the term's LUT choice and own-pin subtraction read the
+    /// gate's input vector) plus the inputs of the gates loading the
+    /// term's net, if gate-driven. The width cap is then the largest
+    /// width up to [`MAX_SUPPORT_BITS`] whose tables fit
+    /// [`MAX_TABLE_ENTRIES`].
+    fn block_layout(&self) -> Layout {
+        let n_gates = self.gate_cell.len();
+        let wiring = &self.compiled_wiring;
+        let mut pos_of = vec![u32::MAX; self.gate_driven.len()];
+        let mut layout = Layout {
+            nets: Vec::new(),
+            whole: Vec::with_capacity(n_gates),
+            term_off: Vec::with_capacity(n_gates + 1),
+            terms: Vec::with_capacity(wiring.len() + n_gates),
+            cap: 0,
+        };
+        // Keeps a candidate's nets only when a table could cover it.
+        let keep = |layout: &mut Layout, support: &[u32]| {
+            let start = layout.nets.len() as u32;
+            if support.len() <= MAX_SUPPORT_BITS {
+                layout.nets.extend_from_slice(support);
+            }
+            Support { start, width: support.len() as u32 }
+        };
+        let mut support: Vec<u32> = Vec::new();
+        layout.term_off.push(0);
+        for g in 0..n_gates {
+            let ins = &wiring[self.in_off[g] as usize..self.in_off[g + 1] as usize];
+            let out = self.out_net[g];
+            Self::push_support(&mut support, &mut pos_of, ins);
+            for &net in ins.iter().chain(std::iter::once(&out)) {
+                if self.gate_driven[net as usize] {
+                    self.push_load_support(&mut support, &mut pos_of, net);
+                }
+            }
+            let whole = keep(&mut layout, &support);
+            layout.whole.push(whole);
+            Self::clear_support(&mut support, &mut pos_of);
+            for &net in ins.iter().chain(std::iter::once(&out)) {
+                Self::push_support(&mut support, &mut pos_of, ins);
+                if self.gate_driven[net as usize] {
+                    self.push_load_support(&mut support, &mut pos_of, net);
+                }
+                let term = keep(&mut layout, &support);
+                layout.terms.push(term);
+                Self::clear_support(&mut support, &mut pos_of);
+            }
+            layout.term_off.push(layout.terms.len() as u32);
+        }
+        // Every support holds its gate's inputs, so no table is
+        // narrower than one bit and a zero cap builds nothing.
+        layout.cap = (1..=MAX_SUPPORT_BITS)
+            .rev()
+            .find(|&cap| layout.entries_at(cap) <= MAX_TABLE_ENTRIES)
+            .unwrap_or(0);
+        layout
+    }
+
+    /// Appends one table to `tbl`: entry `idx` is `entry(idx,
+    /// pos_of)` with support net `sup[j]` at bit `j`.
+    fn push_table(
+        tbl: &mut Vec<LeakageBreakdown>,
+        sup: &[u32],
+        pos_of: &mut [u32],
+        entry: impl Fn(usize, &[u32]) -> LeakageBreakdown,
+    ) {
+        for (j, &net) in sup.iter().enumerate() {
+            pos_of[net as usize] = j as u32;
+        }
+        let pos: &[u32] = pos_of;
+        tbl.extend((0..1usize << sup.len()).map(|idx| entry(idx, pos)));
+        for &net in sup {
+            pos_of[net as usize] = u32::MAX;
+        }
     }
 
     /// Adds `nets` to the support set under construction (dedup via
@@ -1265,7 +1414,7 @@ impl<'a> CompiledEstimator<'a> {
         for load in self.circuit.net_loads(NetId(net as usize)) {
             let h = load.gate.0;
             let (hs, he) = (self.in_off[h] as usize, self.in_off[h + 1] as usize);
-            Self::push_support(support, pos_of, &self.in_nets[hs..he]);
+            Self::push_support(support, pos_of, &self.compiled_wiring[hs..he]);
         }
     }
 
@@ -1276,13 +1425,14 @@ impl<'a> CompiledEstimator<'a> {
         support.clear();
     }
 
-    /// Gate `h`'s input bits when the support nets hold the values
-    /// packed in `idx` (bit `pos_of[net]`). Only valid while every
-    /// input of `h` is in the support set.
+    /// Gate `h`'s input bits, over the compiled wiring, when the
+    /// support nets hold the values packed in `idx` (bit
+    /// `pos_of[net]`). Only valid while every input of `h` is in the
+    /// support set.
     fn bits_at(&self, h: usize, idx: usize, pos_of: &[u32]) -> usize {
         let (s, e) = (self.in_off[h] as usize, self.in_off[h + 1] as usize);
         let mut bits = 0usize;
-        for (k, &net) in self.in_nets[s..e].iter().enumerate() {
+        for (k, &net) in self.compiled_wiring[s..e].iter().enumerate() {
             bits |= (idx >> pos_of[net as usize] & 1) << k;
         }
         bits
@@ -1316,7 +1466,7 @@ impl<'a> CompiledEstimator<'a> {
         let pins = vc.pins as usize;
         let mut b = vc.nominal;
         for k in 0..pins {
-            let net = self.in_nets[s + k];
+            let net = self.compiled_wiring[s + k];
             let il = if self.gate_driven[net as usize] {
                 let own = self.pin_current_slab[vc.pin_off as usize + k];
                 (self.current_at(net, idx, pos_of) - own).abs()
@@ -1558,7 +1708,7 @@ mod tests {
     use crate::estimator::estimate;
     use nanoleak_cells::CharacterizeOptions;
     use nanoleak_device::Technology;
-    use nanoleak_netlist::generate::{random_circuit, RandomCircuitSpec};
+    use nanoleak_netlist::generate::{iscas_like, random_circuit, RandomCircuitSpec};
     use nanoleak_netlist::normalize::normalize;
     use nanoleak_netlist::CircuitBuilder;
     use proptest::prelude::*;
@@ -1861,6 +2011,84 @@ mod tests {
             block.get_into(lane, &mut p);
             let want = plan.estimate_into(&mut ss, &p, EstimatorMode::Lut).unwrap();
             assert_eq!(bs.totals()[lane].total().to_bits(), want.total().to_bits());
+        }
+    }
+
+    #[test]
+    fn tables_built_on_a_permuted_plan_describe_the_compiled_wiring() {
+        // Building the tables while a permutation is in force must
+        // still describe the compiled wiring, which the block path
+        // trusts again once the permutation is undone.
+        let mut b = CircuitBuilder::new("perm-build");
+        let a = b.add_input("a");
+        let c = b.add_input("b");
+        let x = b.add_gate(CellType::Inv, &[c], "x");
+        let y = b.add_gate(CellType::Nand2, &[a, x], "y");
+        let z = b.add_gate(CellType::Nand2, &[x, a], "z");
+        b.mark_output(y);
+        b.mark_output(z);
+        let circuit = b.build().unwrap();
+        let lib = library();
+        let mut plan = CompiledEstimator::compile(&circuit, &lib).unwrap();
+        plan.permute_gate_inputs(GateId(1), &[1, 0]);
+        let _ = plan.block_fallback_gates();
+        plan.permute_gate_inputs(GateId(1), &[1, 0]);
+        let patterns: Vec<Pattern> = (0..4u32)
+            .map(|bits| Pattern { pi: vec![bits & 1 == 1, bits & 2 == 2], states: vec![] })
+            .collect();
+        assert_block_bit_identical(&plan, &patterns, EstimatorMode::Lut);
+    }
+
+    #[test]
+    fn budget_bound_layout_buys_the_narrowest_tables_and_matches_scalar() {
+        // s5378's supports would take more than MAX_TABLE_ENTRIES at
+        // the full MAX_SUPPORT_BITS (support widths are structural,
+        // so on any grid): the width cap binds, all three tiers serve
+        // lanes, and every lane still equals the scalar path.
+        let circuit = normalize(&iscas_like("s5378").unwrap()).unwrap();
+        let lib = library();
+        let plan = CompiledEstimator::compile(&circuit, &lib).unwrap();
+        let t = plan.block_tables();
+        let layout = plan.block_layout();
+        assert!(layout.cap < MAX_SUPPORT_BITS, "the budget must bind on s5378");
+        assert!(layout.entries_at(layout.cap + 1) > MAX_TABLE_ENTRIES);
+        assert!(t.tbl.len() <= MAX_TABLE_ENTRIES, "{} table entries", t.tbl.len());
+        assert!(t.rt_terms > 0 && t.fallback_gates < circuit.gate_count());
+
+        let mut widest = 0;
+        let mut runtime = Vec::new();
+        for g in 0..circuit.gate_count() {
+            let terms = layout.terms(g);
+            if t.tbl_off[g] != TABLE_FALLBACK {
+                let w = (t.sup_off[g + 1] - t.sup_off[g]) as usize;
+                let split: usize = terms.iter().map(|term| 1usize << term.width).sum();
+                assert!(1 << w <= split, "gate {g}: whole table 2^{w} > term tables {split}");
+                widest = widest.max(w);
+                continue;
+            }
+            let built = &t.terms[t.term_off[g] as usize..t.term_off[g + 1] as usize];
+            assert_eq!(built.len(), terms.len());
+            for (term, cand) in built.iter().zip(terms) {
+                if term.tbl == TABLE_FALLBACK {
+                    runtime.push(cand.width as usize);
+                } else {
+                    assert_eq!(term.sup_len, cand.width);
+                    widest = widest.max(term.sup_len as usize);
+                }
+            }
+        }
+        assert_eq!(runtime.len(), t.rt_terms);
+        let narrowest = runtime.iter().copied().min().unwrap();
+        assert!(narrowest > widest, "runtime term of width {narrowest}, table of width {widest}");
+
+        // Two full blocks and a partial tail.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5378);
+        for len in [LANES, LANES, 37] {
+            let patterns: Vec<Pattern> =
+                (0..len).map(|_| Pattern::random(&circuit, &mut rng)).collect();
+            for mode in [EstimatorMode::Lut, EstimatorMode::NoLoading] {
+                assert_block_bit_identical(&plan, &patterns, mode);
+            }
         }
     }
 

@@ -1,13 +1,16 @@
 //! Every workload's block counters count and time the packed blocks
-//! that ran.
+//! that ran, and the table counters count each response-table build.
 //!
-//! `nanoleak_block_blocks_total`, `nanoleak_block_tail_lane_waste_total`
-//! and `nanoleak_block_kernel_seconds` are process-global, so this
-//! binary holds a single test: no other test may evaluate blocks
-//! between a reading and the next.
+//! `nanoleak_block_blocks_total`, `nanoleak_block_tail_lane_waste_total`,
+//! `nanoleak_block_kernel_seconds`,
+//! `nanoleak_block_table_build_seconds` and
+//! `nanoleak_block_runtime_terms_total` are process-global, so this
+//! binary holds a single test: no other test may evaluate blocks or
+//! build tables between a reading and the next.
 
 use nanoleak_cells::{CellLibrary, CellType};
-use nanoleak_core::LANES;
+use nanoleak_core::plan::MAX_SUPPORT_BITS;
+use nanoleak_core::{CompiledEstimator, LANES};
 use nanoleak_device::Technology;
 use nanoleak_engine::{
     block_metrics, mc_streaming_mode, mlv_search, sweep_streaming, McMode, MemoLibraryCache,
@@ -23,6 +26,31 @@ fn inverter_chain() -> Circuit {
     let y = b.add_gate(CellType::Inv, &[m], "y");
     b.mark_output(y);
     b.build().unwrap()
+}
+
+/// An inverter driving a hub net that loads more two-input gates than
+/// a response table has bits, so the terms on the hub evaluate at
+/// runtime.
+fn hub() -> Circuit {
+    let mut b = CircuitBuilder::new("counter-hub");
+    let a = b.add_input("a");
+    let hub = b.add_gate(CellType::Inv, &[a], "hub");
+    let mut side = a;
+    for i in 0..=MAX_SUPPORT_BITS {
+        side = b.add_gate(CellType::Nand2, &[hub, side], &format!("y{i}"));
+        b.mark_output(side);
+    }
+    b.build().unwrap()
+}
+
+/// The `(table builds, runtime terms)` the table counters gained while
+/// `run` ran.
+fn built<T>(run: impl FnOnce() -> T) -> ((u64, u64), T) {
+    let metrics = block_metrics();
+    let builds = || metrics.table_build_seconds.snapshot().count();
+    let before = (builds(), metrics.runtime_terms.get());
+    let out = run();
+    ((builds() - before.0, metrics.runtime_terms.get() - before.1), out)
 }
 
 /// The `(blocks, tail lane waste)` the counters gained while `run` ran,
@@ -54,6 +82,12 @@ fn packed(n: usize) -> (u64, u64) {
 /// unloaded arm as packed blocks, and its loaded arm too once the
 /// volume pays for the response tables. Each packed arm's partial tail
 /// block wastes its empty lanes.
+///
+/// Every response-table build adds one sample to the build histogram
+/// and the runtime terms its layout left to the counter: a sweep on a
+/// fresh plan builds once, a re-sweep on the cached plan never, and
+/// each Monte-Carlo die whose loaded arm runs packed builds its own
+/// plan's tables once.
 #[test]
 fn every_workload_counts_the_packed_blocks_it_ran() {
     let circuit = inverter_chain();
@@ -95,6 +129,20 @@ fn every_workload_counts_the_packed_blocks_it_ran() {
         }
     }
 
+    // The hub's layout leaves runtime terms. Its first sweep builds the
+    // shared plan's tables; the second finds them cached.
+    let hub = hub();
+    let hub_lib = CellLibrary::shared_with_options(&tech, 300.0, &char_opts_for(&hub, true));
+    let runtime_terms = CompiledEstimator::compile(&hub, &hub_lib).unwrap().block_runtime_terms();
+    assert!(runtime_terms > 0, "the hub must leave terms on the runtime path");
+    for expected in [(1, runtime_terms as u64), (0, 0)] {
+        let config = SweepConfig { vectors: 100, seed: 3, threads: 1, ..Default::default() };
+        let (ran, _) = built(|| {
+            sweep_streaming(&hub, &hub_lib, &config, 0, |_| true).unwrap().expect("not cancelled")
+        });
+        assert_eq!(ran, expected, "table builds and runtime terms of a hub sweep");
+    }
+
     // More samples than the probe re-runs, so the probe's dies are not
     // a copy of the timed ones.
     let samples = DEFAULT_DEVIATION_PROBE + 1;
@@ -120,11 +168,19 @@ fn every_workload_counts_the_packed_blocks_it_ran() {
                 let (blocks, waste) = if lanes == 1 { (0, 0) } else { packed(vectors) };
 
                 let cache = MemoLibraryCache::memory_only();
-                let (ran_blocks, ran_waste) = counted(|| {
-                    mc_streaming_mode(&circuit, &tech, &cache, &config, mode, 2, |_| true)
-                        .unwrap()
-                        .expect("not cancelled");
+                let ((builds, _), (ran_blocks, ran_waste)) = built(|| {
+                    counted(|| {
+                        mc_streaming_mode(&circuit, &tech, &cache, &config, mode, 2, |_| true)
+                            .unwrap()
+                            .expect("not cancelled");
+                    })
                 });
+                let packed_loaded = vectors >= TABLE_AMORTIZE_VECTORS && lanes != 1;
+                assert_eq!(
+                    builds,
+                    if packed_loaded { dies as u64 } else { 0 },
+                    "table builds: vectors = {vectors}, {mode:?}, lanes = {lanes}"
+                );
                 assert_eq!(
                     ran_blocks,
                     dies as u64 * arms * blocks,
