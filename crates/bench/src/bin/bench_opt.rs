@@ -28,9 +28,50 @@ use nanoleak_engine::{plan_cache, MlvConfig, MlvStrategy};
 use nanoleak_netlist::generate::iscas_like;
 use nanoleak_netlist::normalize::normalize;
 use nanoleak_opt::{optimize, OptimizeConfig};
+use serde::Serialize;
 
 /// Warm lookups averaged for the hit-latency figure.
 const WARM_LOOKUPS: u32 = 1000;
+
+/// The recorded baseline, field for field as `BENCH_opt.json` holds it.
+#[derive(Serialize)]
+struct Baseline {
+    bench: &'static str,
+    circuit: String,
+    grid_points: usize,
+    plan_cache: PlanCacheFigures,
+    optimize: OptimizeFigures,
+    seed: u64,
+    bit_identical: bool,
+}
+
+/// Cold compile vs warm hit of the structural plan cache.
+#[derive(Serialize)]
+struct PlanCacheFigures {
+    cold_compile_ms: f64,
+    warm_hit_us: f64,
+    hit_speedup: u64,
+}
+
+/// One single-thread `optimize` run.
+#[derive(Serialize)]
+struct OptimizeFigures {
+    gates_before: usize,
+    gates_after: usize,
+    rounds: usize,
+    rounds_per_sec: f64,
+    baseline_ua: f64,
+    improved_ua: f64,
+    improvement_percent: f64,
+    evaluations: u64,
+}
+
+/// `x` rounded to `digits` decimals, so the file records what the
+/// measurement resolves rather than every digit of an `f64`.
+fn round(x: f64, digits: i32) -> f64 {
+    let scale = 10f64.powi(digits);
+    (x * scale).round() / scale
+}
 
 fn main() {
     let mut circuit_name = "s1196".to_string();
@@ -105,29 +146,29 @@ fn main() {
     let rounds_run = result.rounds.len().max(1);
     let rounds_per_sec = rounds_run as f64 / opt_secs.max(1e-9);
 
-    let json = format!(
-        "{{\n  \"bench\": \"opt_workload_single_thread\",\n  \
-         \"circuit\": \"{circuit_name}\",\n  \"grid_points\": {},\n  \
-         \"plan_cache\": {{\n    \"cold_compile_ms\": {:.3},\n    \
-         \"warm_hit_us\": {:.3},\n    \"hit_speedup\": {:.0}\n  }},\n  \
-         \"optimize\": {{\n    \"gates_before\": {},\n    \"gates_after\": {},\n    \
-         \"rounds\": {},\n    \"rounds_per_sec\": {:.3},\n    \
-         \"baseline_ua\": {:.4},\n    \"improved_ua\": {:.4},\n    \
-         \"improvement_percent\": {:.2},\n    \"evaluations\": {}\n  }},\n  \
-         \"seed\": 2005,\n  \"bit_identical\": true\n}}\n",
-        options.points,
-        cold_secs * 1e3,
-        warm_secs * 1e6,
-        speedup,
-        result.gates_before,
-        result.gates_after,
-        rounds_run,
-        rounds_per_sec,
-        result.baseline.objective * 1e6,
-        result.improved.objective * 1e6,
-        result.improvement_percent(),
-        result.evaluations,
-    );
+    let baseline = Baseline {
+        bench: "opt_workload_single_thread",
+        circuit: circuit_name,
+        grid_points: options.points,
+        plan_cache: PlanCacheFigures {
+            cold_compile_ms: round(cold_secs * 1e3, 3),
+            warm_hit_us: round(warm_secs * 1e6, 3),
+            hit_speedup: speedup.round() as u64,
+        },
+        optimize: OptimizeFigures {
+            gates_before: result.gates_before,
+            gates_after: result.gates_after,
+            rounds: rounds_run,
+            rounds_per_sec: round(rounds_per_sec, 3),
+            baseline_ua: round(result.baseline.objective * 1e6, 4),
+            improved_ua: round(result.improved.objective * 1e6, 4),
+            improvement_percent: round(result.improvement_percent(), 2),
+            evaluations: result.evaluations,
+        },
+        seed: 2005,
+        bit_identical: true,
+    };
+    let json = format!("{}\n", serde::json::to_string_pretty(&baseline));
     std::fs::write(&out, &json).expect("write baseline");
     print!("{json}");
     println!("wrote {out}");

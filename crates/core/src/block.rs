@@ -1,15 +1,16 @@
 //! The one block driver, the one loaded-vs-unloaded evaluator, and
 //! their telemetry.
 //!
-//! Sweeps, both MLV scans and both arms of every loading comparison
-//! run through [`par_blocks`]: it tiles a workload's index range into
-//! blocks of `resolve_lanes(lanes)` patterns, one work item per block,
-//! and runs each block on the kernel its width calls for — the packed
-//! word-parallel kernel for 64-lane blocks, the per-lane scalar kernel
-//! for 1-lane blocks (which keeps per-pattern parallelism). The tiling
-//! width therefore picks the kernel, never the code path or the
-//! result: both kernels produce bit-identical lane totals, and callers
-//! consume them in index order.
+//! Sweeps, all three MLV strategies (both scans and each hill-climb
+//! step's bit-flip neighbourhood) and both arms of every loading
+//! comparison run through [`par_blocks`]: it tiles a workload's index
+//! range into blocks of `resolve_lanes(lanes)` patterns, one work item
+//! per block, and runs each block on the kernel its width calls for —
+//! the packed word-parallel kernel for 64-lane blocks, the per-lane
+//! scalar kernel for 1-lane blocks (which keeps per-pattern
+//! parallelism). The tiling width therefore picks the kernel, never
+//! the code path or the result: both kernels produce bit-identical
+//! lane totals, and callers consume them in index order.
 //!
 //! [`loading_totals`] is the paper's circuit-level comparison — each
 //! pattern's leakage with loading and without it — and the only code

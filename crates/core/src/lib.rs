@@ -25,10 +25,10 @@
 //!   simulate kernel plus a table-driven resolve kernel
 //!   ([`CompiledEstimator::estimate_block_into`] /
 //!   [`BlockScratch`]), bit-identical to the scalar path.
-//! * [`block`] — the one block driver, [`par_blocks`]: sweeps, MLV
-//!   scans and loading comparisons tile their patterns into blocks
-//!   through it, and it counts and times every packed block it runs
-//!   ([`block_metrics`], in [`nanoleak_obs::global()`]). Beside it,
+//! * [`block`] — the one block driver, [`par_blocks`]: sweeps, every
+//!   MLV strategy and loading comparisons tile their patterns into
+//!   blocks through it, and it counts and times every packed block it
+//!   runs ([`block_metrics`], in [`nanoleak_obs::global()`]). Beside it,
 //!   [`loading_totals`], the one loaded-vs-unloaded evaluator that
 //!   every Monte-Carlo die and every estimate request runs.
 //! * [`exec`] — the workspace's deterministic parallel-execution

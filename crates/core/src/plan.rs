@@ -96,8 +96,9 @@
 //! kernel behind the same block interface: it unpacks each lane and
 //! runs the scalar pass, with no table build. Every workload runs
 //! through one block driver, [`par_blocks`](crate::par_blocks),
-//! whatever its `lanes` setting: the engine's sweeps and MLV scans and
-//! both arms of every loading comparison
+//! whatever its `lanes` setting: the engine's sweeps, all three MLV
+//! strategies (both scans and each hill-climb step's bit-flip
+//! neighbourhood) and both arms of every loading comparison
 //! ([`loading_totals`](crate::loading_totals), for each Monte-Carlo
 //! die and each estimate request) tile their patterns into blocks of
 //! [`resolve_lanes`]`(lanes)` lanes (seed-derived streams packed by

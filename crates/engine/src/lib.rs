@@ -41,7 +41,7 @@
 //!   MC-job flag) and fast runs self-report their measured deviation
 //!   from it.
 //!
-//! Sweeps, the MLV scans and every Monte-Carlo die evaluate their
+//! Sweeps, every MLV strategy and every Monte-Carlo die evaluate their
 //! patterns through `nanoleak-core`'s one block driver,
 //! [`nanoleak_core::par_blocks`], which counts and times each packed
 //! block where it runs ([`block_metrics`], re-exported here).

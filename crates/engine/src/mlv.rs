@@ -13,13 +13,15 @@
 //!   parallel restarts; near-exact in practice at a tiny fraction of
 //!   the exhaustive cost.
 //!
-//! The two scans (exhaustive and random) score candidates through the
-//! one block driver, [`nanoleak_core::par_blocks`], in blocks
-//! of `resolve_lanes(lanes)` candidates: [`MlvConfig::lanes`] picks
-//! the kernel — 64-candidate blocks on the packed word-parallel
-//! kernel, 1-candidate blocks on the per-lane scalar kernel — never the
-//! scan or its winner. Hill climbing scores one flip at a time on the
-//! scalar kernel.
+//! All three strategies score candidates through the one block
+//! driver, [`nanoleak_core::par_blocks`], in blocks of
+//! `resolve_lanes(lanes)` candidates: [`MlvConfig::lanes`] picks the
+//! kernel — 64-candidate blocks on the packed word-parallel kernel,
+//! 1-candidate blocks on the per-lane scalar kernel — never the scan
+//! or its winner. The two scans tile their whole candidate range. A
+//! hill climb's steps are sequential, but the flips one step scores
+//! are not: each step tiles its single-bit-flip neighbourhood on one
+//! worker inside its restart.
 //!
 //! All strategies are deterministic for a given seed regardless of the
 //! thread count: candidates are scored in a fixed order and ties
@@ -73,7 +75,10 @@ pub enum MlvStrategy {
         samples: usize,
     },
     /// Greedy bit-flip hill climbing from `restarts` random starts,
-    /// each limited to `max_steps` accepted moves.
+    /// each limited to `max_steps` accepted moves. Each step scores
+    /// every single-bit flip of the current vector as one block scan
+    /// and moves to the earliest best flip only when it strictly
+    /// beats the current objective.
     HillClimb {
         /// Independent random starts (parallelized).
         restarts: usize,
@@ -113,12 +118,12 @@ pub struct MlvConfig {
     /// Estimator mode used to score candidates.
     pub mode: EstimatorMode,
     /// Evaluation lanes: `0` (auto) and
-    /// [`LANES`](nanoleak_core::LANES) score exhaustive / random
-    /// candidates in 64-candidate blocks on the word-parallel kernel;
-    /// `1` in 1-candidate blocks on the per-lane scalar kernel. The
-    /// scan and the winner are the same either way. Hill climbing
-    /// always scores scalar — its candidates are sequentially
-    /// dependent.
+    /// [`LANES`](nanoleak_core::LANES) score candidates in
+    /// 64-candidate blocks on the word-parallel kernel; `1` in
+    /// 1-candidate blocks on the per-lane scalar kernel. The scan and
+    /// the winner are the same either way, for every strategy: a hill
+    /// climb's steps are sequential, but each step's flips are scored
+    /// as one block scan.
     pub lanes: usize,
 }
 
@@ -233,16 +238,11 @@ pub fn mlv_search(
 
     // One plan for the whole search — shared process-wide via the
     // structural cache, so repeated searches over isomorphic netlists
-    // skip the compile; candidate scoring runs allocation-free against
-    // per-worker scratches.
+    // skip the compile; each scan (each hill-climb step) sizes its
+    // per-worker buffers once and scores its blocks allocation-free.
     let shared = crate::plan_cache::shared_plan(circuit, library)?;
     let plan = shared.plan();
-    // The two flat strategies scan in blocks; hill climbing is
-    // sequentially dependent and always scores scalar.
-    if resolve_lanes(config.lanes) != 1
-        && !matches!(config.strategy, MlvStrategy::HillClimb { .. })
-        && config.mode == EstimatorMode::Lut
-    {
+    if resolve_lanes(config.lanes) != 1 && config.mode == EstimatorMode::Lut {
         // Charge the response-table build to the search setup, not
         // the first scored block (cached on the shared plan).
         plan.prepare_block();
@@ -309,9 +309,12 @@ pub fn mlv_search(
 }
 
 /// One hill-climb restart: greedy steepest-ascent/descent over
-/// single-bit flips, scanning bits in a fixed order for determinism.
-/// The candidate pattern is mutated in place (flip, score, flip back),
-/// so a whole restart performs no per-step allocations.
+/// single-bit flips. Steps are sequential, but the flips one step
+/// scores are not: each step scans its whole neighbourhood through
+/// [`scan_for_best`] on one worker (the restarts already fill the
+/// workers) and moves to the earliest best flip only when it strictly
+/// beats the current objective — the flip a one-at-a-time scan in bit
+/// order keeps, since block totals are bit-identical to scalar ones.
 fn climb(
     plan: &CompiledEstimator<'_>,
     scratch: &mut EstimateScratch,
@@ -326,31 +329,28 @@ fn climb(
     let mut evaluations = 1u64;
     let mut moves = 0u64;
     let bits = current.pi.len() + current.states.len();
+    // Without input bits there is no neighbourhood to scan (and a
+    // scan needs at least one candidate): the start is the answer.
+    let max_steps = if bits == 0 { 0 } else { max_steps };
 
     for _ in 0..max_steps {
-        let mut best_flip: Option<(usize, f64)> = None;
-        for bit in 0..bits {
-            flip_in_place(&mut current, bit);
-            let cand_obj = plan.estimate_into(scratch, &current, config.mode)?.total();
-            flip_in_place(&mut current, bit);
-            evaluations += 1;
-            let beats_current = config.goal.improves(cand_obj, objective);
-            let beats_best = match best_flip {
-                Some((_, b)) => config.goal.improves(cand_obj, b),
-                None => true,
-            };
-            if beats_current && beats_best {
-                best_flip = Some((bit, cand_obj));
+        let (bit, obj) = scan_for_best(plan, config, 1, bits, |block, pattern, start, count| {
+            block.clear();
+            pattern.pi.clone_from(&current.pi);
+            pattern.states.clone_from(&current.states);
+            for flip in start..start + count {
+                flip_in_place(pattern, flip);
+                block.push(pattern);
+                flip_in_place(pattern, flip);
             }
+        })?;
+        evaluations += bits as u64;
+        if !config.goal.improves(obj, objective) {
+            break;
         }
-        match best_flip {
-            Some((bit, obj)) => {
-                flip_in_place(&mut current, bit);
-                objective = obj;
-                moves += 1;
-            }
-            None => break,
-        }
+        flip_in_place(&mut current, bit);
+        objective = obj;
+        moves += 1;
     }
     Ok(((current, objective), evaluations, moves))
 }
@@ -460,6 +460,17 @@ mod tests {
             assert_eq!(one.objective, multi.objective);
             assert_eq!(one.telemetry.evaluations, multi.telemetry.evaluations);
         }
+    }
+
+    #[test]
+    fn hill_climb_without_input_bits_stops_after_its_start() {
+        let circuit = CircuitBuilder::new("no-inputs").build().unwrap();
+        let strategy = MlvStrategy::HillClimb { restarts: 3, max_steps: 8 };
+        let result =
+            mlv_search(&circuit, &library(), &MlvConfig { strategy, ..Default::default() })
+                .unwrap();
+        assert_eq!(result.telemetry.evaluations, 3, "one start evaluation per restart");
+        assert_eq!(result.telemetry.improving_moves, 0);
     }
 
     #[test]

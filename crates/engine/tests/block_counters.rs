@@ -75,9 +75,9 @@ fn packed(n: usize) -> (u64, u64) {
 }
 
 /// Sweeps and the MLV scans count `ceil(n / 64)` packed blocks plus
-/// their tail waste (a sharded sweep tiles each shard on its own);
-/// hill climbing and `lanes: 1` run the per-lane scalar kernel and
-/// count nothing. Every Monte-Carlo die evaluated — the timed samples
+/// their tail waste (a sharded sweep tiles each shard on its own), and
+/// so does each hill-climb step over its `bits` flips; `lanes: 1` runs
+/// the per-lane scalar kernel and counts nothing. Every Monte-Carlo die evaluated — the timed samples
 /// plus, in fast mode, the deviation probe's exact re-runs — runs its
 /// unloaded arm as packed blocks, and its loaded arm too once the
 /// volume pays for the response tables. Each packed arm's partial tail
@@ -113,11 +113,13 @@ fn every_workload_counts_the_packed_blocks_it_ran() {
     }
 
     // The chain has one input bit, so exhaustive search scores 2
-    // candidates: one block wasting 62 lanes.
+    // candidates: one block wasting 62 lanes. A hill-climb step scores
+    // the one flip in a 1-lane block; both seeded starts already sit
+    // at the minimum, so each of the 2 restarts stops after one step.
     let scans = [
         (MlvStrategy::Random { samples: 100 }, packed(100)),
         (MlvStrategy::Exhaustive, packed(2)),
-        (MlvStrategy::HillClimb { restarts: 2, max_steps: 4 }, (0, 0)),
+        (MlvStrategy::HillClimb { restarts: 2, max_steps: 4 }, (2 * b1, 2 * w1)),
     ];
     for (strategy, blocks) in scans {
         for (lanes, expected) in [(0, blocks), (LANES, blocks), (1, (0, 0))] {

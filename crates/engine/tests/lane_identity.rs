@@ -8,12 +8,15 @@
 //! per block.
 
 use nanoleak_cells::{CellLibrary, CellType, CharacterizeOptions};
+use nanoleak_core::CompiledEstimator;
 use nanoleak_device::Technology;
 use nanoleak_engine::{
-    mc_streaming_mode, mlv_search, sweep, sweep_streaming, McMode, MemoLibraryCache, MlvConfig,
-    MlvGoal, MlvStrategy, SweepConfig,
+    mc_streaming_mode, mlv_search, pattern_for_index, sweep, sweep_streaming, McMode,
+    MemoLibraryCache, MlvConfig, MlvGoal, MlvStrategy, SweepConfig,
 };
-use nanoleak_netlist::{Circuit, CircuitBuilder};
+use nanoleak_netlist::generate::iscas_like;
+use nanoleak_netlist::normalize::normalize;
+use nanoleak_netlist::{Circuit, CircuitBuilder, Pattern};
 use nanoleak_variation::{char_opts_for, CircuitMcConfig, VariationSigmas, TABLE_AMORTIZE_VECTORS};
 use std::sync::Arc;
 
@@ -116,19 +119,98 @@ fn mlv_scans_are_bit_identical_across_lanes() {
     }
 }
 
-/// Hill-climb ignores `lanes` entirely (its serial flip loop stays
-/// scalar), so any setting returns the identical climb.
+/// Flips one bit of `pattern`, primary inputs first, then DFF states.
+fn flip(pattern: &mut Pattern, bit: usize) {
+    let n_pi = pattern.pi.len();
+    let v = if bit < n_pi { &mut pattern.pi[bit] } else { &mut pattern.states[bit - n_pi] };
+    *v = !*v;
+}
+
+/// The per-flip hill climb the block-scored one replaced, kept as its
+/// reference: every restart scores one flip at a time with
+/// `estimate_into`, in bit order, and keeps the earliest flip that
+/// strictly beats both the current objective and the best flip so far;
+/// restarts merge earliest-best. Returns `(pattern, objective,
+/// evaluations, improving moves)`.
+fn per_flip_climb(
+    plan: &CompiledEstimator<'_>,
+    config: &MlvConfig,
+    restarts: usize,
+    max_steps: usize,
+) -> (Pattern, f64, u64, u64) {
+    let improves = |a: f64, b: f64| match config.goal {
+        MlvGoal::Min => a < b,
+        MlvGoal::Max => a > b,
+    };
+    let mut scratch = plan.scratch();
+    let mut score = |p: &Pattern| plan.estimate_into(&mut scratch, p, config.mode).unwrap().total();
+    let (mut best, mut evaluations, mut moves) = (None::<(Pattern, f64)>, 0, 0);
+    for restart in 0..restarts {
+        let mut current = pattern_for_index(plan.circuit(), config.seed ^ 0x4d4c56, restart);
+        let mut objective = score(&current);
+        evaluations += 1;
+        let bits = current.pi.len() + current.states.len();
+        for _ in 0..max_steps {
+            let mut best_flip: Option<(usize, f64)> = None;
+            for bit in 0..bits {
+                flip(&mut current, bit);
+                let candidate = score(&current);
+                flip(&mut current, bit);
+                evaluations += 1;
+                if improves(candidate, objective)
+                    && best_flip.is_none_or(|(_, b)| improves(candidate, b))
+                {
+                    best_flip = Some((bit, candidate));
+                }
+            }
+            let Some((bit, candidate)) = best_flip else { break };
+            flip(&mut current, bit);
+            objective = candidate;
+            moves += 1;
+        }
+        if best.as_ref().is_none_or(|(_, b)| improves(objective, *b)) {
+            best = Some((current, objective));
+        }
+    }
+    let (pattern, objective) = best.expect("at least one restart");
+    (pattern, objective, evaluations, moves)
+}
+
+/// Hill climbs score each step's flips as one block scan, and make the
+/// per-flip climb's decisions on either kernel: same pattern,
+/// objective bits, evaluations and accepted moves, on a chain narrower
+/// than one block and on coarse s838, whose 66 input bits score as a
+/// full block plus a 2-lane tail, for both goals and any `lanes` /
+/// `threads` setting.
 #[test]
 fn mlv_hill_climb_is_lane_invariant() {
-    let circuit = chain_circuit(6);
-    let lib = library();
-    let strategy = MlvStrategy::HillClimb { restarts: 4, max_steps: 16 };
-    let base = MlvConfig { strategy, lanes: 1, ..Default::default() };
-    let scalar = mlv_search(&circuit, &lib, &base).unwrap();
-    let block = mlv_search(&circuit, &lib, &MlvConfig { lanes: 64, ..base }).unwrap();
-    assert_eq!(scalar.pattern, block.pattern);
-    assert_eq!(scalar.objective, block.objective);
-    assert_eq!(scalar.telemetry.evaluations, block.telemetry.evaluations);
+    let s838 = normalize(&iscas_like("s838").unwrap()).unwrap();
+    assert_eq!(s838.inputs().len() + s838.state_inputs().len(), 66);
+    let s838_lib =
+        CellLibrary::shared_with_options(&Technology::d25(), 300.0, &char_opts_for(&s838, true));
+    let cases = [(chain_circuit(6), library(), 4, 16), (s838, s838_lib, 2, 3)];
+    for (circuit, lib, restarts, max_steps) in &cases {
+        let plan = CompiledEstimator::compile(circuit, lib).unwrap();
+        for goal in [MlvGoal::Min, MlvGoal::Max] {
+            let strategy = MlvStrategy::HillClimb { restarts: *restarts, max_steps: *max_steps };
+            let base = MlvConfig { goal, strategy, seed: 17, ..Default::default() };
+            let (pattern, objective, evaluations, moves) =
+                per_flip_climb(&plan, &base, *restarts, *max_steps);
+            assert!(moves > 0, "{}: the reference climb must move", circuit.name());
+            for lanes in [0usize, 1, 64] {
+                for threads in [1usize, 2] {
+                    let what =
+                        format!("{} {goal:?} lanes = {lanes} threads = {threads}", circuit.name());
+                    let r =
+                        mlv_search(circuit, lib, &MlvConfig { lanes, threads, ..base }).unwrap();
+                    assert_eq!(r.pattern, pattern, "{what}");
+                    assert_eq!(r.objective.to_bits(), objective.to_bits(), "{what}");
+                    assert_eq!(r.telemetry.evaluations, evaluations, "{what}");
+                    assert_eq!(r.telemetry.improving_moves, moves, "{what}");
+                }
+            }
+        }
+    }
 }
 
 /// Monte Carlo: each die's loaded/unloaded arms fold per-pattern

@@ -86,15 +86,15 @@ pub fn parse_bench(name: &str, text: &str) -> Result<RawCircuit, CircuitError> {
     Ok(c)
 }
 
+/// The argument text of `KEYWORD(args)` (keyword matched ASCII
+/// case-insensitively), or `None` if `line` is not such a call. The
+/// keyword is compared through `get`, so a multi-byte character that
+/// straddles the keyword's length is a mismatch, not a panic.
 fn strip_call<'a>(line: &'a str, keyword: &str) -> Option<&'a str> {
-    let rest = line.strip_prefix(keyword).or_else(|| {
-        if line.len() >= keyword.len() && line[..keyword.len()].eq_ignore_ascii_case(keyword) {
-            Some(&line[keyword.len()..])
-        } else {
-            None
-        }
-    })?;
-    let rest = rest.trim_start();
+    if !line.get(..keyword.len())?.eq_ignore_ascii_case(keyword) {
+        return None;
+    }
+    let rest = line[keyword.len()..].trim_start();
     rest.strip_prefix('(')?.trim_end().strip_suffix(')')
 }
 
@@ -178,6 +178,18 @@ y = OR(n2, a)
     fn case_insensitive_keywords() {
         let c = parse_bench("t", "input(a)\noutput(y)\ny = nand(a, a)\n").unwrap();
         assert_eq!(c.gate_count(), 1);
+    }
+
+    #[test]
+    fn multibyte_characters_across_a_keyword_length_parse() {
+        // 'é' is two bytes: at bytes 4-5 it straddles the length of
+        // "INPUT", at bytes 5-6 the length of "OUTPUT".
+        let text = "INPUT(a)\nOUTPUT(abcdé)\nOUTPUT(abcdeé)\nabcdé = NOT(a)\nabcdeé = NOT(a)\n";
+        let c = parse_bench("t", text).unwrap();
+        assert_eq!(c.gate_count(), 2);
+        assert_eq!(c.outputs.len(), 2);
+        // The same line without its input is a structured error.
+        assert!(parse_bench("t", "abcdé = NOT(a)\n").is_err());
     }
 
     #[test]

@@ -153,6 +153,22 @@ fn unknown_routes_and_bad_bodies_are_structured_4xx() {
     assert_error(&body, 400);
 }
 
+/// An inline `.bench` line whose multi-byte character straddles a
+/// keyword's length is parsed as a name, so the request fails as
+/// unprocessable (its input is never driven) instead of panicking.
+#[test]
+fn multibyte_inline_bench_is_unprocessable_not_a_panic() {
+    let server = TestServer::start(1, 8);
+    let (status, body) = request(
+        &server,
+        "POST",
+        "/v1/estimate",
+        r#"{"bench": "abcdé = NOT(a)\n", "vectors": 2, "coarse": true}"#,
+    );
+    assert_eq!(status, 422, "{body}");
+    assert!(assert_error(&body, 422).contains("never driven"), "{body}");
+}
+
 #[test]
 fn estimate_endpoint_reports_loading_impact() {
     let server = TestServer::start(1, 8);

@@ -147,6 +147,26 @@ fn estimate_rejects_zero_vectors_before_characterizing() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A multi-byte character straddling a `.bench` keyword's length is an
+/// ordinary name, not a panic: a file whose only line is
+/// `abcdé = NOT(a)` fails validation with exit 1 and an error line.
+#[test]
+fn multibyte_bench_names_are_errors_not_panics() {
+    let path =
+        std::env::temp_dir().join(format!("nanoleak-cli-test-utf8-{}.bench", std::process::id()));
+    std::fs::write(&path, "abcdé = NOT(a)\n").expect("write bench");
+    let out = cli()
+        .args(["estimate", path.to_str().unwrap(), "--coarse", "--no-cache"])
+        .output()
+        .expect("spawn");
+    let _ = std::fs::remove_file(&path);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    let first = stderr.lines().next().unwrap_or_default();
+    assert!(first.starts_with("error:") && first.contains("never driven"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
 /// One HTTP exchange with the in-process server; returns the status and
 /// the JSON body.
 fn http(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, Value) {
