@@ -36,15 +36,83 @@
 
 use std::time::Instant;
 
+use nanoleak_bench::{round, write_baseline};
 use nanoleak_device::Technology;
 use nanoleak_engine::{mc_streaming_mode, McMode, MemoLibraryCache};
 use nanoleak_netlist::generate::iscas_like;
 use nanoleak_netlist::normalize::normalize;
 use nanoleak_variation::{char_opts_for, run_inverter_mc, CircuitMcConfig, McConfig};
+use serde::Serialize;
 
 /// Patterns averaged per die — a full block so the fast arm's loaded
 /// and unloaded fixtures both exercise the 64-lane kernel.
 const VECTORS: usize = 64;
+
+/// The recorded baseline, field for field as `BENCH_mc.json` holds it.
+#[derive(Serialize)]
+struct Baseline {
+    bench: &'static str,
+    fixture: FixtureFigures,
+    circuit: CircuitFigures,
+    timings_ms: StageTimings,
+    seed: u64,
+    bit_identical: bool,
+}
+
+/// The paired inverter fixture.
+#[derive(Serialize)]
+struct FixtureFigures {
+    samples: usize,
+    samples_per_sec: f64,
+    mean_shift_pct: f64,
+}
+
+/// Both circuit-level arms on one circuit.
+#[derive(Serialize)]
+struct CircuitFigures {
+    name: String,
+    gates: usize,
+    grid_points: usize,
+    vectors: usize,
+    exact: ExactArm,
+    fast: FastArm,
+    speedup_fast_over_exact: f64,
+}
+
+/// The exact arm: every die characterized afresh.
+#[derive(Serialize)]
+struct ExactArm {
+    samples: usize,
+    samples_per_sec: f64,
+    mean_shift_pct: f64,
+    std_shift_pct: f64,
+}
+
+/// The fast arm, with its derivation diagnostics and measured
+/// deviation from the exact path.
+#[derive(Serialize)]
+struct FastArm {
+    samples: usize,
+    samples_per_sec: f64,
+    mean_shift_pct: f64,
+    std_shift_pct: f64,
+    dies_derived: u64,
+    entry_fallbacks: u64,
+    max_error_estimate: f64,
+    probed: usize,
+    max_deviation_pct: f64,
+    mean_deviation_pct: f64,
+}
+
+/// Captured span totals of the cold runs.
+#[derive(Serialize)]
+struct StageTimings {
+    fixture: f64,
+    characterize: f64,
+    sens_build: f64,
+    estimate: f64,
+    merge: f64,
+}
 
 fn main() {
     let mut circuit_name = "s838".to_string();
@@ -163,49 +231,47 @@ fn main() {
         "fast arm drifted from the exact path: {fast_report:?}"
     );
 
-    let json = format!(
-        "{{\n  \"bench\": \"mc_throughput_single_thread\",\n  \
-         \"fixture\": {{\n    \"samples\": {fixture_samples},\n    \
-         \"samples_per_sec\": {:.2},\n    \"mean_shift_pct\": {:.3}\n  }},\n  \
-         \"circuit\": {{\n    \"name\": \"{circuit_name}\",\n    \"gates\": {},\n    \
-         \"grid_points\": {},\n    \"vectors\": {VECTORS},\n    \
-         \"exact\": {{\n      \"samples\": {samples},\n      \
-         \"samples_per_sec\": {:.3},\n      \"mean_shift_pct\": {:.3},\n      \
-         \"std_shift_pct\": {:.3}\n    }},\n    \
-         \"fast\": {{\n      \"samples\": {fast_samples},\n      \
-         \"samples_per_sec\": {:.3},\n      \"mean_shift_pct\": {:.3},\n      \
-         \"std_shift_pct\": {:.3},\n      \"dies_derived\": {},\n      \
-         \"entry_fallbacks\": {},\n      \"max_error_estimate\": {:.5},\n      \
-         \"probed\": {},\n      \"max_deviation_pct\": {:.4},\n      \
-         \"mean_deviation_pct\": {:.4}\n    }},\n    \
-         \"speedup_fast_over_exact\": {:.2}\n  }},\n  \"timings_ms\": {{\n    \
-         \"fixture\": {:.3},\n    \"characterize\": {:.3},\n    \
-         \"sens_build\": {:.3},\n    \"estimate\": {:.3},\n    \"merge\": {:.3}\n  }},\n  \
-         \"seed\": 2005,\n  \"bit_identical\": true\n}}\n",
-        fixture_sps,
-        fixture.mean_shift() * 100.0,
-        circuit.gate_count(),
-        exact_cfg.char_opts.points,
-        exact_sps,
-        exact.summary.mean_shift * 100.0,
-        exact.summary.std_shift * 100.0,
-        fast_sps,
-        fast.summary.mean_shift * 100.0,
-        fast.summary.std_shift * 100.0,
-        fast_report.diag.dies_derived,
-        fast_report.diag.entries_fallback,
-        fast_report.diag.max_error_estimate,
-        fast_report.probed,
-        fast_report.max_deviation * 100.0,
-        fast_report.mean_deviation * 100.0,
-        speedup,
-        fixture_secs * 1e3,
-        stage_ms("characterize"),
-        sens_build_secs * 1e3,
-        stage_ms("estimate"),
-        stage_ms("merge"),
-    );
-    std::fs::write(&out, &json).expect("write baseline");
-    print!("{json}");
-    println!("wrote {out}");
+    let baseline = Baseline {
+        bench: "mc_throughput_single_thread",
+        fixture: FixtureFigures {
+            samples: fixture_samples,
+            samples_per_sec: round(fixture_sps, 2),
+            mean_shift_pct: round(fixture.mean_shift() * 100.0, 3),
+        },
+        circuit: CircuitFigures {
+            name: circuit_name,
+            gates: circuit.gate_count(),
+            grid_points: exact_cfg.char_opts.points,
+            vectors: VECTORS,
+            exact: ExactArm {
+                samples,
+                samples_per_sec: round(exact_sps, 3),
+                mean_shift_pct: round(exact.summary.mean_shift * 100.0, 3),
+                std_shift_pct: round(exact.summary.std_shift * 100.0, 3),
+            },
+            fast: FastArm {
+                samples: fast_samples,
+                samples_per_sec: round(fast_sps, 3),
+                mean_shift_pct: round(fast.summary.mean_shift * 100.0, 3),
+                std_shift_pct: round(fast.summary.std_shift * 100.0, 3),
+                dies_derived: fast_report.diag.dies_derived,
+                entry_fallbacks: fast_report.diag.entries_fallback,
+                max_error_estimate: round(fast_report.diag.max_error_estimate, 5),
+                probed: fast_report.probed,
+                max_deviation_pct: round(fast_report.max_deviation * 100.0, 4),
+                mean_deviation_pct: round(fast_report.mean_deviation * 100.0, 4),
+            },
+            speedup_fast_over_exact: round(speedup, 2),
+        },
+        timings_ms: StageTimings {
+            fixture: round(fixture_secs * 1e3, 3),
+            characterize: round(stage_ms("characterize"), 3),
+            sens_build: round(sens_build_secs * 1e3, 3),
+            estimate: round(stage_ms("estimate"), 3),
+            merge: round(stage_ms("merge"), 3),
+        },
+        seed: 2005,
+        bit_identical: true,
+    };
+    write_baseline(&out, &baseline);
 }

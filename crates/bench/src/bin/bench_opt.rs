@@ -22,6 +22,7 @@
 
 use std::time::Instant;
 
+use nanoleak_bench::{round, write_baseline};
 use nanoleak_cells::{CellLibrary, CellType, CharacterizeOptions};
 use nanoleak_device::Technology;
 use nanoleak_engine::{plan_cache, MlvConfig, MlvStrategy};
@@ -64,13 +65,6 @@ struct OptimizeFigures {
     improved_ua: f64,
     improvement_percent: f64,
     evaluations: u64,
-}
-
-/// `x` rounded to `digits` decimals, so the file records what the
-/// measurement resolves rather than every digit of an `f64`.
-fn round(x: f64, digits: i32) -> f64 {
-    let scale = 10f64.powi(digits);
-    (x * scale).round() / scale
 }
 
 fn main() {
@@ -168,8 +162,5 @@ fn main() {
         seed: 2005,
         bit_identical: true,
     };
-    let json = format!("{}\n", serde::json::to_string_pretty(&baseline));
-    std::fs::write(&out, &json).expect("write baseline");
-    print!("{json}");
-    println!("wrote {out}");
+    write_baseline(&out, &baseline);
 }

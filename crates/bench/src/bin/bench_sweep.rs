@@ -21,12 +21,47 @@
 
 use std::time::Instant;
 
+use nanoleak_bench::{round, write_baseline};
 use nanoleak_cells::{CellType, CharacterizeOptions};
 use nanoleak_core::{estimate, CompiledEstimator, EstimatorMode, LANES};
 use nanoleak_device::Technology;
 use nanoleak_engine::{pattern_for_index, LibraryCache};
 use nanoleak_netlist::generate::iscas_like;
 use nanoleak_netlist::normalize::normalize;
+use serde::Serialize;
+
+/// The recorded baseline, field for field as `BENCH_sweep.json` holds
+/// it.
+#[derive(Serialize)]
+struct Baseline {
+    bench: &'static str,
+    circuit: String,
+    gates: usize,
+    vectors: usize,
+    repeat: usize,
+    grid_points: usize,
+    mode: &'static str,
+    seed: u64,
+    legacy_patterns_per_sec: f64,
+    compiled_patterns_per_sec: f64,
+    block_patterns_per_sec: f64,
+    speedup: f64,
+    block_speedup_vs_compiled: f64,
+    timings_ms: StageTimings,
+    bit_identical: bool,
+}
+
+/// Captured span totals of the run.
+#[derive(Serialize)]
+struct StageTimings {
+    library: f64,
+    characterize: f64,
+    compile: f64,
+    legacy: f64,
+    compiled: f64,
+    block_prepare: f64,
+    block: f64,
+}
 
 fn main() {
     let mut circuit_name = "s1196".to_string();
@@ -173,38 +208,30 @@ fn main() {
             "block kernel speedup {block_speedup:.2}x is below the 4x floor"
         );
     }
-    let json = format!(
-        "{{\n  \"bench\": \"sweep_throughput_single_thread\",\n  \"circuit\": \"{}\",\n  \
-         \"gates\": {},\n  \"vectors\": {},\n  \"repeat\": {},\n  \"grid_points\": {},\n  \
-         \"mode\": \"Lut\",\n  \"seed\": {},\n  \
-         \"legacy_patterns_per_sec\": {:.1},\n  \"compiled_patterns_per_sec\": {:.1},\n  \
-         \"block_patterns_per_sec\": {:.1},\n  \
-         \"speedup\": {:.2},\n  \"block_speedup_vs_compiled\": {:.2},\n  \
-         \"timings_ms\": {{\n    \"library\": {:.3},\n    \
-         \"characterize\": {:.3},\n    \"compile\": {:.3},\n    \"legacy\": {:.3},\n    \
-         \"compiled\": {:.3},\n    \"block_prepare\": {:.3},\n    \"block\": {:.3}\n  }},\n  \
-         \"bit_identical\": {}\n}}\n",
-        circuit_name,
-        circuit.gate_count(),
+    let baseline = Baseline {
+        bench: "sweep_throughput_single_thread",
+        circuit: circuit_name,
+        gates: circuit.gate_count(),
         vectors,
         repeat,
-        opts.points,
+        grid_points: opts.points,
+        mode: "Lut",
         seed,
-        legacy_pps,
-        compiled_pps,
-        block_pps,
-        speedup,
-        block_speedup,
-        stage_ms("library"),
-        stage_ms("characterize"),
-        stage_ms("compile"),
-        stage_ms("legacy"),
-        stage_ms("compiled"),
-        stage_ms("block_prepare"),
-        stage_ms("block"),
+        legacy_patterns_per_sec: round(legacy_pps, 1),
+        compiled_patterns_per_sec: round(compiled_pps, 1),
+        block_patterns_per_sec: round(block_pps, 1),
+        speedup: round(speedup, 2),
+        block_speedup_vs_compiled: round(block_speedup, 2),
+        timings_ms: StageTimings {
+            library: round(stage_ms("library"), 3),
+            characterize: round(stage_ms("characterize"), 3),
+            compile: round(stage_ms("compile"), 3),
+            legacy: round(stage_ms("legacy"), 3),
+            compiled: round(stage_ms("compiled"), 3),
+            block_prepare: round(stage_ms("block_prepare"), 3),
+            block: round(stage_ms("block"), 3),
+        },
         bit_identical,
-    );
-    std::fs::write(&out, &json).expect("write baseline");
-    print!("{json}");
-    println!("wrote {out}");
+    };
+    write_baseline(&out, &baseline);
 }

@@ -97,6 +97,26 @@ pub fn fmt(x: f64, decimals: usize) -> String {
     format!("{x:.decimals$}")
 }
 
+/// `x` rounded to `digits` decimals, so a recorded `BENCH_*.json`
+/// holds what the measurement resolves rather than every digit of an
+/// `f64`.
+pub fn round(x: f64, digits: i32) -> f64 {
+    let scale = 10f64.powi(digits);
+    (x * scale).round() / scale
+}
+
+/// Writes a perf baseline to `path` as pretty-printed JSON and echoes
+/// it to stdout.
+///
+/// # Panics
+/// Panics if the file cannot be written.
+pub fn write_baseline(path: &str, baseline: &impl serde::Serialize) {
+    let json = format!("{}\n", serde::json::to_string_pretty(baseline));
+    std::fs::write(path, &json).expect("write baseline");
+    print!("{json}");
+    println!("wrote {path}");
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,5 +138,7 @@ mod tests {
         assert_eq!(na(3e-9), 3.0);
         assert_eq!(pct(0.05), 5.0);
         assert_eq!(fmt(1.23456, 2), "1.23");
+        assert_eq!(round(1.23456, 2), 1.23);
+        assert_eq!(round(217.3574, 3), 217.357);
     }
 }

@@ -15,7 +15,7 @@ use nanoleak_solver::SolverError;
 use serde::{Deserialize, Serialize};
 
 use crate::cell_type::CellType;
-use crate::eval::eval_loaded;
+use crate::eval::{eval_loaded, CellSolution};
 use crate::lut::BreakdownLut;
 use crate::vector::InputVector;
 
@@ -136,7 +136,13 @@ impl VectorChar {
     }
 }
 
-/// Characterizes one (cell, vector) state.
+/// Characterizes one (cell, vector) state: a nominal solve at zero
+/// loading, then each input pin's loading sweep over
+/// [`CharacterizeOptions::grid`], then the output sweep, each point a
+/// direct [`eval_loaded`] solve whose leakage change from the nominal
+/// becomes one table sample. The traced characterization behind the
+/// Monte-Carlo fast mode runs this same sweep, so its nominal entries
+/// are this function's, bit for bit.
 ///
 /// # Errors
 /// Propagates solver failures; malformed sweeps surface as
@@ -148,51 +154,83 @@ pub fn characterize_vector(
     vector: InputVector,
     opts: &CharacterizeOptions,
 ) -> Result<VectorChar, SolverError> {
+    let entries = sweep_vector(cell, vector, opts, |il_in, il_out| {
+        Ok(vec![eval_loaded(tech, temp, cell, vector, il_in, il_out)?])
+    })?;
+    Ok(entries.into_iter().next().expect("one entry per solution"))
+}
+
+/// The one characterization sweep of a (cell, vector) state: the
+/// nominal solve at zero loading, each input pin's sweep over the
+/// grid, then the output sweep, in that order. `solve(il_in, il_out)`
+/// solves one loading point and returns one solution per technology
+/// it characterizes, in the same order at every point; the sweep
+/// builds one [`VectorChar`] per solution, each table sample taken
+/// against that solution's own nominal. Zero loading is the nominal
+/// itself, so its sample is exactly zero and is not solved.
+pub(crate) fn sweep_vector(
+    cell: CellType,
+    vector: InputVector,
+    opts: &CharacterizeOptions,
+    mut solve: impl FnMut(&[f64], f64) -> Result<Vec<CellSolution>, SolverError>,
+) -> Result<Vec<VectorChar>, SolverError> {
     let grid = opts.grid();
     let zeros = vec![0.0; cell.num_inputs()];
-    let nominal_sol = eval_loaded(tech, temp, cell, vector, &zeros, 0.0)?;
-    let nominal = nominal_sol.breakdown;
-
-    let mut input_resp = Vec::with_capacity(cell.num_inputs());
-    for pin in 0..cell.num_inputs() {
-        let mut deltas = Vec::with_capacity(grid.len());
+    let nominal = solve(&zeros, 0.0)?;
+    // Delta tables of one axis, one per solution: input pin `Some(p)`
+    // or the output (`None`).
+    let mut tables = |pin: Option<usize>| -> Result<Vec<BreakdownLut>, SolverError> {
+        let mut deltas = vec![Vec::new(); nominal.len()];
         for &x in &grid {
-            if x == 0.0 {
-                deltas.push(LeakageBreakdown::ZERO);
-                continue;
+            let loaded = if x == 0.0 {
+                None
+            } else {
+                let mut il = zeros.clone();
+                let il_out = match pin {
+                    Some(p) => {
+                        il[p] = x;
+                        0.0
+                    }
+                    None => x,
+                };
+                Some(solve(&il, il_out)?)
+            };
+            for (k, d) in deltas.iter_mut().enumerate() {
+                d.push(loaded.as_ref().map_or(LeakageBreakdown::ZERO, |sols| {
+                    sols[k].breakdown - nominal[k].breakdown
+                }));
             }
-            let mut il = zeros.clone();
-            il[pin] = x;
-            let sol = eval_loaded(tech, temp, cell, vector, &il, 0.0)?;
-            deltas.push(sol.breakdown - nominal);
         }
-        input_resp.push(
-            BreakdownLut::from_samples(&grid, &deltas)
-                .ok_or_else(|| SolverError::BadProblem("degenerate input sweep".into()))?,
-        );
-    }
-
-    let mut out_deltas = Vec::with_capacity(grid.len());
-    for &x in &grid {
-        if x == 0.0 {
-            out_deltas.push(LeakageBreakdown::ZERO);
-            continue;
+        let axis = if pin.is_some() { "input" } else { "output" };
+        deltas
+            .iter()
+            .map(|d| {
+                BreakdownLut::from_samples(&grid, d)
+                    .ok_or_else(|| SolverError::BadProblem(format!("degenerate {axis} sweep")))
+            })
+            .collect()
+    };
+    let mut input_resp = vec![Vec::new(); nominal.len()];
+    for pin in 0..cell.num_inputs() {
+        for (resp, lut) in input_resp.iter_mut().zip(tables(Some(pin))?) {
+            resp.push(lut);
         }
-        let sol = eval_loaded(tech, temp, cell, vector, &zeros, x)?;
-        out_deltas.push(sol.breakdown - nominal);
     }
-    let output_resp = BreakdownLut::from_samples(&grid, &out_deltas)
-        .ok_or_else(|| SolverError::BadProblem("degenerate output sweep".into()))?;
-
-    Ok(VectorChar {
-        cell,
-        vector,
-        output_level: nominal_sol.output_level,
-        nominal,
-        pin_currents: nominal_sol.input_pin_currents,
-        input_resp,
-        output_resp,
-    })
+    let output_resp = tables(None)?;
+    Ok(nominal
+        .into_iter()
+        .zip(input_resp)
+        .zip(output_resp)
+        .map(|((sol, input_resp), output_resp)| VectorChar {
+            cell,
+            vector,
+            output_level: sol.output_level,
+            nominal: sol.breakdown,
+            pin_currents: sol.input_pin_currents,
+            input_resp,
+            output_resp,
+        })
+        .collect())
 }
 
 /// Characterized responses for every vector of one cell type.

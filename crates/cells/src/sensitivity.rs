@@ -26,6 +26,13 @@
 //! nominal and probe disable the offending term, so signs are always
 //! preserved.
 //!
+//! The traced characterization is the plain one's sweep: for each
+//! `(cell, vector)` it runs [`characterize_vector`]'s nominal, input
+//! and output solves with a solve that also answers the 28 probe
+//! technologies at every point, and reads the probe entries off that
+//! same sweep. So its library is the plain library bit for bit, by
+//! construction.
+//!
 //! [`delta_library`] derives a per-die library from those
 //! sensitivities. Each `(cell, vector)` entry is guarded by a
 //! linearization-error check: the odd part of what the model misses at
@@ -41,7 +48,8 @@ use nanoleak_solver::{dc_residual_at, SolverError};
 
 use crate::cell_type::CellType;
 use crate::characterize::{
-    characterize_vector, record_characterized, CellChar, CharacterizeOptions, VectorChar,
+    characterize_vector, record_characterized, sweep_vector, CellChar, CharacterizeOptions,
+    VectorChar,
 };
 use crate::eval::{eval_loaded_traced, loaded_fixture, solve_fixture, CellSolution};
 use crate::library::CellLibrary;
@@ -318,14 +326,15 @@ pub fn delta_library(
 }
 
 /// Characterizes one `(cell, vector)` entry with traced solves,
-/// returning the entry (bit-identical to
-/// [`characterize_vector`]) plus its sensitivity record. For
-/// every Newton solve in the sweep, each axis is probed by rebuilding
-/// the same fixture under the probe technology, pushing the residual at
-/// the nominal solution through the factored Jacobian, and re-reading
-/// the leakage at the predicted operating point — so the probe library
-/// values follow exactly the quantities the real characterization
-/// stores.
+/// returning the entry (bit-identical to [`characterize_vector`]) plus
+/// its sensitivity record. It runs `characterize_vector`'s own sweep
+/// ([`sweep_vector`]), handing it a solve that answers every point for
+/// the nominal technology and each probe technology: the fixture is
+/// rebuilt under the probe technology, the residual at the nominal
+/// solution is pushed through the factored Jacobian, and the probe
+/// point is solved from that prediction. The sweep builds one entry
+/// per technology, so the probe entries hold exactly the quantities
+/// the real characterization stores.
 fn characterize_vector_traced(
     tech: &Technology,
     temp: f64,
@@ -341,8 +350,6 @@ fn characterize_vector_traced(
     const CORNER0: usize = 2 * SENS_AXES;
     const WIDE0: usize = CORNER0 + 2 * SENS_PAIRS.len();
     const N_PROBES: usize = WIDE0 + 2 * SENS_AXES;
-    let grid = opts.grid();
-    let zeros = vec![0.0; cell.num_inputs()];
     let probes: Vec<Technology> = (0..N_PROBES)
         .map(|p| {
             let mut d = [0.0; SENS_AXES];
@@ -361,18 +368,19 @@ fn characterize_vector_traced(
         })
         .collect();
 
-    struct Traced {
-        nominal: CellSolution,
-        probes: Vec<CellSolution>,
-    }
-    let eval_all = |il_in: &[f64], il_out: f64| -> Result<Traced, SolverError> {
+    // Each sweep point solves the nominal technology with a traced
+    // solve, then every probe technology warm-started from it; the
+    // sweep builds the nominal entry and the 28 probe entries from
+    // these solutions, in that order.
+    let solve = |il_in: &[f64], il_out: f64| -> Result<Vec<CellSolution>, SolverError> {
         let t = eval_loaded_traced(tech, temp, cell, vector, il_in, il_out)?;
         let jac = t
             .trace
             .jacobian
             .as_ref()
             .ok_or_else(|| SolverError::BadProblem("fixture has no unknowns".into()))?;
-        let mut probe_sols = Vec::with_capacity(N_PROBES);
+        let mut sols = Vec::with_capacity(1 + N_PROBES);
+        sols.push(t.solution);
         for ptech in &probes {
             let pfx = loaded_fixture(ptech, cell, vector, il_in, il_out)?;
             // f(x*, p0) = 0, so the residual under the probe tech is
@@ -390,100 +398,17 @@ fn characterize_vector_traced(
             for (slot, node) in t.trace.unknowns.iter().enumerate() {
                 pguess[node.0] = t.x_star[slot] + dv[slot];
             }
-            probe_sols.push(solve_fixture(&pfx, temp, &pguess)?);
+            sols.push(solve_fixture(&pfx, temp, &pguess)?);
         }
-        Ok(Traced { nominal: t.solution, probes: probe_sols })
+        Ok(sols)
     };
+    let mut entries = sweep_vector(cell, vector, opts, solve)?.into_iter();
+    let vc = entries.next().expect("the sweep returns the nominal entry first");
 
-    // Mirror characterize_vector's solve sequence exactly: nominal
-    // first, then per-pin input sweeps, then the output sweep.
-    let nom = eval_all(&zeros, 0.0)?;
-    let nominal = nom.nominal.breakdown;
-    let probe_nominals: Vec<LeakageBreakdown> = nom.probes.iter().map(|s| s.breakdown).collect();
-
-    let degenerate = |axis: &str| SolverError::BadProblem(format!("degenerate {axis} sweep"));
-    let mut input_resp = Vec::with_capacity(cell.num_inputs());
-    let mut probe_input_resp: Vec<Vec<BreakdownLut>> = vec![Vec::new(); N_PROBES];
-    for pin in 0..cell.num_inputs() {
-        let mut deltas = Vec::with_capacity(grid.len());
-        let mut pdeltas: Vec<Vec<LeakageBreakdown>> =
-            (0..N_PROBES).map(|_| Vec::with_capacity(grid.len())).collect();
-        for &x in &grid {
-            if x == 0.0 {
-                deltas.push(LeakageBreakdown::ZERO);
-                for pd in &mut pdeltas {
-                    pd.push(LeakageBreakdown::ZERO);
-                }
-                continue;
-            }
-            let mut il = zeros.clone();
-            il[pin] = x;
-            let t = eval_all(&il, 0.0)?;
-            deltas.push(t.nominal.breakdown - nominal);
-            for (a, pd) in pdeltas.iter_mut().enumerate() {
-                pd.push(t.probes[a].breakdown - probe_nominals[a]);
-            }
-        }
-        input_resp
-            .push(BreakdownLut::from_samples(&grid, &deltas).ok_or_else(|| degenerate("input"))?);
-        for (resp, pd) in probe_input_resp.iter_mut().zip(&pdeltas) {
-            resp.push(BreakdownLut::from_samples(&grid, pd).ok_or_else(|| degenerate("input"))?);
-        }
-    }
-
-    let mut out_deltas = Vec::with_capacity(grid.len());
-    let mut probe_out_deltas: Vec<Vec<LeakageBreakdown>> =
-        (0..N_PROBES).map(|_| Vec::with_capacity(grid.len())).collect();
-    for &x in &grid {
-        if x == 0.0 {
-            out_deltas.push(LeakageBreakdown::ZERO);
-            for pd in &mut probe_out_deltas {
-                pd.push(LeakageBreakdown::ZERO);
-            }
-            continue;
-        }
-        let t = eval_all(&zeros, x)?;
-        out_deltas.push(t.nominal.breakdown - nominal);
-        for (a, pd) in probe_out_deltas.iter_mut().enumerate() {
-            pd.push(t.probes[a].breakdown - probe_nominals[a]);
-        }
-    }
-    let output_resp =
-        BreakdownLut::from_samples(&grid, &out_deltas).ok_or_else(|| degenerate("output"))?;
-    let probe_output_resp: Vec<BreakdownLut> = probe_out_deltas
-        .iter()
-        .map(|pd| BreakdownLut::from_samples(&grid, pd).ok_or_else(|| degenerate("output")))
-        .collect::<Result<_, _>>()?;
-
-    let vc = VectorChar {
-        cell,
-        vector,
-        output_level: nom.nominal.output_level,
-        nominal,
-        pin_currents: nom.nominal.input_pin_currents.clone(),
-        input_resp,
-        output_resp,
-    };
-
-    // Per-probe entries assembled with the same formulas, then reduced
-    // to per-axis log-space slope and curvature value by value.
+    // Every value of the entry reduced to per-axis log-space
+    // polynomial and pairwise cross terms, across the probe entries.
     let v0 = flatten_values(&vc);
-    let probe_vals: Vec<Vec<f64>> = probe_input_resp
-        .into_iter()
-        .zip(probe_output_resp)
-        .enumerate()
-        .map(|(p, (p_input, p_output))| {
-            flatten_values(&VectorChar {
-                cell,
-                vector,
-                output_level: nom.nominal.output_level,
-                nominal: probe_nominals[p],
-                pin_currents: nom.probes[p].input_pin_currents.clone(),
-                input_resp: p_input,
-                output_resp: p_output,
-            })
-        })
-        .collect();
+    let probe_vals: Vec<Vec<f64>> = entries.map(|e| flatten_values(&e)).collect();
     let mut sens = vec![[0.0_f64; SENS_AXES]; v0.len()];
     let mut curv = vec![[0.0_f64; SENS_AXES]; v0.len()];
     let mut cub = vec![[0.0_f64; SENS_AXES]; v0.len()];

@@ -27,6 +27,7 @@ use nanoleak_netlist::{Circuit, GateId, Pattern};
 use nanoleak_solver::{newton, MosNetlist, NewtonOptions, SolverError};
 
 use crate::error::EstimateError;
+use crate::exec::par_map;
 use crate::report::CircuitLeakage;
 
 /// Options for the reference relaxation.
@@ -409,10 +410,12 @@ fn eval_net_residual(
     Ok(total)
 }
 
-/// Runs the reference over a batch of patterns, in parallel.
+/// Runs the reference over a batch of patterns in parallel, one work
+/// item per pattern on all cores ([`par_map`]), with results in
+/// pattern order.
 ///
 /// # Errors
-/// First error encountered.
+/// The first error in pattern order.
 pub fn reference_batch(
     circuit: &Circuit,
     tech: &Technology,
@@ -420,30 +423,9 @@ pub fn reference_batch(
     patterns: &[Pattern],
     opts: &ReferenceOptions,
 ) -> Result<Vec<ReferenceResult>, EstimateError> {
-    if patterns.len() < 2 {
-        return patterns.iter().map(|p| reference_leakage(circuit, tech, temp, p, opts)).collect();
-    }
-    let workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4).min(16);
-    let chunk = patterns.len().div_ceil(workers);
-    let results: Vec<Result<Vec<ReferenceResult>, EstimateError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = patterns
-            .chunks(chunk)
-            .map(|slice| {
-                scope.spawn(move || {
-                    slice
-                        .iter()
-                        .map(|p| reference_leakage(circuit, tech, temp, p, opts))
-                        .collect::<Result<Vec<_>, _>>()
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("reference thread panicked")).collect()
-    });
-    let mut out = Vec::with_capacity(patterns.len());
-    for r in results {
-        out.extend(r?);
-    }
-    Ok(out)
+    par_map(patterns.len(), 0, |i| reference_leakage(circuit, tech, temp, &patterns[i], opts))
+        .into_iter()
+        .collect()
 }
 
 #[cfg(test)]
@@ -560,6 +542,29 @@ mod tests {
         let p = Pattern { pi: vec![], states: vec![] };
         assert!(matches!(
             reference_leakage(&c, &tech(), 300.0, &p, &ReferenceOptions::default()),
+            Err(EstimateError::BadPattern(_))
+        ));
+    }
+
+    #[test]
+    fn batch_is_the_per_pattern_solves_in_pattern_order() {
+        let c = fanout_circuit(3);
+        let opts = ReferenceOptions::default();
+        let mut patterns: Vec<Pattern> = [false, true, true, false, true]
+            .into_iter()
+            .map(|a| Pattern { pi: vec![a], states: vec![] })
+            .collect();
+        let batch = reference_batch(&c, &tech(), 300.0, &patterns, &opts).unwrap();
+        assert_eq!(batch.len(), patterns.len());
+        for (r, p) in batch.iter().zip(&patterns) {
+            let one = reference_leakage(&c, &tech(), 300.0, p, &opts).unwrap();
+            assert_eq!(r.leakage.per_gate, one.leakage.per_gate);
+            assert_eq!(r.net_voltages, one.net_voltages);
+        }
+        // One bad pattern fails the whole batch.
+        patterns[3].pi.clear();
+        assert!(matches!(
+            reference_batch(&c, &tech(), 300.0, &patterns, &opts),
             Err(EstimateError::BadPattern(_))
         ));
     }

@@ -96,7 +96,7 @@ pub use nanoleak_core::{block_metrics, BlockMetrics};
 pub use plan_cache::{shared_plan, MAX_RESIDENT_PLANS};
 pub use sweep::{
     pattern_for_index, shard_count, sweep, sweep_streaming, ExtremeVector, SweepConfig,
-    SweepMerger, SweepReport, SweepShard, SweepStats, SweepTelemetry,
+    SweepReport, SweepShard, SweepStats, SweepTelemetry,
 };
 
 /// Errors from the analysis engine.

@@ -1,10 +1,10 @@
 //! Streaming circuit-level Monte-Carlo execution.
 //!
 //! [`mc_streaming_mode`] runs `nanoleak-variation`'s circuit workload
-//! ([`run_circuit_mc_range`], the one driver of both modes) the way
-//! [`sweep_streaming`](crate::sweep::sweep_streaming) runs pattern
-//! sweeps: the sample space executes in contiguous index-order shards,
-//! each shard yields a serializable [`McShard`] partial (its own
+//! ([`run_circuit_mc_range`], the one driver of both modes) on the
+//! shard loop of [`sweep_streaming`](crate::sweep::sweep_streaming):
+//! the sample space executes in contiguous index-order shards, each
+//! shard yields a serializable [`McShard`] partial (its own
 //! [`McSummary`] over the shard) to the caller's callback — the
 //! cancellation point — and the raw per-sample series concatenates in
 //! index order so the final summary is the *same* sequential reduction
@@ -39,7 +39,7 @@ use nanoleak_variation::{
 use serde::{Deserialize, Serialize};
 
 use crate::cache::{delta_metrics, DeltaLibraryProvider, MemoLibraryCache};
-use crate::sweep::shard_count;
+use crate::sweep::{run_shards, Shards};
 use crate::EngineError;
 
 /// Process-wide MC shard latency (shard granularity only — the
@@ -193,11 +193,9 @@ pub fn mc_streaming_mode(
     config: &CircuitMcConfig,
     mode: McMode,
     shard_samples: usize,
-    mut on_shard: impl FnMut(&McShard) -> bool,
+    on_shard: impl FnMut(&McShard) -> bool,
 ) -> Result<Option<McReport>, EngineError> {
     assert!(config.samples > 0, "MC needs at least one sample");
-    let shards_total = shard_count(config.samples, shard_samples);
-    let shard_size = if shard_samples == 0 { config.samples } else { shard_samples };
     let start_time = Instant::now();
 
     // Fast mode front-loads the one traced nominal characterization;
@@ -224,53 +222,38 @@ pub fn mc_streaming_mode(
         None => &SolverProvider,
     };
 
-    // Raw samples concatenate in index order; the final summary is the
-    // one sequential reduction the monolithic path runs (32 B/sample
-    // resident — the same exactness-for-memory trade as SweepMerger).
-    let mut merged = Vec::with_capacity(config.samples);
     let mut diag = FastMcDiag::default();
-    for shard in 0..shards_total {
-        let start = shard * shard_size;
-        let len = shard_size.min(config.samples - start);
-        // Chaos hook at the shard boundary, mirroring sweep_streaming:
-        // delays and injected failures land between shards, never
-        // inside the per-sample kernels.
-        if nanoleak_fault::inject("slow-shard").is_some() {
-            return Err(EngineError::Solver(nanoleak_solver::SolverError::NoConvergence {
-                iterations: 0,
-                residual: f64::INFINITY,
-            }));
-        }
-        let shard_start = Instant::now();
-        let samples = {
-            let _span = nanoleak_obs::span!("estimate", shard = shard, samples = len);
+    let Some(Shards { items: samples, single }) = run_shards(
+        config.samples,
+        shard_samples,
+        "samples",
+        mc_shard_seconds(),
+        |start, len| {
             let (samples, shard_diag) =
                 run_circuit_mc_range(circuit, tech, provider, config, start, len)?;
             diag.merge(&shard_diag);
-            samples
-        };
-        mc_shard_seconds().record_duration(shard_start.elapsed());
-        let partial = {
-            let _span = nanoleak_obs::span!("merge", shard = shard);
-            let partial = McShard {
-                shard,
-                shards_total,
-                start,
-                samples: len,
-                summary: summarize(&samples, DEFAULT_HIST_BINS),
-            };
-            merged.extend(samples);
-            partial
-        };
-        if !on_shard(&partial) {
-            return Ok(None);
-        }
-    }
+            Ok::<_, EngineError>(samples)
+        },
+        |shard, shards_total, start, samples: &[McSample]| McShard {
+            shard,
+            shards_total,
+            start,
+            samples: samples.len(),
+            summary: summarize(samples, DEFAULT_HIST_BINS),
+        },
+        on_shard,
+    )?
+    else {
+        return Ok(None);
+    };
 
     let mc_elapsed = start_time.elapsed();
-    let mut summary = {
-        let _span = nanoleak_obs::span!("merge");
-        summarize(&merged, DEFAULT_HIST_BINS)
+    let mut summary = match single {
+        Some(partial) => partial.summary,
+        None => {
+            let _span = nanoleak_obs::span!("merge");
+            summarize(&samples, DEFAULT_HIST_BINS)
+        }
     };
     if let Some(delta) = &delta {
         // Deviation probe, after the timed phase: re-run the leading
@@ -280,7 +263,7 @@ pub fn mc_streaming_mode(
             let _span = nanoleak_obs::span!("deviation-probe", samples = probed);
             let (exact, _) =
                 run_circuit_mc_range(circuit, tech, &SolverProvider, config, 0, probed)?;
-            deviation(&merged[..probed], &exact)
+            deviation(&samples[..probed], &exact)
         };
         summary.fast =
             Some(FastMcReport { diag, tol: delta.tol(), probed, max_deviation, mean_deviation });
@@ -297,6 +280,7 @@ pub fn mc_streaming_mode(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::shard_count;
     use nanoleak_cells::CellType;
     use nanoleak_netlist::CircuitBuilder;
     use nanoleak_variation::{char_opts_for, run_circuit_mc};

@@ -16,12 +16,14 @@
 //!
 //! Large sweeps stream: [`sweep_streaming`] executes the pattern space
 //! in contiguous index-order shards, yielding a [`SweepShard`] partial
-//! (its own [`SweepStats`] over the shard) after each one, and merges
-//! shards through a [`SweepMerger`] that concatenates the per-pattern
-//! series in index order and runs the *same* sequential reduction the
-//! monolithic path uses — so the merged stats are bit-identical to
-//! [`sweep`] for any shard size and thread count. The callback also
-//! gives callers a cancellation point between shards.
+//! (its own [`SweepStats`] over the shard) after each one. The
+//! per-pattern series concatenates in index order and the merged stats
+//! are the *same* sequential reduction the monolithic path runs — so
+//! they are bit-identical to [`sweep`] for any shard size and thread
+//! count. The callback also gives callers a cancellation point between
+//! shards. The shard loop itself is shared with Monte-Carlo runs
+//! ([`mc_streaming_mode`](crate::mc_streaming_mode)), so both stream,
+//! trace, time and fail at shard boundaries alike.
 
 use std::time::Instant;
 
@@ -201,8 +203,8 @@ fn reduce_stats(
 
 /// Estimates the contiguous index range `start .. start + len` on the
 /// compiled plan through the one block driver ([`par_blocks`]) on
-/// `threads` requested workers, returning per-pattern totals in index
-/// order.
+/// `config.threads` requested workers, returning per-pattern totals in
+/// index order.
 ///
 /// `config.lanes` picks the block width and with it the kernel: the
 /// range tiles into 64-pattern blocks on the word-parallel kernel, or
@@ -211,7 +213,6 @@ fn reduce_stats(
 fn estimate_chunk(
     plan: &CompiledEstimator<'_>,
     config: &SweepConfig,
-    threads: usize,
     start: usize,
     len: usize,
 ) -> Result<Vec<LeakageBreakdown>, EstimateError> {
@@ -219,7 +220,7 @@ fn estimate_chunk(
         pack_index_block(plan.circuit(), config.seed, start + off, count, pattern, block);
     };
     let per_block =
-        par_blocks(plan, config.lanes, threads, len, config.mode, pack, |_, totals| {
+        par_blocks(plan, config.lanes, config.threads, len, config.mode, pack, |_, totals| {
             totals.to_vec()
         })?;
     Ok(per_block.concat())
@@ -256,46 +257,88 @@ pub fn shard_count(vectors: usize, shard_vectors: usize) -> usize {
     }
 }
 
-/// Merges index-ordered shard series into sweep-wide statistics.
-///
-/// The merger concatenates per-pattern totals in the order they are
-/// pushed and [`SweepMerger::finish`] runs the same sequential
-/// index-order reduction the monolithic [`sweep`] uses — so for shards
-/// pushed in index order the merged stats are bit-identical to a
-/// monolithic sweep of the same seed, for any shard size and thread
-/// count. Memory cost is 32 bytes per pattern (the raw
-/// [`LeakageBreakdown`] series), i.e. ~32 MB for a 10^6-vector sweep —
-/// the price of exactness, bounded and predictable.
-#[derive(Debug, Default)]
-pub struct SweepMerger {
-    totals: Vec<LeakageBreakdown>,
+/// What a completed [`run_shards`] hands back: every shard's items
+/// concatenated in index order, and the partial of a one-shard run,
+/// whose reduction already covers them all.
+pub(crate) struct Shards<T, P> {
+    pub(crate) items: Vec<T>,
+    pub(crate) single: Option<P>,
 }
 
-impl SweepMerger {
-    /// A merger with capacity for `vectors` patterns.
-    pub fn with_capacity(vectors: usize) -> Self {
-        Self { totals: Vec::with_capacity(vectors) }
-    }
-
-    /// Appends one shard's per-pattern totals (must be pushed in
-    /// index order). An empty shard is a no-op — merging it can never
-    /// panic the percentile reduction or perturb the stats.
-    pub fn push(&mut self, shard_totals: &[LeakageBreakdown]) {
-        self.totals.extend_from_slice(shard_totals);
-    }
-
-    /// Patterns merged so far.
-    pub fn vectors(&self) -> usize {
-        self.totals.len()
-    }
-
-    /// The merged statistics, or `None` if nothing was merged.
-    pub fn finish(&self, circuit: &Circuit, seed: u64) -> Option<SweepStats> {
-        if self.totals.is_empty() {
-            return None;
+/// The one shard loop of streaming sweeps and Monte-Carlo runs.
+///
+/// Tiles `items` work items into contiguous index-order shards of
+/// `shard_items` (`0` = one monolithic shard). Before each shard the
+/// `slow-shard` failpoint may delay or fail the run. Then
+/// `estimate(start, len)` computes the shard's items under an
+/// `estimate` span, timed on `shard_seconds`; the span's attributes
+/// are `shard` and `unit` (`"vectors"` or `"samples"`), the latter
+/// holding the shard's item count. `partial(shard, shards_total,
+/// start, items)` reduces them into the shard's partial under a
+/// `merge` span, and `on_shard` returning `false` cancels the run
+/// (`Ok(None)`). The caller reduces the returned items once more only
+/// when the run had more than one shard — the same sequential
+/// index-order reduction, so merged results are bit-identical for any
+/// shard size.
+pub(crate) fn run_shards<T, P, E: From<nanoleak_solver::SolverError>>(
+    items: usize,
+    shard_items: usize,
+    unit: &'static str,
+    shard_seconds: &nanoleak_obs::Histogram,
+    mut estimate: impl FnMut(usize, usize) -> Result<Vec<T>, E>,
+    mut partial: impl FnMut(usize, usize, usize, &[T]) -> P,
+    mut on_shard: impl FnMut(&P) -> bool,
+) -> Result<Option<Shards<T, P>>, E> {
+    let shards_total = shard_count(items, shard_items);
+    let shard_size = if shard_items == 0 { items } else { shard_items };
+    // A one-shard run keeps its shard's items as they are; only a
+    // sharded run reserves the concatenation (the price of an exact
+    // merge).
+    let mut merged = Vec::with_capacity(if shards_total > 1 { items } else { 0 });
+    let mut single = None;
+    for shard in 0..shards_total {
+        let start = shard * shard_size;
+        let len = shard_size.min(items - start);
+        // Chaos hook at the shard boundary (never inside the kernel):
+        // a sleep action models a slow shard, an error action a shard
+        // whose solve gave up — both leave lane/shard determinism
+        // untouched because no per-item work has started yet.
+        if nanoleak_fault::inject("slow-shard").is_some() {
+            return Err(nanoleak_solver::SolverError::NoConvergence {
+                iterations: 0,
+                residual: f64::INFINITY,
+            }
+            .into());
         }
-        Some(reduce_stats(circuit, seed, 0, &self.totals))
+        let shard_start = Instant::now();
+        let shard_out = {
+            let _span = nanoleak_obs::capturing().then(|| {
+                nanoleak_obs::span::span_with(
+                    "estimate",
+                    vec![("shard", shard.to_string()), (unit, len.to_string())],
+                )
+            });
+            estimate(start, len)?
+        };
+        shard_seconds.record_duration(shard_start.elapsed());
+        let part = {
+            let _span = nanoleak_obs::span!("merge", shard = shard);
+            let part = partial(shard, shards_total, start, &shard_out);
+            if shards_total == 1 {
+                merged = shard_out;
+            } else {
+                merged.extend(shard_out);
+            }
+            part
+        };
+        if !on_shard(&part) {
+            return Ok(None);
+        }
+        if shards_total == 1 {
+            single = Some(part);
+        }
     }
+    Ok(Some(Shards { items: merged, single }))
 }
 
 /// Sweeps `config.vectors` random patterns over `circuit` in parallel.
@@ -323,7 +366,7 @@ pub fn sweep(
 ///
 /// Shards execute strictly in index order (each internally parallel
 /// across `config.threads`), so partials stream to the caller in the
-/// same order the merger consumes them.
+/// same order their series concatenate.
 ///
 /// # Errors
 /// The first per-pattern [`EstimateError`], if any.
@@ -335,10 +378,9 @@ pub fn sweep_streaming(
     library: &CellLibrary,
     config: &SweepConfig,
     shard_vectors: usize,
-    mut on_shard: impl FnMut(&SweepShard) -> bool,
+    on_shard: impl FnMut(&SweepShard) -> bool,
 ) -> Result<Option<SweepReport>, EstimateError> {
     assert!(config.vectors > 0, "sweep needs at least one vector");
-    let shards_total = shard_count(config.vectors, shard_vectors);
     let shard_size = if shard_vectors == 0 { config.vectors } else { shard_vectors };
     let lanes = resolve_lanes(config.lanes);
     // One work item per block: the largest shard's block count decides
@@ -364,66 +406,34 @@ pub fn sweep_streaming(
         shared
     };
     let plan = shared.plan();
-    // The merger is only fed on multi-shard sweeps — the monolithic
-    // path reuses its single shard's stats, so don't reserve
-    // vectors-sized backing storage it would never touch.
-    let mut merger = if shards_total > 1 {
-        SweepMerger::with_capacity(config.vectors)
-    } else {
-        SweepMerger::default()
+    let Some(Shards { items: totals, single }) = run_shards(
+        config.vectors,
+        shard_vectors,
+        "vectors",
+        &sweep_metrics().shard_seconds,
+        |start, len| estimate_chunk(plan, config, start, len),
+        |shard, shards_total, start, totals: &[LeakageBreakdown]| SweepShard {
+            shard,
+            shards_total,
+            start,
+            vectors: totals.len(),
+            stats: reduce_stats(circuit, config.seed, start, totals),
+        },
+        on_shard,
+    )?
+    else {
+        return Ok(None);
     };
-    let mut mono_stats = None;
-    for shard in 0..shards_total {
-        let start = shard * shard_size;
-        let len = shard_size.min(config.vectors - start);
-        // Chaos hook at the shard boundary (never inside the kernel):
-        // a sleep action models a slow shard, an error action a shard
-        // whose solve gave up — both leave lane/shard determinism
-        // untouched because no per-pattern work has started yet.
-        if nanoleak_fault::inject("slow-shard").is_some() {
-            return Err(EstimateError::Solver(nanoleak_solver::SolverError::NoConvergence {
-                iterations: 0,
-                residual: f64::INFINITY,
-            }));
-        }
-        let shard_start = Instant::now();
-        let totals = {
-            let _span = nanoleak_obs::span!("estimate", shard = shard, vectors = len);
-            estimate_chunk(plan, config, config.threads, start, len)?
-        };
-        sweep_metrics().shard_seconds.record_duration(shard_start.elapsed());
-        let partial = {
-            let _span = nanoleak_obs::span!("merge", shard = shard);
-            let partial = SweepShard {
-                shard,
-                shards_total,
-                start,
-                vectors: len,
-                stats: reduce_stats(circuit, config.seed, start, &totals),
-            };
-            if shards_total > 1 {
-                merger.push(&totals);
-            }
-            partial
-        };
-        if !on_shard(&partial) {
-            return Ok(None);
-        }
-        if shards_total == 1 {
-            // A single shard's partial covers the whole sweep with
-            // `start == 0` — the merged reduction would recompute the
-            // identical stats over the identical series, so reuse
-            // them (this is the monolithic `sweep()` hot path).
-            mono_stats = Some(partial.stats);
-        }
-    }
 
     let elapsed = start_time.elapsed();
-    let stats = match mono_stats {
-        Some(stats) => stats,
+    let stats = match single {
+        // A single shard's partial covers the whole sweep with
+        // `start == 0`, so it already holds the merged stats (this is
+        // the monolithic `sweep()` hot path).
+        Some(partial) => partial.stats,
         None => {
             let _span = nanoleak_obs::span!("merge");
-            merger.finish(circuit, config.seed).expect("at least one non-empty shard ran")
+            reduce_stats(circuit, config.seed, 0, &totals)
         }
     };
     Ok(Some(SweepReport {
@@ -578,26 +588,6 @@ mod tests {
         .unwrap();
         assert!(out.is_none(), "cancelled sweeps yield no report");
         assert_eq!(seen, 2, "the cancelling callback is the last one invoked");
-    }
-
-    #[test]
-    fn merger_ignores_empty_shards_and_requires_data() {
-        let circuit = small_circuit();
-        let lib = library();
-        let cfg = SweepConfig { vectors: 6, seed: 12, threads: 1, ..Default::default() };
-        let mono = sweep(&circuit, &lib, &cfg).unwrap();
-
-        let plan = CompiledEstimator::compile(&circuit, &lib).unwrap();
-        let totals = estimate_chunk(&plan, &cfg, 1, 0, 6).unwrap();
-        let mut merger = SweepMerger::default();
-        assert!(merger.finish(&circuit, 12).is_none(), "nothing merged yet");
-        merger.push(&[]); // empty shard: no-op, must not panic later
-        merger.push(&totals[..2]);
-        merger.push(&[]);
-        merger.push(&totals[2..]);
-        assert_eq!(merger.vectors(), 6);
-        let merged = merger.finish(&circuit, 12).unwrap();
-        assert_eq!(merged, mono.stats, "empty shards do not perturb the merge");
     }
 
     /// The reported worker count is what the block driver spawned for

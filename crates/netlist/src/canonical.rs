@@ -1,12 +1,4 @@
-//! Canonicalization rewrite rules, at both levels of the pipeline.
-//!
-//! [`canonicalize_raw`] runs on [`RawCircuit`]s before technology
-//! mapping: buffers become wire aliases, double negations cancel,
-//! single-fanout AND/OR trees are flattened back into one wide gate
-//! (so [`normalize`](crate::normalize::normalize)'s deterministic
-//! chunks-of-four decomposition rebuilds the *canonical* balanced
-//! tree), commutative fanins are sorted, and unreachable gates are
-//! dropped.
+//! Canonicalization rewrite rules for mapped circuits.
 //!
 //! [`canonicalize`] runs on mapped [`Circuit`]s: double-inverter
 //! elimination, a dead-gate sweep, and ascending-net sorting of each
@@ -15,13 +7,13 @@
 //! [`Circuit::structural_key`]s, which is what lets the engine's plan
 //! cache share one `CompiledEstimator` compile between them.
 //!
-//! Neither pass is leakage-preserving — removing an inverter pair
+//! The pass is not leakage-preserving — removing an inverter pair
 //! removes real transistors, and pin order *is* the loading-effect
-//! degree of freedom — so `nanoleak-opt` applies them score-gated
-//! (keep the rewrite only if the estimator agrees it helps). Both
-//! passes **are** function-preserving: primary outputs and DFF
-//! next-state functions are unchanged (positionally; net names of
-//! eliminated gates disappear).
+//! degree of freedom — so `nanoleak-opt` applies it score-gated (keep
+//! the rewrite only if the estimator agrees it helps). It **is**
+//! function-preserving: primary outputs and DFF next-state functions
+//! are unchanged (positionally; net names of eliminated gates
+//! disappear).
 //!
 //! The DFF leakage expansion is protected: master- and slave-stage
 //! inverters model flip-flop hardware and are never eliminated even
@@ -30,8 +22,6 @@
 use nanoleak_cells::CellType;
 
 use crate::circuit::{Circuit, CircuitBuilder, NetId};
-use crate::normalize::raw_topo_order;
-use crate::raw::{RawCircuit, RawGate, RawOp, SigId};
 
 /// What [`canonicalize`] did, for observability and tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -180,158 +170,6 @@ fn rebuild(c: &Circuit, repl: &[NetId], alive: &[bool], pins_sorted: &mut usize)
     b.build().expect("canonical rebuild of a valid circuit is valid")
 }
 
-/// Canonicalizes a raw circuit before technology mapping: aliases
-/// `BUFF`s to wires, cancels `NOT(NOT(x))`, flattens single-fanout
-/// same-op AND/OR subtrees into one wide gate, sorts every
-/// commutative fanin list, and drops unreachable gates. Signal names
-/// of surviving gates are preserved.
-///
-/// Returns the input unchanged when it fails validation or contains a
-/// combinational cycle — `normalize` will then report the real error.
-pub fn canonicalize_raw(raw: &RawCircuit) -> RawCircuit {
-    if raw.validate().is_err() {
-        return raw.clone();
-    }
-    let Ok(order) = raw_topo_order(raw) else {
-        return raw.clone();
-    };
-    let sigs = raw.signal_count();
-
-    let mut producer: Vec<Option<usize>> = vec![None; sigs];
-    for (gi, g) in raw.gates.iter().enumerate() {
-        producer[g.output.0] = Some(gi);
-    }
-
-    // Pass 1 — wire aliases: BUFF outputs and NOT(NOT(x)).
-    let mut repl: Vec<SigId> = (0..sigs).map(SigId).collect();
-    let mut inv_src: Vec<Option<SigId>> = vec![None; sigs];
-    for &gi in &order {
-        let g = &raw.gates[gi];
-        let e = repl[g.inputs[0].0];
-        match g.op {
-            RawOp::Buff => repl[g.output.0] = e,
-            RawOp::Not => {
-                if let Some(w) = inv_src[e.0] {
-                    repl[g.output.0] = w;
-                } else {
-                    inv_src[g.output.0] = Some(e);
-                }
-            }
-            _ => {}
-        }
-    }
-
-    // Use counts on the aliased graph (PO and DFF D uses included) —
-    // a same-op driver may be spliced only when its output has exactly
-    // one consumer in total.
-    let mut uses = vec![0usize; sigs];
-    for g in raw.gates.iter().filter(|g| repl[g.output.0] == g.output) {
-        for &i in &g.inputs {
-            uses[repl[i.0].0] += 1;
-        }
-    }
-    for &o in &raw.outputs {
-        uses[repl[o.0].0] += 1;
-    }
-    for &(d, _) in &raw.dffs {
-        uses[repl[d.0].0] += 1;
-    }
-
-    // Pass 2 — flatten + sort fanins, in topological order so spliced
-    // drivers are themselves already flat.
-    let mut flat: Vec<Vec<SigId>> = vec![Vec::new(); raw.gates.len()];
-    for &gi in &order {
-        let g = &raw.gates[gi];
-        if repl[g.output.0] != g.output {
-            continue;
-        }
-        let mut ins: Vec<SigId> = g.inputs.iter().map(|&i| repl[i.0]).collect();
-        if matches!(g.op, RawOp::And | RawOp::Or) {
-            let mut k = 0;
-            while k < ins.len() {
-                let splice = producer[ins[k].0].filter(|&src| {
-                    let h = &raw.gates[src];
-                    h.op == g.op && repl[h.output.0] == h.output && uses[h.output.0] == 1
-                });
-                if let Some(src) = splice {
-                    // Already-flat driver inputs replace the pin.
-                    let sub = flat[src].clone();
-                    ins.splice(k..=k, sub);
-                    uses[raw.gates[src].output.0] = 0; // now dead
-                } else {
-                    k += 1;
-                }
-            }
-        }
-        if !matches!(g.op, RawOp::Not | RawOp::Buff) {
-            ins.sort_unstable_by_key(|s| s.0);
-        }
-        flat[gi] = ins;
-    }
-
-    // Pass 3 — liveness from outputs and DFF D signals.
-    let mut needed = vec![false; sigs];
-    for &o in &raw.outputs {
-        needed[repl[o.0].0] = true;
-    }
-    for &(d, _) in &raw.dffs {
-        needed[repl[d.0].0] = true;
-    }
-    let mut alive = vec![false; raw.gates.len()];
-    for &gi in order.iter().rev() {
-        let g = &raw.gates[gi];
-        if repl[g.output.0] == g.output && needed[g.output.0] && uses[g.output.0] > 0 {
-            alive[gi] = true;
-            for &i in &flat[gi] {
-                needed[i.0] = true;
-            }
-        }
-    }
-    // `uses > 0` above would drop spliced-away gates even when their
-    // output sig is transitively needed through the splice; outputs
-    // and D nets keep a use, so only true intermediates were zeroed.
-
-    // Pass 4 — rebuild with original names and declaration order.
-    let mut out = RawCircuit::new(&raw.name);
-    let mut new_sig: Vec<Option<SigId>> = vec![None; sigs];
-    fn map_sig(
-        raw: &RawCircuit,
-        out: &mut RawCircuit,
-        new_sig: &mut [Option<SigId>],
-        s: SigId,
-    ) -> SigId {
-        *new_sig[s.0].get_or_insert_with(|| out.fresh_signal(raw.signal_name(s)))
-    }
-    for &i in &raw.inputs {
-        let n = map_sig(raw, &mut out, &mut new_sig, i);
-        out.inputs.push(n);
-    }
-    for &(_, q) in &raw.dffs {
-        let _ = map_sig(raw, &mut out, &mut new_sig, q);
-    }
-    for &gi in &order {
-        if !alive[gi] {
-            continue;
-        }
-        let g = &raw.gates[gi];
-        let ins: Vec<SigId> =
-            flat[gi].iter().map(|&s| map_sig(raw, &mut out, &mut new_sig, s)).collect();
-        let o = map_sig(raw, &mut out, &mut new_sig, g.output);
-        out.gates.push(RawGate { op: g.op, inputs: ins, output: o });
-    }
-    for &(d, q) in &raw.dffs {
-        let dn = map_sig(raw, &mut out, &mut new_sig, repl[d.0]);
-        let qn = map_sig(raw, &mut out, &mut new_sig, q);
-        out.dffs.push((dn, qn));
-    }
-    for &o in &raw.outputs {
-        let n = map_sig(raw, &mut out, &mut new_sig, repl[o.0]);
-        out.outputs.push(n);
-    }
-    debug_assert!(out.validate().is_ok());
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -450,72 +288,23 @@ mod tests {
     }
 
     #[test]
-    fn raw_buffers_and_double_nots_alias_out() {
-        let raw = parse_bench(
-            "wires",
-            "INPUT(a)\nOUTPUT(y)\nb = BUFF(a)\nc = NOT(b)\nd = NOT(c)\ny = AND(d, a)\n",
-        )
-        .unwrap();
-        let canon = canonicalize_raw(&raw);
-        assert!(canon.validate().is_ok());
-        assert_eq!(canon.gate_count(), 1, "only the AND survives");
-        let c1 = normalize(&raw).unwrap();
-        let c2 = normalize(&canon).unwrap();
-        assert_same_function(&c1, &c2, 8, 5);
-    }
-
-    #[test]
-    fn raw_single_fanout_and_trees_flatten() {
-        let raw = parse_bench(
-            "tree",
-            "INPUT(a)\nINPUT(b)\nINPUT(c)\nINPUT(d)\nOUTPUT(y)\n\
-             t1 = AND(a, b)\nt2 = AND(c, d)\ny = AND(t1, t2)\n",
-        )
-        .unwrap();
-        let canon = canonicalize_raw(&raw);
-        assert_eq!(canon.gate_count(), 1, "tree flattens to one wide AND");
-        assert_eq!(canon.gates[0].inputs.len(), 4);
-        let c1 = normalize(&raw).unwrap();
-        let c2 = normalize(&canon).unwrap();
-        assert_same_function(&c1, &c2, 16, 6);
-    }
-
-    #[test]
-    fn raw_shared_subtree_does_not_flatten() {
-        // t1 fans out twice, so splicing it would duplicate logic.
-        let raw = parse_bench(
-            "shared",
-            "INPUT(a)\nINPUT(b)\nINPUT(c)\nOUTPUT(y)\nOUTPUT(z)\n\
-             t1 = AND(a, b)\ny = AND(t1, c)\nz = NOT(t1)\n",
-        )
-        .unwrap();
-        let canon = canonicalize_raw(&raw);
-        assert_eq!(canon.gate_count(), 3);
-        let c1 = normalize(&raw).unwrap();
-        let c2 = normalize(&canon).unwrap();
-        assert_same_function(&c1, &c2, 8, 7);
-    }
-
-    #[test]
     fn paper_suite_canonical_gate_counts_are_pinned() {
         // Regression guard: canonicalization results on the paper's
-        // fixture suite. Columns: gates after normalize(), after
-        // canonicalize(), and after the full
-        // canonicalize_raw -> normalize -> canonicalize chain. Any
-        // rewrite-rule change that shifts these numbers must be
-        // deliberate.
+        // fixture suite. Columns: gates after normalize() and after
+        // canonicalize(). Any rewrite-rule change that shifts these
+        // numbers must be deliberate.
         let pinned = [
-            ("s838", 646, 432, 428),
-            ("s1196", 741, 498, 491),
-            ("s1423", 1011, 751, 737),
-            ("s5378", 4040, 2921, 2859),
-            ("s9234", 7855, 5380, 5273),
-            ("s13207", 11673, 8490, 8350),
-            ("alu88", 214, 210, 194),
-            ("mult88", 736, 704, 704),
+            ("s838", 646, 432),
+            ("s1196", 741, 498),
+            ("s1423", 1011, 751),
+            ("s5378", 4040, 2921),
+            ("s9234", 7855, 5380),
+            ("s13207", 11673, 8490),
+            ("alu88", 214, 210),
+            ("mult88", 736, 704),
         ];
         for raw in crate::generate::paper_suite_raw() {
-            let (_, mapped, canon_n, chain_n) = pinned
+            let (_, mapped, canon_n) = pinned
                 .iter()
                 .find(|(n, ..)| *n == raw.name)
                 .unwrap_or_else(|| panic!("unpinned fixture {}", raw.name));
@@ -523,16 +312,13 @@ mod tests {
             assert_eq!(c.gate_count(), *mapped, "{} normalize", raw.name);
             let (canon, _) = canonicalize(&c);
             assert_eq!(canon.gate_count(), *canon_n, "{} canonicalize", raw.name);
-            let chain = normalize(&canonicalize_raw(&raw)).unwrap();
-            let (chain, _) = canonicalize(&chain);
-            assert_eq!(chain.gate_count(), *chain_n, "{} full chain", raw.name);
         }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(12))]
 
-        /// Both canonical passes preserve circuit function on random
+        /// The canonical pass preserves circuit function on random
         /// sequential circuits.
         #[test]
         fn canonical_passes_preserve_function(
@@ -542,15 +328,10 @@ mod tests {
             dffs in 0usize..6,
         ) {
             let spec = RandomCircuitSpec::new("prop", inputs, 2, gates, dffs, seed);
-            let raw = random_circuit(&spec);
-            let craw = canonicalize_raw(&raw);
-            prop_assert!(craw.validate().is_ok());
-            let c1 = normalize(&raw).unwrap();
-            let c2 = normalize(&craw).unwrap();
-            assert_same_function(&c1, &c2, 6, seed ^ 0x9e37);
-            let (canon, report) = canonicalize(&c2);
+            let c = normalize(&random_circuit(&spec)).unwrap();
+            let (canon, report) = canonicalize(&c);
             prop_assert_eq!(report.gates_after, canon.gate_count());
-            assert_same_function(&c2, &canon, 6, seed ^ 0x79b9);
+            assert_same_function(&c, &canon, 6, seed ^ 0x79b9);
             // Idempotent fixed point.
             let (canon2, _) = canonicalize(&canon);
             prop_assert_eq!(canon.structural_key(), canon2.structural_key());

@@ -47,7 +47,7 @@ pub mod raw;
 pub mod stats;
 pub mod yosys;
 
-pub use canonical::{canonicalize, canonicalize_raw, CanonReport};
+pub use canonical::{canonicalize, CanonReport};
 pub use circuit::{Circuit, CircuitBuilder, Driver, Gate, GateId, NetId, NetLoad};
 pub use error::CircuitError;
 pub use logic::{Pattern, PatternBlock, LANES};

@@ -996,6 +996,46 @@ fn record_field<'a>(value: &'a Value, name: &str) -> Option<&'a Value> {
     fields.iter().find(|(n, _)| n == name).map(|(_, v)| v)
 }
 
+/// The stage spans under a finished job's one `job` root span, from
+/// `GET /v1/jobs/{id}/trace`: each child's name and attributes, in
+/// trace order.
+fn job_stage_spans(
+    server: &TestServer,
+    id: i128,
+) -> Vec<(String, std::collections::BTreeMap<String, String>)> {
+    let (status, body) = request(server, "GET", &format!("/v1/jobs/{id}/trace"), "");
+    assert_eq!(status, 200, "{body}");
+    let trace = field(&body, "trace");
+    let Some(Value::Seq(roots)) = record_field(&trace, "spans") else {
+        panic!("trace.spans: {body}")
+    };
+    assert_eq!(roots.len(), 1, "one root span: {body}");
+    let root = &roots[0];
+    assert_eq!(record_field(root, "name"), Some(&Value::Str("job".into())), "{body}");
+    let Some(Value::Seq(children)) = record_field(root, "children") else {
+        panic!("job span has stage children: {body}")
+    };
+    children
+        .iter()
+        .map(|child| {
+            let Some(Value::Str(name)) = record_field(child, "name") else {
+                panic!("span name: {body}")
+            };
+            let attrs = match record_field(child, "attrs") {
+                Some(Value::Record(attrs)) => attrs
+                    .iter()
+                    .map(|(k, v)| match v {
+                        Value::Str(v) => (k.clone(), v.clone()),
+                        other => panic!("attr {k}: {other:?} in {body}"),
+                    })
+                    .collect(),
+                _ => Default::default(),
+            };
+            (name.clone(), attrs)
+        })
+        .collect()
+}
+
 #[test]
 fn metrics_endpoint_serves_parseable_prometheus_text() {
     let server = TestServer::start(1, 8);
@@ -1148,30 +1188,49 @@ fn trace_endpoint_returns_span_tree_and_timings_ride_on_job_status() {
     let (state, _) = wait_for_job(&server, id, Duration::from_secs(120));
     assert_eq!(state, "done");
 
-    let (status, body) = request(&server, "GET", &format!("/v1/jobs/{id}/trace"), "");
-    assert_eq!(status, 200, "{body}");
-    let trace = field(&body, "trace");
-    let Some(Value::Seq(roots)) = record_field(&trace, "spans") else {
-        panic!("trace.spans: {body}")
-    };
-    assert_eq!(roots.len(), 1, "one root span: {body}");
-    let root = &roots[0];
-    assert_eq!(record_field(root, "name"), Some(&Value::Str("job".into())), "{body}");
-    let Some(Value::Seq(children)) = record_field(root, "children") else {
-        panic!("job span has stage children: {body}")
-    };
-    let names: Vec<&str> = children
-        .iter()
-        .filter_map(|c| match record_field(c, "name") {
-            Some(Value::Str(n)) => Some(n.as_str()),
-            _ => None,
-        })
-        .collect();
+    // One `estimate` child per shard (8 vectors / 4 per shard), each
+    // carrying its shard's vector count.
+    let children = job_stage_spans(&server, id);
+    let names: Vec<&str> = children.iter().map(|(name, _)| name.as_str()).collect();
     for stage in ["compile", "estimate", "merge", "serialize"] {
         assert!(names.contains(&stage), "stage '{stage}' missing from {names:?}");
     }
-    // One `estimate` child per shard (8 vectors / 4 per shard).
-    assert_eq!(names.iter().filter(|n| **n == "estimate").count(), 2, "{names:?}");
+    let estimates: Vec<_> = children.iter().filter(|(name, _)| name == "estimate").collect();
+    assert_eq!(estimates.len(), 2, "{names:?}");
+    for (_, attrs) in &estimates {
+        assert_eq!(attrs.get("vectors").map(String::as_str), Some("4"), "{attrs:?}");
+        assert!(!attrs.contains_key("samples"), "{attrs:?}");
+    }
+
+    // A Monte-Carlo job runs the same shard loop, so its trace has the
+    // same shape: one `estimate` child per shard, whose unit is the
+    // shard's sample count.
+    let bench_text = "INPUT(a)\\nINPUT(b)\\nOUTPUT(y)\\nn1 = NAND(a, b)\\ny = NOT(n1)\\n";
+    let (status, body) = request(
+        &server,
+        "POST",
+        "/v1/jobs",
+        &format!(
+            r#"{{"type": "mc", "bench": "{bench_text}", "samples": 2, "seed": 5, "vectors": 2,
+                "shard_samples": 1, "coarse": true, "exact": true}}"#
+        ),
+    );
+    assert_eq!(status, 202, "{body}");
+    let Value::Int(mc_id) = field(&body, "id") else { panic!("id: {body}") };
+    let (state, body) = wait_for_job(&server, mc_id, Duration::from_secs(120));
+    assert_eq!(state, "done", "{body}");
+    let children = job_stage_spans(&server, mc_id);
+    let names: Vec<&str> = children.iter().map(|(name, _)| name.as_str()).collect();
+    for stage in ["estimate", "merge", "serialize"] {
+        assert!(names.contains(&stage), "MC stage '{stage}' missing from {names:?}");
+    }
+    let estimates: Vec<_> = children.iter().filter(|(name, _)| name == "estimate").collect();
+    assert_eq!(estimates.len(), 2, "one estimate per MC shard: {names:?}");
+    for (shard, (_, attrs)) in estimates.iter().enumerate() {
+        assert_eq!(attrs.get("shard"), Some(&shard.to_string()), "{attrs:?}");
+        assert_eq!(attrs.get("samples").map(String::as_str), Some("1"), "{attrs:?}");
+        assert!(!attrs.contains_key("vectors"), "{attrs:?}");
+    }
 
     // `?debug=timings` on the job status body.
     let (status, body) = request(&server, "GET", &format!("/v1/jobs/{id}?debug=timings"), "");

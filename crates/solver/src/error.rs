@@ -18,13 +18,6 @@ pub enum SolverError {
         /// Final residual infinity-norm \[A\].
         residual: f64,
     },
-    /// A scalar root could not be bracketed within the search interval.
-    BracketFailure {
-        /// Lower end of the searched interval.
-        lo: f64,
-        /// Upper end of the searched interval.
-        hi: f64,
-    },
     /// The problem was malformed (e.g. zero unknowns where some are
     /// required, or mismatched dimensions).
     BadProblem(String),
@@ -41,9 +34,6 @@ impl fmt::Display for SolverError {
                 "newton iteration did not converge after {iterations} iterations \
                  (residual {residual:.3e} A)"
             ),
-            SolverError::BracketFailure { lo, hi } => {
-                write!(f, "no sign change found in [{lo}, {hi}]")
-            }
             SolverError::BadProblem(msg) => write!(f, "malformed problem: {msg}"),
         }
     }

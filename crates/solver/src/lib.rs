@@ -12,9 +12,9 @@
 //!   linear-algebra crate is available in the offline set);
 //! * [`newton`] — damped Newton–Raphson with a forward-difference
 //!   Jacobian, SPICE-style voltage limiting, and a backtracking line
-//!   search;
-//! * [`scalar`] — bracketed Brent root finding, used by the
-//!   circuit-level net relaxation in `nanoleak-core`;
+//!   search. Its closure form also solves the driver cells' stack
+//!   nodes in `nanoleak-core`'s reference simulator, whose net
+//!   relaxation takes a damped finite-difference Newton step per net;
 //! * [`netlist`] / [`dc`] — transistor netlists and the operating-point
 //!   solve returning per-device leakage breakdowns.
 //!
@@ -44,13 +44,11 @@ pub mod error;
 pub mod linear;
 pub mod netlist;
 pub mod newton;
-pub mod scalar;
 
 pub use dc::{dc_residual_at, solve_dc, solve_dc_traced, DcSolution, DcTrace};
 pub use error::SolverError;
 pub use netlist::{Device, MosNetlist, NodeId};
 pub use newton::{FactoredJacobian, NewtonOptions, NewtonStats};
-pub use scalar::{brent, solve_bracketed, ScalarOptions};
 
 #[cfg(test)]
 mod proptests {

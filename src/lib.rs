@@ -22,7 +22,7 @@
 //! | Module | Crate | Role |
 //! |---|---|---|
 //! | [`device`] | `nanoleak-device` | compact transistor leakage models |
-//! | [`solver`] | `nanoleak-solver` | DC Newton/LU/Brent kernels ("virtual SPICE") |
+//! | [`solver`] | `nanoleak-solver` | DC Newton/LU kernels ("virtual SPICE") |
 //! | [`cells`] | `nanoleak-cells` | standard cells + loading characterization |
 //! | [`netlist`] | `nanoleak-netlist` | gate-level circuits, `.bench`, generators |
 //! | [`core`] | `nanoleak-core` | the Fig. 13 estimator + reference simulator |
