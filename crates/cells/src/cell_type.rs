@@ -102,12 +102,6 @@ impl CellType {
         }
     }
 
-    /// `true` for the NAND family (including the inverter, which is a
-    /// 1-input NAND for stack purposes).
-    pub fn is_nand_like(self) -> bool {
-        matches!(self, CellType::Inv | CellType::Nand2 | CellType::Nand3 | CellType::Nand4)
-    }
-
     /// How many leading input pins are logically interchangeable: the
     /// full fanin for the symmetric NAND/NOR families, the two pins of
     /// the inner AND/OR pair for AOI21/OAI21 (pin 2 is the lone

@@ -119,7 +119,22 @@ impl VectorChar {
             b += lut.eval(il.abs());
         }
         b += self.output_resp.eval(il_out.abs());
-        LeakageBreakdown { sub: b.sub.max(0.0), gate: b.gate.max(0.0), btbt: b.btbt.max(0.0) }
+        b.clamped()
+    }
+
+    /// Whether this entry can fill slot `(cell, vector)` of a library:
+    /// it names that slot, carries one pin current and one input table
+    /// per pin, holds only finite values, and every table is
+    /// [well formed](BreakdownLut::is_well_formed).
+    pub(crate) fn is_well_formed(&self, cell: CellType, vector: InputVector) -> bool {
+        let pins = cell.num_inputs();
+        let LeakageBreakdown { sub, gate, btbt } = self.nominal;
+        self.cell == cell
+            && self.vector == vector
+            && self.pin_currents.len() == pins
+            && self.input_resp.len() == pins
+            && [sub, gate, btbt].iter().chain(&self.pin_currents).all(|v| v.is_finite())
+            && self.input_resp.iter().chain([&self.output_resp]).all(BreakdownLut::is_well_formed)
     }
 
     /// The paper's overall loading effect `LD_ALL` (eq. 4) as a
@@ -127,12 +142,6 @@ impl VectorChar {
     pub fn ld_all(&self, il_in: &[f64], il_out: f64) -> f64 {
         let nom = self.nominal.total();
         (self.leakage(il_in, il_out).total() - nom) / nom
-    }
-
-    /// Sum of pin-current magnitudes \[A\] — the loading this cell
-    /// presents to the nets driving it.
-    pub fn total_pin_magnitude(&self) -> f64 {
-        self.pin_currents.iter().map(|c| c.abs()).sum()
     }
 }
 

@@ -76,6 +76,23 @@ impl CellLibrary {
         self.cells.len()
     }
 
+    /// Whether the library holds what a characterization builds: each
+    /// cell [`CellType::num_vectors`] entries in [`InputVector::index`]
+    /// order, each entry its cell's pin count of pin currents and input
+    /// tables, only finite values, and only tables
+    /// [`BreakdownLut::from_samples`](crate::BreakdownLut::from_samples)
+    /// accepts. Decoding a serialized library checks none of this, so
+    /// readers of stored libraries (the engine's disk cache) check it
+    /// before an estimator indexes into a table.
+    pub fn is_well_formed(&self) -> bool {
+        self.cells.iter().all(|(&cell, ch)| {
+            let slots = InputVector::all(cell.num_inputs());
+            ch.cell == cell
+                && ch.vectors().len() == cell.num_vectors()
+                && ch.vectors().iter().zip(slots).all(|(vc, v)| vc.is_well_formed(cell, v))
+        })
+    }
+
     /// A process-wide shared library for `tech` at `temp` with default
     /// options, characterized on first use. Characterization takes a
     /// few seconds for the full family; sharing avoids re-running it in

@@ -53,7 +53,7 @@ use crate::characterize::{
 };
 use crate::eval::{eval_loaded_traced, loaded_fixture, solve_fixture, CellSolution};
 use crate::library::CellLibrary;
-use crate::lut::{BreakdownLut, Lut1};
+use crate::lut::BreakdownLut;
 use crate::vector::InputVector;
 
 /// Number of sensitivity axes: Δl, Δtox, ΔVt, ΔVdd — exactly the four
@@ -520,9 +520,9 @@ fn flatten_values(vc: &VectorChar) -> Vec<f64> {
     let mut out = vec![vc.nominal.sub, vc.nominal.gate, vc.nominal.btbt];
     out.extend_from_slice(&vc.pin_currents);
     for lut in vc.input_resp.iter().chain(std::iter::once(&vc.output_resp)) {
-        out.extend_from_slice(lut.sub.ys());
-        out.extend_from_slice(lut.gate.ys());
-        out.extend_from_slice(lut.btbt.ys());
+        for column in lut.columns() {
+            out.extend_from_slice(column);
+        }
     }
     out
 }
@@ -540,16 +540,12 @@ fn rebuild_from_values(template: &VectorChar, vals: &[f64]) -> VectorChar {
             self.pos += n;
             s
         }
-        fn lut(&mut self, tpl: &Lut1) -> Lut1 {
-            Lut1::new(tpl.xs().to_vec(), self.take(tpl.ys().len()).to_vec())
-                .expect("template grid stays valid")
-        }
         fn blut(&mut self, tpl: &BreakdownLut) -> BreakdownLut {
-            BreakdownLut {
-                sub: self.lut(&tpl.sub),
-                gate: self.lut(&tpl.gate),
-                btbt: self.lut(&tpl.btbt),
-            }
+            let n = tpl.xs().len();
+            // `sub`, `gate`, `btbt`: the flatten order.
+            let columns = [self.take(n).to_vec(), self.take(n).to_vec(), self.take(n).to_vec()];
+            BreakdownLut::from_columns(tpl.xs().to_vec(), columns)
+                .expect("template grid stays valid")
         }
     }
     let mut c = Cursor { vals, pos: 0 };

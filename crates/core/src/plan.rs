@@ -18,11 +18,16 @@
 //!   dense index-addressed slab, so the per-pattern lookup is
 //!   `vcs[vc_base[gate] + vector_bits]` — no map walks, and
 //!   missing-cell errors surface once, at compile time;
-//! * the characterization LUTs are re-laid out with their abscissa
-//!   grids interned and detected-uniform grids given an O(1)
-//!   arithmetic segment index (binary-search fallback for non-uniform
-//!   tables), with one segment lookup shared across the sub/gate/btbt
-//!   components of each table;
+//! * every response table is re-laid out in one layout: its loading
+//!   grid interned (a library's tables share one), detected-uniform
+//!   grids given an O(1) arithmetic segment index (binary-search
+//!   fallback otherwise), and its `[sub, gate, btbt]` ordinates
+//!   interleaved per knot, so one segment lookup serves all three
+//!   components;
+//! * one term routine computes a gate term's loading magnitude and
+//!   the delta its table adds there, for every kernel: the scalar
+//!   pass, the block tables' whole-gate and per-term entries, the
+//!   block path's runtime terms and direct-solve's loadings;
 //! * all per-pattern state lives in a reusable [`EstimateScratch`]
 //!   (net values, net currents, a flat CSR-aligned pin-current
 //!   buffer, a reusable `Pattern`), and per-gate input loading uses a
@@ -32,7 +37,8 @@
 //!
 //! [`CompiledEstimator::estimate_into`] is **bit-identical** to
 //! [`estimate`](crate::estimate) for every mode: the same segment
-//! selection (including the exact-knot fast-return of `Lut1::eval`),
+//! selection (including the exact-knot fast-return of
+//! `BreakdownLut::eval`),
 //! the same interpolation formula evaluated in the same order, the
 //! same per-pin/output delta accumulation order, and the same
 //! sequential gate-id-order total reduction. The engine's sweeps and
@@ -356,8 +362,8 @@ impl BlockScratch {
 }
 
 /// Where a lookup lands in a grid: exactly on a knot (return the
-/// stored sample, like `Lut1::eval`'s `Ok` arm) or inside/beyond a
-/// segment (interpolate/extrapolate).
+/// stored sample, like `BreakdownLut::eval`'s `Ok` arm) or
+/// inside/beyond a segment (interpolate/extrapolate).
 #[derive(Clone, Copy)]
 enum Seg {
     Knot(usize),
@@ -398,7 +404,7 @@ impl PlanGrid {
     }
 }
 
-/// Selects the same knot-or-segment `Lut1::eval`'s
+/// Selects the same knot-or-segment `BreakdownLut::eval`'s
 /// `binary_search_by(total_cmp)` would.
 #[inline]
 fn locate(xs: &[f64], inv_step: f64, x: f64) -> Seg {
@@ -409,7 +415,7 @@ fn locate(xs: &[f64], inv_step: f64, x: f64) -> Seg {
     }
 }
 
-/// Verbatim clone of `Lut1::eval`'s segment selection.
+/// Verbatim clone of `BreakdownLut::eval`'s segment selection.
 fn locate_binary(xs: &[f64], x: f64) -> Seg {
     let n = xs.len();
     match xs.binary_search_by(|v| v.total_cmp(&x)) {
@@ -444,25 +450,14 @@ fn locate_uniform(xs: &[f64], inv_step: f64, x: f64) -> Seg {
     }
 }
 
-/// One compiled `Lut1`: an interned grid plus an ordinate run in the
-/// shared slab.
+/// One compiled `BreakdownLut`: an interned grid, and the start of
+/// its ordinates in `ys_slab`, interleaved as `[sub, gate, btbt]`
+/// triples per knot, so evaluation does one segment lookup and reads
+/// two adjacent triples.
 #[derive(Clone, Copy)]
-struct PlanLut1 {
+struct PlanBreakdownLut {
     grid: u32,
     ys: u32,
-}
-
-/// One compiled `BreakdownLut`.
-///
-/// Characterization samples all three components on one abscissa
-/// sweep, so the common (`Shared`) layout interleaves their ordinates
-/// as `[sub, gate, btbt]` triples per knot: evaluation does a single
-/// segment lookup and reads two adjacent triples. `Split` is the
-/// fallback for tables whose components somehow carry different
-/// grids (possible only through hand-built libraries).
-enum PlanBreakdownLut {
-    Shared { grid: u32, ys: u32 },
-    Split { sub: PlanLut1, gate: PlanLut1, btbt: PlanLut1 },
 }
 
 /// One resolved (cell, vector) characterization in the dense slab.
@@ -668,33 +663,13 @@ impl<'a> CompiledEstimator<'a> {
     }
 
     fn compile_blut(&mut self, lut: &BreakdownLut) -> PlanBreakdownLut {
-        let g_sub = self.intern_grid(lut.sub.xs());
-        let g_gate = self.intern_grid(lut.gate.xs());
-        let g_btbt = self.intern_grid(lut.btbt.xs());
-        if g_sub == g_gate && g_gate == g_btbt {
-            // Shared grid: interleave the ordinates as [sub, gate,
-            // btbt] triples so one segment lookup reads contiguous
-            // memory.
-            let ys = self.ys_slab.len() as u32;
-            for i in 0..lut.sub.xs().len() {
-                self.ys_slab.push(lut.sub.ys()[i]);
-                self.ys_slab.push(lut.gate.ys()[i]);
-                self.ys_slab.push(lut.btbt.ys()[i]);
-            }
-            PlanBreakdownLut::Shared { grid: g_sub, ys }
-        } else {
-            PlanBreakdownLut::Split {
-                sub: self.compile_lut1(g_sub, lut.sub.ys()),
-                gate: self.compile_lut1(g_gate, lut.gate.ys()),
-                btbt: self.compile_lut1(g_btbt, lut.btbt.ys()),
-            }
-        }
-    }
-
-    fn compile_lut1(&mut self, grid: u32, ys_in: &[f64]) -> PlanLut1 {
+        let grid = self.intern_grid(lut.xs());
         let ys = self.ys_slab.len() as u32;
-        self.ys_slab.extend_from_slice(ys_in);
-        PlanLut1 { grid, ys }
+        let [sub, gate, btbt] = lut.columns();
+        for i in 0..lut.xs().len() {
+            self.ys_slab.extend([sub[i], gate[i], btbt[i]]);
+        }
+        PlanBreakdownLut { grid, ys }
     }
 
     /// Interns an abscissa grid, deduplicating bit-exact repeats (the
@@ -1141,8 +1116,8 @@ impl<'a> CompiledEstimator<'a> {
                 // the scalar kernel's order (pin 0..pins, then the
                 // output), then clamp the sum — `VectorChar::
                 // leakage`'s exact floating-point sequence, with
-                // each `blut_eval` value drawn from a term table or
-                // evaluated at runtime from the per-lane currents.
+                // each delta drawn from a term table or computed by
+                // the term routine from the per-lane currents.
                 let terms = &t.terms[t.term_off[g] as usize..t.term_off[g + 1] as usize];
                 let gbits = self.gate_bits_block(&scratch.words, g, len);
                 let base = self.vc_base[g] as usize;
@@ -1160,39 +1135,23 @@ impl<'a> CompiledEstimator<'a> {
                         }
                         continue;
                     }
-                    let net = term.net as usize;
-                    let pin = term.pin as usize;
+                    let (net, pin) = (term.net, term.pin as usize);
                     // Non-driven pin nets have no runtime slot: the
-                    // scalar kernel pins their loading to zero.
-                    let cur: &[f64] = if self.gate_driven[net] {
-                        let s = t.rt_slot[net] as usize * LANES;
+                    // term routine pins their loading to zero without
+                    // reading a current.
+                    let cur: &[f64] = if self.gate_driven[net as usize] {
+                        let s = t.rt_slot[net as usize] as usize * LANES;
                         &scratch.rt_cur[s..s + LANES]
                     } else {
                         &[]
                     };
                     for (lane, a) in acc[..len].iter_mut().enumerate() {
                         let vc = &self.vcs[base + gbits[lane] as usize];
-                        let pins = vc.pins as usize;
-                        let il = if pin < pins {
-                            if self.gate_driven[net] {
-                                let own = self.pin_current_slab[vc.pin_off as usize + pin];
-                                (cur[lane] - own).abs()
-                            } else {
-                                0.0
-                            }
-                        } else {
-                            cur[lane].abs()
-                        };
-                        *a += self.blut_eval(&self.luts[vc.lut_off as usize + pin], il.abs());
+                        *a += self.term(vc, pin, net, || cur[lane]).1;
                     }
                 }
-                for (lane, total) in scratch.totals[..len].iter_mut().enumerate() {
-                    let b = acc[lane];
-                    *total += LeakageBreakdown {
-                        sub: b.sub.max(0.0),
-                        gate: b.gate.max(0.0),
-                        btbt: b.btbt.max(0.0),
-                    };
+                for (total, a) in scratch.totals[..len].iter_mut().zip(&acc) {
+                    *total += a.clamped();
                 }
             }
         }
@@ -1468,23 +1427,17 @@ impl<'a> CompiledEstimator<'a> {
         let mut b = vc.nominal;
         for k in 0..pins {
             let net = self.compiled_wiring[s + k];
-            let il = if self.gate_driven[net as usize] {
-                let own = self.pin_current_slab[vc.pin_off as usize + k];
-                (self.current_at(net, idx, pos_of) - own).abs()
-            } else {
-                0.0
-            };
-            b += self.blut_eval(&self.luts[vc.lut_off as usize + k], il.abs());
+            b += self.term(vc, k, net, || self.current_at(net, idx, pos_of)).1;
         }
-        let il_out = self.current_at(self.out_net[g], idx, pos_of).abs();
-        b += self.blut_eval(&self.luts[vc.lut_off as usize + pins], il_out.abs());
-        LeakageBreakdown { sub: b.sub.max(0.0), gate: b.gate.max(0.0), btbt: b.btbt.max(0.0) }
+        let out = self.out_net[g];
+        b += self.term(vc, pins, out, || self.current_at(out, idx, pos_of)).1;
+        b.clamped()
     }
 
-    /// One per-term table entry: the single LUT delta gate `g`'s
-    /// scalar kernel adds for `pin` (or the output response at
-    /// `pin == pins`) under support state `idx` — bit-identical to
-    /// the scalar `blut_eval` call by the same replay argument as
+    /// One per-term table entry: the single delta gate `g`'s scalar
+    /// kernel adds for `pin` (or the output response at `pin ==
+    /// pins`) under support state `idx` — bit-identical to the scalar
+    /// pass's term by the same replay argument as
     /// [`gate_entry`](Self::gate_entry). Unclamped: the clamp applies
     /// to the per-lane sum of terms, in the resolve kernel.
     fn term_entry(
@@ -1496,18 +1449,7 @@ impl<'a> CompiledEstimator<'a> {
         pos_of: &[u32],
     ) -> LeakageBreakdown {
         let vc = &self.vcs[self.vc_base[g] as usize + self.bits_at(g, idx, pos_of)];
-        let pins = vc.pins as usize;
-        let il = if pin < pins {
-            if self.gate_driven[net as usize] {
-                let own = self.pin_current_slab[vc.pin_off as usize + pin];
-                (self.current_at(net, idx, pos_of) - own).abs()
-            } else {
-                0.0
-            }
-        } else {
-            self.current_at(net, idx, pos_of).abs()
-        };
-        self.blut_eval(&self.luts[vc.lut_off as usize + pin], il.abs())
+        self.term(vc, pin, net, || self.current_at(net, idx, pos_of)).1
     }
 
     /// The fused simulation + loading + leakage passes.
@@ -1577,6 +1519,7 @@ impl<'a> CompiledEstimator<'a> {
                 }
             }
             EstimatorMode::Lut => {
+                let current = &scratch.net_current;
                 for g in 0..n_gates {
                     let vc = &self.vcs[scratch.gate_vc[g] as usize];
                     let pins = vc.pins as usize;
@@ -1586,29 +1529,28 @@ impl<'a> CompiledEstimator<'a> {
                     // output delta, clamped non-negative.
                     let mut b = vc.nominal;
                     for k in 0..pins {
-                        let il = self.input_loading(scratch, vc, in_off, k);
-                        b += self.blut_eval(&self.luts[vc.lut_off as usize + k], il.abs());
+                        let net = self.in_nets[in_off + k];
+                        b += self.term(vc, k, net, || current[net as usize]).1;
                     }
-                    let il_out = scratch.net_current[self.out_net[g] as usize].abs();
-                    b += self.blut_eval(&self.luts[vc.lut_off as usize + pins], il_out.abs());
-                    scratch.per_gate[g] = LeakageBreakdown {
-                        sub: b.sub.max(0.0),
-                        gate: b.gate.max(0.0),
-                        btbt: b.btbt.max(0.0),
-                    };
+                    let out = self.out_net[g];
+                    b += self.term(vc, pins, out, || current[out as usize]).1;
+                    scratch.per_gate[g] = b.clamped();
                 }
             }
             EstimatorMode::DirectSolve => {
+                let current = &scratch.net_current;
                 for &g in &self.topo {
                     let g = g as usize;
                     let vc = &self.vcs[scratch.gate_vc[g] as usize];
                     let pins = vc.pins as usize;
                     let in_off = self.in_off[g] as usize;
+                    let loading =
+                        |pin: usize, net: u32| self.term(vc, pin, net, || current[net as usize]).0;
                     let mut il_in = [0.0_f64; MAX_PINS];
                     for (k, slot) in il_in[..pins].iter_mut().enumerate() {
-                        *slot = self.input_loading(scratch, vc, in_off, k);
+                        *slot = loading(k, self.in_nets[in_off + k]);
                     }
-                    let il_out = scratch.net_current[self.out_net[g] as usize].abs();
+                    let il_out = loading(pins, self.out_net[g]);
                     scratch.per_gate[g] = nanoleak_cells::eval_loaded(
                         &self.library.tech,
                         self.library.temp,
@@ -1627,77 +1569,62 @@ impl<'a> CompiledEstimator<'a> {
         Ok(scratch.per_gate.iter().fold(LeakageBreakdown::ZERO, |acc, b| acc + *b))
     }
 
-    /// Input-loading magnitude on one pin: the other gates' summed pin
-    /// currents on that net (`LoadingState::input_loading` verbatim —
-    /// the gate's own contribution comes straight from the pin-current
-    /// slab); zero on ideal-source nets.
+    /// Term `pin` of a gate in state `vc` (its input response at `pin
+    /// < pins`, its output response at `pin == pins`), loaded through
+    /// `net`: the term's loading magnitude, and the delta its table
+    /// adds there. An input term's loading is the other gates' summed
+    /// pin currents on its net (`LoadingState::input_loading`
+    /// verbatim: the gate's own pin current comes off the slab), zero
+    /// on an ideal-source net; the output term's is the whole net
+    /// current. `current` yields the summed pin current on `net`, and
+    /// is called only when the magnitude reads it. Every kernel takes
+    /// its terms from here — the scalar pass, the whole-gate and
+    /// per-term table entries, the block path's runtime terms and
+    /// direct-solve's loadings — so all of them replay
+    /// `VectorChar::leakage`'s arithmetic alike.
     #[inline]
-    fn input_loading(
+    fn term(
         &self,
-        scratch: &EstimateScratch,
         vc: &PlanVectorChar,
-        in_off: usize,
         pin: usize,
-    ) -> f64 {
-        let net = self.in_nets[in_off + pin] as usize;
-        if self.gate_driven[net] {
-            let own = self.pin_current_slab[vc.pin_off as usize + pin];
-            (scratch.net_current[net] - own).abs()
+        net: u32,
+        current: impl FnOnce() -> f64,
+    ) -> (f64, LeakageBreakdown) {
+        let il = if pin == vc.pins as usize {
+            current().abs()
+        } else if self.gate_driven[net as usize] {
+            (current() - self.pin_current_slab[vc.pin_off as usize + pin]).abs()
         } else {
             0.0
-        }
+        };
+        (il, self.blut_eval(self.luts[vc.lut_off as usize + pin], il))
     }
 
     /// Evaluates one compiled breakdown table at loading magnitude
     /// `x`: one segment lookup shared across the three components, and
-    /// (in the interleaved layout) two adjacent ordinate triples. The
-    /// per-component arithmetic is `Lut1::eval`'s, verbatim.
+    /// two adjacent ordinate triples. The arithmetic is
+    /// `BreakdownLut::eval`'s, verbatim.
     #[inline]
-    fn blut_eval(&self, lut: &PlanBreakdownLut, x: f64) -> LeakageBreakdown {
-        match *lut {
-            PlanBreakdownLut::Shared { grid, ys } => {
-                let grid = self.grids[grid as usize];
-                let xs = self.grid_xs(grid);
-                let ys = ys as usize;
-                match locate(xs, grid.inv_step, x) {
-                    Seg::Knot(i) => {
-                        let t = &self.ys_slab[ys + 3 * i..ys + 3 * i + 3];
-                        LeakageBreakdown { sub: t[0], gate: t[1], btbt: t[2] }
-                    }
-                    Seg::Interp(s) => {
-                        let (x0, x1) = (xs[s], xs[s + 1]);
-                        let t = &self.ys_slab[ys + 3 * s..ys + 3 * s + 6];
-                        // One division for all three components —
-                        // `Lut1::eval` computes the identical `d`.
-                        let d = (x - x0) / (x1 - x0);
-                        LeakageBreakdown {
-                            sub: t[0] + d * (t[3] - t[0]),
-                            gate: t[1] + d * (t[4] - t[1]),
-                            btbt: t[2] + d * (t[5] - t[2]),
-                        }
-                    }
-                }
-            }
-            PlanBreakdownLut::Split { sub, gate, btbt } => LeakageBreakdown {
-                sub: self.lut_eval(sub, x),
-                gate: self.lut_eval(gate, x),
-                btbt: self.lut_eval(btbt, x),
-            },
-        }
-    }
-
-    #[inline]
-    fn lut_eval(&self, lut: PlanLut1, x: f64) -> f64 {
+    fn blut_eval(&self, lut: PlanBreakdownLut, x: f64) -> LeakageBreakdown {
         let grid = self.grids[lut.grid as usize];
         let xs = self.grid_xs(grid);
         let ys = lut.ys as usize;
         match locate(xs, grid.inv_step, x) {
-            Seg::Knot(i) => self.ys_slab[ys + i],
+            Seg::Knot(i) => {
+                let t = &self.ys_slab[ys + 3 * i..ys + 3 * i + 3];
+                LeakageBreakdown { sub: t[0], gate: t[1], btbt: t[2] }
+            }
             Seg::Interp(s) => {
                 let (x0, x1) = (xs[s], xs[s + 1]);
-                let (y0, y1) = (self.ys_slab[ys + s], self.ys_slab[ys + s + 1]);
+                let t = &self.ys_slab[ys + 3 * s..ys + 3 * s + 6];
+                // One division for all three components, as in
+                // `BreakdownLut::eval`.
                 let d = (x - x0) / (x1 - x0);
-                y0 + d * (y1 - y0)
+                LeakageBreakdown {
+                    sub: t[0] + d * (t[3] - t[0]),
+                    gate: t[1] + d * (t[4] - t[1]),
+                    btbt: t[2] + d * (t[5] - t[2]),
+                }
             }
         }
     }

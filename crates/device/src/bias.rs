@@ -171,6 +171,15 @@ impl LeakageBreakdown {
         Self { sub: self.sub * k, gate: self.gate * k, btbt: self.btbt * k }
     }
 
+    /// Each component clamped to be non-negative (a NaN component
+    /// clamps to zero too): the loading-aware estimate of a gate, whose
+    /// summed deltas may overshoot below zero.
+    #[must_use]
+    #[inline]
+    pub fn clamped(&self) -> Self {
+        Self { sub: self.sub.max(0.0), gate: self.gate.max(0.0), btbt: self.btbt.max(0.0) }
+    }
+
     /// Component-wise relative difference `(self - base) / base`, with
     /// components of `base` below `floor` reported as 0 to avoid noise
     /// amplification. This is the paper's loading-effect metric (eq. 3).

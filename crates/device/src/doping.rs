@@ -47,11 +47,6 @@ impl Doping {
         Self::new(1.2e25, 4.0e24, 1.0e26)
     }
 
-    /// Super-halo profile of the 50 nm device (milder halo).
-    pub fn super_halo_50nm() -> Self {
-        Self::new(8.0e24, 3.0e24, 1.0e26)
-    }
-
     /// Returns a copy with a different halo concentration \[m^-3\];
     /// used by the Fig. 4a halo sweep.
     #[must_use]

@@ -385,14 +385,6 @@ impl Telemetry {
         let kind = http::ERROR_KINDS.iter().position(|(s, _)| *s == status).unwrap_or(0);
         &self.protocol_errors[kind]
     }
-
-    /// Total requests shed across every reason.
-    pub fn shed_total(&self) -> u64 {
-        self.shed_queue_full.get()
-            + self.shed_predicted_deadline.get()
-            + self.shed_connection_limit.get()
-            + self.shed_connection_requests.get()
-    }
 }
 
 impl std::fmt::Debug for Telemetry {

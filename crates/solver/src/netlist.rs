@@ -132,16 +132,6 @@ impl MosNetlist {
         &self.devices
     }
 
-    /// Mutable device access (e.g. for per-sample process perturbation).
-    pub fn devices_mut(&mut self) -> &mut [Device] {
-        &mut self.devices
-    }
-
-    /// The node's name.
-    pub fn node_name(&self, node: NodeId) -> &str {
-        &self.names[node.0]
-    }
-
     /// The node's pinned voltage, if fixed.
     pub fn fixed_voltage(&self, node: NodeId) -> Option<f64> {
         self.fixed[node.0]
