@@ -15,7 +15,13 @@
 //! [`loading_totals`] is the paper's circuit-level comparison — each
 //! pattern's leakage with loading and without it — and the only code
 //! that computes it for a pattern stream: every Monte-Carlo die and
-//! every `/v1/estimate` request call it.
+//! every `/v1/estimate` request call it. Its loaded arm, like an
+//! auto-tiled `Lut` sweep, takes its width from the plan's one
+//! break-even rule, [`CompiledEstimator::lut_lanes`]: per-lane until
+//! the plan's per-lane work reaches [`TABLE_AMORTIZE_VECTORS`], then
+//! packed on response tables no wider than `floor(log2)` of that work
+//! ([`prepare_block`](CompiledEstimator::prepare_block) builds them
+//! at full width).
 //!
 //! Every packed block evaluation is counted and timed here, where it
 //! runs, so operators can see how much of the load runs word-parallel,
@@ -46,7 +52,9 @@ pub struct BlockMetrics {
     /// Wall time of one block evaluation (simulate + resolve).
     pub kernel_seconds: nanoleak_obs::Histogram,
     /// Wall time of one plan's response-table build, layout included
-    /// (once per plan, on its first table-driven block).
+    /// (once per plan: at full width when prepared or on its first
+    /// 64-lane `Lut` block, sized to the work when an auto-tiled call
+    /// reaches break-even).
     pub table_build_seconds: nanoleak_obs::Histogram,
     /// Terms the built table layouts left to per-lane runtime
     /// evaluation (wider than their plan's width cap), summed over
@@ -72,7 +80,9 @@ pub fn block_metrics() -> &'static BlockMetrics {
         ),
         table_build_seconds: nanoleak_obs::global().histogram(
             "nanoleak_block_table_build_seconds",
-            "Wall time to lay out and build one plan's block response tables",
+            "Wall time to lay out and build one plan's block response tables (once per plan: \
+             at full width when prepared or forced to 64 lanes, sized to the per-lane work when \
+             an auto-tiled call reaches break-even)",
         ),
         runtime_terms: nanoleak_obs::global().counter(
             "nanoleak_block_runtime_terms_total",
@@ -150,19 +160,21 @@ pub fn par_blocks<T: Send>(
     .collect()
 }
 
-/// Pattern count from which the loaded arm of [`loading_totals`] tiles
-/// at `lanes`, and so builds the block response tables, instead of
-/// running 1-pattern blocks on the per-lane scalar kernel. The rule is
-/// set for a fresh plan: a Monte-Carlo die compiles one and evaluates
-/// it `n` times, so the table build must pay for itself within one
-/// call. Measured per fresh plan on s838 (coarse grid, one thread,
-/// 2-vCPU x86-64 host): the tables cost ~19 ms to build and then
-/// ~0.8 ms per 64 vectors, the lane-by-lane arm ~4 ms per 64 vectors,
-/// so tables break even at 448 vectors (7 blocks, median of 16 runs,
-/// range 5–9 blocks). s1196 breaks even at 8 blocks, s5378 at 3.
-/// The rule does not look at whether a plan already holds its tables
-/// (a cached estimate plan may), so such a plan still runs 1-pattern
-/// blocks below the threshold.
+/// Break-even of a plan's response tables, in `Lut` lanes: the
+/// per-lane work after which
+/// [`CompiledEstimator::lut_lanes`] builds them. Each plan counts the
+/// lanes its auto-tiled (`lanes = 0`) `Lut` calls run on the per-lane
+/// scalar kernel, across calls; the call whose lanes bring that count
+/// to this value builds the tables (no wider than `floor(log2)` of
+/// the count) and runs packed, as does every later call. So a
+/// Monte-Carlo die's fresh plan packs its loaded arm only when one
+/// call brings this many vectors, and a cached estimate plan packs
+/// once its requests have. Measured per fresh plan on s838 (coarse
+/// grid, one thread, 2-vCPU x86-64 host): the tables cost ~19 ms to
+/// build and then ~0.8 ms per 64 vectors, the lane-by-lane arm ~4 ms
+/// per 64 vectors, so tables break even at 448 vectors (7 blocks,
+/// median of 16 runs, range 5–9 blocks). s1196 breaks even at 8
+/// blocks, s5378 at 3.
 pub const TABLE_AMORTIZE_VECTORS: usize = 7 * LANES;
 
 /// The one loaded-vs-unloaded evaluator: the `n` patterns `pack` lays
@@ -171,11 +183,13 @@ pub const TABLE_AMORTIZE_VECTORS: usize = 7 * LANES;
 /// order.
 ///
 /// Each arm runs through [`par_blocks`] on `threads` workers. The
-/// unloaded arm tiles at `lanes`; the loaded arm tiles at `lanes` from
-/// [`TABLE_AMORTIZE_VECTORS`] patterns on and in 1-pattern blocks
-/// below that. Every total is bit-identical to a per-pattern
-/// [`CompiledEstimator::estimate_into`] call: `lanes`, `threads` and
-/// the volume rule move only the cost.
+/// unloaded arm tiles at `lanes`; the loaded arm at the width
+/// [`CompiledEstimator::lut_lanes`] picks for `lanes` and `n` — at
+/// auto lanes, 1-pattern blocks until the plan holds its response
+/// tables or its per-lane work reaches [`TABLE_AMORTIZE_VECTORS`],
+/// 64-pattern blocks from then on. Every total is bit-identical to a
+/// per-pattern [`CompiledEstimator::estimate_into`] call: `lanes`,
+/// `threads` and the plan's history move only the cost.
 ///
 /// # Errors
 /// The first block's [`EstimateError`], loaded arm first.
@@ -192,8 +206,7 @@ pub fn loading_totals(
     let arm = |mode, lanes| -> Result<Vec<LeakageBreakdown>, EstimateError> {
         Ok(par_blocks(plan, lanes, threads, n, mode, &pack, |_, t| t.to_vec())?.concat())
     };
-    let loaded_lanes = if n >= TABLE_AMORTIZE_VECTORS { lanes } else { 1 };
-    let loaded = arm(EstimatorMode::Lut, loaded_lanes)?;
+    let loaded = arm(EstimatorMode::Lut, plan.lut_lanes(lanes, n))?;
     let unloaded = arm(EstimatorMode::NoLoading, lanes)?;
     Ok(loaded.into_iter().zip(unloaded).collect())
 }

@@ -77,10 +77,18 @@
 //!    support widths before any entry is built. A gate stays whole
 //!    only when its table is no larger than the sum of its term
 //!    tables. One width cap per plan — the largest width up to
-//!    [`MAX_SUPPORT_BITS`] at which every table that narrow or
-//!    narrower fits the [`MAX_TABLE_ENTRIES`] budget — decides which
-//!    tables are built, so the budget buys the narrowest tables (the
-//!    most lane lookups per entry) first.
+//!    `min(MAX_SUPPORT_BITS, floor(log2(work)))` at which every table
+//!    that narrow or narrower fits the [`MAX_TABLE_ENTRIES`] budget —
+//!    decides which tables are built, so the budget buys the
+//!    narrowest tables (the most lane lookups per entry) first.
+//!    `work` is the lane count the tables are built for: the
+//!    auto-tiled call that promotes a plan
+//!    ([`lut_lanes`](CompiledEstimator::lut_lanes)) builds for the
+//!    per-lane work that paid for them, so no table holds more
+//!    entries than those lanes, while
+//!    [`prepare_block`](CompiledEstimator::prepare_block) and the lazy
+//!    build of [`estimate_block_into`](CompiledEstimator::estimate_block_into)
+//!    build at full width ([`MAX_SUPPORT_BITS`] and the budget).
 //!
 //! **The block path is bit-identical to the scalar path** — and hence
 //! to [`estimate`](crate::estimate) — for every mode: per-lane totals
@@ -110,12 +118,15 @@
 //! [`resolve_lanes`]`(lanes)` lanes (seed-derived streams packed by
 //! [`pack_index_block`]), and the tiling width only picks the kernel —
 //! the packed kernel for 64-lane blocks, the per-lane one for 1-lane
-//! blocks (a loaded arm tiles in 1-lane blocks below
-//! [`TABLE_AMORTIZE_VECTORS`](crate::TABLE_AMORTIZE_VECTORS)). It
-//! never picks the path or the result.
+//! blocks. An auto-tiled (`lanes = 0`) `Lut` sweep or loaded arm asks
+//! [`lut_lanes`](CompiledEstimator::lut_lanes) for its width: 1-lane
+//! blocks until the plan holds its tables or its per-lane work
+//! reaches [`TABLE_AMORTIZE_VECTORS`], 64-lane blocks from then on.
+//! The width never picks the path or the result.
 
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
+use std::sync::atomic::{self, AtomicUsize};
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -125,6 +136,7 @@ use nanoleak_netlist::{Circuit, Driver, GateId, NetId, Pattern};
 pub use nanoleak_netlist::{PatternBlock, LANES};
 use rand::SeedableRng;
 
+use crate::block::TABLE_AMORTIZE_VECTORS;
 use crate::error::EstimateError;
 use crate::estimator::EstimatorMode;
 use crate::exec::mix;
@@ -228,8 +240,10 @@ fn fill_index_pattern(circuit: &Circuit, seed: u64, index: usize, pattern: &mut 
 /// response tables as the plan's [`Layout`] decides, plus the
 /// runtime-current layout for the terms wider than its width cap.
 /// Built once per [`CompiledEstimator`], against its compile-time
-/// wiring, by the first `Lut`-mode block estimate or
-/// [`CompiledEstimator::prepare_block`].
+/// wiring: at full width by the first `Lut`-mode block estimate or
+/// [`CompiledEstimator::prepare_block`], or sized to the work by the
+/// auto-tiled call that promotes the plan
+/// ([`CompiledEstimator::lut_lanes`]).
 struct BlockTables {
     /// Per gate: offset of its whole-gate table's `2^support` entry
     /// run in `tbl`, or [`TABLE_FALLBACK`] for a split gate.
@@ -267,7 +281,7 @@ struct BlockTables {
 
 /// One candidate response table: its support width, and where its
 /// support nets start in [`Layout::nets`] (kept only for candidates
-/// no wider than [`MAX_SUPPORT_BITS`], the only ones a plan can
+/// no wider than the layout's width ceiling, the only ones it can
 /// build).
 #[derive(Clone, Copy)]
 struct Support {
@@ -291,8 +305,9 @@ struct Layout {
     /// output.
     terms: Vec<Support>,
     /// The widest table the plan builds: the largest width up to
-    /// [`MAX_SUPPORT_BITS`] at which all tables that narrow or
-    /// narrower fit [`MAX_TABLE_ENTRIES`].
+    /// its ceiling, `min(MAX_SUPPORT_BITS, floor(log2(work)))`, at
+    /// which all tables that narrow or narrower fit
+    /// [`MAX_TABLE_ENTRIES`].
     cap: usize,
 }
 
@@ -547,6 +562,10 @@ pub struct CompiledEstimator<'a> {
     compiled_wiring: Vec<u32>,
     /// Lazily built block-resolve plan (shared across threads).
     block: OnceLock<BlockTables>,
+    /// `Lut` lanes the auto-tiled calls of
+    /// [`lut_lanes`](Self::lut_lanes) have run on the per-lane kernel
+    /// while the plan held no tables.
+    served: AtomicUsize,
 }
 
 /// Reusable per-worker buffers for [`CompiledEstimator`]. All vectors
@@ -606,6 +625,7 @@ impl<'a> CompiledEstimator<'a> {
             grids: Vec::new(),
             compiled_wiring: Vec::new(),
             block: OnceLock::new(),
+            served: AtomicUsize::new(0),
         };
 
         let mut cell_blocks: BTreeMap<CellType, u32> = BTreeMap::new();
@@ -842,13 +862,52 @@ impl<'a> CompiledEstimator<'a> {
         }
     }
 
-    /// Builds the block response tables now (they are otherwise built
-    /// lazily by the first `Lut`-mode block estimate), so callers can
-    /// charge the cost to a compile stage instead of the first shard.
-    /// The tables describe the compiled wiring, whatever permutation
-    /// is in force.
+    /// Builds the block response tables now, at full width (the
+    /// first `Lut`-mode block estimate otherwise builds them lazily,
+    /// at full width too), so callers can charge the cost to a
+    /// compile stage instead of the first shard. The tables describe
+    /// the compiled wiring, whatever permutation is in force.
     pub fn prepare_block(&self) {
         let _ = self.block_tables();
+    }
+
+    /// The tiling width of one `Lut`-mode call of `n` patterns at
+    /// `lanes`; a call that is to run on response tables the plan does
+    /// not hold yet builds them here. `1` and [`LANES`] force their
+    /// kernel (a 64-lane call first builds full-width tables, as
+    /// [`prepare_block`](Self::prepare_block) does). An auto-tiled call
+    /// (`lanes = 0`) runs packed once the plan holds its tables.
+    /// Until then it runs per lane, and the plan counts its lanes,
+    /// until the per-lane work (the lanes served so far plus `n`)
+    /// reaches [`TABLE_AMORTIZE_VECTORS`]: the call that gets there
+    /// builds the tables, each no wider than `floor(log2(work))` bits
+    /// (and the budget's width cap), so no table holds more entries
+    /// than the lanes that paid for it. This is the ski-rental rule:
+    /// whatever calls follow, the plan pays at most about twice what
+    /// the best choice made in hindsight would have cost. The answer
+    /// never depends on it.
+    ///
+    /// # Panics
+    /// If `lanes` is not `0`, `1` or [`LANES`] ([`resolve_lanes`]).
+    pub fn lut_lanes(&self, lanes: usize, n: usize) -> usize {
+        if lanes != 0 {
+            let lanes = resolve_lanes(lanes);
+            if lanes == LANES {
+                self.prepare_block();
+            }
+            return lanes;
+        }
+        if self.block.get().is_none() {
+            // Relaxed: the count publishes no data (the tables publish
+            // through `block`), and racing calls only move which one
+            // builds them, never a bit of an answer.
+            let work = self.served.fetch_add(n, atomic::Ordering::Relaxed) + n;
+            if work < TABLE_AMORTIZE_VECTORS {
+                return 1;
+            }
+            let _ = self.tables_for(work);
+        }
+        LANES
     }
 
     /// Gates the block plan splits into per-term service instead of
@@ -857,25 +916,33 @@ impl<'a> CompiledEstimator<'a> {
     /// than the sum of their term tables. Most of them are still
     /// served by tables alone;
     /// [`block_runtime_terms`](Self::block_runtime_terms) counts the
-    /// terms that are not. Builds the tables if needed.
+    /// terms that are not. Builds full-width tables if the plan holds
+    /// none.
     pub fn block_fallback_gates(&self) -> usize {
         self.block_tables().fallback_gates
     }
 
     /// Terms of split gates the block plan evaluates per lane at
     /// runtime because their support is wider than the plan's width
-    /// cap. Builds the tables if needed.
+    /// cap. Builds full-width tables if the plan holds none.
     pub fn block_runtime_terms(&self) -> usize {
         self.block_tables().rt_terms
     }
 
-    /// The block tables, built on first use; each build is timed and
-    /// its runtime terms counted in
-    /// [`block_metrics`](crate::block_metrics).
+    /// The block tables the plan holds, or else full-width ones built
+    /// now: `usize::MAX` work leaves the width cap to the budget.
     fn block_tables(&self) -> &BlockTables {
+        self.tables_for(usize::MAX)
+    }
+
+    /// The block tables the plan holds, or else tables built now for
+    /// `work` lanes ([`block_layout`](Self::block_layout)). Each build
+    /// is timed and its runtime terms counted in
+    /// [`block_metrics`](crate::block_metrics).
+    fn tables_for(&self, work: usize) -> &BlockTables {
         self.block.get_or_init(|| {
             let start = Instant::now();
-            let tables = self.build_block_tables();
+            let tables = self.build_block_tables(work);
             let m = crate::block::block_metrics();
             m.table_build_seconds.record_duration(start.elapsed());
             m.runtime_terms.add(tables.rt_terms as u64);
@@ -1182,19 +1249,20 @@ impl<'a> CompiledEstimator<'a> {
         result
     }
 
-    /// Builds [`BlockTables`] against the compiled wiring, in two
-    /// passes. The first ([`block_layout`](Self::block_layout))
-    /// computes every gate's whole-gate and per-term supports and the
-    /// plan's width cap without building an entry; the second
+    /// Builds [`BlockTables`] for `work` lanes against the compiled
+    /// wiring, in two passes. The first
+    /// ([`block_layout`](Self::block_layout)) computes every gate's
+    /// whole-gate and per-term supports and the plan's width cap
+    /// without building an entry; the second
     /// reserves `tbl` at its exact size and builds the tables the
     /// layout admits: a gate whose whole-gate table is chosen gets
     /// one entry per support state, a split gate one table per term
     /// no wider than the cap, and every wider term registers its net
     /// for runtime per-lane current folding.
-    fn build_block_tables(&self) -> BlockTables {
+    fn build_block_tables(&self, work: usize) -> BlockTables {
         let n_gates = self.gate_cell.len();
         let n_nets = self.gate_driven.len();
-        let layout = self.block_layout();
+        let layout = self.block_layout(work);
         // Net → bit position of the table under construction
         // (u32::MAX = absent), reset after each table.
         let mut pos_of: Vec<u32> = vec![u32::MAX; n_nets];
@@ -1284,9 +1352,12 @@ impl<'a> CompiledEstimator<'a> {
     /// inputs (the term's LUT choice and own-pin subtraction read the
     /// gate's input vector) plus the inputs of the gates loading the
     /// term's net, if gate-driven. The width cap is then the largest
-    /// width up to [`MAX_SUPPORT_BITS`] whose tables fit
-    /// [`MAX_TABLE_ENTRIES`].
-    fn block_layout(&self) -> Layout {
+    /// width up to `min(MAX_SUPPORT_BITS, floor(log2(work)))` whose
+    /// tables fit [`MAX_TABLE_ENTRIES`]: a plan built for `work` lanes
+    /// holds no table with more entries than those lanes, and
+    /// `usize::MAX` leaves the cap to the budget alone.
+    fn block_layout(&self, work: usize) -> Layout {
+        let max_bits = MAX_SUPPORT_BITS.min(work.ilog2() as usize);
         let n_gates = self.gate_cell.len();
         let wiring = &self.compiled_wiring;
         let mut pos_of = vec![u32::MAX; self.gate_driven.len()];
@@ -1300,7 +1371,7 @@ impl<'a> CompiledEstimator<'a> {
         // Keeps a candidate's nets only when a table could cover it.
         let keep = |layout: &mut Layout, support: &[u32]| {
             let start = layout.nets.len() as u32;
-            if support.len() <= MAX_SUPPORT_BITS {
+            if support.len() <= max_bits {
                 layout.nets.extend_from_slice(support);
             }
             Support { start, width: support.len() as u32 }
@@ -1332,7 +1403,7 @@ impl<'a> CompiledEstimator<'a> {
         }
         // Every support holds its gate's inputs, so no table is
         // narrower than one bit and a zero cap builds nothing.
-        layout.cap = (1..=MAX_SUPPORT_BITS)
+        layout.cap = (1..=max_bits)
             .rev()
             .find(|&cap| layout.entries_at(cap) <= MAX_TABLE_ENTRIES)
             .unwrap_or(0);
@@ -1977,7 +2048,7 @@ mod tests {
         let lib = library();
         let plan = CompiledEstimator::compile(&circuit, &lib).unwrap();
         let t = plan.block_tables();
-        let layout = plan.block_layout();
+        let layout = plan.block_layout(usize::MAX);
         assert!(layout.cap < MAX_SUPPORT_BITS, "the budget must bind on s5378");
         assert!(layout.entries_at(layout.cap + 1) > MAX_TABLE_ENTRIES);
         assert!(t.tbl.len() <= MAX_TABLE_ENTRIES, "{} table entries", t.tbl.len());
@@ -2018,6 +2089,42 @@ mod tests {
                 assert_block_bit_identical(&plan, &patterns, mode);
             }
         }
+    }
+
+    /// The widest table `t` holds, whole-gate or per-term.
+    fn widest_table(t: &BlockTables) -> usize {
+        let whole = (0..t.tbl_off.len())
+            .filter(|&g| t.tbl_off[g] != TABLE_FALLBACK)
+            .map(|g| (t.sup_off[g + 1] - t.sup_off[g]) as usize);
+        let terms = t.terms.iter().filter(|term| term.tbl != TABLE_FALLBACK);
+        whole.chain(terms.map(|term| term.sup_len as usize)).max().unwrap_or(0)
+    }
+
+    #[test]
+    fn promoted_tables_are_no_wider_than_the_work_that_paid_for_them() {
+        // s838's full-width layout holds tables wider than 8 bits.
+        let circuit = normalize(&iscas_like("s838").unwrap()).unwrap();
+        let lib = library();
+        let plan = CompiledEstimator::compile(&circuit, &lib).unwrap();
+        assert_eq!(plan.lut_lanes(0, 400), 1, "400 lanes stay under break-even");
+        assert!(plan.block.get().is_none());
+        assert_eq!(plan.lut_lanes(0, 100), LANES, "500 lanes promote the plan");
+        let promoted = plan.block.get().expect("the promoting call builds the tables");
+        assert!(widest_table(promoted) <= 8, "floor(log2(500)) = 8 bits");
+        assert_eq!(plan.lut_lanes(0, 1), LANES, "a plan holding its tables runs packed");
+        let mut rng = rand::rngs::StdRng::seed_from_u64(838);
+        for len in [LANES, 37] {
+            let patterns: Vec<Pattern> =
+                (0..len).map(|_| Pattern::random(&circuit, &mut rng)).collect();
+            assert_block_bit_identical(&plan, &patterns, EstimatorMode::Lut);
+        }
+
+        let fresh = CompiledEstimator::compile(&circuit, &lib).unwrap();
+        fresh.prepare_block();
+        let full = fresh.block.get().unwrap();
+        assert_eq!(widest_table(full), fresh.block_layout(usize::MAX).cap);
+        assert!(widest_table(full) > 8, "prepare_block builds at full width");
+        assert!(full.tbl.len() > promoted.tbl.len());
     }
 
     #[test]

@@ -16,8 +16,8 @@ use rand::SeedableRng;
 
 /// Both arms equal per-pattern `estimate_into` totals bit for bit, for
 /// explicit patterns and seed-derived streams, at either tiling width
-/// and on either side of the table threshold (past it the loaded arm
-/// runs on the packed table kernel).
+/// and on either side of the plan's break-even (past it the
+/// auto-tiled loaded arm runs on the packed table kernel).
 #[test]
 fn loading_totals_match_per_pattern_estimates() {
     let lib = CellLibrary::shared_with_options(

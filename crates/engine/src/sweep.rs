@@ -75,12 +75,17 @@ pub struct SweepConfig {
     pub threads: usize,
     /// Estimator mode for every pattern.
     pub mode: EstimatorMode,
-    /// Evaluation lanes: `0` (auto) and
-    /// [`LANES`](nanoleak_core::LANES) tile the sweep into 64-pattern
-    /// blocks on the word-parallel kernel; `1` into 1-pattern blocks
-    /// on the per-lane scalar kernel. The driver is the same and the
-    /// statistics are bit-identical — this is a throughput knob, never
-    /// a results knob.
+    /// Evaluation lanes: [`LANES`](nanoleak_core::LANES) tiles the
+    /// sweep into 64-pattern blocks on the word-parallel kernel; `1`
+    /// into 1-pattern blocks on the per-lane scalar kernel; `0` (auto)
+    /// lets a `Lut` sweep's plan decide
+    /// ([`CompiledEstimator::lut_lanes`]): 64-pattern blocks when the
+    /// plan holds its response tables or its per-lane work, this
+    /// sweep's vectors included, reaches
+    /// [`TABLE_AMORTIZE_VECTORS`](nanoleak_core::TABLE_AMORTIZE_VECTORS),
+    /// 1-pattern blocks otherwise (other modes tile at 64). The driver
+    /// is the same and the statistics are bit-identical — this is a
+    /// throughput knob, never a results knob.
     pub lanes: usize,
 }
 
@@ -382,30 +387,32 @@ pub fn sweep_streaming(
 ) -> Result<Option<SweepReport>, EstimateError> {
     assert!(config.vectors > 0, "sweep needs at least one vector");
     let shard_size = if shard_vectors == 0 { config.vectors } else { shard_vectors };
-    let lanes = resolve_lanes(config.lanes);
-    // One work item per block: the largest shard's block count decides
-    // how many workers the driver spawns.
-    let threads = worker_count(shard_size.min(config.vectors).div_ceil(lanes), config.threads);
     let start_time = Instant::now();
 
     // One plan per sweep, shared process-wide via the structural
     // cache — every shard and worker (and any later sweep over an
     // isomorphic netlist) shares the same compile.
-    let shared = {
+    let (shared, lanes) = {
         let _span = nanoleak_obs::span!("compile");
         let compile_start = Instant::now();
         let shared = crate::plan_cache::shared_plan(circuit, library)?;
-        // Build the block response tables eagerly so their cost is
-        // charged to the compile span, not the first shard (they are
-        // cached on the shared plan, so isomorphic re-sweeps skip
-        // this too). Only the Lut block path reads them.
-        if lanes != 1 && config.mode == EstimatorMode::Lut {
-            shared.plan().prepare_block();
-        }
+        // A Lut sweep asks the plan's break-even rule once, for all
+        // its vectors. A sweep that is to run on response tables the
+        // plan lacks builds them here, so their cost is charged to the
+        // compile span, not the first shard (they are cached on the
+        // shared plan, so isomorphic re-sweeps skip this too).
+        let lanes = match config.mode {
+            EstimatorMode::Lut => shared.plan().lut_lanes(config.lanes, config.vectors),
+            _ => resolve_lanes(config.lanes),
+        };
         sweep_metrics().compile_seconds.record_duration(compile_start.elapsed());
-        shared
+        (shared, lanes)
     };
     let plan = shared.plan();
+    let config = &SweepConfig { lanes, ..*config };
+    // One work item per block: the largest shard's block count decides
+    // how many workers the driver spawns.
+    let threads = worker_count(shard_size.min(config.vectors).div_ceil(lanes), config.threads);
     let Some(Shards { items: totals, single }) = run_shards(
         config.vectors,
         shard_vectors,

@@ -77,17 +77,19 @@ fn packed(n: usize) -> (u64, u64) {
 /// Sweeps and the MLV scans count `ceil(n / 64)` packed blocks plus
 /// their tail waste (a sharded sweep tiles each shard on its own), and
 /// so does each hill-climb step over its `bits` flips; `lanes: 1` runs
-/// the per-lane scalar kernel and counts nothing. Every Monte-Carlo die evaluated — the timed samples
-/// plus, in fast mode, the deviation probe's exact re-runs — runs its
-/// unloaded arm as packed blocks, and its loaded arm too once the
-/// volume pays for the response tables. Each packed arm's partial tail
-/// block wastes its empty lanes.
+/// the per-lane scalar kernel and counts nothing. An auto-tiled sweep
+/// runs per lane, and counts nothing, until its plan holds its tables
+/// or its per-lane work reaches break-even. Every Monte-Carlo die
+/// evaluated — the timed samples plus, in fast mode, the deviation
+/// probe's exact re-runs — runs its unloaded arm as packed blocks, and
+/// its loaded arm too once the volume pays for the response tables.
+/// Each packed arm's partial tail block wastes its empty lanes.
 ///
 /// Every response-table build adds one sample to the build histogram
-/// and the runtime terms its layout left to the counter: a sweep on a
-/// fresh plan builds once, a re-sweep on the cached plan never, and
-/// each Monte-Carlo die whose loaded arm runs packed builds its own
-/// plan's tables once.
+/// and the runtime terms its layout left to the counter: a forced
+/// 64-lane sweep on a plan without tables builds once, a re-sweep on
+/// the cached plan never, and each Monte-Carlo die whose loaded arm
+/// runs packed builds its own plan's tables once.
 #[test]
 fn every_workload_counts_the_packed_blocks_it_ran() {
     let circuit = inverter_chain();
@@ -96,20 +98,33 @@ fn every_workload_counts_the_packed_blocks_it_ran() {
 
     // 100 vectors = one full block plus a 36-lane tail; in shards of 33
     // each of the three full shards is one 33-lane block and the last
-    // shard one 1-lane block.
+    // shard one 1-lane block. The rows run in order on one cached plan:
+    // its first auto-tiled sweep is 100 lanes of per-lane work, under
+    // break-even, so it runs per lane and builds nothing; the forced
+    // 64-lane sweep builds the tables; from then on the auto-tiled
+    // sweep runs packed, below break-even too.
     let (b33, w33) = packed(33);
     let (b1, w1) = packed(1);
-    for (shard_vectors, blocks) in [(0, packed(100)), (33, (3 * b33 + b1, 3 * w33 + w1))] {
-        for (lanes, expected) in [(0, blocks), (LANES, blocks), (1, (0, 0))] {
-            let config =
-                SweepConfig { vectors: 100, seed: 3, threads: 1, lanes, ..Default::default() };
-            let ran = counted(|| {
+    let sharded = (3 * b33 + b1, 3 * w33 + w1);
+    let sweeps = [
+        (0, 0, (0, 0), 0),
+        (0, LANES, packed(100), 1),
+        (0, 1, (0, 0), 0),
+        (33, 0, sharded, 0),
+        (33, LANES, sharded, 0),
+        (33, 1, (0, 0), 0),
+    ];
+    for (shard_vectors, lanes, expected, builds) in sweeps {
+        let config = SweepConfig { vectors: 100, seed: 3, threads: 1, lanes, ..Default::default() };
+        let ((built, _), ran) = built(|| {
+            counted(|| {
                 sweep_streaming(&circuit, &lib, &config, shard_vectors, |_| true)
                     .unwrap()
                     .expect("not cancelled");
-            });
-            assert_eq!(ran, expected, "sweep: shard_vectors = {shard_vectors}, lanes = {lanes}");
-        }
+            })
+        });
+        assert_eq!(ran, expected, "sweep: shard_vectors = {shard_vectors}, lanes = {lanes}");
+        assert_eq!(built, builds, "table builds: shard_vectors = {shard_vectors}, lanes = {lanes}");
     }
 
     // The chain has one input bit, so exhaustive search scores 2
@@ -131,14 +146,16 @@ fn every_workload_counts_the_packed_blocks_it_ran() {
         }
     }
 
-    // The hub's layout leaves runtime terms. Its first sweep builds the
-    // shared plan's tables; the second finds them cached.
+    // The hub's full-width layout leaves runtime terms. Its first
+    // 64-lane sweep builds the shared plan's tables at full width; the
+    // second finds them cached.
     let hub = hub();
     let hub_lib = CellLibrary::shared_with_options(&tech, 300.0, &char_opts_for(&hub, true));
     let runtime_terms = CompiledEstimator::compile(&hub, &hub_lib).unwrap().block_runtime_terms();
     assert!(runtime_terms > 0, "the hub must leave terms on the runtime path");
     for expected in [(1, runtime_terms as u64), (0, 0)] {
-        let config = SweepConfig { vectors: 100, seed: 3, threads: 1, ..Default::default() };
+        let config =
+            SweepConfig { vectors: 100, seed: 3, threads: 1, lanes: LANES, ..Default::default() };
         let (ran, _) = built(|| {
             sweep_streaming(&hub, &hub_lib, &config, 0, |_| true).unwrap().expect("not cancelled")
         });

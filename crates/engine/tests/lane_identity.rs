@@ -217,8 +217,8 @@ fn mlv_hill_climb_is_lane_invariant() {
 /// sums in the same order whether the patterns run packed or scalar,
 /// so summaries match bit-for-bit in both modes — including a per-die
 /// vector count (5) that never fills a block, and one just past
-/// [`TABLE_AMORTIZE_VECTORS`], where the packed loaded arm switches to
-/// the table kernel and ends on a one-lane tail block.
+/// [`TABLE_AMORTIZE_VECTORS`], where the auto-tiled loaded arm
+/// switches to the table kernel and ends on a one-lane tail block.
 #[test]
 fn mc_summaries_are_bit_identical_across_lanes() {
     let circuit = chain_circuit(3);

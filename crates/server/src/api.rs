@@ -231,10 +231,14 @@ pub const MAX_REQUEST_RESTARTS: usize = 256;
 /// partial stats stay resident until the job is evicted).
 pub const MAX_JOB_SHARDS: usize = 1024;
 
-/// The `"lanes"` field shared by sweep/MLV/MC requests: `0` (auto,
-/// the 64-wide block kernel), `64` (block explicitly), or `1`
-/// (1-pattern blocks on the per-lane kernel). A throughput knob only —
-/// results are bit-identical either way.
+/// The `"lanes"` field shared by sweep/MLV/MC requests: `0` (auto:
+/// the 64-wide block kernel, except that a `lut` sweep's or MC die's
+/// loaded patterns run per lane until its plan's per-lane work
+/// reaches break-even,
+/// [`CompiledEstimator::lut_lanes`](nanoleak_core::CompiledEstimator::lut_lanes)),
+/// `64` (block explicitly), or `1` (1-pattern blocks on the per-lane
+/// kernel). A throughput knob only — results are bit-identical either
+/// way.
 fn resolve_lanes_field(body: &Body) -> Result<usize, ApiError> {
     let lanes = body.get("lanes", 0usize)?;
     if !matches!(lanes, 0 | 1 | 64) {
@@ -495,8 +499,8 @@ pub struct SweepResponse {
     /// Maximum-leakage vector, printable form.
     pub max_vector: String,
     /// Worker threads the sweep spawned for its largest shard (one
-    /// work item per `lanes`-pattern block, so a 100-vector sweep in
-    /// 64-lane blocks runs on at most 2).
+    /// work item per block of the lanes it ran at, so a 100-vector
+    /// sweep in 64-lane blocks runs on at most 2).
     pub threads: usize,
     /// Server-side wall clock \[ms\].
     pub elapsed_ms: f64,
@@ -1275,8 +1279,8 @@ mod tests {
 
     /// The estimate's means and loading impact equal the same
     /// reductions over per-pattern `estimate_into` totals of its
-    /// vector stream, below the table threshold and past it, where the
-    /// loaded arm runs on the packed table kernel.
+    /// vector stream, below the plan's break-even and past it, where
+    /// the loaded arm runs on the packed table kernel.
     #[test]
     fn estimate_equals_per_pattern_reductions() {
         use nanoleak_core::{CompiledEstimator, TABLE_AMORTIZE_VECTORS};

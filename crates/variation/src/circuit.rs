@@ -17,7 +17,7 @@
 //! Each die runs both arms over the shared pattern set through core's
 //! one loaded-vs-unloaded evaluator, [`loading_totals`], on the die's
 //! own worker, at [`CircuitMcConfig::lanes`] and under core's
-//! table-amortization rule
+//! break-even rule for the die's fresh plan
 //! ([`TABLE_AMORTIZE_VECTORS`](crate::TABLE_AMORTIZE_VECTORS)). The
 //! tiling width picks the kernel, never the loop or the result, and
 //! core's block driver counts and times every packed block where it
@@ -232,12 +232,15 @@ pub struct CircuitMcConfig {
     /// characterizing cells the circuit never instantiates is pure
     /// waste at one library per sample.
     pub char_opts: CharacterizeOptions,
-    /// Evaluation lanes, handed to [`loading_totals`]: `0` (auto) and
-    /// `64` tile each sample's shared pattern set into 64-pattern
-    /// blocks on the word-parallel kernel (the loaded arm only from
-    /// [`TABLE_AMORTIZE_VECTORS`](crate::TABLE_AMORTIZE_VECTORS) on);
-    /// `1` into 1-pattern blocks on the per-lane scalar kernel. Never
-    /// changes a bit of the result.
+    /// Evaluation lanes, handed to [`loading_totals`]: `64` tiles both
+    /// arms of each sample's shared pattern set into 64-pattern blocks
+    /// on the word-parallel kernel, `1` into 1-pattern blocks on the
+    /// per-lane scalar kernel. `0` (auto) tiles the unloaded arm at 64
+    /// and lets the die's fresh plan decide the loaded arm: 64-pattern
+    /// blocks from
+    /// [`TABLE_AMORTIZE_VECTORS`](crate::TABLE_AMORTIZE_VECTORS)
+    /// vectors on, on tables sized to them, 1-pattern blocks below.
+    /// Never changes a bit of the result.
     pub lanes: usize,
 }
 

@@ -54,8 +54,9 @@ pub use circuit::{
     SensDeltaProvider, SeriesSummary, SolverProvider, DEFAULT_HIST_BINS,
 };
 pub use mc::{run_inverter_mc, series_of, stats_of, McConfig, McResult, McSample, Series};
-/// The volume rule each die's loaded arm runs under, defined beside
-/// core's [`loading_totals`](nanoleak_core::loading_totals).
+/// The break-even each die's loaded arm runs under, defined beside
+/// core's [`loading_totals`](nanoleak_core::loading_totals): a die's
+/// fresh plan packs its loaded arm from this many vectors on.
 pub use nanoleak_core::TABLE_AMORTIZE_VECTORS;
 pub use sigmas::{gaussian, VariationSigmas};
 pub use stats::Histogram;

@@ -83,7 +83,10 @@ common options:
   --threads N     worker threads (default: all cores)
   --lanes N       patterns per evaluation word: 64 packs patterns 64-wide
                   through the block kernel, 1 runs 1-pattern blocks on the
-                  per-lane kernel, 0 picks automatically (default 0;
+                  per-lane kernel, 0 picks automatically: sweeps and MC
+                  dies run loaded (lut) patterns per lane until their
+                  circuit's plan has run 448 that way, then packed on
+                  response tables sized to that work (default 0;
                   results are bit-identical either way)
   --format F      output format: text (default) or json, the response body
                   the HTTP service returns for the same request
