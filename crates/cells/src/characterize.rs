@@ -16,7 +16,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::cell_type::CellType;
 use crate::eval::{eval_loaded, CellSolution};
-use crate::lut::BreakdownLut;
+use crate::lut::{BreakdownLut, LoadingGrid};
 use crate::vector::InputVector;
 
 /// Process-wide characterization telemetry.
@@ -76,22 +76,22 @@ impl CharacterizeOptions {
         Self { max_loading: 3.5e-6, points: 4, cells: cells.to_vec() }
     }
 
-    /// The loading-magnitude grid.
-    pub fn grid(&self) -> Vec<f64> {
+    /// The loading grid every response table is sampled on: `points`
+    /// knots (at least two) from zero to `max_loading`. Characterization
+    /// rejects a grid whose knots do not strictly increase.
+    pub fn grid(&self) -> LoadingGrid {
         let n = self.points.max(2);
-        (0..n).map(|i| self.max_loading * i as f64 / (n - 1) as f64).collect()
+        LoadingGrid::from_knots(
+            (0..n).map(|i| self.max_loading * i as f64 / (n - 1) as f64).collect(),
+        )
     }
 }
 
-/// Characterized loading response of one (cell, vector) state.
+/// Characterized loading response of one (cell, vector) state, the
+/// entry's slot in its library; its tables are sampled on the
+/// library's [grid](crate::CellLibrary::grid).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct VectorChar {
-    /// Cell type.
-    pub cell: CellType,
-    /// Input vector.
-    pub vector: InputVector,
-    /// Output logic level.
-    pub output_level: bool,
     /// Nominal leakage components (driver-held pins, zero loading) —
     /// the paper's `L_NOM`.
     pub nominal: LeakageBreakdown,
@@ -107,41 +107,39 @@ pub struct VectorChar {
 
 impl VectorChar {
     /// Loading-aware leakage estimate: nominal plus the additive
-    /// per-pin input deltas and the output delta (paper eq. 5),
-    /// clamped to non-negative components.
+    /// per-pin input deltas and the output delta (paper eq. 5), read
+    /// off the tables on `grid` (the library's), clamped to
+    /// non-negative components.
     ///
     /// # Panics
     /// Panics if `il_in.len()` differs from the pin count.
-    pub fn leakage(&self, il_in: &[f64], il_out: f64) -> LeakageBreakdown {
-        assert_eq!(il_in.len(), self.input_resp.len(), "{}: loading arity", self.cell);
+    pub fn leakage(&self, grid: &LoadingGrid, il_in: &[f64], il_out: f64) -> LeakageBreakdown {
+        assert_eq!(il_in.len(), self.input_resp.len(), "loading arity");
         let mut b = self.nominal;
         for (lut, &il) in self.input_resp.iter().zip(il_in) {
-            b += lut.eval(il.abs());
+            b += lut.eval(grid, il.abs());
         }
-        b += self.output_resp.eval(il_out.abs());
+        b += self.output_resp.eval(grid, il_out.abs());
         b.clamped()
     }
 
-    /// Whether this entry can fill slot `(cell, vector)` of a library:
-    /// it names that slot, carries one pin current and one input table
-    /// per pin, holds only finite values, and every table is
-    /// [well formed](BreakdownLut::is_well_formed).
-    pub(crate) fn is_well_formed(&self, cell: CellType, vector: InputVector) -> bool {
-        let pins = cell.num_inputs();
+    /// Whether this entry can fill a slot of a `pins`-input cell in a
+    /// library whose grid has `knots` knots: one pin current and one
+    /// input table per pin, only finite values, and every table
+    /// [well formed](BreakdownLut::is_well_formed) on that grid.
+    pub(crate) fn is_well_formed(&self, pins: usize, knots: usize) -> bool {
         let LeakageBreakdown { sub, gate, btbt } = self.nominal;
-        self.cell == cell
-            && self.vector == vector
-            && self.pin_currents.len() == pins
+        self.pin_currents.len() == pins
             && self.input_resp.len() == pins
             && [sub, gate, btbt].iter().chain(&self.pin_currents).all(|v| v.is_finite())
-            && self.input_resp.iter().chain([&self.output_resp]).all(BreakdownLut::is_well_formed)
+            && self.input_resp.iter().chain([&self.output_resp]).all(|t| t.is_well_formed(knots))
     }
 
     /// The paper's overall loading effect `LD_ALL` (eq. 4) as a
     /// fraction: `(L(il_in, il_out) - L_NOM) / L_NOM` on total leakage.
-    pub fn ld_all(&self, il_in: &[f64], il_out: f64) -> f64 {
+    pub fn ld_all(&self, grid: &LoadingGrid, il_in: &[f64], il_out: f64) -> f64 {
         let nom = self.nominal.total();
-        (self.leakage(il_in, il_out).total() - nom) / nom
+        (self.leakage(grid, il_in, il_out).total() - nom) / nom
     }
 }
 
@@ -163,7 +161,7 @@ pub fn characterize_vector(
     vector: InputVector,
     opts: &CharacterizeOptions,
 ) -> Result<VectorChar, SolverError> {
-    let entries = sweep_vector(cell, vector, opts, |il_in, il_out| {
+    let entries = sweep_vector(cell, opts, |il_in, il_out| {
         Ok(vec![eval_loaded(tech, temp, cell, vector, il_in, il_out)?])
     })?;
     Ok(entries.into_iter().next().expect("one entry per solution"))
@@ -179,18 +177,20 @@ pub fn characterize_vector(
 /// itself, so its sample is exactly zero and is not solved.
 pub(crate) fn sweep_vector(
     cell: CellType,
-    vector: InputVector,
     opts: &CharacterizeOptions,
     mut solve: impl FnMut(&[f64], f64) -> Result<Vec<CellSolution>, SolverError>,
 ) -> Result<Vec<VectorChar>, SolverError> {
     let grid = opts.grid();
+    if !grid.is_well_formed() {
+        return Err(SolverError::BadProblem("degenerate loading grid".into()));
+    }
     let zeros = vec![0.0; cell.num_inputs()];
     let nominal = solve(&zeros, 0.0)?;
     // Delta tables of one axis, one per solution: input pin `Some(p)`
     // or the output (`None`).
     let mut tables = |pin: Option<usize>| -> Result<Vec<BreakdownLut>, SolverError> {
         let mut deltas = vec![Vec::new(); nominal.len()];
-        for &x in &grid {
+        for &x in grid.knots() {
             let loaded = if x == 0.0 {
                 None
             } else {
@@ -231,9 +231,6 @@ pub(crate) fn sweep_vector(
         .zip(input_resp)
         .zip(output_resp)
         .map(|((sol, input_resp), output_resp)| VectorChar {
-            cell,
-            vector,
-            output_level: sol.output_level,
             nominal: sol.breakdown,
             pin_currents: sol.input_pin_currents,
             input_resp,
@@ -245,8 +242,6 @@ pub(crate) fn sweep_vector(
 /// Characterized responses for every vector of one cell type.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CellChar {
-    /// The cell type.
-    pub cell: CellType,
     /// One entry per input vector, indexed by [`InputVector::index`].
     vectors: Vec<VectorChar>,
 }
@@ -269,15 +264,14 @@ impl CellChar {
             vectors.push(characterize_vector(tech, temp, cell, v, opts)?);
         }
         cell_metrics().record(started.elapsed());
-        Ok(Self { cell, vectors })
+        Ok(Self { vectors })
     }
 
     /// Assembles a characterization from per-vector entries already in
     /// [`InputVector::index`] order (the sensitivity path builds these
     /// itself, mixing delta-derived and fully re-solved vectors).
-    pub(crate) fn from_vectors(cell: CellType, vectors: Vec<VectorChar>) -> Self {
-        assert_eq!(vectors.len(), cell.num_vectors(), "{cell}: vector count");
-        Self { cell, vectors }
+    pub(crate) fn from_vectors(vectors: Vec<VectorChar>) -> Self {
+        Self { vectors }
     }
 
     /// The characterization for an input vector.
@@ -285,7 +279,7 @@ impl CellChar {
     /// # Panics
     /// Panics if the vector arity does not match the cell.
     pub fn vector(&self, v: InputVector) -> &VectorChar {
-        assert_eq!(v.len(), self.cell.num_inputs(), "{}: vector arity", self.cell);
+        assert_eq!(1 << v.len(), self.vectors.len(), "vector arity {}", v.len());
         &self.vectors[v.index()]
     }
 
@@ -309,18 +303,19 @@ mod tests {
         let tech = Technology::d25();
         let v = InputVector::parse("0").unwrap();
         let ch = characterize_vector(&tech, 300.0, CellType::Inv, v, &opts()).unwrap();
+        let grid = opts().grid();
         // At a grid knot the LUT must reproduce the direct solve
         // exactly (input axis).
         let il = 3.5e-6 / 3.0; // second knot of the 4-point grid
         let direct = eval_loaded(&tech, 300.0, CellType::Inv, v, &[il], 0.0).unwrap();
-        let lut = ch.leakage(&[il], 0.0);
+        let lut = ch.leakage(&grid, &[il], 0.0);
         let rel = (lut.total() - direct.breakdown.total()).abs() / direct.breakdown.total();
         assert!(rel < 1e-9, "knot mismatch {rel}");
         // Between knots, interpolation stays within a fraction of a
         // percent of the direct solve.
         let il = 0.8e-6;
         let direct = eval_loaded(&tech, 300.0, CellType::Inv, v, &[il], 0.0).unwrap();
-        let lut = ch.leakage(&[il], 0.0);
+        let lut = ch.leakage(&grid, &[il], 0.0);
         let rel = (lut.total() - direct.breakdown.total()).abs() / direct.breakdown.total();
         assert!(rel < 5e-3, "interp error {rel}");
     }
@@ -330,7 +325,8 @@ mod tests {
         let tech = Technology::d25();
         let v = InputVector::parse("0").unwrap();
         let ch = characterize_vector(&tech, 300.0, CellType::Inv, v, &opts()).unwrap();
-        assert!(ch.ld_all(&[0.0], 0.0).abs() < 1e-12);
+        let grid = opts().grid();
+        assert!(ch.ld_all(&grid, &[0.0], 0.0).abs() < 1e-12);
     }
 
     #[test]
@@ -338,7 +334,8 @@ mod tests {
         let tech = Technology::d25();
         let v = InputVector::parse("0").unwrap();
         let ch = characterize_vector(&tech, 300.0, CellType::Inv, v, &opts()).unwrap();
-        let ld = ch.ld_all(&[3000.0 * NA], 0.0);
+        let grid = opts().grid();
+        let ld = ch.ld_all(&grid, &[3000.0 * NA], 0.0);
         assert!(ld > 0.01 && ld < 0.25, "LD_ALL = {}%", ld * 100.0);
     }
 
@@ -347,7 +344,8 @@ mod tests {
         let tech = Technology::d25();
         let v = InputVector::parse("0").unwrap();
         let ch = characterize_vector(&tech, 300.0, CellType::Inv, v, &opts()).unwrap();
-        let ld = ch.ld_all(&[0.0], 3000.0 * NA);
+        let grid = opts().grid();
+        let ld = ch.ld_all(&grid, &[0.0], 3000.0 * NA);
         assert!(ld < 0.0 && ld > -0.10, "LD_ALL = {}%", ld * 100.0);
     }
 
@@ -360,9 +358,10 @@ mod tests {
         let tech = Technology::d25();
         let v = InputVector::parse("0").unwrap();
         let ch = characterize_vector(&tech, 300.0, CellType::Inv, v, &opts()).unwrap();
-        let out = ch.leakage(&[f64::NAN], 0.0);
+        let grid = opts().grid();
+        let out = ch.leakage(&grid, &[f64::NAN], 0.0);
         assert_eq!((out.sub, out.gate, out.btbt), (0.0, 0.0, 0.0));
-        let out = ch.leakage(&[0.0], f64::NAN);
+        let out = ch.leakage(&grid, &[0.0], f64::NAN);
         assert_eq!(out.total(), 0.0);
     }
 
@@ -373,8 +372,8 @@ mod tests {
         let ch = CellChar::characterize(&tech, 300.0, CellType::Nand2, &copts).unwrap();
         assert_eq!(ch.vectors().len(), 4);
         for v in InputVector::all(2) {
-            assert_eq!(ch.vector(v).vector, v);
-            assert_eq!(ch.vector(v).output_level, CellType::Nand2.eval_logic(&v.to_bools()));
+            let direct = characterize_vector(&tech, 300.0, CellType::Nand2, v, &copts).unwrap();
+            assert_eq!(*ch.vector(v), direct, "slot {v:?}");
         }
     }
 
@@ -387,9 +386,10 @@ mod tests {
         let v = InputVector::parse("01").unwrap();
         let copts = CharacterizeOptions::coarse(&[CellType::Nand2]);
         let ch = characterize_vector(&tech, 300.0, CellType::Nand2, v, &copts).unwrap();
+        let grid = copts.grid();
         let il = [2000.0 * NA, 2000.0 * NA];
         let joint = eval_loaded(&tech, 300.0, CellType::Nand2, v, &il, 1000.0 * NA).unwrap();
-        let additive = ch.leakage(&il, 1000.0 * NA);
+        let additive = ch.leakage(&grid, &il, 1000.0 * NA);
         let rel = (additive.total() - joint.breakdown.total()).abs() / joint.breakdown.total();
         assert!(rel < 0.01, "additive vs joint = {}%", rel * 100.0);
     }

@@ -55,7 +55,7 @@ pub use cell_type::CellType;
 pub use characterize::{CellChar, CharacterizeOptions, VectorChar};
 pub use eval::{eval_isolated, eval_loaded, loading_injection, CellSolution};
 pub use library::CellLibrary;
-pub use lut::BreakdownLut;
+pub use lut::{BreakdownLut, LoadingGrid, Locus};
 pub use operating::OperatingPoint;
 pub use sensitivity::{
     apply_deltas, characterize_with_sensitivity, delta_library, infer_deltas, DeltaReport,

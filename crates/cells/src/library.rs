@@ -1,6 +1,6 @@
 //! The characterized cell library and its process-wide cache.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use nanoleak_device::Technology;
@@ -10,6 +10,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::cell_type::CellType;
 use crate::characterize::{CellChar, CharacterizeOptions, VectorChar};
+use crate::lut::LoadingGrid;
 use crate::vector::InputVector;
 
 /// A fully characterized standard-cell library for one technology and
@@ -76,21 +77,32 @@ impl CellLibrary {
         self.cells.len()
     }
 
-    /// Whether the library holds what a characterization builds: each
-    /// cell [`CellType::num_vectors`] entries in [`InputVector::index`]
-    /// order, each entry its cell's pin count of pin currents and input
-    /// tables, only finite values, and only tables
-    /// [`BreakdownLut::from_samples`](crate::BreakdownLut::from_samples)
-    /// accepts. Decoding a serialized library checks none of this, so
-    /// readers of stored libraries (the engine's disk cache) check it
-    /// before an estimator indexes into a table.
+    /// The loading grid every response table is sampled on, derived
+    /// from the options ([`CharacterizeOptions::grid`]), which already
+    /// key the library.
+    pub fn grid(&self) -> LoadingGrid {
+        self.options.grid()
+    }
+
+    /// Whether the library holds what a characterization builds: a
+    /// strictly increasing finite grid, exactly the cells
+    /// `options.cells` names, each [`CellType::num_vectors`] entries in
+    /// [`InputVector::index`] order, each entry its cell's pin count of
+    /// pin currents and input tables, only finite values, and one value
+    /// per knot in every table column. Decoding a serialized library
+    /// checks none of this, so readers of stored libraries (the
+    /// engine's disk cache) check it before an estimator indexes into a
+    /// table.
     pub fn is_well_formed(&self) -> bool {
-        self.cells.iter().all(|(&cell, ch)| {
-            let slots = InputVector::all(cell.num_inputs());
-            ch.cell == cell
-                && ch.vectors().len() == cell.num_vectors()
-                && ch.vectors().iter().zip(slots).all(|(vc, v)| vc.is_well_formed(cell, v))
-        })
+        let grid = self.grid();
+        let requested: BTreeSet<CellType> = self.options.cells.iter().copied().collect();
+        grid.is_well_formed()
+            && self.cells.keys().eq(&requested)
+            && self.cells.iter().all(|(&cell, ch)| {
+                let sound =
+                    |vc: &VectorChar| vc.is_well_formed(cell.num_inputs(), grid.knots().len());
+                ch.vectors().len() == cell.num_vectors() && ch.vectors().iter().all(sound)
+            })
     }
 
     /// A process-wide shared library for `tech` at `temp` with default

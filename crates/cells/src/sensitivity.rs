@@ -38,8 +38,9 @@
 //! linearization-error check: the odd part of what the model misses at
 //! the measured corner probes (the cubic-order cross error `μ_k`, the
 //! dominant residual term) is extrapolated to the die's draw, and an
-//! entry whose estimate exceeds the tolerance falls back to a full
-//! Newton characterization of that vector.
+//! entry whose estimate exceeds the tolerance, or whose derived values
+//! overflow, falls back to a full Newton characterization of that
+//! vector.
 
 use std::collections::BTreeMap;
 
@@ -157,12 +158,14 @@ pub struct VectorSens {
 impl VectorSens {
     /// The delta-derived entry for a die: every value scaled by the
     /// log-space model — per-axis quartic plus pairwise cross terms.
-    fn apply(&self, template: &VectorChar, deltas: &[f64; SENS_AXES]) -> VectorChar {
+    /// `None` when a derived value is not finite (the model's
+    /// exponential overflows on a draw far outside its stencils).
+    fn apply(&self, template: &VectorChar, deltas: &[f64; SENS_AXES]) -> Option<VectorChar> {
         let v0 = flatten_values(template);
         debug_assert_eq!(v0.len(), self.sens.len());
         let vals: Vec<f64> =
             v0.iter().enumerate().map(|(i, v)| v * self.exponent(i, deltas).exp()).collect();
-        rebuild_from_values(template, &vals)
+        vals.iter().all(|v| v.is_finite()).then(|| rebuild_from_values(template, &vals))
     }
 
     /// Estimated relative model error at a die draw, extrapolated
@@ -228,7 +231,8 @@ pub struct LibrarySens {
 pub struct DeltaReport {
     /// `(cell, vector)` entries processed.
     pub entries: usize,
-    /// Entries that breached the tolerance and were fully re-solved.
+    /// Entries that were fully re-solved: their error estimate
+    /// breached the tolerance, or a derived value was not finite.
     pub fallbacks: usize,
     /// Largest estimated relative model error among all entries
     /// (delta-derived or not) — the signal the fallback gate compares
@@ -266,7 +270,7 @@ pub fn characterize_with_sensitivity(
             svectors.push(vs);
         }
         record_characterized(started.elapsed());
-        cells.insert(cell, CellChar::from_vectors(cell, vectors));
+        cells.insert(cell, CellChar::from_vectors(vectors));
         sens.insert(cell, CellSens { vectors: svectors });
     }
     let lib = CellLibrary::from_parts(tech.clone(), temp, opts.clone(), cells);
@@ -279,10 +283,10 @@ pub fn characterize_with_sensitivity(
 /// Every entry's model error at `deltas` is estimated from the
 /// corner-probe misfits recorded at characterization time
 /// (`VectorSens::error_estimate`); entries whose estimate exceeds
-/// `tol` are fully re-characterized against the die technology.
-/// `tol = f64::INFINITY` accepts every entry unconditionally (used for
-/// the probe libraries the block-kernel delta tables are compiled
-/// from).
+/// `tol`, and entries with a derived value that is not finite, are
+/// fully re-characterized against the die technology. `tol =
+/// f64::INFINITY` accepts every finite entry (used for the probe
+/// libraries the block-kernel delta tables are compiled from).
 ///
 /// # Errors
 /// Propagates solver failures from fallback solves.
@@ -302,24 +306,22 @@ pub fn delta_library(
             .get(&cell)
             .ok_or_else(|| SolverError::BadProblem(format!("no sensitivities for {cell}")))?;
         let mut vectors = Vec::with_capacity(nchar.vectors().len());
-        for (vc, vs) in nchar.vectors().iter().zip(&csens.vectors) {
+        let slots = InputVector::all(cell.num_inputs());
+        for ((vc, vs), vector) in nchar.vectors().iter().zip(&csens.vectors).zip(slots) {
             report.entries += 1;
             let est = vs.error_estimate(deltas);
             report.max_est = report.max_est.max(est);
-            if est > tol {
-                report.fallbacks += 1;
-                vectors.push(characterize_vector(
-                    &die_tech,
-                    nominal.temp,
-                    cell,
-                    vc.vector,
-                    &nominal.options,
-                )?);
-            } else {
-                vectors.push(vs.apply(vc, deltas));
-            }
+            let derived = if est > tol { None } else { vs.apply(vc, deltas) };
+            vectors.push(match derived {
+                Some(entry) => entry,
+                None => {
+                    report.fallbacks += 1;
+                    let opts = &nominal.options;
+                    characterize_vector(&die_tech, nominal.temp, cell, vector, opts)?
+                }
+            });
         }
-        cells.insert(cell, CellChar::from_vectors(cell, vectors));
+        cells.insert(cell, CellChar::from_vectors(vectors));
     }
     let lib = CellLibrary::from_parts(die_tech, nominal.temp, nominal.options.clone(), cells);
     Ok((lib, report))
@@ -402,7 +404,7 @@ fn characterize_vector_traced(
         }
         Ok(sols)
     };
-    let mut entries = sweep_vector(cell, vector, opts, solve)?.into_iter();
+    let mut entries = sweep_vector(cell, opts, solve)?.into_iter();
     let vc = entries.next().expect("the sweep returns the nominal entry first");
 
     // Every value of the entry reduced to per-axis log-space
@@ -527,8 +529,9 @@ fn flatten_values(vc: &VectorChar) -> Vec<f64> {
     out
 }
 
-/// Rebuilds a [`VectorChar`] from flattened values, taking grids and
-/// discrete fields from `template`.
+/// Rebuilds a [`VectorChar`] from flattened values, taking each
+/// count (pins, knots) from `template`. The values are the caller's to
+/// check: every column gets the template's length.
 fn rebuild_from_values(template: &VectorChar, vals: &[f64]) -> VectorChar {
     struct Cursor<'a> {
         vals: &'a [f64],
@@ -541,11 +544,8 @@ fn rebuild_from_values(template: &VectorChar, vals: &[f64]) -> VectorChar {
             s
         }
         fn blut(&mut self, tpl: &BreakdownLut) -> BreakdownLut {
-            let n = tpl.xs().len();
             // `sub`, `gate`, `btbt`: the flatten order.
-            let columns = [self.take(n).to_vec(), self.take(n).to_vec(), self.take(n).to_vec()];
-            BreakdownLut::from_columns(tpl.xs().to_vec(), columns)
-                .expect("template grid stays valid")
+            BreakdownLut::from_columns(tpl.columns().map(|c| self.take(c.len()).to_vec()))
         }
     }
     let mut c = Cursor { vals, pos: 0 };
@@ -555,15 +555,7 @@ fn rebuild_from_values(template: &VectorChar, vals: &[f64]) -> VectorChar {
     let input_resp = template.input_resp.iter().map(|tpl| c.blut(tpl)).collect();
     let output_resp = c.blut(&template.output_resp);
     debug_assert_eq!(c.pos, vals.len());
-    VectorChar {
-        cell: template.cell,
-        vector: template.vector,
-        output_level: template.output_level,
-        nominal,
-        pin_currents,
-        input_resp,
-        output_resp,
-    }
+    VectorChar { nominal, pin_currents, input_resp, output_resp }
 }
 
 #[cfg(test)]
@@ -611,8 +603,9 @@ mod tests {
         let rel = (d.nominal.total() - e.nominal.total()).abs() / e.nominal.total();
         assert!(rel < 0.03, "nominal total off by {}%", rel * 100.0);
         // Loaded estimates track too (tables and nominal together).
-        let l_d = d.leakage(&[2.0e-6], 1.0e-6).total();
-        let l_e = e.leakage(&[2.0e-6], 1.0e-6).total();
+        let grid = copts.grid();
+        let l_d = d.leakage(&grid, &[2.0e-6], 1.0e-6).total();
+        let l_e = e.leakage(&grid, &[2.0e-6], 1.0e-6).total();
         let rel = (l_d - l_e).abs() / l_e;
         assert!(rel < 0.03, "loaded estimate off by {}%", rel * 100.0);
         // And the exact library moved far enough that the delta model
@@ -637,6 +630,21 @@ mod tests {
         let die = apply_deltas(&tech, &deltas);
         let exact = CellLibrary::characterize(&die, 300.0, &copts).unwrap();
         assert_eq!(derived, exact, "fallback entries are real solves");
+    }
+
+    #[test]
+    fn far_dies_re_solve_entries_the_model_overflows() {
+        // A single-axis draw estimates zero error, so the tolerance
+        // accepts every entry; at -1 V the log model's exponential
+        // overflows on some of them, which must re-solve instead of
+        // yielding a table with infinite values.
+        let tech = Technology::d25();
+        let (lib, sens) = characterize_with_sensitivity(&tech, 300.0, &opts()).unwrap();
+        let deltas = [0.0, 0.0, -1.0, 0.0];
+        let (derived, report) = delta_library(&lib, &sens, &deltas, DEFAULT_DELTA_TOL).unwrap();
+        assert_eq!(report.max_est, 0.0, "a single-axis draw estimates zero error");
+        assert!(report.fallbacks > 0, "overflowing entries count as fallbacks");
+        assert!(derived.is_well_formed(), "every derived entry holds finite values");
     }
 
     #[test]

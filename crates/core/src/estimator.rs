@@ -8,7 +8,7 @@
 //! gate's nodes), which is what removes the need to solve simultaneous
 //! KCL equations and makes the estimate a single topological pass.
 
-use nanoleak_cells::eval_loaded;
+use nanoleak_cells::{eval_loaded, LoadingGrid};
 use nanoleak_netlist::logic::simulate;
 use nanoleak_netlist::{Circuit, GateId, Pattern};
 use serde::{Deserialize, Serialize};
@@ -88,10 +88,11 @@ pub fn estimate(
     let values = simulate(circuit, &pattern.pi, &pattern.states);
     let state = LoadingState::build(circuit, library, &values)?;
 
+    let grid = library.grid();
     let n_gates = circuit.gate_count();
     let mut per_gate = Vec::with_capacity(n_gates);
     for gid in circuit.topo_order() {
-        per_gate.push((gid.0, estimate_gate(circuit, library, &state, *gid, mode)?));
+        per_gate.push((gid.0, estimate_gate(circuit, library, &grid, &state, *gid, mode)?));
     }
     // topo_order is a permutation of all gates; restore id order.
     let mut ordered = vec![nanoleak_device::LeakageBreakdown::ZERO; n_gates];
@@ -104,6 +105,7 @@ pub fn estimate(
 fn estimate_gate(
     circuit: &Circuit,
     library: &nanoleak_cells::CellLibrary,
+    grid: &LoadingGrid,
     state: &LoadingState,
     gid: GateId,
     mode: EstimatorMode,
@@ -117,7 +119,7 @@ fn estimate_gate(
             let il_in: Vec<f64> =
                 (0..gate.inputs.len()).map(|pin| state.input_loading(circuit, gid, pin)).collect();
             let il_out = state.output_loading(circuit, gid);
-            vc.leakage(&il_in, il_out)
+            vc.leakage(grid, &il_in, il_out)
         }
         EstimatorMode::DirectSolve => {
             let il_in: Vec<f64> =

@@ -80,8 +80,8 @@ pub use error::EstimateError;
 pub use estimator::{estimate, estimate_batch, EstimatorMode};
 pub use loading::LoadingState;
 pub use plan::{
-    pack_index_block, resolve_lanes, BlockScratch, CompiledEstimator, EstimateScratch,
-    PatternBlock, LANES,
+    fill_index_pattern, pack_index_block, resolve_lanes, BlockScratch, CompiledEstimator,
+    EstimateScratch, PatternBlock, LANES,
 };
 pub use reference::{reference_batch, reference_leakage, ReferenceOptions, ReferenceResult};
 pub use report::{accuracy, Accuracy, CircuitLeakage, LoadingImpact};

@@ -6,7 +6,7 @@
 //! implementation, but it re-pays compilation-class costs on every
 //! pattern: per-gate `BTreeMap` lookups of the characterized
 //! `VectorChar`, per-gate pin-current clones, per-gate `il_in`
-//! buffers, and three binary searches per `BreakdownLut::eval`. A
+//! buffers, and the library's loading grid rebuilt per call. A
 //! 10^6-vector sweep over a 1k-gate circuit performs billions of
 //! avoidable allocations and tree walks. [`CompiledEstimator`]
 //! hoists all of that work to construction time:
@@ -18,12 +18,13 @@
 //!   dense index-addressed slab, so the per-pattern lookup is
 //!   `vcs[vc_base[gate] + vector_bits]` — no map walks, and
 //!   missing-cell errors surface once, at compile time;
-//! * every response table is re-laid out in one layout: its loading
-//!   grid interned (a library's tables share one), detected-uniform
-//!   grids given an O(1) arithmetic segment index (binary-search
-//!   fallback otherwise), and its `[sub, gate, btbt]` ordinates
-//!   interleaved per knot, so one segment lookup serves all three
-//!   components;
+//! * every response table is laid out on the library's one loading
+//!   grid ([`LoadingGrid`], kept once per plan): its `[sub, gate,
+//!   btbt]` ordinates interleaved per knot in one slab, so one
+//!   [`LoadingGrid::locate`] — the segment search the reference
+//!   `BreakdownLut::eval` runs — serves all three components. Every
+//!   table holds `3 × knots` ordinates, so a state's tables are
+//!   addressed by index, with no per-table offsets;
 //! * one term routine computes a gate term's loading magnitude and
 //!   the delta its table adds there, for every kernel: the scalar
 //!   pass, the block tables' whole-gate and per-term entries, the
@@ -37,8 +38,8 @@
 //!
 //! [`CompiledEstimator::estimate_into`] is **bit-identical** to
 //! [`estimate`](crate::estimate) for every mode: the same segment
-//! selection (including the exact-knot fast-return of
-//! `BreakdownLut::eval`),
+//! selection and interpolation fraction (one [`LoadingGrid::locate`]
+//! serves both, exact-knot return included),
 //! the same interpolation formula evaluated in the same order, the
 //! same per-pin/output delta accumulation order, and the same
 //! sequential gate-id-order total reduction. The engine's sweeps and
@@ -124,13 +125,12 @@
 //! reaches [`TABLE_AMORTIZE_VECTORS`], 64-lane blocks from then on.
 //! The width never picks the path or the result.
 
-use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::sync::atomic::{self, AtomicUsize};
 use std::sync::OnceLock;
 use std::time::Instant;
 
-use nanoleak_cells::{BreakdownLut, CellLibrary, CellType, InputVector};
+use nanoleak_cells::{CellLibrary, CellType, InputVector, LoadingGrid, Locus};
 use nanoleak_device::LeakageBreakdown;
 use nanoleak_netlist::{Circuit, Driver, GateId, NetId, Pattern};
 pub use nanoleak_netlist::{PatternBlock, LANES};
@@ -177,7 +177,7 @@ struct BlockTerm {
     sup_start: u32,
     sup_len: u32,
     /// Input pin index, or the gate's pin count for the output term
-    /// (also the term's LUT offset from the gate's `lut_off`).
+    /// (also the index of the term's table among its state's tables).
     pin: u32,
     /// The net whose loading current feeds this term.
     net: u32,
@@ -197,15 +197,11 @@ pub fn resolve_lanes(requested: usize) -> usize {
     }
 }
 
-/// Packs the seed-derived sweep patterns `start..start + count` into
-/// `block`, in lane = index order. Pattern `i` is what a `StdRng`
-/// seeded with SplitMix64 `mix(seed, i)` draws through
-/// [`Pattern::fill_random`]: the stream
-/// [`CompiledEstimator::estimate_index_into`] evaluates one pattern at
-/// a time and the engine's `pattern_for_index` returns. `pattern` is
-/// the per-lane buffer. A block whose arity does not match `circuit`
-/// (a `Default` one, say) is resized first, so one block can serve
-/// every plan over the circuit.
+/// Packs the seed-derived sweep patterns `start..start + count`
+/// ([`fill_index_pattern`]) into `block`, in lane = index order.
+/// `pattern` is the per-lane buffer. A block whose arity does not
+/// match `circuit` (a `Default` one, say) is resized first, so one
+/// block can serve every plan over the circuit.
 ///
 /// # Panics
 /// If `count > LANES`.
@@ -230,8 +226,13 @@ pub fn pack_index_block(
     }
 }
 
-/// Refills `pattern` with the seed-derived sweep pattern at `index`.
-fn fill_index_pattern(circuit: &Circuit, seed: u64, index: usize, pattern: &mut Pattern) {
+/// Refills `pattern` with the seed-derived sweep pattern at `index`:
+/// what a `StdRng` seeded with SplitMix64 `mix(seed, index)` draws
+/// through [`Pattern::fill_random`]. This is the one definition of the
+/// sweep pattern stream: [`pack_index_block`] packs it,
+/// [`CompiledEstimator::estimate_index_into`] evaluates it one pattern
+/// at a time, and the engine's `pattern_for_index` returns it.
+pub fn fill_index_pattern(circuit: &Circuit, seed: u64, index: usize, pattern: &mut Pattern) {
     let mut rng = rand::rngs::StdRng::seed_from_u64(mix(seed, index as u64));
     pattern.fill_random(circuit, &mut rng);
 }
@@ -376,105 +377,6 @@ impl BlockScratch {
     }
 }
 
-/// Where a lookup lands in a grid: exactly on a knot (return the
-/// stored sample, like `BreakdownLut::eval`'s `Ok` arm) or
-/// inside/beyond a segment (interpolate/extrapolate).
-#[derive(Clone, Copy)]
-enum Seg {
-    Knot(usize),
-    Interp(usize),
-}
-
-/// One interned abscissa grid shared by many compiled tables. The
-/// knots themselves live in the plan's flat `xs_slab`, so the struct
-/// stays small and the hot path dereferences one slab, not a
-/// `Vec<Vec<f64>>` chain.
-#[derive(Debug, Clone, Copy)]
-struct PlanGrid {
-    xs_off: u32,
-    len: u32,
-    /// `(n-1) / xs[n-1]` when the grid is numerically uniform from
-    /// zero (the `CharacterizeOptions::grid` layout) — enables the
-    /// O(1) arithmetic segment index. NaN marks a non-uniform grid
-    /// (binary-search fallback).
-    inv_step: f64,
-}
-
-impl PlanGrid {
-    fn describe(xs: &[f64], xs_off: u32) -> Self {
-        let n = xs.len();
-        let inv_step = if n >= 2 && xs[0] == 0.0 && xs[n - 1] > 0.0 {
-            let step = xs[n - 1] / (n - 1) as f64;
-            let uniform =
-                xs.iter().enumerate().all(|(i, &x)| (x - step * i as f64).abs() <= step * 1e-9);
-            if uniform {
-                (n - 1) as f64 / xs[n - 1]
-            } else {
-                f64::NAN
-            }
-        } else {
-            f64::NAN
-        };
-        Self { xs_off, len: n as u32, inv_step }
-    }
-}
-
-/// Selects the same knot-or-segment `BreakdownLut::eval`'s
-/// `binary_search_by(total_cmp)` would.
-#[inline]
-fn locate(xs: &[f64], inv_step: f64, x: f64) -> Seg {
-    if inv_step.is_nan() {
-        locate_binary(xs, x)
-    } else {
-        locate_uniform(xs, inv_step, x)
-    }
-}
-
-/// Verbatim clone of `BreakdownLut::eval`'s segment selection.
-fn locate_binary(xs: &[f64], x: f64) -> Seg {
-    let n = xs.len();
-    match xs.binary_search_by(|v| v.total_cmp(&x)) {
-        Ok(i) => Seg::Knot(i),
-        Err(0) => Seg::Interp(0),
-        Err(i) if i >= n => Seg::Interp(n - 2),
-        Err(i) => Seg::Interp(i - 1),
-    }
-}
-
-/// O(1) arithmetic hint plus a local total-order fix-up, so the
-/// result agrees with [`locate_binary`] bit-for-bit even at rounding
-/// boundaries, below the grid, beyond it, and for NaN (which
-/// total-orders above every finite knot).
-#[inline]
-fn locate_uniform(xs: &[f64], inv_step: f64, x: f64) -> Seg {
-    let n = xs.len();
-    // NaN and negative x cast to 0; oversized x saturates.
-    let mut i = ((x * inv_step) as usize).min(n - 2);
-    while i > 0 && xs[i].total_cmp(&x) == Ordering::Greater {
-        i -= 1;
-    }
-    while i + 1 < n - 1 && xs[i + 1].total_cmp(&x) != Ordering::Greater {
-        i += 1;
-    }
-    if xs[i].total_cmp(&x) == Ordering::Equal {
-        Seg::Knot(i)
-    } else if xs[i + 1].total_cmp(&x) == Ordering::Equal {
-        Seg::Knot(i + 1)
-    } else {
-        Seg::Interp(i)
-    }
-}
-
-/// One compiled `BreakdownLut`: an interned grid, and the start of
-/// its ordinates in `ys_slab`, interleaved as `[sub, gate, btbt]`
-/// triples per knot, so evaluation does one segment lookup and reads
-/// two adjacent triples.
-#[derive(Clone, Copy)]
-struct PlanBreakdownLut {
-    grid: u32,
-    ys: u32,
-}
-
 /// One resolved (cell, vector) characterization in the dense slab.
 struct PlanVectorChar {
     nominal: LeakageBreakdown,
@@ -484,9 +386,10 @@ struct PlanVectorChar {
     pins: u32,
     /// Offset of this state's pin currents in the flat slab.
     pin_off: u32,
-    /// Offset of this state's tables in `luts`: `pins` input-response
-    /// tables followed by the output-response table.
-    lut_off: u32,
+    /// Offset of this state's tables in `ys_slab`: `pins`
+    /// input-response tables followed by the output-response table,
+    /// `table_len` ordinates each.
+    ys_off: u32,
 }
 
 /// A compiled estimation plan for one (circuit, library) pair.
@@ -549,10 +452,14 @@ pub struct CompiledEstimator<'a> {
     /// read per gate.
     logic_slab: Vec<bool>,
     pin_current_slab: Vec<f64>,
-    luts: Vec<PlanBreakdownLut>,
+    /// The library's loading grid, which every response table is
+    /// sampled on.
+    grid: LoadingGrid,
+    /// Ordinates per response table: `3 × knots`.
+    table_len: usize,
+    /// Every response table's ordinates, `[sub, gate, btbt]` triples
+    /// per knot, tables back to back in state order.
     ys_slab: Vec<f64>,
-    xs_slab: Vec<f64>,
-    grids: Vec<PlanGrid>,
     /// Snapshot of `in_nets` at compile time, which the block
     /// response tables are built from (as the circuit's `net_loads`
     /// they fold are). They are valid only while the live wiring
@@ -603,6 +510,7 @@ impl<'a> CompiledEstimator<'a> {
     pub fn compile(circuit: &'a Circuit, library: &'a CellLibrary) -> Result<Self, EstimateError> {
         let n_gates = circuit.gate_count();
         let n_nets = circuit.net_count();
+        let grid = library.grid();
 
         let mut plan = Self {
             circuit,
@@ -619,10 +527,9 @@ impl<'a> CompiledEstimator<'a> {
             vcs: Vec::new(),
             logic_slab: Vec::new(),
             pin_current_slab: Vec::new(),
-            luts: Vec::new(),
+            table_len: 3 * grid.knots().len(),
+            grid,
             ys_slab: Vec::new(),
-            xs_slab: Vec::new(),
-            grids: Vec::new(),
             compiled_wiring: Vec::new(),
             block: OnceLock::new(),
             served: AtomicUsize::new(0),
@@ -656,63 +563,30 @@ impl<'a> CompiledEstimator<'a> {
         assert!(cell.num_inputs() <= MAX_PINS, "{cell}: fanin exceeds {MAX_PINS}");
         let chars = self.library.cell(cell).ok_or(EstimateError::MissingCell(cell))?;
         let base = self.vcs.len() as u32;
-        for vc in chars.vectors() {
+        let knots = self.grid.knots().len();
+        for (vc, vector) in chars.vectors().iter().zip(InputVector::all(cell.num_inputs())) {
             let pin_off = self.pin_current_slab.len() as u32;
             self.pin_current_slab.extend_from_slice(&vc.pin_currents);
-            let lut_off = self.luts.len() as u32;
-            for resp in &vc.input_resp {
-                let compiled = self.compile_blut(resp);
-                self.luts.push(compiled);
+            let ys_off = self.ys_slab.len() as u32;
+            for lut in vc.input_resp.iter().chain([&vc.output_resp]) {
+                let [sub, gate, btbt] = lut.columns();
+                for i in 0..knots {
+                    self.ys_slab.extend([sub[i], gate[i], btbt[i]]);
+                }
             }
-            let output = self.compile_blut(&vc.output_resp);
-            self.luts.push(output);
             // The fused simulation pass propagates logic through this
-            // table; derive it from `eval_logic` (exactly what the
-            // reference `simulate` computes), not from the solver's
-            // characterized output level.
-            self.logic_slab.push(cell.eval_logic(&vc.vector.to_bools()));
+            // table; derive it from `eval_logic`, exactly what the
+            // reference `simulate` computes.
+            self.logic_slab.push(cell.eval_logic(&vector.to_bools()));
             self.vcs.push(PlanVectorChar {
                 nominal: vc.nominal,
-                vector: vc.vector,
+                vector,
                 pins: vc.pin_currents.len() as u32,
                 pin_off,
-                lut_off,
+                ys_off,
             });
         }
         Ok(base)
-    }
-
-    fn compile_blut(&mut self, lut: &BreakdownLut) -> PlanBreakdownLut {
-        let grid = self.intern_grid(lut.xs());
-        let ys = self.ys_slab.len() as u32;
-        let [sub, gate, btbt] = lut.columns();
-        for i in 0..lut.xs().len() {
-            self.ys_slab.extend([sub[i], gate[i], btbt[i]]);
-        }
-        PlanBreakdownLut { grid, ys }
-    }
-
-    /// Interns an abscissa grid, deduplicating bit-exact repeats (the
-    /// common case: every table in a library shares one
-    /// characterization grid).
-    fn intern_grid(&mut self, xs: &[f64]) -> u32 {
-        let same = |g: &&PlanGrid| {
-            let gx = &self.xs_slab[g.xs_off as usize..(g.xs_off + g.len) as usize];
-            gx.len() == xs.len() && gx.iter().zip(xs).all(|(a, b)| a.to_bits() == b.to_bits())
-        };
-        if let Some(i) = self.grids.iter().position(|g| same(&g)) {
-            return i as u32;
-        }
-        let xs_off = self.xs_slab.len() as u32;
-        self.xs_slab.extend_from_slice(xs);
-        self.grids.push(PlanGrid::describe(xs, xs_off));
-        (self.grids.len() - 1) as u32
-    }
-
-    /// The knot slice backing one interned grid.
-    #[inline]
-    fn grid_xs(&self, g: PlanGrid) -> &[f64] {
-        &self.xs_slab[g.xs_off as usize..(g.xs_off + g.len) as usize]
     }
 
     /// The circuit this plan was compiled for.
@@ -1668,29 +1542,22 @@ impl<'a> CompiledEstimator<'a> {
         } else {
             0.0
         };
-        (il, self.blut_eval(self.luts[vc.lut_off as usize + pin], il))
+        (il, self.blut_eval(vc.ys_off as usize + pin * self.table_len, il))
     }
 
-    /// Evaluates one compiled breakdown table at loading magnitude
-    /// `x`: one segment lookup shared across the three components, and
-    /// two adjacent ordinate triples. The arithmetic is
-    /// `BreakdownLut::eval`'s, verbatim.
+    /// Evaluates the response table whose ordinates start at `ys` in
+    /// `ys_slab` at loading magnitude `x`: one [`LoadingGrid::locate`]
+    /// shared across the three components, and two adjacent ordinate
+    /// triples. The arithmetic is `BreakdownLut::eval`'s, verbatim.
     #[inline]
-    fn blut_eval(&self, lut: PlanBreakdownLut, x: f64) -> LeakageBreakdown {
-        let grid = self.grids[lut.grid as usize];
-        let xs = self.grid_xs(grid);
-        let ys = lut.ys as usize;
-        match locate(xs, grid.inv_step, x) {
-            Seg::Knot(i) => {
+    fn blut_eval(&self, ys: usize, x: f64) -> LeakageBreakdown {
+        match self.grid.locate(x) {
+            Locus::Knot(i) => {
                 let t = &self.ys_slab[ys + 3 * i..ys + 3 * i + 3];
                 LeakageBreakdown { sub: t[0], gate: t[1], btbt: t[2] }
             }
-            Seg::Interp(s) => {
-                let (x0, x1) = (xs[s], xs[s + 1]);
+            Locus::Segment(s, d) => {
                 let t = &self.ys_slab[ys + 3 * s..ys + 3 * s + 6];
-                // One division for all three components, as in
-                // `BreakdownLut::eval`.
-                let d = (x - x0) / (x1 - x0);
                 LeakageBreakdown {
                     sub: t[0] + d * (t[3] - t[0]),
                     gate: t[1] + d * (t[4] - t[1]),
@@ -2162,42 +2029,6 @@ mod tests {
         assert_eq!(resolve_lanes(1), 1);
         assert_eq!(resolve_lanes(LANES), LANES);
         assert!(std::panic::catch_unwind(|| resolve_lanes(2)).is_err());
-    }
-
-    #[test]
-    fn uniform_segment_index_agrees_with_binary_search_everywhere() {
-        // Drive locate through knots, midpoints, boundaries, below,
-        // beyond, and NaN on a grid laid out exactly like
-        // `CharacterizeOptions::grid`.
-        let n = 11;
-        let max = 7.0e-6;
-        let xs: Vec<f64> = (0..n).map(|i| max * i as f64 / (n - 1) as f64).collect();
-        let grid = PlanGrid::describe(&xs, 0);
-        assert!(!grid.inv_step.is_nan(), "grid() layout must be detected uniform");
-        let mut probes: Vec<f64> = vec![-1.0, -1e-12, 0.0, 1e-9, max, max + 1e-7, 1e-3, f64::NAN];
-        for w in xs.windows(2) {
-            probes.push(w[0]);
-            probes.push((w[0] + w[1]) / 2.0);
-            probes.push(f64::midpoint(w[0], w[1]).next_up());
-            probes.push(w[1].next_down());
-        }
-        for &x in &probes {
-            let a = locate_uniform(&xs, grid.inv_step, x);
-            let b = locate_binary(&xs, x);
-            let key = |s: &Seg| match *s {
-                Seg::Knot(i) => (0, i),
-                Seg::Interp(i) => (1, i),
-            };
-            assert_eq!(key(&a), key(&b), "x = {x:e}");
-        }
-    }
-
-    #[test]
-    fn irregular_grids_fall_back_to_binary_search() {
-        let g = PlanGrid::describe(&[0.0, 1.0, 10.0, 11.0], 0);
-        assert!(g.inv_step.is_nan(), "non-uniform grid must not take the arithmetic path");
-        let g = PlanGrid::describe(&[1.0, 2.0, 3.0], 0);
-        assert!(g.inv_step.is_nan(), "grids not anchored at zero are not uniform");
     }
 
     proptest! {

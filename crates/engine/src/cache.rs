@@ -17,21 +17,23 @@
 //! | 8 | payload checksum, u64 LE (FNV-1a) |
 //! | n | payload: the `CellLibrary` in vendored-serde binary encoding |
 //!
-//! Format version 2 stores each loading-response table as one grid
-//! plus its `sub`, `gate` and `btbt` delta columns. The version is part
-//! of the file name, so a cache directory written under another
-//! version characterizes once and then hits again.
+//! Format version 3 stores each loading-response table as its `sub`,
+//! `gate` and `btbt` delta columns only: the grid they are sampled on
+//! is the library's ([`CellLibrary::grid`]), derived from the stored
+//! options, so no file holds a copy of it. The version is part of the
+//! file name, so a cache directory written under another version
+//! characterizes once and then hits again.
 //!
 //! Any mismatch — magic, version, key, length, checksum, decode
 //! failure, a decoded library whose (tech, temp, options) differ from
 //! the request (a key collision), or one that fails
-//! [`CellLibrary::is_well_formed`] (a table with too few knots or a
-//! short column, say: decoding bypasses the table constructor) — is
-//! treated as a stale entry: the library is re-characterized and the
-//! file overwritten. So a cache file never reaches the estimator
-//! unchecked. Changing the characterization options changes the key
-//! and therefore the file name, so old entries can never shadow new
-//! requests.
+//! [`CellLibrary::is_well_formed`] (a column whose length is not the
+//! grid's knot count, or a missing requested cell, say: decoding
+//! bypasses the constructors) — is treated as a stale entry: the
+//! library is re-characterized and the file overwritten. So a cache
+//! file never reaches the estimator unchecked. Changing the
+//! characterization options changes the key and therefore the file
+//! name, so old entries can never shadow new requests.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -132,7 +134,7 @@ pub(crate) fn delta_metrics() -> &'static DeltaMetrics {
 
 /// Bump when the header layout or the serialized library shape
 /// changes; old files then re-characterize instead of mis-decoding.
-pub const CACHE_FORMAT_VERSION: u32 = 2;
+pub const CACHE_FORMAT_VERSION: u32 = 3;
 
 const MAGIC: &[u8; 4] = b"NLKC";
 const HEADER_LEN: usize = 4 + 4 + 8 + 8 + 8;
@@ -743,12 +745,11 @@ mod tests {
     }
 
     /// Cuts the first response table in `v` (a record whose fields are
-    /// `xs`, `sub`, `gate`, `btbt`) to one knot; `false` if none is
-    /// found.
+    /// `sub`, `gate`, `btbt`) to one knot; `false` if none is found.
     fn cut_first_table(v: &mut serde::Value) -> bool {
         use serde::Value;
         match v {
-            Value::Record(fields) if fields.first().is_some_and(|(name, _)| name == "xs") => {
+            Value::Record(fields) if fields.first().is_some_and(|(name, _)| name == "sub") => {
                 for (_, column) in fields.iter_mut() {
                     let Value::Seq(items) = column else { return false };
                     items.truncate(1);
@@ -763,33 +764,50 @@ mod tests {
         }
     }
 
+    /// Removes every entry of the library's `cells` map in `v`; `false`
+    /// if the map is missing or empty.
+    fn drop_cells(v: &mut serde::Value) -> bool {
+        use serde::Value;
+        let Value::Record(fields) = v else { return false };
+        let Some((_, Value::Map(cells))) = fields.iter_mut().find(|(name, _)| name == "cells")
+        else {
+            return false;
+        };
+        let had = !cells.is_empty();
+        cells.clear();
+        had
+    }
+
     #[test]
     fn decoded_libraries_are_checked_before_use() {
-        // A payload that decodes and carries a valid checksum, but
-        // whose first table has one knot: the estimator would index
-        // past it, so the entry must read as stale.
+        // Payloads that decode and carry a valid checksum, but hold a
+        // table column cut to one knot (the estimator would index past
+        // it) or lack a requested cell (the estimator would report it
+        // missing): each entry must read as stale.
         let tech = Technology::d25();
         let cache = LibraryCache::new(temp_dir("tampered"));
-        let (_, outcome) = cache.load_or_characterize(&tech, 300.0, &opts()).unwrap();
-        assert_eq!(outcome, CacheOutcome::Miss);
-        let path = cache.path_for(&tech, 300.0, &opts());
-        let bytes = std::fs::read(&path).unwrap();
-        let mut value = serde::value_from_bytes(&bytes[HEADER_LEN..]).unwrap();
-        assert!(cut_first_table(&mut value), "the library holds a table");
-        let payload = serde::value_to_bytes(&value);
-        let decoded: CellLibrary = serde::from_bytes(&payload).unwrap();
-        assert!(!decoded.is_well_formed(), "the tampered library decodes but is malformed");
-        let mut tampered = bytes[..16].to_vec();
-        tampered.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        tampered.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-        tampered.extend_from_slice(&payload);
-        std::fs::write(&path, &tampered).unwrap();
+        let tampers: [fn(&mut serde::Value) -> bool; 2] = [cut_first_table, drop_cells];
+        for tamper in tampers {
+            cache.load_or_characterize(&tech, 300.0, &opts()).unwrap();
+            let path = cache.path_for(&tech, 300.0, &opts());
+            let bytes = std::fs::read(&path).unwrap();
+            let mut value = serde::value_from_bytes(&bytes[HEADER_LEN..]).unwrap();
+            assert!(tamper(&mut value), "the library holds what the tamper edits");
+            let payload = serde::value_to_bytes(&value);
+            let decoded: CellLibrary = serde::from_bytes(&payload).unwrap();
+            assert!(!decoded.is_well_formed(), "the tampered library decodes but is malformed");
+            let mut tampered = bytes[..16].to_vec();
+            tampered.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+            tampered.extend_from_slice(&fnv1a(&payload).to_le_bytes());
+            tampered.extend_from_slice(&payload);
+            std::fs::write(&path, &tampered).unwrap();
 
-        let (lib, outcome) = cache.load_or_characterize(&tech, 300.0, &opts()).unwrap();
-        assert_eq!(outcome, CacheOutcome::Invalidated);
-        assert_eq!(*lib, CellLibrary::characterize(&tech, 300.0, &opts()).unwrap());
-        let (_, outcome) = cache.load_or_characterize(&tech, 300.0, &opts()).unwrap();
-        assert_eq!(outcome, CacheOutcome::Hit, "the replacement file is valid again");
+            let (lib, outcome) = cache.load_or_characterize(&tech, 300.0, &opts()).unwrap();
+            assert_eq!(outcome, CacheOutcome::Invalidated);
+            assert_eq!(*lib, CellLibrary::characterize(&tech, 300.0, &opts()).unwrap());
+            let (_, outcome) = cache.load_or_characterize(&tech, 300.0, &opts()).unwrap();
+            assert_eq!(outcome, CacheOutcome::Hit, "the replacement file is valid again");
+        }
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 

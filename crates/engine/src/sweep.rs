@@ -29,15 +29,14 @@ use std::time::Instant;
 
 use nanoleak_cells::CellLibrary;
 use nanoleak_core::{
-    pack_index_block, par_blocks, resolve_lanes, CompiledEstimator, EstimateError, EstimatorMode,
-    Stats,
+    fill_index_pattern, pack_index_block, par_blocks, resolve_lanes, CompiledEstimator,
+    EstimateError, EstimatorMode, Stats,
 };
 use nanoleak_device::LeakageBreakdown;
 use nanoleak_netlist::{Circuit, Pattern};
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-use nanoleak_core::exec::{mix, worker_count};
+use nanoleak_core::exec::worker_count;
 
 /// Process-wide sweep telemetry (latency histograms only — never on
 /// the per-pattern path, which stays zero-allocation).
@@ -95,11 +94,13 @@ impl Default for SweepConfig {
     }
 }
 
-/// The pattern the sweep evaluates at `index` (public so callers can
-/// reproduce any sweep sample exactly).
+/// The pattern the sweep evaluates at `index`
+/// ([`fill_index_pattern`]; public so callers can reproduce any sweep
+/// sample exactly).
 pub fn pattern_for_index(circuit: &Circuit, seed: u64, index: usize) -> Pattern {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(mix(seed, index as u64));
-    Pattern::random(circuit, &mut rng)
+    let mut pattern = Pattern::default();
+    fill_index_pattern(circuit, seed, index, &mut pattern);
+    pattern
 }
 
 /// An extreme point of the swept input space.
