@@ -106,8 +106,9 @@ impl CellLibrary {
     }
 
     /// A process-wide shared library for `tech` at `temp` with default
-    /// options, characterized on first use. Characterization takes a
-    /// few seconds for the full family; sharing avoids re-running it in
+    /// options, characterized on first use. Characterizing the full
+    /// family takes about 0.32–0.44 s in a release build (2-vCPU VM),
+    /// and far longer in a debug one; sharing avoids re-running it in
     /// every test or benchmark.
     pub fn shared(tech: &Technology, temp: f64) -> Arc<CellLibrary> {
         Self::shared_with_options(tech, temp, &CharacterizeOptions::default())

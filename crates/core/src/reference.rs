@@ -6,12 +6,15 @@
 //! sweeps the nets in topological order, solving each net's scalar KCL
 //! with a damped Newton update:
 //!
-//! * the net's **driver** contributes its output current, obtained by
-//!   re-solving the driver cell's internal (stack) nodes with the
-//!   candidate output voltage pinned;
+//! * the net's **driver** contributes its output current. Each cell
+//!   type is the netlist [`add_cell`] builds, with its inputs and its
+//!   output as fixed nodes; the driver's stack solve pins them at the
+//!   candidate voltages ([`MosNetlist::fix`]) and runs [`solve_dc`]
+//!   on the stack nodes, warm-started from the gate's stored ones;
 //! * every **fanout pin** contributes its gate-tunneling current,
-//!   evaluated against the fanout cell's stored internal state (which
-//!   is refreshed each sweep when that cell is visited as a driver).
+//!   evaluated over the fanout cell's devices at its stored stack
+//!   nodes (refreshed each sweep when that cell is visited as a
+//!   driver).
 //!
 //! Unlike the Fig. 13 estimator, nothing is truncated: loading
 //! propagates through as many levels as the physics carries it, which
@@ -20,11 +23,11 @@
 
 use std::collections::HashMap;
 
-use nanoleak_cells::{add_cell, CellType};
-use nanoleak_device::{Bias, LeakageBreakdown, Technology, Transistor};
+use nanoleak_cells::{add_cell, CellPins, CellType};
+use nanoleak_device::{LeakageBreakdown, Technology};
 use nanoleak_netlist::logic::simulate;
-use nanoleak_netlist::{Circuit, GateId, Pattern};
-use nanoleak_solver::{newton, MosNetlist, NewtonOptions, SolverError};
+use nanoleak_netlist::{Circuit, Gate, Pattern};
+use nanoleak_solver::{solve_dc, MosNetlist, NewtonOptions, NodeId, SolverError};
 
 use crate::error::EstimateError;
 use crate::exec::par_map;
@@ -62,194 +65,85 @@ pub struct ReferenceResult {
     pub net_voltages: Vec<f64>,
 }
 
-/// Where a cell-model device terminal connects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum NodeRef {
-    Vdd,
-    Gnd,
-    In(usize),
-    Out,
-    Internal(usize),
-}
-
-#[derive(Debug, Clone)]
-struct ModelDevice {
-    t: Transistor,
-    d: NodeRef,
-    g: NodeRef,
-    s: NodeRef,
-    b: NodeRef,
-}
-
-/// A standard cell lowered to a flat device list with symbolic node
-/// references — evaluated directly against net/internal voltages.
-#[derive(Debug, Clone)]
+/// A standard cell as [`add_cell`] builds it, with its inputs and its
+/// output as fixed nodes, so that only its stack nodes float. A gate's
+/// state is a voltage for every node of its cell's netlist.
 struct CellModel {
-    devices: Vec<ModelDevice>,
-    internals_init: Vec<f64>,
+    netlist: MosNetlist,
+    pins: CellPins,
+    /// The rails at their voltages and the stack nodes at their
+    /// suggested points.
+    start: Vec<f64>,
 }
 
 impl CellModel {
     fn build(tech: &Technology, cell: CellType) -> Self {
-        let mut nl = MosNetlist::new();
-        let vdd = nl.add_fixed_node("vdd", tech.vdd);
-        let gnd = nl.add_fixed_node("gnd", 0.0);
-        let ins: Vec<_> =
-            (0..cell.num_inputs()).map(|i| nl.add_fixed_node(&format!("in{i}"), 0.0)).collect();
-        let out = nl.add_node("out");
-        let pins = add_cell(&mut nl, tech, cell, &ins, out, vdd, gnd, "m");
-        let classify = |n: nanoleak_solver::NodeId| -> NodeRef {
-            if n == vdd {
-                NodeRef::Vdd
-            } else if n == gnd {
-                NodeRef::Gnd
-            } else if n == out {
-                NodeRef::Out
-            } else if let Some(k) = ins.iter().position(|&i| i == n) {
-                NodeRef::In(k)
-            } else {
-                let k = pins
-                    .internals
-                    .iter()
-                    .position(|&(i, _)| i == n)
-                    .expect("node must be an internal");
-                NodeRef::Internal(k)
-            }
-        };
-        let devices = nl
-            .devices()
-            .iter()
-            .map(|d| ModelDevice {
-                t: d.transistor,
-                d: classify(d.d),
-                g: classify(d.g),
-                s: classify(d.s),
-                b: classify(d.b),
-            })
+        let mut netlist = MosNetlist::new();
+        let vdd = netlist.add_fixed_node("vdd", tech.vdd);
+        let gnd = netlist.add_fixed_node("gnd", 0.0);
+        let ins: Vec<_> = (0..cell.num_inputs())
+            .map(|i| netlist.add_fixed_node(&format!("in{i}"), 0.0))
             .collect();
-        Self { devices, internals_init: pins.internals.iter().map(|&(_, v)| v).collect() }
-    }
-
-    #[inline]
-    fn resolve(r: NodeRef, vdd: f64, vin: &[f64], vout: f64, internals: &[f64]) -> f64 {
-        match r {
-            NodeRef::Vdd => vdd,
-            NodeRef::Gnd => 0.0,
-            NodeRef::In(k) => vin[k],
-            NodeRef::Out => vout,
-            NodeRef::Internal(k) => internals[k],
+        let out = netlist.add_fixed_node("out", 0.0);
+        let pins = add_cell(&mut netlist, tech, cell, &ins, out, vdd, gnd, "m");
+        let mut start: Vec<f64> = (0..netlist.node_count())
+            .map(|i| netlist.fixed_voltage(NodeId(i)).unwrap_or(0.0))
+            .collect();
+        for &(node, v) in &pins.internals {
+            start[node.0] = v;
         }
+        Self { netlist, pins, start }
     }
 
-    /// Solves the internal stack nodes for pinned pins; `internals` is
-    /// both the warm start and the output.
-    fn solve_internals(
-        &self,
-        vdd: f64,
-        temp: f64,
-        vin: &[f64],
-        vout: f64,
-        internals: &mut [f64],
-    ) -> Result<(), SolverError> {
-        if internals.is_empty() {
-            return Ok(());
+    /// `state` with the cell's pins moved to the voltages of the nets
+    /// `gate` wires them to.
+    fn at_nets(&self, state: &[f64], gate: &Gate, net_v: &[f64]) -> Vec<f64> {
+        let mut v = state.to_vec();
+        for (node, net) in self.pins.inputs.iter().zip(&gate.inputs) {
+            v[node.0] = net_v[net.0];
         }
-        let residual = |x: &[f64], f: &mut [f64]| {
-            f.iter_mut().for_each(|v| *v = 0.0);
-            for dev in &self.devices {
-                let bias = Bias::new(
-                    Self::resolve(dev.g, vdd, vin, vout, x),
-                    Self::resolve(dev.d, vdd, vin, vout, x),
-                    Self::resolve(dev.s, vdd, vin, vout, x),
-                    Self::resolve(dev.b, vdd, vin, vout, x),
-                );
-                let tc = dev.t.terminal_currents(bias, temp);
-                for (node, i) in [(dev.d, tc.d), (dev.g, tc.g), (dev.s, tc.s), (dev.b, tc.b)] {
-                    if let NodeRef::Internal(k) = node {
-                        f[k] += i;
-                    }
-                }
-            }
-        };
-        newton::solve(residual, internals, &NewtonOptions::default())?;
-        Ok(())
+        v[self.pins.output.0] = net_v[gate.output.0];
+        v
     }
 
-    /// Current flowing from the output node into the cell \[A\].
-    fn output_current(
-        &self,
-        vdd: f64,
-        temp: f64,
-        vin: &[f64],
-        vout: f64,
-        internals: &[f64],
-    ) -> f64 {
+    /// Drives the output to `vout` with the inputs where `state` holds
+    /// them: solves the stack nodes from `state`'s, writes the solution
+    /// into `state` and returns the current from the output node into
+    /// the cell \[A\].
+    fn drive(&mut self, temp: f64, vout: f64, state: &mut Vec<f64>) -> Result<f64, SolverError> {
+        state[self.pins.output.0] = vout;
+        for &node in self.pins.inputs.iter().chain([&self.pins.output]) {
+            self.netlist.fix(node, state[node.0]);
+        }
+        let sol = solve_dc(&self.netlist, temp, Some(state), &NewtonOptions::default())?;
+        let current = sol.node_device_current(&self.netlist, self.pins.output);
+        *state = sol.voltages;
+        Ok(current)
+    }
+
+    /// Gate current from input node `pin` into the devices it gates,
+    /// with the nodes at `v` \[A\].
+    fn pin_current(&self, temp: f64, pin: NodeId, v: &[f64]) -> f64 {
         let mut total = 0.0;
-        for dev in &self.devices {
-            let bias = Bias::new(
-                Self::resolve(dev.g, vdd, vin, vout, internals),
-                Self::resolve(dev.d, vdd, vin, vout, internals),
-                Self::resolve(dev.s, vdd, vin, vout, internals),
-                Self::resolve(dev.b, vdd, vin, vout, internals),
-            );
-            let tc = dev.t.terminal_currents(bias, temp);
-            for (node, i) in [(dev.d, tc.d), (dev.g, tc.g), (dev.s, tc.s), (dev.b, tc.b)] {
-                if node == NodeRef::Out {
-                    total += i;
-                }
-            }
+        for dev in self.netlist.devices().iter().filter(|d| d.g == pin) {
+            total += dev.transistor.terminal_currents(dev.bias_at(v), temp).g;
         }
         total
     }
 
-    /// Gate-pin current from the net into devices gated by `pin` \[A\].
-    fn pin_current(
-        &self,
-        vdd: f64,
-        temp: f64,
-        vin: &[f64],
-        vout: f64,
-        internals: &[f64],
-        pin: usize,
-    ) -> f64 {
-        let mut total = 0.0;
-        for dev in &self.devices {
-            if dev.g != NodeRef::In(pin) {
-                continue;
-            }
-            let bias = Bias::new(
-                vin[pin],
-                Self::resolve(dev.d, vdd, vin, vout, internals),
-                Self::resolve(dev.s, vdd, vin, vout, internals),
-                Self::resolve(dev.b, vdd, vin, vout, internals),
-            );
-            total += dev.t.terminal_currents(bias, temp).g;
-        }
-        total
-    }
-
-    /// Leakage breakdown of the whole cell.
-    fn breakdown(
-        &self,
-        vdd: f64,
-        temp: f64,
-        vin: &[f64],
-        vout: f64,
-        internals: &[f64],
-    ) -> LeakageBreakdown {
+    /// Leakage breakdown of the whole cell with the nodes at `v`.
+    fn breakdown(&self, temp: f64, v: &[f64]) -> LeakageBreakdown {
         let mut total = LeakageBreakdown::ZERO;
-        for dev in &self.devices {
-            let bias = Bias::new(
-                Self::resolve(dev.g, vdd, vin, vout, internals),
-                Self::resolve(dev.d, vdd, vin, vout, internals),
-                Self::resolve(dev.s, vdd, vin, vout, internals),
-                Self::resolve(dev.b, vdd, vin, vout, internals),
-            );
-            total += dev.t.leakage(bias, temp).1;
+        for dev in self.netlist.devices() {
+            total += dev.transistor.leakage(dev.bias_at(v), temp).1;
         }
         total
     }
 }
+
+/// A fanout pin on the net being solved: the load's cell type, the
+/// pin's node in that cell, and the load's state.
+type Load = (CellType, NodeId, Vec<f64>);
 
 /// Solves the full circuit and reports leakage.
 ///
@@ -277,16 +171,12 @@ pub fn reference_leakage(
         models.entry(gate.cell).or_insert_with(|| CellModel::build(tech, gate.cell));
     }
 
-    // Initial state: every net at its logic rail; internals at their
+    // Initial state: every net at its logic rail; stack nodes at their
     // suggested points.
     let mut net_v: Vec<f64> =
         (0..circuit.net_count()).map(|i| if values[i] { vdd } else { 0.0 }).collect();
-    let mut internals: Vec<Vec<f64>> =
-        circuit.gates().iter().map(|g| models[&g.cell].internals_init.clone()).collect();
-
-    let gate_vin = |circuit: &Circuit, gid: GateId, net_v: &[f64]| -> Vec<f64> {
-        circuit.gate(gid).inputs.iter().map(|n| net_v[n.0]).collect()
-    };
+    let mut states: Vec<Vec<f64>> =
+        circuit.gates().iter().map(|g| models[&g.cell].start.clone()).collect();
 
     let mut sweeps = 0;
     let mut final_dv = f64::INFINITY;
@@ -294,55 +184,33 @@ pub fn reference_leakage(
         sweeps = sweep + 1;
         let mut max_dv = 0.0_f64;
         for &gid in circuit.topo_order() {
-            let out_net = circuit.gate(gid).output;
-            let v0 = net_v[out_net.0];
-            let vin_driver = gate_vin(circuit, gid, &net_v);
-            let driver_model = &models[&circuit.gate(gid).cell];
+            let gate = circuit.gate(gid);
+            let v0 = net_v[gate.output.0];
+            let mut state = models[&gate.cell].at_nets(&states[gid.0], gate, &net_v);
 
             // Residual: current from the net into the driver plus into
             // every fanout pin. Fanout internal states are the stored
             // ones (refreshed when those gates drive their own nets).
-            let mut loads_ctx: Vec<(GateId, usize, Vec<f64>, f64)> = Vec::new();
-            for load in circuit.net_loads(out_net) {
-                let lg = circuit.gate(load.gate);
-                let vin_load = gate_vin(circuit, load.gate, &net_v);
-                loads_ctx.push((load.gate, load.pin, vin_load, net_v[lg.output.0]));
-            }
+            let mut loads: Vec<Load> = circuit
+                .net_loads(gate.output)
+                .iter()
+                .map(|load| {
+                    let lg = circuit.gate(load.gate);
+                    let m = &models[&lg.cell];
+                    (lg.cell, m.pins.inputs[load.pin], m.at_nets(&states[load.gate.0], lg, &net_v))
+                })
+                .collect();
 
             let mut v = v0;
-            let mut scratch = internals[gid.0].clone();
             for _ in 0..opts.net_iters {
-                let r = eval_net_residual(
-                    circuit,
-                    &models,
-                    driver_model,
-                    gid,
-                    &vin_driver,
-                    v,
-                    &mut scratch,
-                    &loads_ctx,
-                    &internals,
-                    vdd,
-                    temp,
-                )?;
+                let r = net_residual(&mut models, temp, gate.cell, v, &mut state, &mut loads)?;
                 if r.abs() < 1e-14 {
                     break;
                 }
                 let dh = 2e-5;
-                let mut scratch2 = scratch.clone();
-                let r2 = eval_net_residual(
-                    circuit,
-                    &models,
-                    driver_model,
-                    gid,
-                    &vin_driver,
-                    v + dh,
-                    &mut scratch2,
-                    &loads_ctx,
-                    &internals,
-                    vdd,
-                    temp,
-                )?;
+                let mut state2 = state.clone();
+                let r2 =
+                    net_residual(&mut models, temp, gate.cell, v + dh, &mut state2, &mut loads)?;
                 let g = (r2 - r) / dh;
                 if g.abs().partial_cmp(&1e-18) != Some(std::cmp::Ordering::Greater) {
                     break;
@@ -355,9 +223,10 @@ pub fn reference_leakage(
             }
             // Refresh the driver's internal state at the accepted
             // voltage.
-            driver_model.solve_internals(vdd, temp, &vin_driver, v, &mut scratch)?;
-            internals[gid.0] = scratch;
-            net_v[out_net.0] = v;
+            let driver = models.get_mut(&gate.cell).expect("every cell has a model");
+            driver.drive(temp, v, &mut state)?;
+            states[gid.0] = state;
+            net_v[gate.output.0] = v;
             max_dv = max_dv.max((v - v0).abs());
         }
         final_dv = max_dv;
@@ -367,13 +236,15 @@ pub fn reference_leakage(
     }
 
     // Accounting pass at the converged state.
-    let mut per_gate = vec![LeakageBreakdown::ZERO; circuit.gate_count()];
-    for &gid in circuit.topo_order() {
-        let gate = circuit.gate(gid);
-        let vin = gate_vin(circuit, gid, &net_v);
-        let model = &models[&gate.cell];
-        per_gate[gid.0] = model.breakdown(vdd, temp, &vin, net_v[gate.output.0], &internals[gid.0]);
-    }
+    let per_gate = circuit
+        .gates()
+        .iter()
+        .zip(&states)
+        .map(|(gate, state)| {
+            let model = &models[&gate.cell];
+            model.breakdown(temp, &model.at_nets(state, gate, &net_v))
+        })
+        .collect();
 
     Ok(ReferenceResult {
         leakage: CircuitLeakage::from_gates(per_gate),
@@ -384,28 +255,21 @@ pub fn reference_leakage(
 }
 
 /// KCL residual at a candidate net voltage `v` (current *out of* the
-/// net into all attached devices).
-#[allow(clippy::too_many_arguments)]
-fn eval_net_residual(
-    circuit: &Circuit,
-    models: &HashMap<CellType, CellModel>,
-    driver_model: &CellModel,
-    _driver: GateId,
-    vin_driver: &[f64],
-    v: f64,
-    driver_internals: &mut [f64],
-    loads_ctx: &[(GateId, usize, Vec<f64>, f64)],
-    internals: &[Vec<f64>],
-    vdd: f64,
+/// net into all attached devices). The driver, a `cell` in `driver`'s
+/// state, is driven to `v` ([`CellModel::drive`]).
+fn net_residual(
+    models: &mut HashMap<CellType, CellModel>,
     temp: f64,
+    cell: CellType,
+    v: f64,
+    driver: &mut Vec<f64>,
+    loads: &mut [Load],
 ) -> Result<f64, SolverError> {
-    driver_model.solve_internals(vdd, temp, vin_driver, v, driver_internals)?;
-    let mut total = driver_model.output_current(vdd, temp, vin_driver, v, driver_internals);
-    for (lgid, pin, vin_load, vout_load) in loads_ctx {
-        let model = &models[&circuit.gate(*lgid).cell];
-        let mut vin = vin_load.clone();
-        vin[*pin] = v;
-        total += model.pin_current(vdd, temp, &vin, *vout_load, &internals[lgid.0], *pin);
+    let mut total =
+        models.get_mut(&cell).expect("every cell has a model").drive(temp, v, driver)?;
+    for (cell, pin, state) in loads.iter_mut() {
+        state[pin.0] = v;
+        total += models[cell].pin_current(temp, *pin, state);
     }
     Ok(total)
 }

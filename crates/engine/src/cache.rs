@@ -1,10 +1,13 @@
 //! Persistent characterization cache.
 //!
 //! Characterizing the full cell family at default resolution costs
-//! seconds of solver time per (technology, temperature, options)
-//! triple, and every CLI or bench invocation used to pay it again.
+//! about 0.32–0.44 s of solver time per (technology, temperature,
+//! options) triple, and the coarse grid about 0.1 s (release build,
+//! 2-vCPU VM); every CLI or bench invocation used to pay it again.
 //! [`LibraryCache`] serializes the characterized [`CellLibrary`] to
-//! disk so later runs (including across processes) skip the solve.
+//! disk so later runs (including across processes) skip the solve:
+//! with a warm `.nlc` hit, `estimate s838 --vectors 20` runs end to end
+//! in 4–5 ms.
 //!
 //! ## File format (`*.nlc`)
 //!

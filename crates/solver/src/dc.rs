@@ -6,10 +6,10 @@
 //! this *is* the SPICE run: there are no time constants, only the
 //! nonlinear DC equilibrium.
 
-use nanoleak_device::{Bias, LeakageBreakdown, TerminalCurrents};
+use nanoleak_device::{LeakageBreakdown, TerminalCurrents};
 
 use crate::error::SolverError;
-use crate::netlist::{Device, MosNetlist, NodeId};
+use crate::netlist::{MosNetlist, NodeId};
 use crate::newton::{self, NewtonOptions, NewtonStats};
 
 /// A converged operating point with its leakage accounting.
@@ -79,15 +79,11 @@ fn evaluate_devices(
     let mut currents = Vec::with_capacity(netlist.device_count());
     let mut breakdowns = Vec::with_capacity(netlist.device_count());
     for dev in netlist.devices() {
-        let (tc, bd) = dev.transistor.leakage(bias_at(dev, voltages), temp);
+        let (tc, bd) = dev.transistor.leakage(dev.bias_at(voltages), temp);
         currents.push(tc);
         breakdowns.push(bd);
     }
     (currents, breakdowns)
-}
-
-fn bias_at(dev: &Device, voltages: &[f64]) -> Bias {
-    Bias::new(voltages[dev.g.0], voltages[dev.d.0], voltages[dev.s.0], voltages[dev.b.0])
 }
 
 /// A device's terminal currents in the order the KCL rows sum them:
@@ -177,7 +173,7 @@ impl<'a> KclSystem<'a> {
 
     fn currents(&self, dev: usize) -> [f64; 4] {
         let dev = &self.netlist.devices()[dev];
-        stamp(&dev.transistor.terminal_currents(bias_at(dev, &self.voltages), self.temp))
+        stamp(&dev.transistor.terminal_currents(dev.bias_at(&self.voltages), self.temp))
     }
 
     /// Row `slot` of the residual over the given device currents.
@@ -540,7 +536,7 @@ mod tests {
             }
             f.iter_mut().for_each(|fi| *fi = 0.0);
             for dev in nl.devices() {
-                let tc = dev.transistor.terminal_currents(bias_at(dev, &v), temp);
+                let tc = dev.transistor.terminal_currents(dev.bias_at(&v), temp);
                 for (node, i) in [(dev.d, tc.d), (dev.g, tc.g), (dev.s, tc.s), (dev.b, tc.b)] {
                     if let Some(k) = unknowns.iter().position(|u| *u == node) {
                         f[k] += i;
@@ -635,6 +631,41 @@ mod tests {
         (nl, out, mid)
     }
 
+    /// A three-input NAND (`nand`) or NOR as the reference simulator
+    /// solves a driver: inputs and output pinned, so only the series
+    /// stack's two nodes float. Devices come in the cells' order: the
+    /// series stack from the output out to its rail, then the parallel
+    /// devices.
+    fn stack3(nand: bool, levels: [bool; 3], vout: f64) -> MosNetlist {
+        let tech = Technology::d25();
+        let mut nl = MosNetlist::new();
+        let vdd = nl.add_fixed_node("vdd", tech.vdd);
+        let gnd = nl.add_fixed_node("gnd", 0.0);
+        let pins: Vec<NodeId> = levels
+            .iter()
+            .enumerate()
+            .map(|(i, &l)| nl.add_fixed_node(&format!("in{i}"), if l { tech.vdd } else { 0.0 }))
+            .collect();
+        let out = nl.add_fixed_node("out", vout);
+        let n = Transistor::from_design(&tech.nmos);
+        let p = Transistor::from_design(&tech.pmos);
+        let (series, parallel, rail, other) = if nand {
+            (n.scaled_width(3.0), p, gnd, vdd)
+        } else {
+            (p.scaled_width(3.0), n, vdd, gnd)
+        };
+        let mut near = out;
+        for (i, &pin) in pins.iter().enumerate() {
+            let far = if i == 2 { rail } else { nl.add_node(&format!("s{}", i + 1)) };
+            nl.add_mos(series, near, pin, far, rail);
+            near = far;
+        }
+        for &pin in &pins {
+            nl.add_mos(parallel, out, pin, other, other);
+        }
+        nl
+    }
+
     /// A PMOS load over a diode-connected NMOS (gate on its drain)
     /// whose bulk is also tied to that drain: one device with three
     /// terminals on one floating node. Its source is a second floating
@@ -666,6 +697,8 @@ mod tests {
             nand4,
             nand4_fixture([true, false, true, true]).0,
             diode_connected(),
+            stack3(true, [false, true, false], 0.896),
+            stack3(false, [true, false, false], 0.003),
         ];
         for (case, nl) in netlists.iter().enumerate() {
             let temp = if case % 2 == 0 { 300.0 } else { 370.0 };
@@ -706,12 +739,20 @@ mod tests {
         let nand2_guess = vec![0.45; nand2.node_count()];
         let diode = diode_connected();
         let diode_guess = vec![0.45; diode.node_count()];
+        // The stacks start away from the cells' suggested points (50 mV
+        // inside the rail).
+        let nand3 = stack3(true, [false, true, false], 0.896);
+        let nand3_guess = vec![0.3; nand3.node_count()];
+        let nor3 = stack3(false, [true, false, false], 0.003);
+        let nor3_guess = vec![0.45; nor3.node_count()];
         let cases = [
             (&inv, &inv_guess),
             (&nand2, &nand2_guess),
             (&nand4, &nand4_guess),
             (&nand4_b, &nand4_b_guess),
             (&diode, &diode_guess),
+            (&nand3, &nand3_guess),
+            (&nor3, &nor3_guess),
         ];
         let opts = NewtonOptions::default();
         for (case, (nl, guess)) in cases.into_iter().enumerate() {

@@ -12,11 +12,15 @@
 //!   linear-algebra crate is available in the offline set);
 //! * [`newton`] — damped Newton–Raphson with a forward-difference
 //!   Jacobian, SPICE-style voltage limiting, and a backtracking line
-//!   search. Its closure form also solves the driver cells' stack
-//!   nodes in `nanoleak-core`'s reference simulator, whose net
-//!   relaxation takes a damped finite-difference Newton step per net;
+//!   search;
 //! * [`netlist`] / [`dc`] — transistor netlists and the operating-point
-//!   solve returning per-device leakage breakdowns.
+//!   solve returning per-device leakage breakdowns. Every
+//!   transistor-level solve runs through its one body ([`solve_dc`],
+//!   or [`solve_dc_traced`] when sensitivities are traced): cell
+//!   characterization, Monte-Carlo dies, and the driver stack solves of
+//!   `nanoleak-core`'s reference simulator, which pins a cell's inputs
+//!   and output with [`MosNetlist::fix`] and lets only its stack nodes
+//!   float.
 //!
 //! ## Example: leakage of an inverter
 //!

@@ -5,7 +5,7 @@
 //! one of these per topology; the characterization sweeps then vary the
 //! node injections (loading currents) and rail values.
 
-use nanoleak_device::Transistor;
+use nanoleak_device::{Bias, Transistor};
 
 /// Index of a circuit node within a [`MosNetlist`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -24,6 +24,14 @@ pub struct Device {
     pub s: NodeId,
     /// Bulk node.
     pub b: NodeId,
+}
+
+impl Device {
+    /// The device's bias when the nodes sit at `voltages` (indexed by
+    /// node) \[V\].
+    pub fn bias_at(&self, voltages: &[f64]) -> Bias {
+        Bias::new(voltages[self.g.0], voltages[self.d.0], voltages[self.s.0], voltages[self.b.0])
+    }
 }
 
 /// A transistor-level circuit for DC leakage analysis.
@@ -80,11 +88,6 @@ impl MosNetlist {
         self.fixed[node.0] = Some(volts);
     }
 
-    /// Releases a pinned node back to unknown.
-    pub fn unfix(&mut self, node: NodeId) {
-        self.fixed[node.0] = None;
-    }
-
     /// Sets the external current injected *into* the node \[A\]
     /// (replaces any previous injection). This is how loading currents
     /// are applied during characterization.
@@ -95,11 +98,6 @@ impl MosNetlist {
     /// The current injected into a node \[A\].
     pub fn injection(&self, node: NodeId) -> f64 {
         self.injections[node.0]
-    }
-
-    /// Clears all injections.
-    pub fn clear_injections(&mut self) {
-        self.injections.iter_mut().for_each(|i| *i = 0.0);
     }
 
     /// Adds a MOSFET; returns its device index.
@@ -137,19 +135,9 @@ impl MosNetlist {
         self.fixed[node.0]
     }
 
-    /// `true` if the node is pinned.
-    pub fn is_fixed(&self, node: NodeId) -> bool {
-        self.fixed[node.0].is_some()
-    }
-
     /// All unknown (floating) nodes, in index order.
     pub fn unknown_nodes(&self) -> Vec<NodeId> {
         (0..self.names.len()).filter(|&i| self.fixed[i].is_none()).map(NodeId).collect()
-    }
-
-    /// Looks a node up by name (linear scan; netlists here are tiny).
-    pub fn find_node(&self, name: &str) -> Option<NodeId> {
-        self.names.iter().position(|n| n == name).map(NodeId)
     }
 }
 
@@ -168,22 +156,20 @@ mod tests {
         let a = nl.add_node("a");
         let b = nl.add_fixed_node("b", 0.9);
         assert_eq!(nl.node_count(), 2);
-        assert!(!nl.is_fixed(a));
-        assert!(nl.is_fixed(b));
+        assert_eq!(nl.fixed_voltage(a), None);
         assert_eq!(nl.fixed_voltage(b), Some(0.9));
         assert_eq!(nl.unknown_nodes(), vec![a]);
-        assert_eq!(nl.find_node("b"), Some(b));
-        assert_eq!(nl.find_node("zz"), None);
     }
 
     #[test]
-    fn fix_and_unfix() {
+    fn fix_pins_and_repins_a_node() {
         let mut nl = MosNetlist::new();
         let a = nl.add_node("a");
         nl.fix(a, 0.45);
         assert_eq!(nl.fixed_voltage(a), Some(0.45));
-        nl.unfix(a);
-        assert!(!nl.is_fixed(a));
+        assert!(nl.unknown_nodes().is_empty());
+        nl.fix(a, 0.9);
+        assert_eq!(nl.fixed_voltage(a), Some(0.9));
     }
 
     #[test]
@@ -192,7 +178,7 @@ mod tests {
         let a = nl.add_node("a");
         nl.set_injection(a, 2e-6);
         assert_eq!(nl.injection(a), 2e-6);
-        nl.clear_injections();
+        nl.set_injection(a, 0.0);
         assert_eq!(nl.injection(a), 0.0);
     }
 

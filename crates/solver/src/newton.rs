@@ -1,12 +1,12 @@
 //! Damped Newton–Raphson for small nonlinear KCL systems.
 //!
 //! The residual is the vector of node-current imbalances; the Jacobian
-//! is formed by forward differences, one column per unknown. Who forms
-//! it depends on the caller: [`solve`] takes a plain residual closure
-//! and sweeps it densely (every column re-evaluates the whole
-//! residual), while the DC solve in [`crate::dc`] hands the iteration
-//! its KCL system, whose columns re-evaluate only the devices on the
-//! perturbed node and reproduce the dense sweep bit for bit. Two
+//! is formed by forward differences, one column per unknown. Every
+//! transistor-level solve runs on one system, the DC solve's KCL
+//! system in [`crate::dc`], whose columns re-evaluate only the devices
+//! on the perturbed node. The tests keep the dense form beside it, a
+//! residual closure whose every column re-evaluates the whole
+//! residual, and the KCL system reproduces it bit for bit. Two
 //! SPICE-style safeguards make the exponential device models
 //! tractable: per-component step limiting (voltages move at most
 //! `max_step` per iteration) and a backtracking line search on the
@@ -91,33 +91,10 @@ pub struct NewtonStats {
     pub residual: f64,
 }
 
-/// Solves `residual(x) = 0`, updating `x` in place.
-///
-/// `residual(x, f)` must write the residual for state `x` into `f`.
-///
-/// # Errors
-/// [`SolverError::NoConvergence`] if the tolerance is not met within
-/// `max_iter` iterations, [`SolverError::SingularMatrix`] if the
-/// Jacobian degenerates, [`SolverError::BadProblem`] for a zero-length
-/// state.
-///
-/// # Examples
-/// ```
-/// // Solve x^2 = 4, y = x (two coupled equations).
-/// let mut x = vec![1.0, 0.0];
-/// let stats = nanoleak_solver::newton::solve(
-///     |x, f| {
-///         f[0] = x[0] * x[0] - 4.0;
-///         f[1] = x[1] - x[0];
-///     },
-///     &mut x,
-///     &nanoleak_solver::NewtonOptions { max_step: 10.0, ..Default::default() },
-/// )?;
-/// assert!((x[0] - 2.0).abs() < 1e-9);
-/// assert!(stats.iterations > 0);
-/// # Ok::<(), nanoleak_solver::SolverError>(())
-/// ```
-pub fn solve<F>(
+/// Solves `residual(x) = 0`, updating `x` in place, with the dense
+/// Jacobian sweep: the reference the KCL system is checked against.
+#[cfg(test)]
+pub(crate) fn solve<F>(
     residual: F,
     x: &mut [f64],
     opts: &NewtonOptions,
@@ -150,18 +127,21 @@ pub(crate) fn column_step(step: f64, xj: f64) -> f64 {
 
 /// A residual closure, differenced densely: every Jacobian column
 /// re-evaluates the whole residual.
+#[cfg(test)]
 struct Dense<F> {
     residual: F,
     x_pert: Vec<f64>,
     f_trial: Vec<f64>,
 }
 
+#[cfg(test)]
 impl<F: Fn(&[f64], &mut [f64])> Dense<F> {
     fn new(residual: F, n: usize) -> Self {
         Self { residual, x_pert: vec![0.0; n], f_trial: vec![0.0; n] }
     }
 }
 
+#[cfg(test)]
 impl<F: Fn(&[f64], &mut [f64])> System for Dense<F> {
     fn residual(&mut self, x: &[f64], f: &mut [f64]) {
         (self.residual)(x, f);
@@ -326,6 +306,23 @@ fn solve_inner<S: System>(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn coupled_square_root_pair() {
+        // x^2 = 4, y = x (two coupled equations).
+        let mut x = vec![1.0, 0.0];
+        let stats = solve(
+            |x, f| {
+                f[0] = x[0] * x[0] - 4.0;
+                f[1] = x[1] - x[0];
+            },
+            &mut x,
+            &NewtonOptions { max_step: 10.0, ..Default::default() },
+        )
+        .unwrap();
+        assert!((x[0] - 2.0).abs() < 1e-9);
+        assert!(stats.iterations > 0);
+    }
 
     #[test]
     fn linear_system_in_one_iteration_family() {
