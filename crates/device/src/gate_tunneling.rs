@@ -21,8 +21,7 @@
 //! which is exponential in `Tox` (Fig. 4b), super-linear in `V`, and
 //! essentially temperature-independent (Fig. 4c).
 
-use crate::consts::thermal_voltage;
-use crate::params::{logistic, MosParams};
+use crate::params::{logistic, BoundParams, MosParams};
 
 /// Signed gate tunneling components of the n-like core model \[A\].
 /// Each value is the current flowing **from the gate into** the named
@@ -81,30 +80,45 @@ pub fn j_signed(p: &MosParams, v: f64) -> f64 {
     }
 }
 
-/// All gate tunneling components at the given n-like node voltages.
-///
-/// `vg`, `vd`, `vs`, `vb` are absolute node voltages; `t` the
-/// temperature \[K\] (only a very weak dependence through the inversion
-/// factor's thermal voltage).
-pub fn components(p: &MosParams, vg: f64, vd: f64, vs: f64, vb: f64, t: f64) -> GateCurrents {
-    let vt = thermal_voltage(t);
+/// All gate tunneling components at the given n-like node voltages
+/// (absolute node voltages). Temperature enters only through the
+/// inversion factor's thermal voltage, a very weak dependence.
+pub fn components(b: &BoundParams, vg: f64, vd: f64, vs: f64, vb: f64) -> GateCurrents {
+    let igc = channel(b, vg, vd, vs, vb);
+    GateCurrents {
+        igcs: 0.5 * igc,
+        igcd: 0.5 * igc,
+        igso: overlap(b, vg, vs),
+        igdo: overlap(b, vg, vd),
+        igb: bulk(b, vg, vb),
+    }
+}
+
+/// Gate-to-channel current `Igc` \[A\], before its even source/drain
+/// split. It reads all four terminals.
+pub fn channel(b: &BoundParams, vg: f64, vd: f64, vs: f64, vb: f64) -> f64 {
+    let p = b.p;
     // Channel tunneling requires an inverted channel: smooth inversion
     // factor keyed to vth at the source end.
     let vgs = vg - vs;
     let vds_abs = (vd - vs).abs();
-    let vth = p.vth_eff(vds_abs, (vs - vb).max(0.0), t);
-    let f_inv = logistic((vgs - vth) / (3.0 * p.m * vt));
+    let vth = b.vth_eff(vds_abs, (vs - vb).max(0.0));
+    let f_inv = logistic((vgs - vth) / b.mvt3);
     // When ON, vds ~ 0 and the channel sits near the source potential;
     // reference the oxide voltage to the channel midpoint for symmetry.
     let v_ch = 0.5 * (vs + vd);
-    let area = p.w * p.l;
-    let igc = f_inv * area * (1.0 - p.igb_frac) * j_signed(p, vg - v_ch);
-    let igb = area * p.igb_frac * j_signed(p, vg - vb);
-    // Edge (overlap) tunneling, present in ON and OFF states alike.
-    let aov = p.w * p.lov;
-    let igso = aov * j_signed(p, vg - vs);
-    let igdo = aov * j_signed(p, vg - vd);
-    GateCurrents { igcs: 0.5 * igc, igcd: 0.5 * igc, igso, igdo, igb }
+    f_inv * b.area * (1.0 - p.igb_frac) * j_signed(p, vg - v_ch)
+}
+
+/// Gate-to-bulk current `Igb` \[A\]; reads the gate and the bulk.
+pub fn bulk(b: &BoundParams, vg: f64, vb: f64) -> f64 {
+    b.area * b.p.igb_frac * j_signed(b.p, vg - vb)
+}
+
+/// Edge (overlap) tunneling current from the gate into the source or
+/// drain region at `vx` \[A\], present in ON and OFF states alike.
+pub fn overlap(b: &BoundParams, vg: f64, vx: f64) -> f64 {
+    b.aov * j_signed(b.p, vg - vx)
 }
 
 #[cfg(test)]
@@ -157,7 +171,7 @@ mod tests {
         // few hundred nA up to ~1 uA for W = 200 nm (the paper's Fig. 10
         // gate-leakage histogram spans to ~1.5 uA per inverter).
         let p = nmos();
-        let gc = components(&p, 0.9, 0.0, 0.0, 0.0, 300.0);
+        let gc = components(&p.at_temp(300.0), 0.9, 0.0, 0.0, 0.0);
         let total = gc.gate_total();
         assert!(total > 150.0 * NA && total < 1500.0 * NA, "Igc = {} nA", total / NA);
         // Current leaves the gate node (positive = gate -> channel).
@@ -171,7 +185,7 @@ mod tests {
         // current flows INTO the gate node (igdo < 0) — this is what
         // lifts a logic-0 input node above ground (loading effect).
         let p = nmos();
-        let gc = components(&p, 0.0, 0.9, 0.0, 0.0, 300.0);
+        let gc = components(&p.at_temp(300.0), 0.0, 0.9, 0.0, 0.0);
         assert!(gc.igdo < 0.0, "igdo = {} nA", gc.igdo / NA);
         assert!(gc.igdo.abs() > 1.0 * NA, "igdo = {} nA", gc.igdo / NA);
         // Channel not inverted: igc negligible compared to overlap.
@@ -188,8 +202,8 @@ mod tests {
     #[test]
     fn nearly_temperature_independent() {
         let p = nmos();
-        let g300 = components(&p, 0.9, 0.0, 0.0, 0.0, 300.0).magnitude();
-        let g400 = components(&p, 0.9, 0.0, 0.0, 0.0, 400.0).magnitude();
+        let g300 = components(&p.at_temp(300.0), 0.9, 0.0, 0.0, 0.0).magnitude();
+        let g400 = components(&p.at_temp(400.0), 0.9, 0.0, 0.0, 0.0).magnitude();
         let rel = (g400 - g300).abs() / g300;
         assert!(rel < 0.05, "gate leakage moved {}% over 100K", rel * 100.0);
     }

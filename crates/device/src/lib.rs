@@ -17,7 +17,9 @@
 //! * [`btbt`] — halo-junction band-to-band tunneling (Kane model) plus
 //!   an ideal-diode clamp.
 //!
-//! A [`Transistor`] assembles the mechanisms for either polarity;
+//! A [`Transistor`] assembles the mechanisms for either polarity, and
+//! [`MosParams::at_temp`] binds a device to one temperature
+//! ([`BoundParams`]) for a solver that evaluates it many times;
 //! [`DeviceDesign`] derives all electrical parameters from geometry and
 //! doping so process perturbations propagate physically; [`Technology`]
 //! bundles matched N/P pairs (the paper's `D25`, `D50`, and the
@@ -53,10 +55,10 @@ pub use bias::{Bias, LeakageBreakdown, MosKind, TerminalCurrents};
 pub use design::{DeviceDesign, FlavorScales, KindConstants};
 pub use doping::Doping;
 pub use geometry::Geometry;
-pub use params::MosParams;
+pub use params::{BoundParams, MosParams};
 pub use perturb::Perturbation;
 pub use profiles::Technology;
-pub use transistor::Transistor;
+pub use transistor::{Parts, Terminals, Transistor};
 
 #[cfg(test)]
 mod proptests {

@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::consts::{thermal_voltage, T_REF};
+use crate::consts::{band_gap_ev, thermal_voltage, T_REF};
 use crate::MosKind;
 
 /// Electrical parameters of one MOSFET, as derived from a
@@ -65,8 +65,73 @@ pub struct MosParams {
 }
 
 impl MosParams {
-    /// Effective threshold voltage at the given n-like bias and
-    /// temperature \[V\]:
+    /// Binds the parameters to temperature `t` \[K\], evaluating once
+    /// every sub-expression of the mechanism models that depends only on
+    /// the parameters and the temperature.
+    pub fn at_temp(&self, t: f64) -> BoundParams<'_> {
+        let vt = thermal_voltage(t);
+        let eg = band_gap_ev(t);
+        BoundParams {
+            p: self,
+            vt,
+            mvt2: 2.0 * self.m * vt,
+            mvt3: 3.0 * self.m * vt,
+            sqrt_phi_s: self.phi_s.sqrt(),
+            vth_drift: self.kappa_t * (t - T_REF),
+            mobility: self.mu0 * (t / T_REF).powf(-self.mu_exp),
+            w_over_l: self.w / self.l,
+            two_m: 2.0 * self.m,
+            area: self.w * self.l,
+            aov: self.w * self.lov,
+            i_s: self.i_s_w * self.w,
+            c_w: self.c_btbt * self.w,
+            sqrt_eg: eg.sqrt(),
+            b_eg: -self.b_btbt * eg.powf(1.5),
+        }
+    }
+}
+
+/// [`MosParams`] bound to one temperature: the parameters plus every
+/// sub-expression of the mechanism models that depends only on them and
+/// the temperature, each evaluated once exactly as the models write it,
+/// so a model reads the same bits it would compute inline. A DC solve
+/// binds each device once; every evaluation then skips the `powf`s and
+/// `sqrt`s of the temperature laws.
+#[derive(Debug, Clone, Copy)]
+pub struct BoundParams<'a> {
+    pub(crate) p: &'a MosParams,
+    /// Thermal voltage `kT/q` \[V\].
+    pub(crate) vt: f64,
+    /// `2 m vt`, the smooth overdrive's scale \[V\].
+    pub(crate) mvt2: f64,
+    /// `3 m vt`, the inversion factor's scale \[V\].
+    pub(crate) mvt3: f64,
+    /// `sqrt(phi_s)` \[V^0.5\].
+    pub(crate) sqrt_phi_s: f64,
+    /// `kappa_t (T - T_REF)`, the threshold's thermal drift \[V\].
+    pub(crate) vth_drift: f64,
+    /// Temperature-scaled mobility `mu0 (T / T_REF)^-mu_exp` \[m^2/Vs\].
+    pub(crate) mobility: f64,
+    /// `W / L`.
+    pub(crate) w_over_l: f64,
+    /// `2 m`.
+    pub(crate) two_m: f64,
+    /// Channel area `W L` \[m^2\].
+    pub(crate) area: f64,
+    /// Overlap area `W Lov` \[m^2\].
+    pub(crate) aov: f64,
+    /// Junction saturation current `I_s W` \[A\].
+    pub(crate) i_s: f64,
+    /// BTBT prefactor times width, `C W`.
+    pub(crate) c_w: f64,
+    /// `sqrt(Eg(T))` \[eV^0.5\].
+    pub(crate) sqrt_eg: f64,
+    /// `-B Eg(T)^1.5`, the BTBT exponent's numerator \[V/m\].
+    pub(crate) b_eg: f64,
+}
+
+impl BoundParams<'_> {
+    /// Effective threshold voltage at the given n-like bias \[V\]:
     ///
     /// `Vth = Vth0 + gamma (sqrt(phi_s + Vsb) - sqrt(phi_s)) - eta Vds - kappa_t (T - 300)`
     ///
@@ -74,18 +139,11 @@ impl MosParams {
     /// argument kept positive so the expression stays smooth for the
     /// Newton solver.
     #[inline]
-    pub fn vth_eff(&self, vds: f64, vsb: f64, t: f64) -> f64 {
+    pub fn vth_eff(&self, vds: f64, vsb: f64) -> f64 {
+        let p = self.p;
         let vsb_c = vsb.max(-0.2);
-        let root = (self.phi_s + vsb_c).max(0.02).sqrt();
-        self.vth0 + self.gamma * (root - self.phi_s.sqrt())
-            - self.eta * vds
-            - self.kappa_t * (t - T_REF)
-    }
-
-    /// Temperature-scaled mobility \[m^2/Vs\].
-    #[inline]
-    pub fn mobility(&self, t: f64) -> f64 {
-        self.mu0 * (t / T_REF).powf(-self.mu_exp)
+        let root = (p.phi_s + vsb_c).max(0.02).sqrt();
+        p.vth0 + p.gamma * (root - self.sqrt_phi_s) - p.eta * vds - self.vth_drift
     }
 
     /// Smooth overdrive voltage `u = 2 m vt ln(1 + exp((vgs-vth)/(2 m vt)))`,
@@ -93,9 +151,8 @@ impl MosParams {
     /// exponential in weak inversion. Shared by the drain-current and
     /// gate-tunneling (inversion-factor) models.
     #[inline]
-    pub fn smooth_overdrive(&self, vgs: f64, vth: f64, t: f64) -> f64 {
-        let mvt2 = 2.0 * self.m * thermal_voltage(t);
-        mvt2 * ln_1p_exp((vgs - vth) / mvt2)
+    pub fn smooth_overdrive(&self, vgs: f64, vth: f64) -> f64 {
+        self.mvt2 * ln_1p_exp((vgs - vth) / self.mvt2)
     }
 }
 
@@ -135,8 +192,8 @@ mod tests {
     #[test]
     fn vth_drops_with_drain_bias_dibl() {
         let p = nparams();
-        let v0 = p.vth_eff(0.0, 0.0, 300.0);
-        let v9 = p.vth_eff(0.9, 0.0, 300.0);
+        let v0 = p.at_temp(300.0).vth_eff(0.0, 0.0);
+        let v9 = p.at_temp(300.0).vth_eff(0.9, 0.0);
         assert!(v9 < v0);
         assert!((v0 - v9 - p.eta * 0.9).abs() < 1e-12);
     }
@@ -144,20 +201,20 @@ mod tests {
     #[test]
     fn vth_rises_with_body_reverse_bias() {
         let p = nparams();
-        assert!(p.vth_eff(0.0, 0.3, 300.0) > p.vth_eff(0.0, 0.0, 300.0));
+        assert!(p.at_temp(300.0).vth_eff(0.0, 0.3) > p.at_temp(300.0).vth_eff(0.0, 0.0));
     }
 
     #[test]
     fn vth_drops_with_temperature() {
         let p = nparams();
-        assert!(p.vth_eff(0.0, 0.0, 400.0) < p.vth_eff(0.0, 0.0, 300.0));
+        assert!(p.at_temp(400.0).vth_eff(0.0, 0.0) < p.at_temp(300.0).vth_eff(0.0, 0.0));
     }
 
     #[test]
     fn mobility_degrades_with_temperature() {
         let p = nparams();
-        assert!(p.mobility(400.0) < p.mobility(300.0));
-        assert!((p.mobility(300.0) - p.mu0).abs() < 1e-15);
+        assert!(p.at_temp(400.0).mobility < p.at_temp(300.0).mobility);
+        assert!((p.at_temp(300.0).mobility - p.mu0).abs() < 1e-15);
     }
 
     #[test]
@@ -179,10 +236,10 @@ mod tests {
     fn smooth_overdrive_asymptotes() {
         let p = nparams();
         // Strong inversion: u ~ vgs - vth.
-        let u = p.smooth_overdrive(0.9, 0.2, 300.0);
+        let u = p.at_temp(300.0).smooth_overdrive(0.9, 0.2);
         assert!((u - 0.7).abs() < 0.01);
         // Weak inversion: u small and positive.
-        let uw = p.smooth_overdrive(0.0, 0.2, 300.0);
+        let uw = p.at_temp(300.0).smooth_overdrive(0.0, 0.2);
         assert!(uw > 0.0 && uw < 0.02);
     }
 }

@@ -6,7 +6,8 @@
 //! output conductance is what converts a loading current into the node
 //! voltage shift at the heart of the paper's loading effect.
 //!
-//! With the smooth overdrive `u` from [`MosParams::smooth_overdrive`]:
+//! With the smooth overdrive `u` from
+//! [`BoundParams::smooth_overdrive`](crate::BoundParams::smooth_overdrive):
 //!
 //! ```text
 //! mu_eff = mu(T) / (1 + theta u)
@@ -21,8 +22,7 @@
 //! * Strong inversion, small `vds`: conductance
 //!   `g ≈ mu_eff Cox (W/L) u / m` — a realistic kΩ-scale ON resistance.
 
-use crate::consts::thermal_voltage;
-use crate::params::MosParams;
+use crate::params::BoundParams;
 
 /// Drain-to-source channel current of the n-like core model \[A\].
 ///
@@ -32,21 +32,21 @@ use crate::params::MosParams;
 ///
 /// # Panics
 /// Debug-panics if `vds` is negative.
-pub fn ids(p: &MosParams, vgs: f64, vds: f64, vsb: f64, t: f64) -> f64 {
+pub fn ids(b: &BoundParams, vgs: f64, vds: f64, vsb: f64) -> f64 {
     debug_assert!(vds >= 0.0, "ids requires vds >= 0, got {vds}");
-    let vt = thermal_voltage(t);
-    let vth = p.vth_eff(vds, vsb, t);
-    let u = p.smooth_overdrive(vgs, vth, t);
-    let mu_eff = p.mobility(t) / (1.0 + p.theta * u);
-    let isat = mu_eff * p.cox * (p.w / p.l) * u * u / (2.0 * p.m);
-    -isat * (-vds / (vt + 0.5 * u)).exp_m1()
+    let p = b.p;
+    let vth = b.vth_eff(vds, vsb);
+    let u = b.smooth_overdrive(vgs, vth);
+    let mu_eff = b.mobility / (1.0 + p.theta * u);
+    let isat = mu_eff * p.cox * b.w_over_l * u * u / b.two_m;
+    -isat * (-vds / (b.vt + 0.5 * u)).exp_m1()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::consts::NA;
-    use crate::{DeviceDesign, MosKind};
+    use crate::{DeviceDesign, MosKind, MosParams};
 
     fn nmos() -> MosParams {
         DeviceDesign::nano25(MosKind::Nmos).derive()
@@ -59,13 +59,13 @@ mod tests {
     #[test]
     fn off_current_in_calibrated_range() {
         // OFF NMOS at full drain bias: the paper-scale hundreds of nA.
-        let i = ids(&nmos(), 0.0, 0.9, 0.0, 300.0);
+        let i = ids(&nmos().at_temp(300.0), 0.0, 0.9, 0.0);
         assert!(i > 150.0 * NA && i < 600.0 * NA, "Ioff = {} nA", i / NA);
     }
 
     #[test]
     fn pmos_off_current_same_order() {
-        let i = ids(&pmos(), 0.0, 0.9, 0.0, 300.0);
+        let i = ids(&pmos().at_temp(300.0), 0.0, 0.9, 0.0);
         assert!(i > 150.0 * NA && i < 900.0 * NA, "Ioff,p = {} nA", i / NA);
     }
 
@@ -74,7 +74,7 @@ mod tests {
         // Linear-region conductance of the ON device near vds = 0.
         let p = nmos();
         let dv = 1e-4;
-        let g = (ids(&p, 0.9, dv, 0.0, 300.0) - ids(&p, 0.9, 0.0, 0.0, 300.0)) / dv;
+        let g = (ids(&p.at_temp(300.0), 0.9, dv, 0.0) - ids(&p.at_temp(300.0), 0.9, 0.0, 0.0)) / dv;
         let r = 1.0 / g;
         assert!(r > 300.0 && r < 4000.0, "Ron = {r} ohm");
     }
@@ -86,8 +86,8 @@ mod tests {
         let p = nmos();
         let vt = crate::consts::thermal_voltage(300.0);
         let swing = p.m * vt * std::f64::consts::LN_10;
-        let i0 = ids(&p, -swing, 0.9, 0.0, 300.0);
-        let i1 = ids(&p, 0.0, 0.9, 0.0, 300.0);
+        let i0 = ids(&p.at_temp(300.0), -swing, 0.9, 0.0);
+        let i1 = ids(&p.at_temp(300.0), 0.0, 0.9, 0.0);
         let ratio = i1 / i0;
         assert!(ratio > 7.0 && ratio < 13.0, "decade ratio = {ratio}");
     }
@@ -95,8 +95,8 @@ mod tests {
     #[test]
     fn dibl_increases_off_current_with_drain_bias() {
         let p = nmos();
-        let lo = ids(&p, 0.0, 0.45, 0.0, 300.0);
-        let hi = ids(&p, 0.0, 0.90, 0.0, 300.0);
+        let lo = ids(&p.at_temp(300.0), 0.0, 0.45, 0.0);
+        let hi = ids(&p.at_temp(300.0), 0.0, 0.90, 0.0);
         // exp(eta * 0.45 / (m vt)) ~ 2.5-4x for eta ~ 0.1.
         assert!(hi / lo > 2.0 && hi / lo < 8.0, "DIBL ratio = {}", hi / lo);
     }
@@ -104,8 +104,8 @@ mod tests {
     #[test]
     fn off_current_grows_steeply_with_temperature() {
         let p = nmos();
-        let i300 = ids(&p, 0.0, 0.9, 0.0, 300.0);
-        let i400 = ids(&p, 0.0, 0.9, 0.0, 400.0);
+        let i300 = ids(&p.at_temp(300.0), 0.0, 0.9, 0.0);
+        let i400 = ids(&p.at_temp(400.0), 0.0, 0.9, 0.0);
         assert!(i400 / i300 > 4.0, "T ratio = {}", i400 / i300);
     }
 
@@ -114,14 +114,14 @@ mod tests {
         // Raising the source (stacking effect): vgs negative, vsb
         // positive, vds reduced => strong suppression.
         let p = nmos();
-        let flat = ids(&p, 0.0, 0.9, 0.0, 300.0);
-        let stacked = ids(&p, -0.08, 0.82, 0.08, 300.0);
+        let flat = ids(&p.at_temp(300.0), 0.0, 0.9, 0.0);
+        let stacked = ids(&p.at_temp(300.0), -0.08, 0.82, 0.08);
         assert!(stacked < 0.25 * flat, "stack factor = {}", flat / stacked);
     }
 
     #[test]
     fn current_vanishes_at_zero_vds() {
-        assert_eq!(ids(&nmos(), 0.0, 0.0, 0.0, 300.0), 0.0);
+        assert_eq!(ids(&nmos().at_temp(300.0), 0.0, 0.0, 0.0), 0.0);
     }
 
     #[test]
@@ -130,7 +130,7 @@ mod tests {
         let mut last = 0.0;
         for k in 0..=20 {
             let vgs = -0.2 + 0.06 * k as f64;
-            let i = ids(&p, vgs, 0.9, 0.0, 300.0);
+            let i = ids(&p.at_temp(300.0), vgs, 0.9, 0.0);
             assert!(i > last, "non-monotonic at vgs={vgs}");
             last = i;
         }
@@ -139,9 +139,9 @@ mod tests {
     #[test]
     fn width_scales_current_linearly() {
         let mut p = nmos();
-        let i1 = ids(&p, 0.0, 0.9, 0.0, 300.0);
+        let i1 = ids(&p.at_temp(300.0), 0.0, 0.9, 0.0);
         p.w *= 3.0;
-        let i3 = ids(&p, 0.0, 0.9, 0.0, 300.0);
+        let i3 = ids(&p.at_temp(300.0), 0.0, 0.9, 0.0);
         assert!((i3 / i1 - 3.0).abs() < 1e-9);
     }
 }

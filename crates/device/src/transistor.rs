@@ -7,13 +7,21 @@
 //! transform `I_p(v) = -I_n(-v)` over an n-like core, and the core
 //! handles the MOSFET's source/drain symmetry by normalizing to
 //! `vds >= 0`.
+//!
+//! One evaluation splits into [`Parts`]: the channel current, the five
+//! gate-tunneling components and each junction's BTBT and diode terms,
+//! in the core's frame. Terminal currents and the breakdown are both
+//! read off the parts. A caller that moves some terminals of a device
+//! whose parts it kept ([`BoundParams::parts_moved`], a DC solve's
+//! Jacobian column) re-evaluates only the parts those terminals feed.
 
 use serde::{Deserialize, Serialize};
 
 use crate::bias::{Bias, LeakageBreakdown, TerminalCurrents};
+use crate::btbt::Junction;
 use crate::gate_tunneling::GateCurrents;
-use crate::params::{logistic, MosParams};
-use crate::{btbt, gate_tunneling, subthreshold, DeviceDesign, MosKind};
+use crate::params::{logistic, BoundParams, MosParams};
+use crate::{gate_tunneling, subthreshold, DeviceDesign, MosKind};
 
 /// A four-terminal MOSFET with derived electrical parameters.
 ///
@@ -70,75 +78,141 @@ impl Transistor {
     /// current counts as subthreshold leakage only for an OFF device —
     /// an ON device merely conducts other devices' leakage).
     pub fn leakage(&self, bias: Bias, t: f64) -> (TerminalCurrents, LeakageBreakdown) {
-        let (tc, mech) = self.evaluate(bias, t);
-        (tc, mech.breakdown(&self.params, t))
+        let dev = self.params.at_temp(t);
+        let parts = dev.parts(bias);
+        (dev.currents(&parts), dev.breakdown(&parts))
     }
 
     /// Terminal currents only, the quantity a KCL solver iterates on.
-    /// Bit for bit the currents of [`Transistor::leakage`], which runs
-    /// the same formula and only adds the mechanism breakdown.
+    /// Bit for bit the currents of [`Transistor::leakage`], which reads
+    /// the same parts and only adds the mechanism breakdown.
     pub fn terminal_currents(&self, bias: Bias, t: f64) -> TerminalCurrents {
-        self.evaluate(bias, t).0
+        let dev = self.params.at_temp(t);
+        dev.currents(&dev.parts(bias))
     }
+}
 
-    /// The polarity transform over the n-like core.
-    fn evaluate(&self, bias: Bias, t: f64) -> (TerminalCurrents, Mechanisms) {
-        match self.params.kind {
-            MosKind::Nmos => Self::core(&self.params, bias, t),
-            MosKind::Pmos => {
-                let (tc, mech) = Self::core(&self.params, bias.negated(), t);
-                (tc.negated(), mech)
-            }
+/// A set of a device's terminals: those a caller moved since it kept
+/// the device's [`Parts`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Terminals {
+    /// The drain.
+    pub d: bool,
+    /// The gate.
+    pub g: bool,
+    /// The source.
+    pub s: bool,
+    /// The bulk.
+    pub b: bool,
+}
+
+/// One device's mechanism parts at one bias, in the core's frame (n-like
+/// polarity, source and drain ordered so `vds >= 0`).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Parts {
+    /// The bias in the core's frame.
+    bias: Bias,
+    /// Whether the core exchanged the device's source and drain.
+    swapped: bool,
+    /// Channel current, drain to source.
+    i_ch: f64,
+    /// Gate tunneling components.
+    gc: GateCurrents,
+    /// Drain junction, at reverse bias `vdb`.
+    jd: Junction,
+    /// Source junction, at reverse bias `vsb`.
+    js: Junction,
+}
+
+impl BoundParams<'_> {
+    /// Every part at absolute node voltages `bias`.
+    pub fn parts(&self, bias: Bias) -> Parts {
+        let (core, swapped) = self.core_frame(bias);
+        let gc = gate_tunneling::components(self, core.vg, core.vd, core.vs, core.vb);
+        Parts {
+            bias: core,
+            swapped,
+            i_ch: subthreshold::ids(self, core.vgs(), core.vds(), core.vsb()),
+            gc,
+            jd: Junction::at(self, core.vdb()),
+            js: Junction::at(self, core.vsb()),
         }
     }
 
-    /// N-like core: normalizes source/drain order then assembles the
-    /// three mechanisms.
-    fn core(p: &MosParams, bias: Bias, t: f64) -> (TerminalCurrents, Mechanisms) {
-        if bias.vd < bias.vs {
-            let (tc, mech) = Self::core_ordered(p, bias.swapped_ds(), t);
-            return (tc.swapped_ds(), mech);
+    /// The parts at `bias`, given `kept`, the parts at a bias that
+    /// differs from `bias` only at the `moved` terminals. Re-evaluates
+    /// only the parts that read a moved terminal, so the result is bit
+    /// for bit [`BoundParams::parts`] at `bias`: a drain move leaves
+    /// the gate-to-bulk and source-overlap currents and the source
+    /// junction alone, a gate move both junctions. A move that flips
+    /// the core's source/drain order re-evaluates every part.
+    pub fn parts_moved(&self, kept: &Parts, bias: Bias, moved: Terminals) -> Parts {
+        let (core, swapped) = self.core_frame(bias);
+        if swapped != kept.swapped {
+            return self.parts(bias);
         }
-        Self::core_ordered(p, bias, t)
+        let m = if swapped { Terminals { d: moved.s, s: moved.d, ..moved } } else { moved };
+        let mut parts = *kept;
+        parts.bias = core;
+        // The channel current and the channel tunneling read every
+        // terminal.
+        parts.i_ch = subthreshold::ids(self, core.vgs(), core.vds(), core.vsb());
+        let igc = gate_tunneling::channel(self, core.vg, core.vd, core.vs, core.vb);
+        parts.gc.igcs = 0.5 * igc;
+        parts.gc.igcd = 0.5 * igc;
+        if m.g || m.s {
+            parts.gc.igso = gate_tunneling::overlap(self, core.vg, core.vs);
+        }
+        if m.g || m.d {
+            parts.gc.igdo = gate_tunneling::overlap(self, core.vg, core.vd);
+        }
+        if m.g || m.b {
+            parts.gc.igb = gate_tunneling::bulk(self, core.vg, core.vb);
+        }
+        if m.d || m.b {
+            parts.jd = Junction::at(self, core.vdb());
+        }
+        if m.s || m.b {
+            parts.js = Junction::at(self, core.vsb());
+        }
+        parts
     }
 
-    fn core_ordered(p: &MosParams, bias: Bias, t: f64) -> (TerminalCurrents, Mechanisms) {
-        debug_assert!(bias.vd >= bias.vs);
+    /// KCL-ready terminal currents assembled from `parts` (current from
+    /// each node *into* the device; they sum to zero).
+    pub fn currents(&self, parts: &Parts) -> TerminalCurrents {
+        let gc = &parts.gc;
         let mut tc = TerminalCurrents::ZERO;
 
         // Channel (subthreshold / ON) current, drain -> source.
-        let i_ch = subthreshold::ids(p, bias.vgs(), bias.vds(), bias.vsb(), t);
-        tc.d += i_ch;
-        tc.s -= i_ch;
+        tc.d += parts.i_ch;
+        tc.s -= parts.i_ch;
 
         // Gate oxide tunneling.
-        let gc = gate_tunneling::components(p, bias.vg, bias.vd, bias.vs, bias.vb, t);
         tc.g += gc.gate_total();
         tc.s -= gc.igcs + gc.igso;
         tc.d -= gc.igcd + gc.igdo;
         tc.b -= gc.igb;
 
         // Junction currents (BTBT + diode) at both junctions.
-        let jd = btbt::junction_current(p, bias.vdb(), t);
-        let js = btbt::junction_current(p, bias.vsb(), t);
+        let jd = parts.jd.current();
+        let js = parts.js.current();
         tc.d += jd;
         tc.b -= jd;
         tc.s += js;
         tc.b -= js;
 
-        (tc, Mechanisms { bias, i_ch, gc })
+        if parts.swapped {
+            tc = tc.swapped_ds();
+        }
+        match self.p.kind {
+            MosKind::Nmos => tc,
+            MosKind::Pmos => tc.negated(),
+        }
     }
-}
 
-/// What the breakdown reads of one core evaluation, in the core's
-/// normalized (n-like, `vds >= 0`) frame.
-struct Mechanisms {
-    bias: Bias,
-    i_ch: f64,
-    gc: GateCurrents,
-}
-
-impl Mechanisms {
+    /// The mechanism breakdown of `parts`.
+    ///
     /// Channel current is "subthreshold leakage" only if the device is
     /// OFF, gate counts every oxide component, BTBT counts the pure
     /// tunneling part. The ON/OFF classifier is a logic-state detector
@@ -146,13 +220,27 @@ impl Mechanisms {
     /// 25 mV width) so that mV-scale loading shifts and
     /// temperature-induced Vth drift never leak into the attribution
     /// itself.
-    fn breakdown(&self, p: &MosParams, t: f64) -> LeakageBreakdown {
-        let bias = self.bias;
-        let off_weight = 1.0 - logistic((bias.vgs() - (p.vth0 + 0.15)) / 0.025);
+    pub fn breakdown(&self, parts: &Parts) -> LeakageBreakdown {
+        let off_weight = 1.0 - logistic((parts.bias.vgs() - (self.p.vth0 + 0.15)) / 0.025);
         LeakageBreakdown {
-            sub: self.i_ch.abs() * off_weight,
-            gate: self.gc.magnitude(),
-            btbt: btbt::ibtbt(p, bias.vdb(), t) + btbt::ibtbt(p, bias.vsb(), t),
+            sub: parts.i_ch.abs() * off_weight,
+            gate: parts.gc.magnitude(),
+            btbt: parts.jd.btbt + parts.js.btbt,
+        }
+    }
+
+    /// The polarity transform and the source/drain normalization:
+    /// `bias` in the core's frame, and whether source and drain were
+    /// exchanged.
+    fn core_frame(&self, bias: Bias) -> (Bias, bool) {
+        let n_like = match self.p.kind {
+            MosKind::Nmos => bias,
+            MosKind::Pmos => bias.negated(),
+        };
+        if n_like.vd < n_like.vs {
+            (n_like.swapped_ds(), true)
+        } else {
+            (n_like, false)
         }
     }
 }
@@ -291,6 +379,68 @@ mod tests {
             }
         }
         assert_eq!(checked, 3 * 2 * 8 * 8 * 8 * 2);
+    }
+
+    #[test]
+    fn moving_one_terminal_re_evaluates_to_the_full_parts_bit_for_bit() {
+        // A DC solve's Jacobian column moves one node and re-evaluates
+        // only the parts its device terminals feed. Over the grid of
+        // `terminal_currents_are_the_leakage_currents_bit_for_bit`, a
+        // move of each single terminal, up and down, by a
+        // forward-difference step or by 20 mV, must give every part of
+        // the full evaluation. Steps away from `vd == vs` and 20 mV moves
+        // across a nearby level flip the core's source/drain order.
+        let levels = [-0.05, 0.0, 0.013, 0.05, 0.45, 0.887, 0.9, 0.95];
+        let bits = |dev: &BoundParams, p: &Parts| {
+            let (gc, tc) = (p.gc, dev.currents(p));
+            let values = [
+                p.bias.vg, p.bias.vd, p.bias.vs, p.bias.vb, p.i_ch, gc.igcs, gc.igcd, gc.igso,
+                gc.igdo, gc.igb, p.jd.btbt, p.jd.diode, p.js.btbt, p.js.diode, tc.d, tc.g, tc.s,
+                tc.b,
+            ];
+            (p.swapped, values.map(f64::to_bits))
+        };
+        let (mut checked, mut flips) = (0, 0);
+        for dev in [nmos(), pmos(), nmos().scaled_width(4.0)] {
+            for temp in [300.0, 380.0] {
+                let bound = dev.params().at_temp(temp);
+                for vg in levels {
+                    for vd in levels {
+                        for vs in levels {
+                            for vb in [0.0, 0.9] {
+                                let bias = Bias::new(vg, vd, vs, vb);
+                                let kept = bound.parts(bias);
+                                for k in 0..4 {
+                                    let moved =
+                                        Terminals { d: k == 0, g: k == 1, s: k == 2, b: k == 3 };
+                                    for step in [2e-7, -2e-7, 0.02, -0.02] {
+                                        let mut at = bias;
+                                        let v = match k {
+                                            0 => &mut at.vd,
+                                            1 => &mut at.vg,
+                                            2 => &mut at.vs,
+                                            _ => &mut at.vb,
+                                        };
+                                        *v += step * (1.0 + v.abs());
+                                        let full = bound.parts(at);
+                                        let fast = bound.parts_moved(&kept, at, moved);
+                                        assert_eq!(
+                                            bits(&bound, &fast),
+                                            bits(&bound, &full),
+                                            "{moved:?} to {at:?} from {bias:?} at {temp} K"
+                                        );
+                                        flips += usize::from(full.swapped != kept.swapped);
+                                        checked += 1;
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(checked, 3 * 2 * 8 * 8 * 8 * 2 * 4 * 4);
+        assert!(flips > 0, "some steps must flip the source/drain order");
     }
 
     #[test]

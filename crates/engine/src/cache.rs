@@ -1,8 +1,8 @@
 //! Persistent characterization cache.
 //!
 //! Characterizing the full cell family at default resolution costs
-//! about 0.32–0.44 s of solver time per (technology, temperature,
-//! options) triple, and the coarse grid about 0.1 s (release build,
+//! about 0.26–0.30 s of solver time per (technology, temperature,
+//! options) triple, and the coarse grid about 0.09 s (release build,
 //! 2-vCPU VM); every CLI or bench invocation used to pay it again.
 //! [`LibraryCache`] serializes the characterized [`CellLibrary`] to
 //! disk so later runs (including across processes) skip the solve:

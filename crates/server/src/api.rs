@@ -205,8 +205,8 @@ pub fn resolve_operating_point(body: &Body) -> Result<OperatingPoint, ApiError> 
 
 /// Characterization options: the full default grid, or the coarse
 /// test grid when the request sets `"coarse": true`. A cold
-/// characterization takes about 0.32–0.44 s on the full grid and about
-/// 0.1 s on the coarse one (release build, 2-vCPU VM); integration
+/// characterization takes about 0.26–0.30 s on the full grid and about
+/// 0.09 s on the coarse one (release build, 2-vCPU VM); integration
 /// tests and demos want coarse.
 pub fn resolve_char_opts(body: &Body) -> Result<CharacterizeOptions, ApiError> {
     if body.get("coarse", false)? {

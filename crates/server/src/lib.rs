@@ -123,7 +123,10 @@
 //!   preserved in the job record as `job panicked: …` and counted in
 //!   `nanoleak_jobs_panicked_total`), and a second containment ring
 //!   around the worker loop plus the `nanoleak_server_workers_alive`
-//!   gauge guarantee the pool never silently decays.
+//!   gauge guarantee the pool never silently decays. A synchronous
+//!   request whose handler panics is answered `500 handler panicked`
+//!   on a surviving connection thread and counted in
+//!   `nanoleak_server_handler_panics_total`.
 //! * **Admission control** — overload is shed at the door with
 //!   `503 + Retry-After` (hint = predicted queue drain time,
 //!   clamped to 1–60 s): a full queue, a request whose explicit
@@ -327,6 +330,10 @@ pub struct Telemetry {
     /// must equal the configured pool size for the process lifetime —
     /// a decay is a contained-panic bug escaping containment.
     pub workers_alive: Gauge,
+    /// Synchronous requests whose handler panicked: each was contained
+    /// and answered `500 handler panicked`, and the connection thread
+    /// survived.
+    pub handler_panics: Counter,
 }
 
 impl Telemetry {
@@ -364,6 +371,10 @@ impl Telemetry {
             "nanoleak_server_workers_alive",
             "Job worker threads alive (must equal the configured pool size)",
         );
+        let handler_panics = registry.counter(
+            "nanoleak_server_handler_panics_total",
+            "Requests whose handler panicked (contained; answered 500)",
+        );
         Self {
             registry,
             requests,
@@ -375,6 +386,7 @@ impl Telemetry {
             shed_connection_limit,
             shed_connection_requests,
             workers_alive,
+            handler_panics,
         }
     }
 
@@ -482,6 +494,7 @@ impl ServerState {
                 shed_connection_requests: self.telemetry.shed_connection_requests.get(),
                 deadline_exceeded: jobs.deadline_exceeded,
                 panicked: jobs.panicked,
+                handler_panics: self.telemetry.handler_panics.get(),
                 workers_alive: self.telemetry.workers_alive.get().max(0) as u64,
             },
         }
@@ -510,7 +523,8 @@ pub struct StatsResponse {
 /// Overload-shedding and failure-containment counters (the same
 /// instruments `GET /metrics` exposes as `nanoleak_shed_total`,
 /// `nanoleak_deadline_exceeded_total`, `nanoleak_jobs_panicked_total`,
-/// and `nanoleak_server_workers_alive`).
+/// `nanoleak_server_handler_panics_total` and
+/// `nanoleak_server_workers_alive`).
 #[derive(Debug, Clone, Serialize)]
 pub struct ResilienceStats {
     /// Jobs rejected because the queue was saturated.
@@ -526,6 +540,9 @@ pub struct ResilienceStats {
     pub deadline_exceeded: u64,
     /// Jobs whose executor panicked (contained).
     pub panicked: u64,
+    /// Synchronous requests whose handler panicked (contained,
+    /// answered 500).
+    pub handler_panics: u64,
     /// Worker threads alive (equals the configured pool size while
     /// the server runs; panic isolation keeps it from decaying).
     pub workers_alive: u64,
@@ -842,6 +859,7 @@ fn handle_connection(state: &ServerState, stream: TcpStream, shutdown: &AtomicBo
                     router::route(state, &request)
                 }));
                 let mut response = outcome.unwrap_or_else(|_| {
+                    state.telemetry.handler_panics.inc();
                     http::Response::json(
                         500,
                         api::ApiError { status: 500, message: "handler panicked".into() }.body(),

@@ -301,3 +301,32 @@ fn injected_solver_failure_is_a_structured_422_then_recovers() {
     assert_eq!(status, 200, "no recovery after disarm: {resp}");
     disarm_all();
 }
+
+/// A synchronous handler that panics is contained: the request gets a
+/// structured 500, `nanoleak_server_handler_panics_total` and the
+/// `/v1/stats` resilience block count it, and the next request is
+/// served.
+#[test]
+fn handler_panic_is_a_counted_500_then_recovers() {
+    let _g = serial();
+    let server = TestServer::start(1, 8);
+    arm_limited("characterize", FaultAction::Panic("handler drill".into()), Some(1));
+    let body = r#"{"target": "s838", "vectors": 8, "coarse": true}"#;
+    let (status, _, resp) = request(&server, "POST", "/v1/estimate", body);
+    assert_eq!(status, 500, "{resp}");
+    assert!(field(&resp, "error").is_some(), "unstructured failure: {resp}");
+    assert!(resp.contains(r#""message":"handler panicked""#), "{resp}");
+    let text = scrape(&server);
+    assert_eq!(metric(&text, "nanoleak_server_handler_panics_total"), 1.0);
+    assert_eq!(metric(&text, "nanoleak_jobs_panicked_total"), 0.0);
+    let (status, _, stats) = request(&server, "GET", "/v1/stats", "");
+    assert_eq!(status, 200);
+    let Some(Value::Record(resilience)) = field(&stats, "resilience") else {
+        panic!("no resilience block in {stats}")
+    };
+    let counted = resilience.iter().find(|(name, _)| name == "handler_panics");
+    assert!(matches!(counted, Some((_, Value::Int(1)))), "{stats}");
+    let (status, _, resp) = request(&server, "POST", "/v1/estimate", body);
+    assert_eq!(status, 200, "no recovery after the panic: {resp}");
+    disarm_all();
+}

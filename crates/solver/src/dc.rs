@@ -6,7 +6,7 @@
 //! this *is* the SPICE run: there are no time constants, only the
 //! nonlinear DC equilibrium.
 
-use nanoleak_device::{LeakageBreakdown, TerminalCurrents};
+use nanoleak_device::{Bias, BoundParams, LeakageBreakdown, Parts, TerminalCurrents, Terminals};
 
 use crate::error::SolverError;
 use crate::netlist::{MosNetlist, NodeId};
@@ -69,23 +69,6 @@ impl DcSolution {
     }
 }
 
-/// Evaluates all device currents/breakdowns at the given full voltage
-/// vector.
-fn evaluate_devices(
-    netlist: &MosNetlist,
-    voltages: &[f64],
-    temp: f64,
-) -> (Vec<TerminalCurrents>, Vec<LeakageBreakdown>) {
-    let mut currents = Vec::with_capacity(netlist.device_count());
-    let mut breakdowns = Vec::with_capacity(netlist.device_count());
-    for dev in netlist.devices() {
-        let (tc, bd) = dev.transistor.leakage(dev.bias_at(voltages), temp);
-        currents.push(tc);
-        breakdowns.push(bd);
-    }
-    (currents, breakdowns)
-}
-
 /// A device's terminal currents in the order the KCL rows sum them:
 /// drain, gate, source, bulk.
 fn stamp(tc: &TerminalCurrents) -> [f64; 4] {
@@ -98,15 +81,18 @@ fn stamp(tc: &TerminalCurrents) -> [f64; 4] {
 /// Row `k` of the residual is the current flowing from the `k`-th
 /// floating node into device terminals, summed in device order and
 /// drain/gate/source/bulk order within a device, minus the node's
-/// injection. The system keeps every device's currents at the point of
-/// the latest residual, where Newton asks for the Jacobian, so a
-/// Jacobian column re-evaluates only the devices with a terminal on the
-/// perturbed node and re-sums the rows from the kept currents in that
-/// same order: every column is bit for bit the dense sweep's, which
-/// re-evaluates every device.
+/// injection. Each device is bound to the solve's temperature once. The
+/// system keeps every device's mechanism parts and currents at the
+/// point of the latest residual, where Newton asks for the Jacobian, so
+/// a Jacobian column re-evaluates only the devices with a terminal on
+/// the perturbed node, and of those only the parts that terminal feeds
+/// ([`BoundParams::parts_moved`]), then re-sums the rows from the kept
+/// currents in that same order: every column is bit for bit the dense
+/// sweep's, which re-evaluates every device.
 struct KclSystem<'a> {
     netlist: &'a MosNetlist,
-    temp: f64,
+    /// Every device bound to the solve's temperature.
+    bound: Vec<BoundParams<'a>>,
     /// Floating nodes in slot order.
     unknowns: Vec<NodeId>,
     /// Every node's voltage: pinned nodes at their pins, floating nodes
@@ -118,8 +104,11 @@ struct KclSystem<'a> {
     /// summation order.
     terms: Vec<Vec<(usize, usize)>>,
     /// Each slot's incident devices (any terminal on its node),
-    /// ascending.
-    incident: Vec<Vec<usize>>,
+    /// ascending, with the terminals they have on it.
+    incident: Vec<Vec<(usize, Terminals)>>,
+    /// Every device's mechanism parts at `voltages` (empty before the
+    /// first [`KclSystem::evaluate`]).
+    parts: Vec<Parts>,
     /// Every device's [`stamp`] at `voltages`.
     base: Vec<[f64; 4]>,
     /// `base`, with the current column's devices re-evaluated.
@@ -127,8 +116,8 @@ struct KclSystem<'a> {
 }
 
 impl<'a> KclSystem<'a> {
-    /// The system of `netlist`, with floating nodes starting from
-    /// `start` (full node vector; pinned entries are ignored).
+    /// The system of `netlist` at `temp`, with floating nodes starting
+    /// from `start` (full node vector; pinned entries are ignored).
     fn new(netlist: &'a MosNetlist, temp: f64, start: &[f64]) -> Self {
         let n_nodes = netlist.node_count();
         let unknowns = netlist.unknown_nodes();
@@ -137,13 +126,19 @@ impl<'a> KclSystem<'a> {
             slot_of[node.0] = Some(k);
         }
         let mut terms = vec![Vec::new(); unknowns.len()];
-        let mut incident: Vec<Vec<usize>> = vec![Vec::new(); unknowns.len()];
+        let mut incident: Vec<Vec<(usize, Terminals)>> = vec![Vec::new(); unknowns.len()];
         for (di, dev) in netlist.devices().iter().enumerate() {
             for (term, node) in [dev.d, dev.g, dev.s, dev.b].into_iter().enumerate() {
                 if let Some(k) = slot_of[node.0] {
                     terms[k].push((di, term));
-                    if incident[k].last() != Some(&di) {
-                        incident[k].push(di);
+                    if incident[k].last().map(|&(d, _)| d) != Some(di) {
+                        let on = Terminals {
+                            d: dev.d == node,
+                            g: dev.g == node,
+                            s: dev.s == node,
+                            b: dev.b == node,
+                        };
+                        incident[k].push((di, on));
                     }
                 }
             }
@@ -151,15 +146,18 @@ impl<'a> KclSystem<'a> {
         let voltages =
             (0..n_nodes).map(|i| netlist.fixed_voltage(NodeId(i)).unwrap_or(start[i])).collect();
         let injections = unknowns.iter().map(|n| netlist.injection(*n)).collect();
-        let n_dev = netlist.device_count();
+        let bound: Vec<BoundParams<'a>> =
+            netlist.devices().iter().map(|dev| dev.transistor.params().at_temp(temp)).collect();
+        let n_dev = bound.len();
         Self {
             netlist,
-            temp,
+            bound,
             unknowns,
             voltages,
             injections,
             terms,
             incident,
+            parts: Vec::with_capacity(n_dev),
             base: vec![[0.0; 4]; n_dev],
             work: vec![[0.0; 4]; n_dev],
         }
@@ -171,9 +169,24 @@ impl<'a> KclSystem<'a> {
         }
     }
 
-    fn currents(&self, dev: usize) -> [f64; 4] {
-        let dev = &self.netlist.devices()[dev];
-        stamp(&dev.transistor.terminal_currents(dev.bias_at(&self.voltages), self.temp))
+    /// Whether the floating nodes sit at `x`, bit for bit.
+    fn is_at(&self, x: &[f64]) -> bool {
+        self.unknowns.iter().zip(x).all(|(n, v)| self.voltages[n.0].to_bits() == v.to_bits())
+    }
+
+    fn bias(&self, dev: usize) -> Bias {
+        self.netlist.devices()[dev].bias_at(&self.voltages)
+    }
+
+    /// Evaluates every device at `voltages` into the kept parts and
+    /// currents.
+    fn evaluate(&mut self) {
+        self.parts.clear();
+        for dev in 0..self.bound.len() {
+            let parts = self.bound[dev].parts(self.bias(dev));
+            self.base[dev] = stamp(&self.bound[dev].currents(&parts));
+            self.parts.push(parts);
+        }
     }
 
     /// Row `slot` of the residual over the given device currents.
@@ -203,32 +216,29 @@ impl<'a> KclSystem<'a> {
 impl newton::System for KclSystem<'_> {
     fn residual(&mut self, x: &[f64], f: &mut [f64]) {
         self.load(x);
-        for dev in 0..self.base.len() {
-            self.base[dev] = self.currents(dev);
-        }
+        self.evaluate();
         for (slot, fk) in f.iter_mut().enumerate() {
             *fk = self.row(slot, &self.base);
         }
     }
 
     fn jacobian(&mut self, x: &[f64], f: &[f64], step: f64, jac: &mut [f64]) {
-        debug_assert!(
-            self.unknowns.iter().zip(x).all(|(n, v)| self.voltages[n.0].to_bits() == v.to_bits()),
-            "the kept currents must be those of the latest residual, at `x`"
-        );
+        debug_assert!(self.is_at(x), "the kept parts must be those of the latest residual, at `x`");
         self.work.copy_from_slice(&self.base);
         let n = x.len();
         for j in 0..n {
             let h = newton::column_step(step, x[j]);
             let node = self.unknowns[j];
             self.voltages[node.0] = x[j] + h;
-            for &dev in &self.incident[j] {
-                self.work[dev] = self.currents(dev);
+            for &(dev, moved) in &self.incident[j] {
+                let bound = &self.bound[dev];
+                let parts = bound.parts_moved(&self.parts[dev], self.bias(dev), moved);
+                self.work[dev] = stamp(&bound.currents(&parts));
             }
             for i in 0..n {
                 jac[i * n + j] = (self.row(i, &self.work) - f[i]) / h;
             }
-            for &dev in &self.incident[j] {
+            for &(dev, _) in &self.incident[j] {
                 self.work[dev] = self.base[dev];
             }
             self.voltages[node.0] = x[j];
@@ -352,14 +362,21 @@ fn solve(
     let mut x: Vec<f64> = sys.unknowns.iter().map(|n| sys.voltages[n.0]).collect();
     let mut iterations = 0;
     let mut jacobian = None;
-    if !x.is_empty() {
+    if x.is_empty() {
+        sys.evaluate();
+    } else {
         iterations = newton::solve_system(&mut sys, &mut x, opts)?.iterations;
         if traced {
             jacobian = Some(newton::factor_at(&mut sys, &x, opts)?);
         }
-        sys.load(&x);
     }
-    let (device_currents, device_breakdowns) = evaluate_devices(netlist, &sys.voltages, temp);
+    // Newton's latest residual ran at the solution, so the kept parts
+    // are the solution's: the accounting reads them.
+    debug_assert!(sys.is_at(&x), "the kept parts must be those of the solution");
+    let device_currents: Vec<TerminalCurrents> =
+        sys.bound.iter().zip(&sys.parts).map(|(dev, parts)| dev.currents(parts)).collect();
+    let device_breakdowns =
+        sys.bound.iter().zip(&sys.parts).map(|(dev, parts)| dev.breakdown(parts)).collect();
     let residual = sys.worst_residual(&device_currents);
     let sol = DcSolution {
         voltages: sys.voltages,
@@ -574,10 +591,11 @@ mod tests {
     }
 
     /// A NAND4 whose inputs are driven by inverters (the loaded
-    /// fixture's shape), with loading injections on every pin and the
-    /// output; returns the netlist and a rail-level initial guess.
-    fn nand4_fixture(levels: [bool; 4]) -> (MosNetlist, Vec<f64>) {
-        let tech = Technology::d25();
+    /// fixture's shape), with loading injections scaled by `load` on
+    /// every pin and the output; returns the netlist and a rail-level
+    /// initial guess. At `load` = 0 it is the cells' nominal loaded
+    /// fixture, node for node and device for device.
+    fn nand4_fixture(tech: &Technology, levels: [bool; 4], load: f64) -> (MosNetlist, Vec<f64>) {
         let mut nl = MosNetlist::new();
         let vdd = nl.add_fixed_node("vdd", tech.vdd);
         let gnd = nl.add_fixed_node("gnd", 0.0);
@@ -589,7 +607,7 @@ mod tests {
             let pin = nl.add_node(&format!("in{i}"));
             nl.add_mos(n, pin, drv, gnd, gnd);
             nl.add_mos(p, pin, drv, vdd, vdd);
-            nl.set_injection(pin, if level { -1.5e-6 } else { 2e-6 });
+            nl.set_injection(pin, load * if level { -1.5e-6 } else { 2e-6 });
             pins.push(pin);
         }
         let out = nl.add_node("out");
@@ -602,13 +620,31 @@ mod tests {
         for &pin in &pins {
             nl.add_mos(p, out, pin, vdd, vdd);
         }
-        nl.set_injection(out, -3e-6);
+        nl.set_injection(out, load * -3e-6);
         let mut guess = vec![0.05; nl.node_count()];
         for (pin, level) in pins.iter().zip(levels) {
             guess[pin.0] = if level { tech.vdd } else { 0.0 };
         }
         guess[out.0] = tech.vdd;
         (nl, guess)
+    }
+
+    /// A Monte-Carlo die (+120 mV Vt, -0.148 nm Tox, +3.8 nm L, +14 mV
+    /// Vdd) on which Newton stalls in the nominal NAND4 fixture with
+    /// vector `0001` from the 50 mV stack-node start; the cells retry
+    /// that solve from the rail.
+    fn stalling_die() -> Technology {
+        let die = nanoleak_device::Perturbation {
+            dl: 3.828240535703536e-9,
+            dtox: -1.4761033706512228e-10,
+            dvth: 0.12030903968447328,
+            dvdd: 0.0140636661469293,
+        };
+        let mut tech = Technology::d25();
+        tech.nmos = die.apply(&tech.nmos);
+        tech.pmos = die.apply(&tech.pmos);
+        tech.vdd += die.dvdd;
+        tech
     }
 
     /// Two series NMOS (both OFF, inputs 00) under two parallel PMOS;
@@ -689,32 +725,46 @@ mod tests {
     #[test]
     fn kcl_jacobian_is_the_dense_sweep_bit_for_bit() {
         let step = NewtonOptions::default().jacobian_step;
-        let (nand4, nand4_guess) = nand4_fixture([false, false, false, true]);
-        let netlists = [
-            inverter(0.0).0,
-            inverter(0.9).0,
-            nand2_stack().0,
-            nand4,
-            nand4_fixture([true, false, true, true]).0,
-            diode_connected(),
-            stack3(true, [false, true, false], 0.896),
-            stack3(false, [true, false, false], 0.003),
+        let d25 = Technology::d25();
+        let (nand4, nand4_guess) = nand4_fixture(&d25, [false, false, false, true], 1.0);
+        let (die_nand4, die_guess) =
+            nand4_fixture(&stalling_die(), [false, false, false, true], 0.0);
+        // Each netlist, its temperature and its own start, if any.
+        let cases = [
+            (inverter(0.0).0, 300.0, None),
+            (inverter(0.9).0, 370.0, None),
+            (nand2_stack().0, 300.0, None),
+            (nand4.clone(), 370.0, Some(&nand4_guess)),
+            (nand4_fixture(&d25, [true, false, true, true], 1.0).0, 300.0, None),
+            (diode_connected(), 370.0, None),
+            (stack3(true, [false, true, false], 0.896), 300.0, None),
+            (stack3(false, [true, false, false], 0.003), 370.0, None),
+            (nand4, 400.0, Some(&nand4_guess)),
+            (die_nand4, 300.0, Some(&die_guess)),
         ];
-        for (case, nl) in netlists.iter().enumerate() {
-            let temp = if case % 2 == 0 { 300.0 } else { 370.0 };
-            let n = nl.unknown_nodes().len();
-            let dense = dense_residual(nl, temp);
-            // Rails, mid-rail and off-rail excursions, plus the NAND4's
-            // own start.
+        let mut flat_pairs = 0;
+        for (case, (nl, temp, start)) in cases.iter().enumerate() {
+            let unknowns = nl.unknown_nodes();
+            let n = unknowns.len();
+            let dense = dense_residual(nl, *temp);
+            // Rails, mid-rail and off-rail excursions, the case's own
+            // start, and flat points where every floating node sits at
+            // one voltage.
             let mut points: Vec<Vec<f64>> = [0.0, 0.013, 0.45, 0.9, -0.02]
                 .iter()
                 .map(|&v| (0..n).map(|k| v + 0.01 * k as f64).collect())
                 .collect();
-            if case == 3 {
-                let unknowns = nl.unknown_nodes();
-                points.push(unknowns.iter().map(|u| nand4_guess[u.0]).collect());
-            }
-            let mut sys = KclSystem::new(nl, temp, &vec![0.0; nl.node_count()]);
+            points.extend(start.map(|g| unknowns.iter().map(|u| g[u.0]).collect()));
+            points.extend([vec![0.05; n], vec![0.45; n]]);
+            // At a flat point, a device with its drain and source on two
+            // floating nodes has `vd == vs`, and the column that raises
+            // one of them flips the device's source/drain order.
+            flat_pairs += nl
+                .devices()
+                .iter()
+                .filter(|d| d.d != d.s && unknowns.contains(&d.d) && unknowns.contains(&d.s))
+                .count();
+            let mut sys = KclSystem::new(nl, *temp, &vec![0.0; nl.node_count()]);
             for (p, x) in points.iter().enumerate() {
                 let mut f = vec![0.0; n];
                 newton::System::residual(&mut sys, x, &mut f);
@@ -727,12 +777,14 @@ mod tests {
                 assert_eq!(bits(&jac), bits(&reference), "case {case}, point {p}: jacobian");
             }
         }
+        assert!(flat_pairs > 0, "no flat point flips a device");
     }
 
     #[test]
     fn dc_solve_walks_the_dense_newton_path() {
-        let (nand4, nand4_guess) = nand4_fixture([false, false, false, true]);
-        let (nand4_b, nand4_b_guess) = nand4_fixture([true, true, false, true]);
+        let d25 = Technology::d25();
+        let (nand4, nand4_guess) = nand4_fixture(&d25, [false, false, false, true], 1.0);
+        let (nand4_b, nand4_b_guess) = nand4_fixture(&d25, [true, true, false, true], 1.0);
         let (inv, _) = inverter(0.0);
         let inv_guess = vec![0.45; inv.node_count()];
         let (nand2, _, _) = nand2_stack();
@@ -745,6 +797,8 @@ mod tests {
         let nand3_guess = vec![0.3; nand3.node_count()];
         let nor3 = stack3(false, [true, false, false], 0.003);
         let nor3_guess = vec![0.45; nor3.node_count()];
+        // Stalls for every iteration: the failure must match too.
+        let (stall, stall_guess) = nand4_fixture(&stalling_die(), [false, false, false, true], 0.0);
         let cases = [
             (&inv, &inv_guess),
             (&nand2, &nand2_guess),
@@ -753,18 +807,44 @@ mod tests {
             (&diode, &diode_guess),
             (&nand3, &nand3_guess),
             (&nor3, &nor3_guess),
+            (&stall, &stall_guess),
         ];
         let opts = NewtonOptions::default();
+        let mut stalled = 0;
         for (case, (nl, guess)) in cases.into_iter().enumerate() {
-            let sol = solve_dc(nl, 300.0, Some(guess), &opts).unwrap();
+            let sol = solve_dc(nl, 300.0, Some(guess), &opts);
             let unknowns = nl.unknown_nodes();
             let mut x: Vec<f64> = unknowns.iter().map(|u| guess[u.0]).collect();
-            let stats = newton::solve(dense_residual(nl, 300.0), &mut x, &opts).unwrap();
-            let solved: Vec<f64> = unknowns.iter().map(|u| sol.voltages[u.0]).collect();
-            assert_eq!(bits(&solved), bits(&x), "case {case}: voltages");
-            assert_eq!(sol.stats.iterations, stats.iterations, "case {case}: iterations");
-            assert!(stats.iterations > 0, "case {case} must iterate");
+            match (sol, newton::solve(dense_residual(nl, 300.0), &mut x, &opts)) {
+                (Ok(sol), Ok(stats)) => {
+                    let solved: Vec<f64> = unknowns.iter().map(|u| sol.voltages[u.0]).collect();
+                    assert_eq!(bits(&solved), bits(&x), "case {case}: voltages");
+                    assert_eq!(sol.stats.iterations, stats.iterations, "case {case}: iterations");
+                    assert!(stats.iterations > 0, "case {case} must iterate");
+                }
+                (
+                    Err(SolverError::NoConvergence { iterations, residual }),
+                    Err(SolverError::NoConvergence {
+                        iterations: dense_iterations,
+                        residual: dense_residual,
+                    }),
+                ) => {
+                    assert_eq!(iterations, dense_iterations, "case {case}: iterations");
+                    assert_eq!(
+                        residual.to_bits(),
+                        dense_residual.to_bits(),
+                        "case {case}: residual"
+                    );
+                    assert_eq!(
+                        iterations, opts.max_iter,
+                        "case {case}: a stall runs every iteration"
+                    );
+                    stalled += 1;
+                }
+                (sol, dense) => panic!("case {case}: {sol:?} against the dense {dense:?}"),
+            }
         }
+        assert_eq!(stalled, 1, "only the perturbed die stalls");
     }
 
     #[test]

@@ -106,7 +106,9 @@ where
 }
 
 /// A nonlinear system the iteration runs on: its residual, and the
-/// forward-difference Jacobian of that residual.
+/// forward-difference Jacobian of that residual. When the iteration
+/// succeeds, its latest [`System::residual`] call was at the returned
+/// point, so a system may keep what it evaluated there.
 pub(crate) trait System {
     /// Writes the residual at `x` into `f`.
     fn residual(&mut self, x: &[f64], f: &mut [f64]);

@@ -136,9 +136,14 @@ mc options:
                       a monolithic run; default 0 = one shard)
   --exact             characterize every die from scratch (bit-exact
                       reference path). Default off: dies derive from the
-                      nominal library's recorded sensitivities — 10-100x
-                      faster, with the measured max/mean deviation from
-                      the exact path reported alongside the summary
+                      nominal library's recorded sensitivities, traced
+                      once per run (~1 s). On coarse s838, 64 vectors
+                      per die, one thread, fast mode runs at 0.65x
+                      exact's speed at 16 dies, 1.3x at 32, 2.3x at 64
+                      and 5.9x at 256: break-even near 25 dies (near 50
+                      on two threads, which exact dies share). The
+                      summary's max/mean deviation from exact is
+                      measured on the first four dies, re-solved
   (mc neither reads nor writes the disk cache: every die gets a fresh
    library, and the fast mode's traced nominal stays in RAM)
 
@@ -572,7 +577,8 @@ fn print_estimate(r: &EstimateResponse) {
 }
 
 /// `estimate --reference`: the full transistor-level solve of the run's
-/// first (at most five) vectors, against the estimator's answer.
+/// first (at most five) vectors, against the estimator's answer. A
+/// failed reference is the command's error, so the CLI exits non-zero.
 fn print_reference(body: &Body, r: &EstimateResponse, lib: &CellLibrary) -> Result<(), String> {
     let (_, circuit) = api::resolve_circuit(body).map_err(cli_error)?;
     let n = r.vectors.min(5);
@@ -581,20 +587,15 @@ fn print_reference(body: &Body, r: &EstimateResponse, lib: &CellLibrary) -> Resu
     let loaded = estimate_batch(&circuit, lib, &patterns, EstimatorMode::Lut)
         .map_err(|e| format!("estimation failed: {e}"))?;
     let opts = ReferenceOptions::default();
-    match nanoleak_core::reference_batch(&circuit, &lib.tech, lib.temp, &patterns, &opts) {
-        Ok(refs) => {
-            let accs: Vec<_> =
-                loaded.iter().zip(&refs).map(|(e, r)| accuracy(e, &r.leakage)).collect();
-            let mean_err =
-                accs.iter().map(|a| a.total_rel_err.abs()).sum::<f64>() / accs.len() as f64;
-            println!(
-                "  reference mean  : {:10.3} uA",
-                refs.iter().map(|r| r.leakage.total.total()).sum::<f64>() / n as f64 * 1e6
-            );
-            println!("  estimator error : {:7.2} % (mean |total|)", mean_err * 100.0);
-        }
-        Err(e) => eprintln!("  reference failed: {e}"),
-    }
+    let refs = nanoleak_core::reference_batch(&circuit, &lib.tech, lib.temp, &patterns, &opts)
+        .map_err(|e| format!("reference failed: {e}"))?;
+    let accs: Vec<_> = loaded.iter().zip(&refs).map(|(e, r)| accuracy(e, &r.leakage)).collect();
+    let mean_err = accs.iter().map(|a| a.total_rel_err.abs()).sum::<f64>() / accs.len() as f64;
+    println!(
+        "  reference mean  : {:10.3} uA",
+        refs.iter().map(|r| r.leakage.total.total()).sum::<f64>() / n as f64 * 1e6
+    );
+    println!("  estimator error : {:7.2} % (mean |total|)", mean_err * 100.0);
     Ok(())
 }
 
