@@ -20,7 +20,12 @@
 //! The one traced nominal characterization is warmed into the memo
 //! before the fast arm is timed — matching the long-lived server,
 //! where the sensitivity build is paid once per nominal request, not
-//! per job — and its cost is recorded separately (`sens_build`).
+//! per job — and its cost is recorded separately: `sens_build` traces
+//! the nominal on a disk-backed memo over a fresh temporary directory
+//! (storing its `.nlc` and `.nls`), and `sens_load` is a second,
+//! fresh memo's disk hit on that directory, what a later process
+//! pays instead. The loaded library and sensitivities must equal the
+//! built ones, bit for bit.
 //!
 //! Circuit samples pay a per-die characterization, so the baseline is
 //! recorded on the coarse 4-point grid (like the CI smoke paths); the
@@ -38,7 +43,7 @@ use std::time::Instant;
 
 use nanoleak_bench::{round, write_baseline};
 use nanoleak_device::Technology;
-use nanoleak_engine::{mc_streaming_mode, McMode, MemoLibraryCache};
+use nanoleak_engine::{mc_streaming_mode, CacheOutcome, LibraryCache, McMode, MemoLibraryCache};
 use nanoleak_netlist::generate::iscas_like;
 use nanoleak_netlist::normalize::normalize;
 use nanoleak_variation::{char_opts_for, run_inverter_mc, CircuitMcConfig, McConfig};
@@ -110,6 +115,7 @@ struct StageTimings {
     fixture: f64,
     characterize: f64,
     sens_build: f64,
+    sens_load: f64,
     estimate: f64,
     merge: f64,
 }
@@ -181,20 +187,31 @@ fn main() {
         .expect("not cancelled");
     let exact_sps = exact.telemetry.samples_per_sec;
 
-    // ---- Sensitivity build (the once-per-nominal traced solve). ----
-    let t0 = Instant::now();
-    cache
-        .get_or_characterize_with_sens(
-            &exact_cfg.op.tech(&tech),
-            exact_cfg.op.temp,
-            &exact_cfg.char_opts,
-        )
-        .expect("traced nominal characterization");
-    let sens_build_secs = t0.elapsed().as_secs_f64();
+    // ---- Sensitivity build (the once-per-directory traced solve) ----
+    // ---- and its load by a later process.                        ----
+    let dir = std::env::temp_dir().join(format!("nanoleak-bench-mc-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let nominal = |memo: &MemoLibraryCache| {
+        let t0 = Instant::now();
+        let op = &exact_cfg.op;
+        let (lib, sens, outcome) = memo
+            .get_or_characterize_with_sens(&op.tech(&tech), op.temp, &exact_cfg.char_opts)
+            .expect("traced nominal characterization");
+        (t0.elapsed().as_secs_f64(), lib, sens, outcome)
+    };
+    let (sens_build_secs, built, built_sens, outcome) =
+        nominal(&MemoLibraryCache::over(LibraryCache::new(&dir)));
+    assert_eq!(outcome, CacheOutcome::Miss, "a fresh directory traces the nominal");
+    let warm = MemoLibraryCache::over(LibraryCache::new(&dir));
+    let (sens_load_secs, loaded, loaded_sens, outcome) = nominal(&warm);
+    assert_eq!(outcome, CacheOutcome::Hit, "a fresh memo loads the stored nominal");
+    assert_eq!(loaded, built, "the loaded library must equal the built one bit for bit");
+    assert_eq!(loaded_sens, built_sens, "the loaded sensitivities must equal the built ones");
+    let _ = std::fs::remove_dir_all(&dir);
 
     // ---- Fast arm (dies derived from nominal sensitivities). ----
     let fast_cfg = CircuitMcConfig { samples: fast_samples, ..exact_cfg.clone() };
-    let fast = mc_streaming_mode(&circuit, &tech, &cache, &fast_cfg, McMode::fast(), 0, |_| true)
+    let fast = mc_streaming_mode(&circuit, &tech, &warm, &fast_cfg, McMode::fast(), 0, |_| true)
         .expect("fast circuit mc")
         .expect("not cancelled");
     let fast_sps = fast.telemetry.samples_per_sec;
@@ -213,7 +230,7 @@ fn main() {
     assert_eq!(exact.summary, exact_again.summary, "exact MC must reproduce bit-for-bit");
     // Fast re-run: derivation is deterministic, deviation probe included.
     let fast_again =
-        mc_streaming_mode(&circuit, &tech, &cache, &fast_cfg, McMode::fast(), 0, |_| true)
+        mc_streaming_mode(&circuit, &tech, &warm, &fast_cfg, McMode::fast(), 0, |_| true)
             .expect("fast mc rerun")
             .expect("not cancelled");
     assert_eq!(fast.summary, fast_again.summary, "fast MC must reproduce bit-for-bit");
@@ -267,6 +284,7 @@ fn main() {
             fixture: round(fixture_secs * 1e3, 3),
             characterize: round(stage_ms("characterize"), 3),
             sens_build: round(sens_build_secs * 1e3, 3),
+            sens_load: round(sens_load_secs * 1e3, 3),
             estimate: round(stage_ms("estimate"), 3),
             merge: round(stage_ms("merge"), 3),
         },

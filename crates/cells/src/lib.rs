@@ -59,7 +59,7 @@ pub use lut::{BreakdownLut, LoadingGrid, Locus};
 pub use operating::OperatingPoint;
 pub use sensitivity::{
     apply_deltas, characterize_with_sensitivity, delta_library, infer_deltas, DeltaReport,
-    LibrarySens, DEFAULT_DELTA_TOL, PROBE_STEPS, SENS_AXES,
+    LibrarySens, DEFAULT_DELTA_TOL, PROBE_STEPS, SENS_AXES, SENS_MODEL_VERSION,
 };
 pub use topology::{add_cell, CellPins};
 pub use vector::InputVector;

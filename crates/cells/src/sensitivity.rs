@@ -41,6 +41,13 @@
 //! entry whose estimate exceeds the tolerance, or whose derived values
 //! overflow, falls back to a full Newton characterization of that
 //! vector.
+//!
+//! A library's sensitivities persist as one flat record
+//! ([`LibrarySens::to_bytes`]): little-endian `f64` slabs in library
+//! order, tagged with [`SENS_MODEL_VERSION`]. It is read back only
+//! against the library it was traced with
+//! ([`LibrarySens::from_bytes`]), which rejects any record whose shape,
+//! version or values do not fit that library.
 
 use std::collections::BTreeMap;
 
@@ -79,6 +86,19 @@ pub const CORNER_STEPS: [f64; SENS_AXES] =
 
 /// Axis pairs carrying a cross-curvature term, in storage order.
 pub const SENS_PAIRS: [(usize, usize); 6] = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)];
+
+/// Version of the sensitivity model and of its stored record
+/// ([`LibrarySens::to_bytes`]). Bump it with any change to the probes
+/// ([`PROBE_STEPS`], [`CORNER_STEPS`], the probe set), to the stencils
+/// and fits that turn probe values into coefficients, or to the record
+/// layout: a record of another version then reads as stale and the
+/// nominal is traced afresh.
+pub const SENS_MODEL_VERSION: u32 = 1;
+
+/// `f64`s a [`VectorSens`] record stores per flattened value: four
+/// per-axis slabs of [`SENS_AXES`], two pairwise slabs of
+/// [`SENS_PAIRS`] and the weight.
+const RECORD_F64S: usize = 4 * SENS_AXES + 2 * SENS_PAIRS.len() + 1;
 
 /// Default linearization tolerance, as an estimated *relative* error
 /// at the entry's dominant current scale: an entry is delta-derived
@@ -126,7 +146,7 @@ pub fn infer_deltas(nominal: &Technology, die: &Technology) -> Option<[f64; SENS
 }
 
 /// Sensitivity record for one `(cell, vector)` entry.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VectorSens {
     /// Per-axis log-space slopes for every flattened value of the
     /// entry's [`VectorChar`], in [`flatten_values`] order.
@@ -214,16 +234,120 @@ impl VectorSens {
 }
 
 /// Sensitivities for every vector of one cell, in index order.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CellSens {
     vectors: Vec<VectorSens>,
 }
 
 /// Sensitivities for a whole library, keyed like the library itself.
-/// Held in RAM next to the nominal [`CellLibrary`]; never serialized.
-#[derive(Debug, Clone)]
+/// Held next to the nominal [`CellLibrary`] they were traced with, and
+/// stored beside it as one flat record ([`LibrarySens::to_bytes`]).
+#[derive(Debug, Clone, PartialEq)]
 pub struct LibrarySens {
     cells: BTreeMap<CellType, CellSens>,
+}
+
+impl LibrarySens {
+    /// Length in bytes of the record [`LibrarySens::to_bytes`] writes
+    /// for the sensitivities of `lib`, read off the library's shape: a
+    /// reader checks a stored record's length against it before
+    /// reading the record.
+    pub fn encoded_len(lib: &CellLibrary) -> usize {
+        let cells = lib.cell_types().map(|cell| {
+            let vectors = lib.cell(cell).expect("iterating the library's own cells").vectors();
+            8 + vectors.iter().map(|vc| 4 + 8 * RECORD_F64S * value_count(vc)).sum::<usize>()
+        });
+        8 + cells.sum::<usize>()
+    }
+
+    /// The flat record: [`SENS_MODEL_VERSION`] and the cell count as
+    /// `u32`s, then per cell in library order its position in
+    /// [`CellType::ALL`] and its vector count, then per vector in index
+    /// order its value count `n` (a `u32`) and its slabs as
+    /// little-endian `f64`s: `n x 4` slopes, curvatures, third and
+    /// fourth log-derivatives, `n x 6` cross curvatures and corner
+    /// misfits, and `n` weights.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        let put_u32 = |out: &mut Vec<u8>, n: usize| {
+            out.extend_from_slice(&u32::try_from(n).expect("counts fit a u32").to_le_bytes());
+        };
+        put_u32(&mut out, SENS_MODEL_VERSION as usize);
+        put_u32(&mut out, self.cells.len());
+        for (cell, cs) in &self.cells {
+            put_u32(&mut out, CellType::ALL.iter().position(|c| c == cell).expect("a known cell"));
+            put_u32(&mut out, cs.vectors.len());
+            for vs in &cs.vectors {
+                put_u32(&mut out, vs.weight.len());
+                let (axes, pairs) = ([&vs.sens, &vs.curv, &vs.cub, &vs.qrt], [&vs.cross, &vs.mu]);
+                let values = (axes.into_iter().flatten().flatten())
+                    .chain(pairs.into_iter().flatten().flatten())
+                    .chain(&vs.weight);
+                for v in values {
+                    out.extend_from_slice(&v.to_le_bytes());
+                }
+            }
+        }
+        out
+    }
+
+    /// Reads a record [`LibrarySens::to_bytes`] wrote for `lib`.
+    /// `None` unless the record is exactly one for this library: its
+    /// version is [`SENS_MODEL_VERSION`], it names the library's cells
+    /// in library order with their vector counts, each vector's value
+    /// count is its entry's, every value is finite and no byte is left
+    /// over.
+    pub fn from_bytes(lib: &CellLibrary, bytes: &[u8]) -> Option<Self> {
+        struct Reader<'a>(&'a [u8]);
+        impl Reader<'_> {
+            fn take<const N: usize>(&mut self) -> Option<[u8; N]> {
+                let (head, rest) = self.0.split_first_chunk::<N>()?;
+                self.0 = rest;
+                Some(*head)
+            }
+            fn count(&mut self) -> Option<usize> {
+                self.take().map(|b| u32::from_le_bytes(b) as usize)
+            }
+            fn rows<const K: usize>(&mut self, n: usize) -> Option<Vec<[f64; K]>> {
+                (0..n)
+                    .map(|_| {
+                        let mut row = [0.0; K];
+                        for v in &mut row {
+                            *v = f64::from_le_bytes(self.take()?);
+                            if !v.is_finite() {
+                                return None;
+                            }
+                        }
+                        Some(row)
+                    })
+                    .collect()
+            }
+        }
+        let mut r = Reader(bytes);
+        if r.count()? != SENS_MODEL_VERSION as usize || r.count()? != lib.cell_count() {
+            return None;
+        }
+        let mut cells = BTreeMap::new();
+        for cell in lib.cell_types() {
+            let entries = lib.cell(cell)?.vectors();
+            if CellType::ALL.get(r.count()?) != Some(&cell) || r.count()? != entries.len() {
+                return None;
+            }
+            let mut vectors = Vec::with_capacity(entries.len());
+            for vc in entries {
+                let n = r.count()?;
+                if n != value_count(vc) {
+                    return None;
+                }
+                let (sens, curv, cub, qrt) = (r.rows(n)?, r.rows(n)?, r.rows(n)?, r.rows(n)?);
+                let (cross, mu) = (r.rows(n)?, r.rows(n)?);
+                let weight = r.rows::<1>(n)?.into_iter().map(|[w]| w).collect();
+                vectors.push(VectorSens { sens, curv, cub, qrt, cross, mu, weight });
+            }
+            cells.insert(cell, CellSens { vectors });
+        }
+        r.0.is_empty().then_some(Self { cells })
+    }
 }
 
 /// Outcome of one [`delta_library`] derivation.
@@ -519,7 +643,8 @@ fn log_poly(v0: f64, v_p: f64, v_m: f64, v_p2: f64, v_m2: f64, h: f64) -> (f64, 
 /// (inputs in pin order, output last; `sub`, `gate`, `btbt` per table).
 /// [`rebuild_from_values`] consumes the same order.
 fn flatten_values(vc: &VectorChar) -> Vec<f64> {
-    let mut out = vec![vc.nominal.sub, vc.nominal.gate, vc.nominal.btbt];
+    let mut out = Vec::with_capacity(value_count(vc));
+    out.extend_from_slice(&[vc.nominal.sub, vc.nominal.gate, vc.nominal.btbt]);
     out.extend_from_slice(&vc.pin_currents);
     for lut in vc.input_resp.iter().chain(std::iter::once(&vc.output_resp)) {
         for column in lut.columns() {
@@ -527,6 +652,13 @@ fn flatten_values(vc: &VectorChar) -> Vec<f64> {
         }
     }
     out
+}
+
+/// How many values [`flatten_values`] yields for `vc`.
+fn value_count(vc: &VectorChar) -> usize {
+    let tables = vc.input_resp.iter().chain(std::iter::once(&vc.output_resp));
+    3 + vc.pin_currents.len()
+        + tables.flat_map(|lut| lut.columns()).map(<[f64]>::len).sum::<usize>()
 }
 
 /// Rebuilds a [`VectorChar`] from flattened values, taking each
@@ -572,6 +704,37 @@ mod tests {
         let plain = CellLibrary::characterize(&tech, 300.0, &opts()).unwrap();
         let (lib, _sens) = characterize_with_sensitivity(&tech, 300.0, &opts()).unwrap();
         assert_eq!(lib, plain, "traced characterization must not move a single bit");
+    }
+
+    #[test]
+    fn stored_records_round_trip_and_fit_only_their_library() {
+        let tech = Technology::d25();
+        let (lib, sens) = characterize_with_sensitivity(&tech, 300.0, &opts()).unwrap();
+        let bytes = sens.to_bytes();
+        assert_eq!(bytes.len(), LibrarySens::encoded_len(&lib));
+        assert_eq!(LibrarySens::from_bytes(&lib, &bytes).as_ref(), Some(&sens));
+
+        let stale = |bytes: &[u8], lib: &CellLibrary| LibrarySens::from_bytes(lib, bytes).is_none();
+        let mut other_model = bytes.clone();
+        other_model[..4].copy_from_slice(&(SENS_MODEL_VERSION + 1).to_le_bytes());
+        assert!(stale(&other_model, &lib), "another model version");
+        let mut nan = bytes.clone();
+        let last = nan.len() - 8;
+        nan[last..].copy_from_slice(&f64::NAN.to_le_bytes());
+        assert!(stale(&nan, &lib), "a non-finite value");
+        assert!(stale(&bytes[..bytes.len() - 8], &lib), "a record cut short");
+        let mut longer = bytes.clone();
+        longer.push(0);
+        assert!(stale(&longer, &lib), "a byte left over");
+        // Libraries of another shape: fewer cells, and the same cells
+        // on a denser grid (longer records).
+        let fewer = CharacterizeOptions::coarse(&[CellType::Inv]);
+        let denser = CharacterizeOptions { points: 5, ..opts() };
+        for other in [fewer, denser] {
+            let other = CellLibrary::characterize(&tech, 300.0, &other).unwrap();
+            assert_ne!(LibrarySens::encoded_len(&other), bytes.len());
+            assert!(stale(&bytes, &other), "{:?}", other.options);
+        }
     }
 
     #[test]

@@ -7,25 +7,36 @@
 //! [`LibraryCache`] serializes the characterized [`CellLibrary`] to
 //! disk so later runs (including across processes) skip the solve:
 //! with a warm `.nlc` hit, `estimate s838 --vectors 20` runs end to end
-//! in 4–5 ms.
+//! in 4–5 ms. A traced request (the fast Monte-Carlo nominal,
+//! [`MemoLibraryCache::get_or_characterize_with_sens`]) stores its
+//! sensitivities beside its library, so a later run loads them in
+//! about a millisecond instead of re-tracing (0.8 s on coarse s838).
 //!
-//! ## File format (`*.nlc`)
+//! ## Files
+//!
+//! One request key names two files: `<tech>-v3-<key>.nlc`, the
+//! library, and `<tech>-v3-<key>.nls`, the sidecar a traced request
+//! writes beside it. Both start with the same header:
 //!
 //! | bytes | content |
 //! |---|---|
-//! | 4 | magic `NLKC` |
+//! | 4 | magic: `NLKC` (`.nlc`) or `NLKS` (`.nls`) |
 //! | 4 | format version, u32 LE ([`CACHE_FORMAT_VERSION`]) |
 //! | 8 | request key, u64 LE — FNV-1a over the serialized (tech, temp, options) |
 //! | 8 | payload length, u64 LE |
 //! | 8 | payload checksum, u64 LE (FNV-1a) |
-//! | n | payload: the `CellLibrary` in vendored-serde binary encoding |
+//! | n | payload: `.nlc` the `CellLibrary` in vendored-serde binary encoding, `.nls` the flat [`LibrarySens`] record ([`LibrarySens::to_bytes`]) |
 //!
 //! Format version 3 stores each loading-response table as its `sub`,
 //! `gate` and `btbt` delta columns only: the grid they are sampled on
 //! is the library's ([`CellLibrary::grid`]), derived from the stored
 //! options, so no file holds a copy of it. The version is part of the
 //! file name, so a cache directory written under another version
-//! characterizes once and then hits again.
+//! characterizes once and then hits again. The sidecar's record
+//! carries its own version
+//! ([`SENS_MODEL_VERSION`](nanoleak_cells::SENS_MODEL_VERSION)), so a
+//! change to the sensitivity model re-traces without touching the
+//! `.nlc` format.
 //!
 //! Any mismatch — magic, version, key, length, checksum, decode
 //! failure, a decoded library whose (tech, temp, options) differ from
@@ -34,9 +45,13 @@
 //! grid's knot count, or a missing requested cell, say: decoding
 //! bypasses the constructors) — is treated as a stale entry: the
 //! library is re-characterized and the file overwritten. So a cache
-//! file never reaches the estimator unchecked. Changing the
+//! file never reaches the estimator unchecked. A sidecar is read only
+//! after its library loads, only if its length is the one that
+//! library's shape implies, and only as a record that fits that
+//! library ([`LibrarySens::from_bytes`]); a traced request whose pair
+//! fails any check re-traces and overwrites both files. Changing the
 //! characterization options changes the key and therefore the file
-//! name, so old entries can never shadow new requests.
+//! names, so old entries can never shadow new requests.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -139,8 +154,19 @@ pub(crate) fn delta_metrics() -> &'static DeltaMetrics {
 /// changes; old files then re-characterize instead of mis-decoding.
 pub const CACHE_FORMAT_VERSION: u32 = 3;
 
-const MAGIC: &[u8; 4] = b"NLKC";
 const HEADER_LEN: usize = 4 + 4 + 8 + 8 + 8;
+
+/// One kind of cache file: the extension its name ends in and the
+/// magic its header starts with.
+struct FileKind {
+    ext: &'static str,
+    magic: &'static [u8; 4],
+}
+
+/// A characterized library.
+const LIBRARY_FILE: FileKind = FileKind { ext: "nlc", magic: b"NLKC" };
+/// A traced library's sensitivities, beside its library file.
+const SENS_FILE: FileKind = FileKind { ext: "nls", magic: b"NLKS" };
 
 /// How a characterization request was satisfied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -205,9 +231,24 @@ impl LibraryCache {
 
     /// The file path backing one request.
     pub fn path_for(&self, tech: &Technology, temp: f64, opts: &CharacterizeOptions) -> PathBuf {
-        let key = Self::request_key(tech, temp, opts);
+        self.file_path(&LIBRARY_FILE, tech, Self::request_key(tech, temp, opts))
+    }
+
+    /// The path of the sensitivity sidecar a traced request stores
+    /// beside its library ([`LibraryCache::path_for`]), under the same
+    /// key.
+    pub fn sens_path_for(
+        &self,
+        tech: &Technology,
+        temp: f64,
+        opts: &CharacterizeOptions,
+    ) -> PathBuf {
+        self.file_path(&SENS_FILE, tech, Self::request_key(tech, temp, opts))
+    }
+
+    fn file_path(&self, kind: &FileKind, tech: &Technology, key: u64) -> PathBuf {
         let name = tech.name.to_lowercase().replace(|c: char| !c.is_alphanumeric(), "-");
-        self.dir.join(format!("{name}-v{CACHE_FORMAT_VERSION}-{key:016x}.nlc"))
+        self.dir.join(format!("{name}-v{CACHE_FORMAT_VERSION}-{key:016x}.{}", kind.ext))
     }
 
     /// Loads the cached library for a request, or characterizes and
@@ -241,24 +282,62 @@ impl LibraryCache {
         Ok((Arc::new(lib), outcome))
     }
 
+    /// [`LibraryCache::load_or_characterize`] with sensitivities: loads
+    /// the library together with the sidecar beside it
+    /// ([`LibraryCache::sens_path_for`]), or runs the traced
+    /// characterization and stores both. The library goes through
+    /// [`LibraryCache::store`], so plain requests for the key hit it
+    /// too. An entry with either file present that does not load as a
+    /// pair (a sidecar whose library is missing, say) is
+    /// [`CacheOutcome::Invalidated`], and both files are rewritten.
+    ///
+    /// # Errors
+    /// * [`EngineError::Solver`] if the traced characterization fails;
+    /// * [`EngineError::Cache`] if either fresh file cannot be written.
+    pub fn load_or_characterize_with_sens(
+        &self,
+        tech: &Technology,
+        temp: f64,
+        opts: &CharacterizeOptions,
+    ) -> Result<(Arc<CellLibrary>, Arc<LibrarySens>, CacheOutcome), EngineError> {
+        let sens_path = self.sens_path_for(tech, temp, opts);
+        let existed = self.path_for(tech, temp, opts).exists() || sens_path.exists();
+        if existed {
+            if let Some((lib, sens)) = self.try_load_with_sens(tech, temp, opts) {
+                return Ok((Arc::new(lib), Arc::new(sens), CacheOutcome::Hit));
+            }
+        }
+        let (lib, sens) = characterize_with_sensitivity(tech, temp, opts)?;
+        self.store(&lib)?;
+        let key = Self::request_key(tech, temp, opts);
+        self.write_sealed(&SENS_FILE, &sens_path, key, &sens.to_bytes())?;
+        let outcome = if existed { CacheOutcome::Invalidated } else { CacheOutcome::Miss };
+        Ok((Arc::new(lib), Arc::new(sens), outcome))
+    }
+
     /// Writes `lib` into the cache, creating the directory on demand.
     ///
     /// # Errors
     /// [`EngineError::Cache`] on any I/O failure.
     pub fn store(&self, lib: &CellLibrary) -> Result<PathBuf, EngineError> {
         let path = self.path_for(&lib.tech, lib.temp, &lib.options);
+        let key = Self::request_key(&lib.tech, lib.temp, &lib.options);
+        self.write_sealed(&LIBRARY_FILE, &path, key, &serde::to_bytes(lib))?;
+        Ok(path)
+    }
+
+    /// Writes `payload` to `path` behind a `kind` header for `key`,
+    /// creating the directory on demand.
+    fn write_sealed(
+        &self,
+        kind: &FileKind,
+        path: &Path,
+        key: u64,
+        payload: &[u8],
+    ) -> Result<(), EngineError> {
         std::fs::create_dir_all(&self.dir)
             .map_err(|e| EngineError::Cache(format!("create {}: {e}", self.dir.display())))?;
-        let key = Self::request_key(&lib.tech, lib.temp, &lib.options);
-        let payload = serde::to_bytes(lib);
-
-        let mut bytes = Vec::with_capacity(HEADER_LEN + payload.len());
-        bytes.extend_from_slice(MAGIC);
-        bytes.extend_from_slice(&CACHE_FORMAT_VERSION.to_le_bytes());
-        bytes.extend_from_slice(&key.to_le_bytes());
-        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        bytes.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-        bytes.extend_from_slice(&payload);
+        let bytes = seal(kind, key, payload);
 
         // Write-then-rename so a crashed writer never leaves a torn
         // file behind for the next reader. The tmp name carries the
@@ -268,7 +347,8 @@ impl LibraryCache {
         // spliced payload into place.
         static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
         let tmp = path.with_extension(format!(
-            "nlc.tmp.{}.{}",
+            "{}.tmp.{}.{}",
+            kind.ext,
             std::process::id(),
             TMP_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
@@ -278,12 +358,11 @@ impl LibraryCache {
         }
         std::fs::write(&tmp, &bytes)
             .map_err(|e| EngineError::Cache(format!("write {}: {e}", tmp.display())))?;
-        std::fs::rename(&tmp, &path)
-            .map_err(|e| EngineError::Cache(format!("rename to {}: {e}", path.display())))?;
-        Ok(path)
+        std::fs::rename(&tmp, path)
+            .map_err(|e| EngineError::Cache(format!("rename to {}: {e}", path.display())))
     }
 
-    /// Attempts to load and fully validate one cache file; any
+    /// Attempts to load and fully validate one library file; any
     /// problem returns `None` (the caller re-characterizes).
     fn try_load(
         &self,
@@ -292,30 +371,8 @@ impl LibraryCache {
         temp: f64,
         opts: &CharacterizeOptions,
     ) -> Option<CellLibrary> {
-        // Chaos hook: an armed `cache-corrupt` failpoint makes every
-        // existing entry read as torn, forcing the invalidation path.
-        if nanoleak_fault::inject("cache-corrupt").is_some() {
-            return None;
-        }
-        let bytes = std::fs::read(path).ok()?;
-        if bytes.len() < HEADER_LEN || &bytes[..4] != MAGIC {
-            return None;
-        }
-        let version = u32::from_le_bytes(bytes[4..8].try_into().ok()?);
-        if version != CACHE_FORMAT_VERSION {
-            return None;
-        }
-        let key = u64::from_le_bytes(bytes[8..16].try_into().ok()?);
-        if key != Self::request_key(tech, temp, opts) {
-            return None;
-        }
-        let len = u64::from_le_bytes(bytes[16..24].try_into().ok()?) as usize;
-        let checksum = u64::from_le_bytes(bytes[24..32].try_into().ok()?);
-        let payload = &bytes[HEADER_LEN..];
-        if payload.len() != len || fnv1a(payload) != checksum {
-            return None;
-        }
-        let lib: CellLibrary = serde::from_bytes(payload).ok()?;
+        let payload = read_sealed(&LIBRARY_FILE, path, Self::request_key(tech, temp, opts), None)?;
+        let lib: CellLibrary = serde::from_bytes(&payload).ok()?;
         // Key collisions are astronomically unlikely but cheap to rule
         // out: the decoded request must match the asked-for request.
         if lib.tech != *tech || lib.temp != temp || lib.options != *opts {
@@ -325,6 +382,79 @@ impl LibraryCache {
         // tables must also be ones the estimator can index.
         lib.is_well_formed().then_some(lib)
     }
+
+    /// Attempts to load a request's library file and the sidecar
+    /// beside it as a pair: the sidecar is read only once the library
+    /// loads, and only as a record that fits it. Any problem returns
+    /// `None`.
+    fn try_load_with_sens(
+        &self,
+        tech: &Technology,
+        temp: f64,
+        opts: &CharacterizeOptions,
+    ) -> Option<(CellLibrary, LibrarySens)> {
+        let lib = self.try_load(&self.path_for(tech, temp, opts), tech, temp, opts)?;
+        let (path, key) =
+            (self.sens_path_for(tech, temp, opts), Self::request_key(tech, temp, opts));
+        let payload = read_sealed(&SENS_FILE, &path, key, Some(LibrarySens::encoded_len(&lib)))?;
+        let sens = LibrarySens::from_bytes(&lib, &payload)?;
+        Some((lib, sens))
+    }
+}
+
+/// The bytes of one `kind` file: `payload` behind the header for `key`.
+fn seal(kind: &FileKind, key: u64, payload: &[u8]) -> Vec<u8> {
+    let mut bytes = Vec::with_capacity(HEADER_LEN + payload.len());
+    bytes.extend_from_slice(kind.magic);
+    bytes.extend_from_slice(&CACHE_FORMAT_VERSION.to_le_bytes());
+    bytes.extend_from_slice(&key.to_le_bytes());
+    bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    bytes.extend_from_slice(&fnv1a(payload).to_le_bytes());
+    bytes.extend_from_slice(payload);
+    bytes
+}
+
+/// The payload of the `kind` file `bytes` once its header checks out:
+/// magic, version, `key`, length and checksum.
+fn unseal(kind: &FileKind, key: u64, mut bytes: Vec<u8>) -> Option<Vec<u8>> {
+    if bytes.len() < HEADER_LEN {
+        return None;
+    }
+    let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
+    let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
+    let payload = &bytes[HEADER_LEN..];
+    if &bytes[..4] != kind.magic
+        || version != CACHE_FORMAT_VERSION
+        || word(8) != key
+        || word(16) != payload.len() as u64
+        || word(24) != fnv1a(payload)
+    {
+        return None;
+    }
+    bytes.drain(..HEADER_LEN);
+    Some(bytes)
+}
+
+/// Reads and [unseals](unseal) the `kind` file at `path`. A known
+/// `payload_len` is checked against the file's size before any byte is
+/// read. Any problem returns `None`.
+fn read_sealed(
+    kind: &FileKind,
+    path: &Path,
+    key: u64,
+    payload_len: Option<usize>,
+) -> Option<Vec<u8>> {
+    // Chaos hook: an armed `cache-corrupt` failpoint makes every
+    // existing entry read as torn, forcing the invalidation path.
+    if nanoleak_fault::inject("cache-corrupt").is_some() {
+        return None;
+    }
+    if let Some(len) = payload_len {
+        if std::fs::metadata(path).ok()?.len() != (HEADER_LEN + len) as u64 {
+            return None;
+        }
+    }
+    unseal(kind, key, std::fs::read(path).ok()?)
 }
 
 /// Counters describing how a [`MemoLibraryCache`] has served requests.
@@ -332,7 +462,8 @@ impl LibraryCache {
 pub struct MemoCacheStats {
     /// Requests served from process RAM.
     pub memory_hits: u64,
-    /// Requests served from a valid `*.nlc` disk file.
+    /// Requests served from valid disk files (a `*.nlc`, plus its
+    /// `*.nls` sidecar for a traced request).
     pub disk_hits: u64,
     /// Requests that ran the characterization solver (disk miss or
     /// stale entry, or the disk layer disabled).
@@ -357,7 +488,7 @@ impl MemoCacheStats {
     }
 }
 
-/// An in-memory memoizing layer over the `*.nlc` disk cache.
+/// An in-memory memoizing layer over the disk cache.
 ///
 /// A long-lived process (the `nanoleak-serve` front-end, batch
 /// condition-grid jobs) asks for the same `(technology, temperature,
@@ -393,16 +524,24 @@ pub struct MemoLibraryCache {
     characterizations: AtomicU64,
 }
 
-/// One resident library, with the sensitivity slabs recorded alongside
+/// One resident library, with the sensitivity slabs traced alongside
 /// it when it went through
-/// [`MemoLibraryCache::get_or_characterize_with_sens`] (RAM-only:
-/// sensitivities are cheap to re-record relative to their serialized
-/// size), and the clock stamp of its last use.
+/// [`MemoLibraryCache::get_or_characterize_with_sens`] (the disk layer,
+/// if any, holds them too), and the clock stamp of its last use.
 #[derive(Debug)]
 struct MemoEntry {
     lib: Arc<CellLibrary>,
     sens: Option<Arc<LibrarySens>>,
     used: u64,
+}
+
+/// The solver error the `characterize` and `char-sensitivity`
+/// failpoints inject.
+fn injected_non_convergence() -> EngineError {
+    EngineError::Solver(nanoleak_solver::SolverError::NoConvergence {
+        iterations: 0,
+        residual: f64::INFINITY,
+    })
 }
 
 /// Default bound on libraries held in RAM by a [`MemoLibraryCache`]
@@ -471,10 +610,7 @@ impl MemoLibraryCache {
         // on the miss path (memory hits above stay unaffected — an
         // already-resident library cannot fail retroactively).
         if nanoleak_fault::inject("characterize").is_some() {
-            return Err(EngineError::Solver(nanoleak_solver::SolverError::NoConvergence {
-                iterations: 0,
-                residual: f64::INFINITY,
-            }));
+            return Err(injected_non_convergence());
         }
         let (lib, outcome) = match &self.disk {
             Some(disk) => disk.load_or_characterize(tech, temp, opts)?,
@@ -483,19 +619,22 @@ impl MemoLibraryCache {
                 (Arc::new(lib), CacheOutcome::Miss)
             }
         };
-        match outcome {
-            CacheOutcome::Hit => {
-                self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                cache_metrics().disk_hits.inc();
-            }
-            _ => {
-                self.characterizations.fetch_add(1, Ordering::Relaxed);
-                cache_metrics().characterizations.inc();
-                cache_metrics().characterize_seconds.record_duration(started.elapsed());
-            }
-        };
+        self.count_miss(outcome, started);
         self.insert(key, Arc::clone(&lib), None);
         Ok((lib, outcome))
+    }
+
+    /// Counts a request that missed RAM: a disk hit, or a
+    /// characterization that ran since `started`.
+    fn count_miss(&self, outcome: CacheOutcome, started: std::time::Instant) {
+        if outcome == CacheOutcome::Hit {
+            self.disk_hits.fetch_add(1, Ordering::Relaxed);
+            cache_metrics().disk_hits.inc();
+        } else {
+            self.characterizations.fetch_add(1, Ordering::Relaxed);
+            cache_metrics().characterizations.inc();
+            cache_metrics().characterize_seconds.record_duration(started.elapsed());
+        }
     }
 
     /// Recalls the resident entry under `key` through `pick`; an entry
@@ -546,29 +685,32 @@ impl MemoLibraryCache {
     }
 
     /// Returns the characterized library for a request *with* its
-    /// per-`(cell, vector)` sensitivity slabs, recalled from RAM when
-    /// this process has traced the request before.
+    /// per-`(cell, vector)` sensitivity slabs: from RAM when this
+    /// process has traced the request before, else from the disk layer
+    /// (the `.nlc` and its `.nls` sidecar,
+    /// [`LibraryCache::load_or_characterize_with_sens`]), else by the
+    /// traced characterization, whose library and sensitivities the
+    /// disk layer then stores. A disk hit counts on
+    /// [`MemoCacheStats::disk_hits`] and the traced solve as one
+    /// characterization.
     ///
     /// Sensitivities only exist on entries that went through this
     /// method: a library memoized by the plain
-    /// [`MemoLibraryCache::get_or_characterize`] path (or recalled
-    /// from disk) has no recorded slabs, so the request re-runs the
-    /// traced characterization — bit-identical library, now with
-    /// sensitivities — and replaces the entry. The traced solve counts
-    /// as one characterization in [`MemoLibraryCache::stats`].
-    ///
-    /// The entry is RAM-only: this path never reads or writes the disk
-    /// layer, because sensitivities cannot be stored there. It is the
-    /// only memo entry a Monte-Carlo run makes (the fast mode's traced
-    /// nominal); per-die libraries never enter the memo.
+    /// [`MemoLibraryCache::get_or_characterize`] path has no slabs, so
+    /// the request goes to the disk layer and replaces the entry. It
+    /// is the only memo entry a Monte-Carlo run makes (the fast mode's
+    /// traced nominal); per-die libraries never enter the memo or the
+    /// disk. A memo without a disk layer keeps the entry in RAM only.
     ///
     /// Chaos: the `char-sensitivity` failpoint injects a solver
-    /// failure on the trace path (RAM recalls stay unaffected), so
-    /// drills can verify that fast Monte-Carlo runs degrade to the
-    /// exact path.
+    /// failure on every request that misses RAM (RAM recalls stay
+    /// unaffected), so drills can verify that fast Monte-Carlo runs
+    /// degrade to the exact path.
     ///
     /// # Errors
-    /// [`EngineError::Solver`] if the traced characterization fails.
+    /// * [`EngineError::Solver`] if the traced characterization fails;
+    /// * [`EngineError::Cache`] if a fresh disk entry cannot be
+    ///   written.
     pub fn get_or_characterize_with_sens(
         &self,
         tech: &Technology,
@@ -584,18 +726,18 @@ impl MemoLibraryCache {
         let started = std::time::Instant::now();
         let _span = nanoleak_obs::span!("library-sens", temp = temp);
         if nanoleak_fault::inject("char-sensitivity").is_some() {
-            return Err(EngineError::Solver(nanoleak_solver::SolverError::NoConvergence {
-                iterations: 0,
-                residual: f64::INFINITY,
-            }));
+            return Err(injected_non_convergence());
         }
-        let (lib, sens) = characterize_with_sensitivity(tech, temp, opts)?;
-        let (lib, sens) = (Arc::new(lib), Arc::new(sens));
-        self.characterizations.fetch_add(1, Ordering::Relaxed);
-        cache_metrics().characterizations.inc();
-        cache_metrics().characterize_seconds.record_duration(started.elapsed());
+        let (lib, sens, outcome) = match &self.disk {
+            Some(disk) => disk.load_or_characterize_with_sens(tech, temp, opts)?,
+            None => {
+                let (lib, sens) = characterize_with_sensitivity(tech, temp, opts)?;
+                (Arc::new(lib), Arc::new(sens), CacheOutcome::Miss)
+            }
+        };
+        self.count_miss(outcome, started);
         self.insert(key, Arc::clone(&lib), Some(Arc::clone(&sens)));
-        Ok((lib, sens, CacheOutcome::Miss))
+        Ok((lib, sens, outcome))
     }
 
     /// Number of libraries currently held in RAM.
@@ -616,10 +758,12 @@ impl MemoLibraryCache {
 /// The delta-from-nominal library source for fast Monte-Carlo runs.
 ///
 /// [`DeltaLibraryProvider::prepare`] characterizes the nominal
-/// technology **once** with traced Newton solves (recording
-/// per-`(cell, vector)` `∂I/∂Vt`- and `∂I/∂Vdd`-style sensitivity
-/// slabs through [`MemoLibraryCache::get_or_characterize_with_sens`],
-/// the run's only memo entry); every perturbed die's library is then
+/// technology **once** per cache directory with traced Newton solves
+/// (recording per-`(cell, vector)` `∂I/∂Vt`- and `∂I/∂Vdd`-style
+/// sensitivity slabs through
+/// [`MemoLibraryCache::get_or_characterize_with_sens`], the run's only
+/// memo entry, which a disk layer stores and later runs load); every
+/// perturbed die's library is then
 /// *derived* as `nominal + J·Δ` instead of re-solved. A per-entry
 /// linearization-error check clamps individual entries back to a full
 /// solve when the tolerance is exceeded, and dies whose perturbation
@@ -646,7 +790,7 @@ impl DeltaLibraryProvider {
     ///
     /// # Errors
     /// As [`MemoLibraryCache::get_or_characterize_with_sens`]; callers
-    /// running a fast MC degrade to the exact path on failure.
+    /// running a fast MC degrade to the exact path on a solver failure.
     pub fn prepare(
         memo: &MemoLibraryCache,
         tech: &Technology,
@@ -987,6 +1131,194 @@ mod tests {
         let (lib, outcome) = cache.load_or_characterize(&tech, 300.0, &denser).unwrap();
         assert_eq!(outcome, CacheOutcome::Miss, "different options, different entry");
         assert_eq!(lib.options.points, 5);
+        let _ = std::fs::remove_dir_all(cache.dir());
+    }
+
+    /// The names of the files in `dir`, sorted.
+    fn listing(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn traced_entries_persist_beside_their_library() {
+        let tech = Technology::d25();
+        let dir = temp_dir("sidecar");
+        let memo = MemoLibraryCache::over(LibraryCache::new(&dir));
+        let (lib, sens, outcome) =
+            memo.get_or_characterize_with_sens(&tech, 300.0, &opts()).unwrap();
+        assert_eq!(outcome, CacheOutcome::Miss);
+        let disk = memo.disk().unwrap();
+        let (path, sens_path) =
+            (disk.path_for(&tech, 300.0, &opts()), disk.sens_path_for(&tech, 300.0, &opts()));
+        let name = |p: &Path| p.file_name().unwrap().to_string_lossy().into_owned();
+        assert_eq!(listing(&dir), [name(&path), name(&sens_path)], "one .nlc, one .nls");
+        assert_eq!(sens_path.with_extension("nlc"), path, "the sidecar shares its library's name");
+
+        // A fresh memo over the warm directory loads the pair: no solve.
+        let warm = MemoLibraryCache::over(LibraryCache::new(&dir));
+        let (loaded, loaded_sens, outcome) =
+            warm.get_or_characterize_with_sens(&tech, 300.0, &opts()).unwrap();
+        assert_eq!(outcome, CacheOutcome::Hit);
+        let stats = MemoCacheStats { memory_hits: 0, disk_hits: 1, characterizations: 0 };
+        assert_eq!(warm.stats(), stats);
+        assert_eq!(*loaded, *lib);
+        assert_eq!(*loaded_sens, *sens);
+        let (_, _, outcome) = warm.get_or_characterize_with_sens(&tech, 300.0, &opts()).unwrap();
+        assert_eq!(outcome, CacheOutcome::MemoryHit);
+
+        // The trace stored its library the plain way: plain requests
+        // for the key hit it.
+        let plain = LibraryCache::new(&dir);
+        let (plain_lib, outcome) = plain.load_or_characterize(&tech, 300.0, &opts()).unwrap();
+        assert_eq!(outcome, CacheOutcome::Hit);
+        assert_eq!(*plain_lib, *lib);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn tampered_sidecars_re_trace() {
+        // Each tamper keeps a valid header, length field and checksum,
+        // so only the sidecar's own checks can catch it.
+        let tech = Technology::d25();
+        let cache = LibraryCache::new(temp_dir("sidecar-tamper"));
+        let (lib, sens, _) = cache.load_or_characterize_with_sens(&tech, 300.0, &opts()).unwrap();
+        let key = LibraryCache::request_key(&tech, 300.0, &opts());
+        let (path, sens_path) =
+            (cache.path_for(&tech, 300.0, &opts()), cache.sens_path_for(&tech, 300.0, &opts()));
+        let library_file = std::fs::read(&path).unwrap();
+        let record = sens.to_bytes();
+        let cut_short = record[..record.len() - 8].to_vec();
+        let mut non_finite = record.clone();
+        let last = non_finite.len() - 8;
+        non_finite[last..].copy_from_slice(&f64::INFINITY.to_le_bytes());
+        let mut other_model = record.clone();
+        other_model[..4]
+            .copy_from_slice(&(nanoleak_cells::sensitivity::SENS_MODEL_VERSION + 1).to_le_bytes());
+        let cases = [
+            ("a record cut short", Some(cut_short)),
+            ("a non-finite value", Some(non_finite)),
+            ("another model version", Some(other_model)),
+            ("a sidecar whose library file is missing", None),
+        ];
+        for (case, tampered) in cases {
+            match &tampered {
+                Some(payload) => {
+                    std::fs::write(&path, &library_file).unwrap();
+                    std::fs::write(&sens_path, seal(&SENS_FILE, key, payload)).unwrap();
+                }
+                None => {
+                    std::fs::remove_file(&path).unwrap();
+                    std::fs::write(&sens_path, seal(&SENS_FILE, key, &record)).unwrap();
+                }
+            }
+            let (relib, resens, outcome) =
+                cache.load_or_characterize_with_sens(&tech, 300.0, &opts()).unwrap();
+            assert_eq!(outcome, CacheOutcome::Invalidated, "{case}");
+            assert_eq!((&*relib, &*resens), (&*lib, &*sens), "{case}: re-traced");
+            let (_, _, outcome) =
+                cache.load_or_characterize_with_sens(&tech, 300.0, &opts()).unwrap();
+            assert_eq!(outcome, CacheOutcome::Hit, "{case}: both files rewritten");
+        }
+        let _ = std::fs::remove_dir_all(cache.dir());
+    }
+
+    #[test]
+    fn deeply_nested_payloads_read_as_stale() {
+        // 200,000 nested one-element sequences, sealed with the
+        // request's own header: the decoder used to recurse once per
+        // level and overflow the stack (exit 134) on the first request
+        // that missed RAM.
+        let tech = Technology::d25();
+        let cache = LibraryCache::new(temp_dir("nested"));
+        let mut payload = Vec::new();
+        for _ in 0..200_000 {
+            payload.push(5); // the binary codec's sequence tag
+            payload.extend_from_slice(&1u64.to_le_bytes());
+        }
+        payload.push(0); // unit
+        assert!(serde::value_from_bytes(&payload).is_err());
+        let key = LibraryCache::request_key(&tech, 300.0, &opts());
+        std::fs::create_dir_all(cache.dir()).unwrap();
+        let path = cache.path_for(&tech, 300.0, &opts());
+        std::fs::write(&path, seal(&LIBRARY_FILE, key, &payload)).unwrap();
+        let (_, outcome) = cache.load_or_characterize(&tech, 300.0, &opts()).unwrap();
+        assert_eq!(outcome, CacheOutcome::Invalidated);
+        let _ = std::fs::remove_dir_all(cache.dir());
+    }
+
+    /// `bytes` with one seeded mutation: a byte flipped, a word
+    /// overwritten (a length, a count or a value), a span deleted,
+    /// inserted or duplicated, or the tail cut off.
+    fn mutate(bytes: &[u8], rng: &mut rand::rngs::StdRng) -> Vec<u8> {
+        use rand::Rng;
+        let mut out = bytes.to_vec();
+        let at = rng.gen_range(0..out.len());
+        let span = rng.gen_range(1..=16usize).min(out.len() - at);
+        match rng.gen_range(0..6u32) {
+            0 => out[at] ^= rng.gen_range(1..=255u8),
+            1 => {
+                let end = (at + 8).min(out.len());
+                let word = rng.gen::<u64>().to_le_bytes();
+                out[at..end].copy_from_slice(&word[..end - at]);
+            }
+            2 => {
+                out.drain(at..at + span);
+            }
+            3 => {
+                let noise: Vec<u8> = (0..span).map(|_| rng.gen()).collect();
+                out.splice(at..at, noise);
+            }
+            4 => {
+                let copy = out[at..at + span].to_vec();
+                out.splice(at..at, copy);
+            }
+            _ => out.truncate(at),
+        }
+        out
+    }
+
+    #[test]
+    fn mutated_payloads_read_as_stale_or_as_checked_entries() {
+        // Seeded mutants of both payloads, each re-sealed behind a valid
+        // header and checksum: a mutant either reads as stale or loads
+        // as a pair that passes every check. A panic or an abort fails
+        // the test; the mutant's index names it.
+        use rand::SeedableRng;
+        const MUTANTS: u64 = 200;
+        let tech = Technology::d25();
+        let cache = LibraryCache::new(temp_dir("mutants"));
+        let (lib, sens, _) = cache.load_or_characterize_with_sens(&tech, 300.0, &opts()).unwrap();
+        let key = LibraryCache::request_key(&tech, 300.0, &opts());
+        let (path, sens_path) =
+            (cache.path_for(&tech, 300.0, &opts()), cache.sens_path_for(&tech, 300.0, &opts()));
+        let (library, record) = (serde::to_bytes(&*lib), sens.to_bytes());
+        for (file, payload) in [("library", &library), ("sidecar", &record)] {
+            let (mut stale, mut loaded) = (0, 0);
+            for i in 0..MUTANTS {
+                let mut rng = rand::rngs::StdRng::seed_from_u64(i);
+                let mutant = mutate(payload, &mut rng);
+                let (lib_payload, sens_payload) =
+                    if file == "library" { (&mutant, &record) } else { (&library, &mutant) };
+                std::fs::write(&path, seal(&LIBRARY_FILE, key, lib_payload)).unwrap();
+                std::fs::write(&sens_path, seal(&SENS_FILE, key, sens_payload)).unwrap();
+                match cache.try_load_with_sens(&tech, 300.0, &opts()) {
+                    None => stale += 1,
+                    Some((l, s)) => {
+                        assert!(l.is_well_formed(), "{file} mutant {i}");
+                        let again = LibrarySens::from_bytes(&l, &s.to_bytes());
+                        assert_eq!(again.as_ref(), Some(&s), "{file} mutant {i}");
+                        loaded += 1;
+                    }
+                }
+            }
+            // Both outcomes occur, so both kinds of checks ran.
+            assert!(stale > 0 && loaded > 0, "{file}: {stale} stale, {loaded} loaded");
+        }
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 }

@@ -21,7 +21,8 @@
 //!   serializes [`CellLibrary`](nanoleak_cells::CellLibrary) LUTs to
 //!   disk behind a versioned, checksummed header keyed on the
 //!   technology/temperature/options hash, so repeated CLI and bench
-//!   runs skip the expensive characterize step entirely.
+//!   runs skip the expensive characterize step entirely; a traced
+//!   request stores its sensitivities beside the library the same way.
 //! * [`mc_streaming_mode`] — **circuit-level Monte-Carlo variation**
 //!   (the paper's Section 5.3 at circuit scale): sharded, cancellable
 //!   execution of `nanoleak-variation`'s one perturbed-die driver,
@@ -33,8 +34,8 @@
 //!   (fast). Every die gets a fresh library of its own (see [`mc`]).
 //! * [`DeltaLibraryProvider`] — **delta-from-nominal
 //!   characterization** for the fast mode: the nominal library is
-//!   characterized once with traced Newton solves recording
-//!   per-`(cell, vector)` sensitivity slabs, and every perturbed die's
+//!   characterized once per cache directory with traced Newton solves
+//!   recording per-`(cell, vector)` sensitivity slabs, and every perturbed die's
 //!   library is derived as `nominal + J·Δ` with a per-entry
 //!   linearization-error fallback to a full solve. The exact mode
 //!   stays available end to end (`mc --exact`, the server's `"exact"`

@@ -13,16 +13,20 @@
 //! shard size and thread count**.
 //!
 //! The mode only picks the driver's [`DeltaProvider`]. Exact mode
-//! hands it [`SolverProvider`], which characterizes every die afresh;
-//! fast mode hands it the [`DeltaLibraryProvider`], whose traced
-//! nominal comes from the [`MemoLibraryCache`]. Per-die libraries —
-//! exact dies, the deviation probe's re-solves and the fast mode's
-//! unrecognized-die fallbacks — never enter the memo: each die is
-//! drawn once per run, so memoizing it would only churn the memo and,
-//! through a disk layer, fill the disk with one-shot entries. The
-//! traced nominal is the one memo entry a run makes, and it is
-//! RAM-only ([`MemoLibraryCache::get_or_characterize_with_sens`]), so
-//! a Monte-Carlo run never writes to disk, whatever memo it is given.
+//! hands it [`SolverProvider`], which characterizes every die afresh
+//! and never asks the memo; fast mode hands it the
+//! [`DeltaLibraryProvider`], whose traced nominal comes from the
+//! [`MemoLibraryCache`]. Per-die libraries — exact dies, the deviation
+//! probe's re-solves and the fast mode's unrecognized-die fallbacks —
+//! never enter the memo: each die is drawn once per run, so memoizing
+//! it would only churn the memo and, through a disk layer, fill the
+//! disk with one-shot entries. The traced nominal is the one memo
+//! entry a run makes
+//! ([`MemoLibraryCache::get_or_characterize_with_sens`]). A disk-backed
+//! memo stores it as the request's `.nlc` and its `.nls` sensitivity
+//! sidecar, so the nominal is traced once per cache directory and a
+//! later fast run loads it; those two files are all a Monte-Carlo run
+//! ever writes.
 //! Every die's packed blocks, the deviation probe's included, are
 //! counted and timed by core's block driver as they run
 //! ([`block_metrics`](crate::block_metrics)).
@@ -167,22 +171,25 @@ fn deviation(fast: &[McSample], exact: &[McSample]) -> (f64, f64) {
 ///
 /// `mode` picks the driver's provider once. [`McMode::Exact`] uses
 /// [`SolverProvider`], which re-solves every die. [`McMode::Fast`]
-/// characterizes the nominal technology once with traced
-/// sensitivities, recalled from or recorded in `cache`, and derives
-/// every die's library from it (`nominal + J·Δ` with per-entry
-/// fallback); after the timed phase, the first
-/// [`DEFAULT_DEVIATION_PROBE`] samples re-run exactly and the measured
-/// max/mean relative deviation lands in `summary.fast` (the probe
-/// counts toward `elapsed` but not `samples_per_sec`). If the traced
-/// nominal characterization fails, the run degrades to exact and
-/// `nanoleak_mc_fallback_total{reason="sens-build"}` is incremented.
-/// Fast results differ from exact results by the (reported)
-/// linearization error. Only the traced nominal enters `cache`, in
-/// RAM; no die library does, and nothing is written to disk.
+/// takes the nominal library with its traced sensitivities from
+/// `cache` (RAM, then its disk layer, then the traced
+/// characterization) and derives every die's library from it
+/// (`nominal + J·Δ` with per-entry fallback); after the timed phase,
+/// the first [`DEFAULT_DEVIATION_PROBE`] samples re-run exactly and
+/// the measured max/mean relative deviation lands in `summary.fast`
+/// (the probe counts toward `elapsed` but not `samples_per_sec`). If
+/// the traced nominal characterization fails to solve, the run
+/// degrades to exact and `nanoleak_mc_fallback_total{reason="sens-build"}`
+/// is incremented. Fast results differ from exact results by the
+/// (reported) linearization error. Only the traced nominal enters
+/// `cache` (and its disk layer, as one `.nlc` and its `.nls`
+/// sidecar); no die library does.
 ///
 /// # Errors
 /// The first per-sample failure ([`EngineError::Solver`] /
-/// [`EngineError::Estimate`]) in index order.
+/// [`EngineError::Estimate`]) in index order, or
+/// [`EngineError::Cache`] if the fast mode's traced nominal cannot be
+/// written to `cache`'s disk layer.
 ///
 /// # Panics
 /// Panics if `config.samples` or `config.vectors` is zero.
@@ -198,9 +205,11 @@ pub fn mc_streaming_mode(
     assert!(config.samples > 0, "MC needs at least one sample");
     let start_time = Instant::now();
 
-    // Fast mode front-loads the one traced nominal characterization;
-    // if that fails the run degrades to the exact path (counted, so
-    // operators can see silent degradations at /metrics).
+    // Fast mode front-loads the one traced nominal; if its
+    // characterization fails to solve, the run degrades to the exact
+    // path (counted, so operators can see silent degradations at
+    // /metrics). A cache that cannot store it fails the run, as it
+    // fails every other request.
     let delta = match mode {
         McMode::Exact => None,
         McMode::Fast => match DeltaLibraryProvider::prepare(
@@ -211,10 +220,11 @@ pub fn mc_streaming_mode(
             DEFAULT_DELTA_TOL,
         ) {
             Ok(provider) => Some(provider),
-            Err(_) => {
+            Err(EngineError::Solver(_)) => {
                 delta_metrics().fallback_sens_build.inc();
                 None
             }
+            Err(e) => return Err(e),
         },
     };
     let provider: &dyn DeltaProvider = match &delta {

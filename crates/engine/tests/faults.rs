@@ -111,45 +111,99 @@ fn scrape_counter(rendered: &str, line_prefix: &str) -> u64 {
         .map_or(0, |rest| rest.trim().parse().unwrap_or(0))
 }
 
-#[test]
-fn char_sensitivity_fault_degrades_fast_mc_to_exact() {
-    let _g = serial();
-    let tech = Technology::d25();
-    let circuit = small_circuit();
-    let memo = MemoLibraryCache::memory_only();
-    let mc = nanoleak_variation::CircuitMcConfig {
+fn mc_config() -> nanoleak_variation::CircuitMcConfig {
+    nanoleak_variation::CircuitMcConfig {
         samples: 2,
         vectors: 2,
         threads: 1,
         char_opts: opts(),
         ..nanoleak_variation::CircuitMcConfig::default()
-    };
-    let exact = mc_streaming_mode(&circuit, &tech, &memo, &mc, McMode::Exact, 0, |_| true)
-        .unwrap()
-        .unwrap();
+    }
+}
 
-    // The traced nominal characterization fails; the fast run must
-    // degrade to the exact path (same summary, no fast report) and
-    // count the degradation where operators can see it.
+#[test]
+fn char_sensitivity_fault_degrades_fast_mc_to_exact() {
+    let _g = serial();
+    let tech = Technology::d25();
+    let circuit = small_circuit();
+    let mc = mc_config();
+    let run = |memo: &MemoLibraryCache, mode: McMode| {
+        mc_streaming_mode(&circuit, &tech, memo, &mc, mode, 0, |_| true).unwrap().unwrap()
+    };
+    let exact = run(&MemoLibraryCache::memory_only(), McMode::Exact);
+    const PREFIX: &str = "nanoleak_mc_fallback_total{reason=\"sens-build\"} ";
+    let sens_build_fallbacks = || scrape_counter(&nanoleak_obs::global().render(), PREFIX);
+
+    // The drill holds with and without a disk layer under the memo.
+    let dir = temp_dir("sens");
+    for memo in [MemoLibraryCache::memory_only(), MemoLibraryCache::over(LibraryCache::new(&dir))] {
+        // The traced nominal characterization fails; the fast run must
+        // degrade to the exact path (same summary, no fast report) and
+        // count the degradation where operators can see it.
+        let before = sens_build_fallbacks();
+        arm_limited("char-sensitivity", FaultAction::Error("trace lost".into()), Some(1));
+        let degraded = run(&memo, McMode::fast());
+        disarm_all();
+        assert!(degraded.summary.fast.is_none(), "degraded run took the exact path");
+        assert_eq!(degraded.summary, exact.summary, "degradation is bit-exact");
+        assert_eq!(sens_build_fallbacks(), before + 1, "sens-build fallback counted");
+
+        // Failpoint self-disarmed after one fire: the next fast run
+        // derives its dies again.
+        let fast = run(&memo, McMode::fast());
+        let report = fast.summary.fast.expect("recovered fast run self-reports");
+        assert!(report.diag.dies_derived > 0, "{:?}", report.diag);
+    }
+
+    // The failpoint fires on every request that misses RAM, so a new
+    // memo over the now warm directory degrades before it reads disk.
+    let warm = MemoLibraryCache::over(LibraryCache::new(&dir));
+    arm_limited("char-sensitivity", FaultAction::Error("trace lost".into()), Some(1));
+    let degraded = run(&warm, McMode::fast());
+    disarm_all();
+    assert_eq!(degraded.summary, exact.summary);
+    let (_, _, outcome) = warm.get_or_characterize_with_sens(&tech, 300.0, &opts()).unwrap();
+    assert_eq!(outcome, CacheOutcome::Hit, "the stored nominal survived the drill");
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn cache_io_fault_fails_the_traced_store_without_degrading_or_litter() {
+    let _g = serial();
+    let tech = Technology::d25();
+    let circuit = small_circuit();
+    let mc = mc_config();
+    let dir = temp_dir("io-traced");
+    let memo = MemoLibraryCache::over(LibraryCache::new(&dir));
     const PREFIX: &str = "nanoleak_mc_fallback_total{reason=\"sens-build\"} ";
     let before = scrape_counter(&nanoleak_obs::global().render(), PREFIX);
-    arm_limited("char-sensitivity", FaultAction::Error("trace lost".into()), Some(1));
-    let degraded = mc_streaming_mode(&circuit, &tech, &memo, &mc, McMode::fast(), 0, |_| true)
-        .unwrap()
-        .unwrap();
-    disarm_all();
-    assert!(degraded.summary.fast.is_none(), "degraded run took the exact path");
-    assert_eq!(degraded.summary, exact.summary, "degradation is bit-exact");
-    let after = scrape_counter(&nanoleak_obs::global().render(), PREFIX);
-    assert_eq!(after, before + 1, "sens-build fallback counted");
 
-    // Failpoint self-disarmed after one fire: the next fast run
-    // derives its dies again.
-    let fast = mc_streaming_mode(&circuit, &tech, &memo, &mc, McMode::fast(), 0, |_| true)
-        .unwrap()
-        .unwrap();
-    let report = fast.summary.fast.expect("recovered fast run self-reports");
-    assert!(report.diag.dies_derived > 0, "{:?}", report.diag);
+    // A fast run whose traced nominal cannot be stored fails like any
+    // request whose fresh library cannot be written: a cache error, not
+    // a silent degradation to exact.
+    arm_limited("cache-io", FaultAction::Error("disk unplugged".into()), Some(1));
+    let err =
+        mc_streaming_mode(&circuit, &tech, &memo, &mc, McMode::fast(), 0, |_| true).unwrap_err();
+    disarm_all();
+    match err {
+        EngineError::Cache(msg) => assert!(msg.contains("disk unplugged"), "{msg}"),
+        other => panic!("expected Cache error, got {other:?}"),
+    }
+    assert_eq!(scrape_counter(&nanoleak_obs::global().render(), PREFIX), before);
+    assert_eq!(memo.resident(), 0, "a failed store memoizes nothing");
+    let litter: Vec<_> = std::fs::read_dir(&dir)
+        .map(|d| d.filter_map(Result::ok).map(|e| e.path()).collect())
+        .unwrap_or_default();
+    assert!(litter.is_empty(), "stray files: {litter:?}");
+
+    // Self-disarmed after one fire: the retry traces and stores the
+    // pair, and a new memo over the directory loads it.
+    let (_, _, outcome) = memo.get_or_characterize_with_sens(&tech, 300.0, &opts()).unwrap();
+    assert_eq!(outcome, CacheOutcome::Miss);
+    let warm = MemoLibraryCache::over(LibraryCache::new(&dir));
+    let (_, _, outcome) = warm.get_or_characterize_with_sens(&tech, 300.0, &opts()).unwrap();
+    assert_eq!(outcome, CacheOutcome::Hit);
+    let _ = std::fs::remove_dir_all(dir);
 }
 
 #[test]
@@ -176,13 +230,7 @@ fn slow_shard_error_stops_sweep_and_mc_between_shards() {
     disarm_all();
 
     // Same contract for MC.
-    let mc = nanoleak_variation::CircuitMcConfig {
-        samples: 4,
-        vectors: 2,
-        threads: 1,
-        char_opts: opts(),
-        ..nanoleak_variation::CircuitMcConfig::default()
-    };
+    let mc = nanoleak_variation::CircuitMcConfig { samples: 4, ..mc_config() };
     let mut seen = 0;
     let err = mc_streaming_mode(&circuit, &tech, &memo, &mc, McMode::Exact, 2, |_| {
         seen += 1;

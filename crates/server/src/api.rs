@@ -1059,7 +1059,8 @@ pub fn resolve_mc_config(body: &Body, circuit: &Circuit) -> Result<CircuitMcConf
 /// [`mc_streaming_mode`] run of the same config and mode, for any shard
 /// size and thread count — the same contract the sweep path holds.
 /// `cache` is the same memo every other request runs on; the fast
-/// mode recalls its traced nominal library there.
+/// mode recalls its traced nominal library there, or from the memo's
+/// disk layer, which stores it on first use.
 pub fn run_mc(
     cache: &MemoLibraryCache,
     body: &Body,
@@ -1084,7 +1085,12 @@ pub fn run_mc(
             !observer.cancelled()
         },
     )
-    .map_err(|e| ApiError::unprocessable(format!("monte carlo failed: {e}")))?;
+    .map_err(|e| match e {
+        // As for every library request: a cache that cannot store the
+        // fast mode's traced nominal is ours (500).
+        EngineError::Cache(_) => ApiError { status: 500, message: e.to_string() },
+        e => ApiError::unprocessable(format!("monte carlo failed: {e}")),
+    })?;
     let Some(report) = report else {
         return Err(cancelled_error());
     };

@@ -563,7 +563,8 @@ pub struct QueueStats {
 pub struct CacheStats {
     /// Requests served from process RAM.
     pub memory_hits: u64,
-    /// Requests served from `*.nlc` disk files.
+    /// Requests served from disk files (`*.nlc`, plus the `*.nls`
+    /// sidecar for a fast Monte-Carlo nominal).
     pub disk_hits: u64,
     /// Requests that ran the solver.
     pub characterizations: u64,

@@ -789,11 +789,11 @@ fn mc_job_pages_partials_and_matches_in_process_bit_exactly() {
 }
 
 /// MC jobs run on the server's one memo. A fast job adds its traced
-/// nominal there, an exact job adds nothing, and neither writes a
-/// `.nlc` file into the disk cache: per-die libraries are never
-/// memoized, and the traced nominal is RAM-only.
+/// nominal there and stores it in the disk cache as one `.nlc` and its
+/// `.nls` sensitivity sidecar; an exact job adds and writes nothing.
+/// Per-die libraries are never memoized or stored.
 #[test]
-fn mc_jobs_memoize_only_the_traced_nominal_and_write_no_disk_entry() {
+fn mc_jobs_memoize_and_store_only_the_traced_nominal() {
     let dir = std::env::temp_dir().join(format!("nanoleak-serve-mc-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let server = TestServer::start_cfg(ServeConfig {
@@ -823,18 +823,28 @@ fn mc_jobs_memoize_only_the_traced_nominal_and_write_no_disk_entry() {
         let (state, body) = wait_for_job(&server, id, Duration::from_secs(120));
         assert_eq!(state, "done", "{body}");
     };
+    let extensions = || {
+        let mut exts: Vec<String> = std::fs::read_dir(&dir)
+            .map(|d| {
+                d.filter_map(Result::ok)
+                    .map(|e| e.path().extension().unwrap_or_default().to_string_lossy().into())
+                    .collect()
+            })
+            .unwrap_or_default();
+        exts.sort();
+        exts
+    };
     let before = resident();
+    run(true);
+    assert_eq!(resident(), before, "an exact job memoizes nothing");
+    assert!(extensions().is_empty(), "an exact job wrote to the disk cache: {:?}", extensions());
     run(false);
     assert_eq!(resident(), before + 1, "a fast job memoizes its traced nominal only");
+    assert_eq!(extensions(), ["nlc", "nls"], "the nominal's library and sidecar, no die");
+    run(false);
     run(true);
-    assert_eq!(resident(), before + 1, "an exact job memoizes nothing");
-    let entries: Vec<_> = std::fs::read_dir(&dir)
-        .map(|d| d.filter_map(Result::ok).map(|e| e.path()).collect())
-        .unwrap_or_default();
-    assert!(
-        !entries.iter().any(|p| p.extension().is_some_and(|e| e == "nlc")),
-        "MC wrote to the disk cache: {entries:?}"
-    );
+    assert_eq!(resident(), before + 1);
+    assert_eq!(extensions(), ["nlc", "nls"]);
     drop(server);
     let _ = std::fs::remove_dir_all(&dir);
 }

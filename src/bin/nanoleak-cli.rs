@@ -137,15 +137,17 @@ mc options:
   --exact             characterize every die from scratch (bit-exact
                       reference path). Default off: dies derive from the
                       nominal library's recorded sensitivities, traced
-                      once per run (~1 s). On coarse s838, 64 vectors
-                      per die, one thread, fast mode runs at 0.65x
-                      exact's speed at 16 dies, 1.3x at 32, 2.3x at 64
-                      and 5.9x at 256: break-even near 25 dies (near 50
-                      on two threads, which exact dies share). The
-                      summary's max/mean deviation from exact is
-                      measured on the first four dies, re-solved
-  (mc neither reads nor writes the disk cache: every die gets a fresh
-   library, and the fast mode's traced nominal stays in RAM)
+                      once per cache directory (~1 s) and stored beside
+                      its .nlc, so later runs load them (~1 ms; with
+                      --no-cache, once per run). On coarse s838, 64
+                      vectors per die, one thread, fast mode runs at
+                      0.05x, 0.75x and 2.2x exact's speed at 1, 16 and
+                      64 dies on a cold cache directory, and 0.9x, 3.2x
+                      and 6.6x on a warm one (break-even near 5 dies).
+                      The summary's max/mean deviation from exact is
+                      measured on the first four dies, re-solved, so
+                      runs of up to four dies pay for them twice.
+                      Exact mode neither reads nor writes the cache
 
 serve options:
   --addr A        bind address (default 127.0.0.1:8425)
