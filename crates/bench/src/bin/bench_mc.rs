@@ -42,8 +42,11 @@
 use std::time::Instant;
 
 use nanoleak_bench::{round, write_baseline};
+use nanoleak_cells::DEFAULT_DELTA_TOL;
 use nanoleak_device::Technology;
-use nanoleak_engine::{mc_streaming_mode, CacheOutcome, LibraryCache, McMode, MemoLibraryCache};
+use nanoleak_engine::{
+    mc_streaming_mode, CacheOutcome, DeltaLibraryProvider, LibraryCache, McMode, MemoLibraryCache,
+};
 use nanoleak_netlist::generate::iscas_like;
 use nanoleak_netlist::normalize::normalize;
 use nanoleak_variation::{char_opts_for, run_inverter_mc, CircuitMcConfig, McConfig};
@@ -193,20 +196,23 @@ fn main() {
     let _ = std::fs::remove_dir_all(&dir);
     let nominal = |memo: &MemoLibraryCache| {
         let t0 = Instant::now();
-        let op = &exact_cfg.op;
-        let (lib, sens, outcome) = memo
-            .get_or_characterize_with_sens(&op.tech(&tech), op.temp, &exact_cfg.char_opts)
-            .expect("traced nominal characterization");
-        (t0.elapsed().as_secs_f64(), lib, sens, outcome)
+        let (op, opts) = (&exact_cfg.op, &exact_cfg.char_opts);
+        let provider =
+            DeltaLibraryProvider::prepare(memo, &op.tech(&tech), op.temp, opts, DEFAULT_DELTA_TOL)
+                .expect("traced nominal characterization");
+        (t0.elapsed().as_secs_f64(), provider)
     };
-    let (sens_build_secs, built, built_sens, outcome) =
-        nominal(&MemoLibraryCache::over(LibraryCache::new(&dir)));
-    assert_eq!(outcome, CacheOutcome::Miss, "a fresh directory traces the nominal");
+    let (sens_build_secs, built) = nominal(&MemoLibraryCache::over(LibraryCache::new(&dir)));
+    assert_eq!(built.outcome(), CacheOutcome::Miss, "a fresh directory traces the nominal");
     let warm = MemoLibraryCache::over(LibraryCache::new(&dir));
-    let (sens_load_secs, loaded, loaded_sens, outcome) = nominal(&warm);
-    assert_eq!(outcome, CacheOutcome::Hit, "a fresh memo loads the stored nominal");
-    assert_eq!(loaded, built, "the loaded library must equal the built one bit for bit");
-    assert_eq!(loaded_sens, built_sens, "the loaded sensitivities must equal the built ones");
+    let (sens_load_secs, loaded) = nominal(&warm);
+    assert_eq!(loaded.outcome(), CacheOutcome::Hit, "a fresh memo loads the stored nominal");
+    assert_eq!(
+        loaded.nominal(),
+        built.nominal(),
+        "the loaded library must equal the built one bit for bit"
+    );
+    assert_eq!(loaded.sens(), built.sens(), "the loaded sensitivities must equal the built ones");
     let _ = std::fs::remove_dir_all(&dir);
 
     // ---- Fast arm (dies derived from nominal sensitivities). ----

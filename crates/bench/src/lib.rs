@@ -1,12 +1,14 @@
 //! # nanoleak-bench
 //!
 //! Shared harness utilities for the figure-regeneration binaries
-//! (`fig04_device` … `fig12_circuits`) and the Criterion benches.
+//! (`fig04_device` … `fig12_circuits`) and the performance-baseline
+//! bins (`bench_sweep`, `bench_mc`, `bench_opt`), which record
+//! `BENCH_*.json` through [`write_baseline`].
 //!
-//! Each binary prints the same series the corresponding paper figure
-//! plots (aligned table on stdout) and writes a CSV next to it under
-//! `results/`. Run them all with `cargo run --release -p nanoleak-bench
-//! --bin all_figures`.
+//! Each figure binary prints the same series the corresponding paper
+//! figure plots (aligned table on stdout) and writes a CSV next to it
+//! under `results/`. Run them all with `cargo run --release -p
+//! nanoleak-bench --bin all_figures`.
 
 pub mod figures;
 

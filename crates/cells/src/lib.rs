@@ -54,7 +54,7 @@ pub mod vector;
 pub use cell_type::CellType;
 pub use characterize::{CellChar, CharacterizeOptions, VectorChar};
 pub use eval::{eval_isolated, eval_loaded, loading_injection, CellSolution};
-pub use library::CellLibrary;
+pub use library::{fnv1a, CellLibrary};
 pub use lut::{BreakdownLut, LoadingGrid, Locus};
 pub use operating::OperatingPoint;
 pub use sensitivity::{

@@ -156,16 +156,19 @@ impl CellLibrary {
     /// technology name is unchanged. The engine's disk and RAM caches
     /// key on this same hash.
     pub fn request_key(tech: &Technology, temp: f64, opts: &CharacterizeOptions) -> u64 {
-        let request = (tech.clone(), temp, opts.clone());
-        let bytes = serde::to_bytes(&request);
-        // FNV-1a.
-        let mut h: u64 = 0xcbf29ce484222325;
-        for &b in &bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100000001b3);
-        }
-        h
+        fnv1a(serde::to_bytes(&(tech.clone(), temp, opts.clone())))
     }
+}
+
+/// 64-bit FNV-1a over `bytes`: the one hash behind nanoleak's stable
+/// keys. It names every cache entry ([`CellLibrary::request_key`], and
+/// so the `.nlc` file names), checksums the cache files, keys compiled
+/// plans by circuit structure and seeds the generated ISCAS stand-ins;
+/// a change to it moves all of them.
+pub fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes
+        .into_iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
 }
 
 #[cfg(test)]
@@ -247,6 +250,8 @@ mod tests {
         assert_ne!(base, CellLibrary::request_key(&scaled, 300.0, &opts));
         let denser = CharacterizeOptions { points: opts.points + 1, ..opts.clone() };
         assert_ne!(base, CellLibrary::request_key(&tech, 300.0, &denser));
+        let wider = CharacterizeOptions { max_loading: 9e-6, ..opts.clone() };
+        assert_ne!(base, CellLibrary::request_key(&tech, 300.0, &wider));
         // Deterministic across calls.
         assert_eq!(base, CellLibrary::request_key(&tech, 300.0, &opts));
     }

@@ -8,9 +8,21 @@
 //! disk so later runs (including across processes) skip the solve:
 //! with a warm `.nlc` hit, `estimate s838 --vectors 20` runs end to end
 //! in 4–5 ms. A traced request (the fast Monte-Carlo nominal,
-//! [`MemoLibraryCache::get_or_characterize_with_sens`]) stores its
-//! sensitivities beside its library, so a later run loads them in
-//! about a millisecond instead of re-tracing (0.8 s on coarse s838).
+//! [`DeltaLibraryProvider::prepare`]) also stores its sensitivities
+//! beside its library, so a later run loads them in about a
+//! millisecond instead of re-tracing (0.8 s on coarse s838).
+//!
+//! ## One ladder
+//!
+//! Every request walks one ladder: [`MemoLibraryCache`] looks in RAM,
+//! then asks its disk layer, which loads the request's entry or
+//! characterizes and stores it. Each layer has one body for both kinds
+//! of request, chosen by whether the caller wants sensitivities. A
+//! traced request differs in one way per layer: RAM serves it only
+//! from an entry that holds sensitivities, and disk also reads and
+//! writes the `.nls` sidecar beside the library, whose solve is the
+//! traced characterization. Its library is stored the plain way, so
+//! plain requests for the key hit it too.
 //!
 //! ## Files
 //!
@@ -59,7 +71,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use nanoleak_cells::{
-    characterize_with_sensitivity, CellLibrary, CharacterizeOptions, LibrarySens, OperatingPoint,
+    characterize_with_sensitivity, fnv1a, CellLibrary, CharacterizeOptions, LibrarySens,
+    OperatingPoint,
 };
 use nanoleak_device::Technology;
 use nanoleak_obs::{global, Counter, Histogram};
@@ -189,13 +202,25 @@ pub struct LibraryCache {
     dir: PathBuf,
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
+/// What one cache layer returns for a request: the library, its
+/// sensitivities when the request was traced, and how the layer
+/// produced them.
+type Served = (Arc<CellLibrary>, Option<Arc<LibrarySens>>, CacheOutcome);
+
+/// Characterizes a request: with traced Newton solves, keeping their
+/// sensitivities, when `traced`.
+fn solve(
+    tech: &Technology,
+    temp: f64,
+    opts: &CharacterizeOptions,
+    traced: bool,
+) -> Result<(CellLibrary, Option<LibrarySens>), EngineError> {
+    Ok(if traced {
+        let (lib, sens) = characterize_with_sensitivity(tech, temp, opts)?;
+        (lib, Some(sens))
+    } else {
+        (CellLibrary::characterize(tech, temp, opts)?, None)
+    })
 }
 
 impl LibraryCache {
@@ -218,32 +243,16 @@ impl LibraryCache {
         &self.dir
     }
 
-    /// The request key: FNV-1a over the serialized (tech, temp,
-    /// options) triple. Every field of the technology (device designs
-    /// included) participates, so e.g. an oxide-thickness tweak yields
-    /// a different key. Delegates to [`CellLibrary::request_key`] —
-    /// the same hash keys the cells crate's process-wide memo, so
-    /// every cache layer (RAM memo, shared-library memo, `*.nlc`
-    /// disk files) agrees on request identity.
-    pub fn request_key(tech: &Technology, temp: f64, opts: &CharacterizeOptions) -> u64 {
-        CellLibrary::request_key(tech, temp, opts)
-    }
-
     /// The file path backing one request.
-    pub fn path_for(&self, tech: &Technology, temp: f64, opts: &CharacterizeOptions) -> PathBuf {
-        self.file_path(&LIBRARY_FILE, tech, Self::request_key(tech, temp, opts))
+    fn path_for(&self, tech: &Technology, temp: f64, opts: &CharacterizeOptions) -> PathBuf {
+        self.file_path(&LIBRARY_FILE, tech, CellLibrary::request_key(tech, temp, opts))
     }
 
     /// The path of the sensitivity sidecar a traced request stores
     /// beside its library ([`LibraryCache::path_for`]), under the same
     /// key.
-    pub fn sens_path_for(
-        &self,
-        tech: &Technology,
-        temp: f64,
-        opts: &CharacterizeOptions,
-    ) -> PathBuf {
-        self.file_path(&SENS_FILE, tech, Self::request_key(tech, temp, opts))
+    fn sens_path_for(&self, tech: &Technology, temp: f64, opts: &CharacterizeOptions) -> PathBuf {
+        self.file_path(&SENS_FILE, tech, CellLibrary::request_key(tech, temp, opts))
     }
 
     fn file_path(&self, kind: &FileKind, tech: &Technology, key: u64) -> PathBuf {
@@ -269,50 +278,41 @@ impl LibraryCache {
         temp: f64,
         opts: &CharacterizeOptions,
     ) -> Result<(Arc<CellLibrary>, CacheOutcome), EngineError> {
-        let path = self.path_for(tech, temp, opts);
-        let existed = path.exists();
-        if existed {
-            if let Some(lib) = self.try_load(&path, tech, temp, opts) {
-                return Ok((Arc::new(lib), CacheOutcome::Hit));
-            }
-        }
-        let lib = CellLibrary::characterize(tech, temp, opts)?;
-        self.store(&lib)?;
-        let outcome = if existed { CacheOutcome::Invalidated } else { CacheOutcome::Miss };
-        Ok((Arc::new(lib), outcome))
+        let (lib, _, outcome) = self.serve(tech, temp, opts, false)?;
+        Ok((lib, outcome))
     }
 
-    /// [`LibraryCache::load_or_characterize`] with sensitivities: loads
-    /// the library together with the sidecar beside it
-    /// ([`LibraryCache::sens_path_for`]), or runs the traced
-    /// characterization and stores both. The library goes through
-    /// [`LibraryCache::store`], so plain requests for the key hit it
-    /// too. An entry with either file present that does not load as a
-    /// pair (a sidecar whose library is missing, say) is
-    /// [`CacheOutcome::Invalidated`], and both files are rewritten.
-    ///
-    /// # Errors
-    /// * [`EngineError::Solver`] if the traced characterization fails;
-    /// * [`EngineError::Cache`] if either fresh file cannot be written.
-    pub fn load_or_characterize_with_sens(
+    /// The disk ladder's one body: loads a request's entry, or
+    /// characterizes and stores it. A traced request's entry is its
+    /// library plus the sidecar beside it
+    /// ([`LibraryCache::sens_path_for`]); its solve is the traced
+    /// characterization, and both files are written, the library
+    /// through [`LibraryCache::store`]. An entry with any of its files
+    /// present that does not load (a sidecar whose library is missing,
+    /// say) is [`CacheOutcome::Invalidated`], and its files are
+    /// rewritten.
+    fn serve(
         &self,
         tech: &Technology,
         temp: f64,
         opts: &CharacterizeOptions,
-    ) -> Result<(Arc<CellLibrary>, Arc<LibrarySens>, CacheOutcome), EngineError> {
+        traced: bool,
+    ) -> Result<Served, EngineError> {
         let sens_path = self.sens_path_for(tech, temp, opts);
-        let existed = self.path_for(tech, temp, opts).exists() || sens_path.exists();
+        let existed = self.path_for(tech, temp, opts).exists() || (traced && sens_path.exists());
         if existed {
-            if let Some((lib, sens)) = self.try_load_with_sens(tech, temp, opts) {
-                return Ok((Arc::new(lib), Arc::new(sens), CacheOutcome::Hit));
+            if let Some((lib, sens)) = self.try_load(tech, temp, opts, traced) {
+                return Ok((Arc::new(lib), sens.map(Arc::new), CacheOutcome::Hit));
             }
         }
-        let (lib, sens) = characterize_with_sensitivity(tech, temp, opts)?;
+        let (lib, sens) = solve(tech, temp, opts, traced)?;
         self.store(&lib)?;
-        let key = Self::request_key(tech, temp, opts);
-        self.write_sealed(&SENS_FILE, &sens_path, key, &sens.to_bytes())?;
+        if let Some(sens) = &sens {
+            let key = CellLibrary::request_key(tech, temp, opts);
+            self.write_sealed(&SENS_FILE, &sens_path, key, &sens.to_bytes())?;
+        }
         let outcome = if existed { CacheOutcome::Invalidated } else { CacheOutcome::Miss };
-        Ok((Arc::new(lib), Arc::new(sens), outcome))
+        Ok((Arc::new(lib), sens.map(Arc::new), outcome))
     }
 
     /// Writes `lib` into the cache, creating the directory on demand.
@@ -321,7 +321,7 @@ impl LibraryCache {
     /// [`EngineError::Cache`] on any I/O failure.
     pub fn store(&self, lib: &CellLibrary) -> Result<PathBuf, EngineError> {
         let path = self.path_for(&lib.tech, lib.temp, &lib.options);
-        let key = Self::request_key(&lib.tech, lib.temp, &lib.options);
+        let key = CellLibrary::request_key(&lib.tech, lib.temp, &lib.options);
         self.write_sealed(&LIBRARY_FILE, &path, key, &serde::to_bytes(lib))?;
         Ok(path)
     }
@@ -362,43 +362,34 @@ impl LibraryCache {
             .map_err(|e| EngineError::Cache(format!("rename to {}: {e}", path.display())))
     }
 
-    /// Attempts to load and fully validate one library file; any
-    /// problem returns `None` (the caller re-characterizes).
+    /// Attempts to load and fully validate a request's entry: its
+    /// library file and, for a traced request, the sidecar beside it,
+    /// read only once the library loads and only as a record that fits
+    /// it. Any problem returns `None` (the caller re-characterizes).
     fn try_load(
         &self,
-        path: &Path,
         tech: &Technology,
         temp: f64,
         opts: &CharacterizeOptions,
-    ) -> Option<CellLibrary> {
-        let payload = read_sealed(&LIBRARY_FILE, path, Self::request_key(tech, temp, opts), None)?;
+        traced: bool,
+    ) -> Option<(CellLibrary, Option<LibrarySens>)> {
+        let key = CellLibrary::request_key(tech, temp, opts);
+        let payload = read_sealed(&LIBRARY_FILE, &self.path_for(tech, temp, opts), key, None)?;
         let lib: CellLibrary = serde::from_bytes(&payload).ok()?;
-        // Key collisions are astronomically unlikely but cheap to rule
-        // out: the decoded request must match the asked-for request.
-        if lib.tech != *tech || lib.temp != temp || lib.options != *opts {
+        // A key collision is astronomically unlikely but cheap to rule
+        // out (the decoded request must be the asked-for one), and the
+        // checksum only proves the bytes are the ones written: the
+        // tables must also be ones the estimator can index.
+        if lib.tech != *tech || lib.temp != temp || lib.options != *opts || !lib.is_well_formed() {
             return None;
         }
-        // The checksum only proves the bytes are the ones written; the
-        // tables must also be ones the estimator can index.
-        lib.is_well_formed().then_some(lib)
-    }
-
-    /// Attempts to load a request's library file and the sidecar
-    /// beside it as a pair: the sidecar is read only once the library
-    /// loads, and only as a record that fits it. Any problem returns
-    /// `None`.
-    fn try_load_with_sens(
-        &self,
-        tech: &Technology,
-        temp: f64,
-        opts: &CharacterizeOptions,
-    ) -> Option<(CellLibrary, LibrarySens)> {
-        let lib = self.try_load(&self.path_for(tech, temp, opts), tech, temp, opts)?;
-        let (path, key) =
-            (self.sens_path_for(tech, temp, opts), Self::request_key(tech, temp, opts));
+        if !traced {
+            return Some((lib, None));
+        }
+        let path = self.sens_path_for(tech, temp, opts);
         let payload = read_sealed(&SENS_FILE, &path, key, Some(LibrarySens::encoded_len(&lib)))?;
         let sens = LibrarySens::from_bytes(&lib, &payload)?;
-        Some((lib, sens))
+        Some((lib, Some(sens)))
     }
 }
 
@@ -409,7 +400,7 @@ fn seal(kind: &FileKind, key: u64, payload: &[u8]) -> Vec<u8> {
     bytes.extend_from_slice(&CACHE_FORMAT_VERSION.to_le_bytes());
     bytes.extend_from_slice(&key.to_le_bytes());
     bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    bytes.extend_from_slice(&fnv1a(payload).to_le_bytes());
+    bytes.extend_from_slice(&fnv1a(payload.iter().copied()).to_le_bytes());
     bytes.extend_from_slice(payload);
     bytes
 }
@@ -427,7 +418,7 @@ fn unseal(kind: &FileKind, key: u64, mut bytes: Vec<u8>) -> Option<Vec<u8>> {
         || version != CACHE_FORMAT_VERSION
         || word(8) != key
         || word(16) != payload.len() as u64
-        || word(24) != fnv1a(payload)
+        || word(24) != fnv1a(payload.iter().copied())
     {
         return None;
     }
@@ -495,10 +486,12 @@ impl MemoCacheStats {
 /// options)` characterization over and over; paying even the disk
 /// decode per request is wasted work. This layer keeps every library
 /// the process has seen as a shared [`Arc`] keyed by
-/// [`LibraryCache::request_key`], falling through to the disk cache
-/// (and from there to the solver) only on first contact. It is the
-/// first step toward the ROADMAP's per-(cell, vector) incremental
-/// caching.
+/// [`CellLibrary::request_key`], falling through to the disk cache
+/// (and from there to the solver) only on first contact. Plain and
+/// traced requests walk this one ladder (see the [module docs](self)):
+/// a plain request takes any resident entry, a traced one only an entry
+/// that holds sensitivities, and a traced miss replaces the entry in
+/// place.
 ///
 /// Thread-safe: concurrent requests for *different* keys characterize
 /// in parallel; concurrent requests for the *same* key may both run
@@ -525,9 +518,8 @@ pub struct MemoLibraryCache {
 }
 
 /// One resident library, with the sensitivity slabs traced alongside
-/// it when it went through
-/// [`MemoLibraryCache::get_or_characterize_with_sens`] (the disk layer,
-/// if any, holds them too), and the clock stamp of its last use.
+/// it when a traced request brought it in (the disk layer, if any,
+/// holds them too), and the clock stamp of its last use.
 #[derive(Debug)]
 struct MemoEntry {
     lib: Arc<CellLibrary>,
@@ -600,33 +592,54 @@ impl MemoLibraryCache {
         temp: f64,
         opts: &CharacterizeOptions,
     ) -> Result<(Arc<CellLibrary>, CacheOutcome), EngineError> {
-        let key = LibraryCache::request_key(tech, temp, opts);
-        if let Some(lib) = self.recall(key, |e| Some(Arc::clone(&e.lib))) {
-            return Ok((lib, CacheOutcome::MemoryHit));
-        }
-        let started = std::time::Instant::now();
-        let _span = nanoleak_obs::span!("library", temp = temp);
-        // Chaos hook: `characterize` injects a solver non-convergence
-        // on the miss path (memory hits above stay unaffected — an
-        // already-resident library cannot fail retroactively).
-        if nanoleak_fault::inject("characterize").is_some() {
-            return Err(injected_non_convergence());
-        }
-        let (lib, outcome) = match &self.disk {
-            Some(disk) => disk.load_or_characterize(tech, temp, opts)?,
-            None => {
-                let lib = CellLibrary::characterize(tech, temp, opts)?;
-                (Arc::new(lib), CacheOutcome::Miss)
-            }
-        };
-        self.count_miss(outcome, started);
-        self.insert(key, Arc::clone(&lib), None);
+        let (lib, _, outcome) = self.serve(tech, temp, opts, false)?;
         Ok((lib, outcome))
     }
 
-    /// Counts a request that missed RAM: a disk hit, or a
-    /// characterization that ran since `started`.
-    fn count_miss(&self, outcome: CacheOutcome, started: std::time::Instant) {
+    /// The memo ladder's one body: RAM, then the disk layer
+    /// ([`LibraryCache::serve`]), then the solve. A traced request is
+    /// served from RAM only by an entry that holds sensitivities; the
+    /// flag also picks the span (`library` or `library-sens`) and the
+    /// failpoint (`characterize` or `char-sensitivity`), which injects
+    /// a solver failure on every request that misses RAM (an
+    /// already-resident library cannot fail retroactively). A disk hit
+    /// counts on [`MemoCacheStats::disk_hits`], any solve as one
+    /// characterization.
+    fn serve(
+        &self,
+        tech: &Technology,
+        temp: f64,
+        opts: &CharacterizeOptions,
+        traced: bool,
+    ) -> Result<Served, EngineError> {
+        let key = CellLibrary::request_key(tech, temp, opts);
+        {
+            let mut entries = self.entries.lock();
+            if let Some(entry) = entries.get_mut(&key).filter(|e| !traced || e.sens.is_some()) {
+                entry.used = self.clock.fetch_add(1, Ordering::Relaxed);
+                self.memory_hits.fetch_add(1, Ordering::Relaxed);
+                cache_metrics().memory_hits.inc();
+                let sens = if traced { entry.sens.clone() } else { None };
+                return Ok((Arc::clone(&entry.lib), sens, CacheOutcome::MemoryHit));
+            }
+        }
+        let started = std::time::Instant::now();
+        let _span = if traced {
+            nanoleak_obs::span!("library-sens", temp = temp)
+        } else {
+            nanoleak_obs::span!("library", temp = temp)
+        };
+        let failpoint = if traced { "char-sensitivity" } else { "characterize" };
+        if nanoleak_fault::inject(failpoint).is_some() {
+            return Err(injected_non_convergence());
+        }
+        let (lib, sens, outcome) = match &self.disk {
+            Some(disk) => disk.serve(tech, temp, opts, traced)?,
+            None => {
+                let (lib, sens) = solve(tech, temp, opts, traced)?;
+                (Arc::new(lib), sens.map(Arc::new), CacheOutcome::Miss)
+            }
+        };
         if outcome == CacheOutcome::Hit {
             self.disk_hits.fetch_add(1, Ordering::Relaxed);
             cache_metrics().disk_hits.inc();
@@ -635,19 +648,8 @@ impl MemoLibraryCache {
             cache_metrics().characterizations.inc();
             cache_metrics().characterize_seconds.record_duration(started.elapsed());
         }
-    }
-
-    /// Recalls the resident entry under `key` through `pick`; an entry
-    /// `pick` accepts is stamped as just used and counts as a memory
-    /// hit.
-    fn recall<T>(&self, key: u64, pick: impl FnOnce(&MemoEntry) -> Option<T>) -> Option<T> {
-        let mut entries = self.entries.lock();
-        let entry = entries.get_mut(&key)?;
-        let hit = pick(entry)?;
-        entry.used = self.clock.fetch_add(1, Ordering::Relaxed);
-        self.memory_hits.fetch_add(1, Ordering::Relaxed);
-        cache_metrics().memory_hits.inc();
-        Some(hit)
+        self.insert(key, Arc::clone(&lib), sens.clone());
+        Ok((lib, sens, outcome))
     }
 
     /// Makes `lib` resident under `key`, evicting the least recently
@@ -684,62 +686,6 @@ impl MemoLibraryCache {
         self.get_or_characterize(&op.tech(base), op.temp, opts)
     }
 
-    /// Returns the characterized library for a request *with* its
-    /// per-`(cell, vector)` sensitivity slabs: from RAM when this
-    /// process has traced the request before, else from the disk layer
-    /// (the `.nlc` and its `.nls` sidecar,
-    /// [`LibraryCache::load_or_characterize_with_sens`]), else by the
-    /// traced characterization, whose library and sensitivities the
-    /// disk layer then stores. A disk hit counts on
-    /// [`MemoCacheStats::disk_hits`] and the traced solve as one
-    /// characterization.
-    ///
-    /// Sensitivities only exist on entries that went through this
-    /// method: a library memoized by the plain
-    /// [`MemoLibraryCache::get_or_characterize`] path has no slabs, so
-    /// the request goes to the disk layer and replaces the entry. It
-    /// is the only memo entry a Monte-Carlo run makes (the fast mode's
-    /// traced nominal); per-die libraries never enter the memo or the
-    /// disk. A memo without a disk layer keeps the entry in RAM only.
-    ///
-    /// Chaos: the `char-sensitivity` failpoint injects a solver
-    /// failure on every request that misses RAM (RAM recalls stay
-    /// unaffected), so drills can verify that fast Monte-Carlo runs
-    /// degrade to the exact path.
-    ///
-    /// # Errors
-    /// * [`EngineError::Solver`] if the traced characterization fails;
-    /// * [`EngineError::Cache`] if a fresh disk entry cannot be
-    ///   written.
-    pub fn get_or_characterize_with_sens(
-        &self,
-        tech: &Technology,
-        temp: f64,
-        opts: &CharacterizeOptions,
-    ) -> Result<(Arc<CellLibrary>, Arc<LibrarySens>, CacheOutcome), EngineError> {
-        let key = LibraryCache::request_key(tech, temp, opts);
-        if let Some((lib, sens)) =
-            self.recall(key, |e| Some((Arc::clone(&e.lib), Arc::clone(e.sens.as_ref()?))))
-        {
-            return Ok((lib, sens, CacheOutcome::MemoryHit));
-        }
-        let started = std::time::Instant::now();
-        let _span = nanoleak_obs::span!("library-sens", temp = temp);
-        if nanoleak_fault::inject("char-sensitivity").is_some() {
-            return Err(injected_non_convergence());
-        }
-        let (lib, sens, outcome) = match &self.disk {
-            Some(disk) => disk.load_or_characterize_with_sens(tech, temp, opts)?,
-            None => {
-                let (lib, sens) = characterize_with_sensitivity(tech, temp, opts)?;
-                (Arc::new(lib), Arc::new(sens), CacheOutcome::Miss)
-            }
-        };
-        self.count_miss(outcome, started);
-        self.insert(key, Arc::clone(&lib), Some(Arc::clone(&sens)));
-        Ok((lib, sens, outcome))
-    }
-
     /// Number of libraries currently held in RAM.
     pub fn resident(&self) -> usize {
         self.entries.lock().len()
@@ -760,10 +706,9 @@ impl MemoLibraryCache {
 /// [`DeltaLibraryProvider::prepare`] characterizes the nominal
 /// technology **once** per cache directory with traced Newton solves
 /// (recording per-`(cell, vector)` `∂I/∂Vt`- and `∂I/∂Vdd`-style
-/// sensitivity slabs through
-/// [`MemoLibraryCache::get_or_characterize_with_sens`], the run's only
-/// memo entry, which a disk layer stores and later runs load); every
-/// perturbed die's library is then
+/// sensitivity slabs as the traced request of the memo's one ladder,
+/// the run's only memo entry, which a disk layer stores and later runs
+/// load); every perturbed die's library is then
 /// *derived* as `nominal + J·Δ` instead of re-solved. A per-entry
 /// linearization-error check clamps individual entries back to a full
 /// solve when the tolerance is exceeded, and dies whose perturbation
@@ -779,18 +724,27 @@ impl MemoLibraryCache {
 /// server's `/metrics` endpoint.
 pub struct DeltaLibraryProvider {
     inner: SensDeltaProvider,
+    outcome: CacheOutcome,
 }
 
 impl DeltaLibraryProvider {
-    /// Characterizes (or recalls from `memo`) the nominal library with
-    /// its sensitivity slabs and mounts the per-die deriver on it;
-    /// `tol` is the per-entry linearization-error tolerance in log
-    /// units ([`nanoleak_cells::DEFAULT_DELTA_TOL`] is the
-    /// default-tuned bound).
+    /// Gets the nominal library with its sensitivity slabs from `memo`
+    /// and mounts the per-die deriver on it; `tol` is the per-entry
+    /// linearization-error tolerance in log units
+    /// ([`nanoleak_cells::DEFAULT_DELTA_TOL`] is the default-tuned
+    /// bound). The request walks the memo's one ladder traced: RAM
+    /// serves it only from an entry this process traced, a disk layer
+    /// loads the `.nlc` and its `.nls` sidecar, and a miss runs the
+    /// traced characterization, which the disk layer stores as both
+    /// files. A memo without a disk layer keeps the nominal in RAM.
     ///
     /// # Errors
-    /// As [`MemoLibraryCache::get_or_characterize_with_sens`]; callers
-    /// running a fast MC degrade to the exact path on a solver failure.
+    /// * [`EngineError::Solver`] if the traced characterization fails
+    ///   (also injected, on every request that misses RAM, by the
+    ///   `char-sensitivity` failpoint); callers running a fast MC
+    ///   degrade to the exact path;
+    /// * [`EngineError::Cache`] if a fresh disk entry cannot be
+    ///   written.
     pub fn prepare(
         memo: &MemoLibraryCache,
         tech: &Technology,
@@ -798,13 +752,30 @@ impl DeltaLibraryProvider {
         opts: &CharacterizeOptions,
         tol: f64,
     ) -> Result<Self, EngineError> {
-        let (nominal, sens, _) = memo.get_or_characterize_with_sens(tech, temp, opts)?;
-        Ok(Self { inner: SensDeltaProvider { nominal, sens, tol } })
+        let (nominal, sens, outcome) = memo.serve(tech, temp, opts, true)?;
+        let sens = sens.expect("a traced request returns its sensitivities");
+        Ok(Self { inner: SensDeltaProvider { nominal, sens, tol }, outcome })
     }
 
     /// The per-entry linearization-error tolerance (log units).
     pub fn tol(&self) -> f64 {
         self.inner.tol
+    }
+
+    /// The nominal library every die derives from.
+    pub fn nominal(&self) -> &Arc<CellLibrary> {
+        &self.inner.nominal
+    }
+
+    /// The nominal's traced sensitivity slabs.
+    pub fn sens(&self) -> &Arc<LibrarySens> {
+        &self.inner.sens
+    }
+
+    /// How `memo` produced the nominal in
+    /// [`DeltaLibraryProvider::prepare`].
+    pub fn outcome(&self) -> CacheOutcome {
+        self.outcome
     }
 }
 
@@ -847,18 +818,6 @@ mod tests {
     }
 
     #[test]
-    fn keys_separate_requests() {
-        let tech = Technology::d25();
-        let base = LibraryCache::request_key(&tech, 300.0, &opts());
-        assert_ne!(base, LibraryCache::request_key(&tech, 310.0, &opts()));
-        let wider = CharacterizeOptions { max_loading: 9e-6, ..opts() };
-        assert_ne!(base, LibraryCache::request_key(&tech, 300.0, &wider));
-        let mut other_tech = tech.clone();
-        other_tech.vdd += 0.05;
-        assert_ne!(base, LibraryCache::request_key(&other_tech, 300.0, &opts()));
-    }
-
-    #[test]
     fn miss_then_hit_round_trips_bit_identically() {
         let tech = Technology::d25();
         let cache = LibraryCache::new(temp_dir("roundtrip"));
@@ -870,25 +829,32 @@ mod tests {
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 
+    /// Both kinds of request, plain and traced: the stale-entry tests
+    /// below run each through the one body of every layer.
+    const KINDS: [bool; 2] = [false, true];
+
     #[test]
     fn corrupt_payload_invalidates() {
         let tech = Technology::d25();
-        let cache = LibraryCache::new(temp_dir("corrupt"));
-        let (_, outcome) = cache.load_or_characterize(&tech, 300.0, &opts()).unwrap();
-        assert_eq!(outcome, CacheOutcome::Miss);
-        // Flip one payload byte behind the header.
-        let path = cache.path_for(&tech, 300.0, &opts());
-        let mut bytes = std::fs::read(&path).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0xff;
-        std::fs::write(&path, &bytes).unwrap();
-        let (lib, outcome) = cache.load_or_characterize(&tech, 300.0, &opts()).unwrap();
-        assert_eq!(outcome, CacheOutcome::Invalidated);
-        assert!(lib.cell(CellType::Inv).is_some(), "recovered by re-characterizing");
-        // And the replacement file is valid again.
-        let (_, outcome) = cache.load_or_characterize(&tech, 300.0, &opts()).unwrap();
-        assert_eq!(outcome, CacheOutcome::Hit);
-        let _ = std::fs::remove_dir_all(cache.dir());
+        for traced in KINDS {
+            let cache = LibraryCache::new(temp_dir(&format!("corrupt-{traced}")));
+            let (_, _, outcome) = cache.serve(&tech, 300.0, &opts(), traced).unwrap();
+            assert_eq!(outcome, CacheOutcome::Miss);
+            // Flip one payload byte behind the header.
+            let path = cache.path_for(&tech, 300.0, &opts());
+            let mut bytes = std::fs::read(&path).unwrap();
+            let last = bytes.len() - 1;
+            bytes[last] ^= 0xff;
+            std::fs::write(&path, &bytes).unwrap();
+            let (lib, sens, outcome) = cache.serve(&tech, 300.0, &opts(), traced).unwrap();
+            assert_eq!(outcome, CacheOutcome::Invalidated);
+            assert!(lib.cell(CellType::Inv).is_some(), "recovered by re-characterizing");
+            assert_eq!(sens.is_some(), traced, "a traced request re-traced");
+            // And the replacement file is valid again.
+            let (_, _, outcome) = cache.serve(&tech, 300.0, &opts(), traced).unwrap();
+            assert_eq!(outcome, CacheOutcome::Hit);
+            let _ = std::fs::remove_dir_all(cache.dir());
+        }
     }
 
     /// Cuts the first response table in `v` (a record whose fields are
@@ -945,7 +911,7 @@ mod tests {
             assert!(!decoded.is_well_formed(), "the tampered library decodes but is malformed");
             let mut tampered = bytes[..16].to_vec();
             tampered.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-            tampered.extend_from_slice(&fnv1a(&payload).to_le_bytes());
+            tampered.extend_from_slice(&fnv1a(payload.iter().copied()).to_le_bytes());
             tampered.extend_from_slice(&payload);
             std::fs::write(&path, &tampered).unwrap();
 
@@ -961,13 +927,15 @@ mod tests {
     #[test]
     fn truncated_header_invalidates() {
         let tech = Technology::d25();
-        let cache = LibraryCache::new(temp_dir("truncated"));
-        cache.load_or_characterize(&tech, 300.0, &opts()).unwrap();
-        let path = cache.path_for(&tech, 300.0, &opts());
-        std::fs::write(&path, b"NLKC").unwrap();
-        let (_, outcome) = cache.load_or_characterize(&tech, 300.0, &opts()).unwrap();
-        assert_eq!(outcome, CacheOutcome::Invalidated);
-        let _ = std::fs::remove_dir_all(cache.dir());
+        for traced in KINDS {
+            let cache = LibraryCache::new(temp_dir(&format!("truncated-{traced}")));
+            cache.serve(&tech, 300.0, &opts(), traced).unwrap();
+            let path = cache.path_for(&tech, 300.0, &opts());
+            std::fs::write(&path, b"NLKC").unwrap();
+            let (_, _, outcome) = cache.serve(&tech, 300.0, &opts(), traced).unwrap();
+            assert_eq!(outcome, CacheOutcome::Invalidated);
+            let _ = std::fs::remove_dir_all(cache.dir());
+        }
     }
 
     #[test]
@@ -1002,22 +970,24 @@ mod tests {
     #[test]
     fn residency_is_bounded_with_disk_fallback() {
         let tech = Technology::d25();
-        let memo =
-            MemoLibraryCache::over(LibraryCache::new(temp_dir("bounded"))).with_max_resident(2);
-        for temp in [300.0, 310.0, 320.0] {
-            let (_, outcome) = memo.get_or_characterize(&tech, temp, &opts()).unwrap();
-            assert_eq!(outcome, CacheOutcome::Miss);
+        for traced in KINDS {
+            let dir = temp_dir(&format!("bounded-{traced}"));
+            let memo = MemoLibraryCache::over(LibraryCache::new(dir)).with_max_resident(2);
+            for temp in [300.0, 310.0, 320.0] {
+                let (_, _, outcome) = memo.serve(&tech, temp, &opts(), traced).unwrap();
+                assert_eq!(outcome, CacheOutcome::Miss);
+            }
+            assert_eq!(memo.resident(), 2, "third insert evicted one entry");
+            // Every request still answers correctly; at most one of the
+            // three can need the solver again (the evicted one comes
+            // back from disk as a Hit).
+            for temp in [300.0, 310.0, 320.0] {
+                let (lib, _, outcome) = memo.serve(&tech, temp, &opts(), traced).unwrap();
+                assert_eq!(lib.temp, temp);
+                assert_ne!(outcome, CacheOutcome::Miss, "disk layer serves evictions");
+            }
+            let _ = std::fs::remove_dir_all(memo.disk().unwrap().dir());
         }
-        assert_eq!(memo.resident(), 2, "third insert evicted one entry");
-        // Every request still answers correctly; at most one of the
-        // three can need the solver again (the evicted one comes back
-        // from disk as a Hit).
-        for temp in [300.0, 310.0, 320.0] {
-            let (lib, outcome) = memo.get_or_characterize(&tech, temp, &opts()).unwrap();
-            assert_eq!(lib.temp, temp);
-            assert_ne!(outcome, CacheOutcome::Miss, "disk layer serves evictions");
-        }
-        let _ = std::fs::remove_dir_all(memo.disk().unwrap().dir());
     }
 
     #[test]
@@ -1050,14 +1020,12 @@ mod tests {
             for temp in [300.0, 310.0] {
                 memo.get_or_characterize(&tech, temp, &opts()).unwrap();
             }
-            let (_, _, outcome) =
-                memo.get_or_characterize_with_sens(&tech, 300.0, &opts()).unwrap();
+            let (_, _, outcome) = memo.serve(&tech, 300.0, &opts(), true).unwrap();
             assert_eq!(outcome, CacheOutcome::Miss, "plain entries carry no sensitivities");
             assert_eq!(memo.resident(), 2);
             let (_, outcome) = memo.get_or_characterize(&tech, 310.0, &opts()).unwrap();
             assert_eq!(outcome, CacheOutcome::MemoryHit, "the other entry stayed resident");
-            let (_, _, outcome) =
-                memo.get_or_characterize_with_sens(&tech, 300.0, &opts()).unwrap();
+            let (_, _, outcome) = memo.serve(&tech, 300.0, &opts(), true).unwrap();
             assert_eq!(outcome, CacheOutcome::MemoryHit, "the upgrade kept its sensitivities");
         }
     }
@@ -1083,12 +1051,14 @@ mod tests {
     #[test]
     fn memory_only_memo_characterizes_once() {
         let tech = Technology::d25();
-        let memo = MemoLibraryCache::memory_only();
-        let (_, outcome) = memo.get_or_characterize(&tech, 300.0, &opts()).unwrap();
-        assert_eq!(outcome, CacheOutcome::Miss);
-        let (_, outcome) = memo.get_or_characterize(&tech, 300.0, &opts()).unwrap();
-        assert_eq!(outcome, CacheOutcome::MemoryHit);
-        assert_eq!(memo.stats().characterizations, 1);
+        for traced in KINDS {
+            let memo = MemoLibraryCache::memory_only();
+            let (_, _, outcome) = memo.serve(&tech, 300.0, &opts(), traced).unwrap();
+            assert_eq!(outcome, CacheOutcome::Miss);
+            let (_, _, outcome) = memo.serve(&tech, 300.0, &opts(), traced).unwrap();
+            assert_eq!(outcome, CacheOutcome::MemoryHit);
+            assert_eq!(memo.stats().characterizations, 1);
+        }
     }
 
     #[test]
@@ -1149,8 +1119,7 @@ mod tests {
         let tech = Technology::d25();
         let dir = temp_dir("sidecar");
         let memo = MemoLibraryCache::over(LibraryCache::new(&dir));
-        let (lib, sens, outcome) =
-            memo.get_or_characterize_with_sens(&tech, 300.0, &opts()).unwrap();
+        let (lib, sens, outcome) = memo.serve(&tech, 300.0, &opts(), true).unwrap();
         assert_eq!(outcome, CacheOutcome::Miss);
         let disk = memo.disk().unwrap();
         let (path, sens_path) =
@@ -1161,14 +1130,13 @@ mod tests {
 
         // A fresh memo over the warm directory loads the pair: no solve.
         let warm = MemoLibraryCache::over(LibraryCache::new(&dir));
-        let (loaded, loaded_sens, outcome) =
-            warm.get_or_characterize_with_sens(&tech, 300.0, &opts()).unwrap();
+        let (loaded, loaded_sens, outcome) = warm.serve(&tech, 300.0, &opts(), true).unwrap();
         assert_eq!(outcome, CacheOutcome::Hit);
         let stats = MemoCacheStats { memory_hits: 0, disk_hits: 1, characterizations: 0 };
         assert_eq!(warm.stats(), stats);
         assert_eq!(*loaded, *lib);
-        assert_eq!(*loaded_sens, *sens);
-        let (_, _, outcome) = warm.get_or_characterize_with_sens(&tech, 300.0, &opts()).unwrap();
+        assert_eq!(*loaded_sens.unwrap(), *sens.unwrap());
+        let (_, _, outcome) = warm.serve(&tech, 300.0, &opts(), true).unwrap();
         assert_eq!(outcome, CacheOutcome::MemoryHit);
 
         // The trace stored its library the plain way: plain requests
@@ -1186,8 +1154,9 @@ mod tests {
         // so only the sidecar's own checks can catch it.
         let tech = Technology::d25();
         let cache = LibraryCache::new(temp_dir("sidecar-tamper"));
-        let (lib, sens, _) = cache.load_or_characterize_with_sens(&tech, 300.0, &opts()).unwrap();
-        let key = LibraryCache::request_key(&tech, 300.0, &opts());
+        let (lib, sens, _) = cache.serve(&tech, 300.0, &opts(), true).unwrap();
+        let sens = sens.unwrap();
+        let key = CellLibrary::request_key(&tech, 300.0, &opts());
         let (path, sens_path) =
             (cache.path_for(&tech, 300.0, &opts()), cache.sens_path_for(&tech, 300.0, &opts()));
         let library_file = std::fs::read(&path).unwrap();
@@ -1216,12 +1185,10 @@ mod tests {
                     std::fs::write(&sens_path, seal(&SENS_FILE, key, &record)).unwrap();
                 }
             }
-            let (relib, resens, outcome) =
-                cache.load_or_characterize_with_sens(&tech, 300.0, &opts()).unwrap();
+            let (relib, resens, outcome) = cache.serve(&tech, 300.0, &opts(), true).unwrap();
             assert_eq!(outcome, CacheOutcome::Invalidated, "{case}");
-            assert_eq!((&*relib, &*resens), (&*lib, &*sens), "{case}: re-traced");
-            let (_, _, outcome) =
-                cache.load_or_characterize_with_sens(&tech, 300.0, &opts()).unwrap();
+            assert_eq!((&*relib, &*resens.unwrap()), (&*lib, &*sens), "{case}: re-traced");
+            let (_, _, outcome) = cache.serve(&tech, 300.0, &opts(), true).unwrap();
             assert_eq!(outcome, CacheOutcome::Hit, "{case}: both files rewritten");
         }
         let _ = std::fs::remove_dir_all(cache.dir());
@@ -1234,7 +1201,6 @@ mod tests {
         // level and overflow the stack (exit 134) on the first request
         // that missed RAM.
         let tech = Technology::d25();
-        let cache = LibraryCache::new(temp_dir("nested"));
         let mut payload = Vec::new();
         for _ in 0..200_000 {
             payload.push(5); // the binary codec's sequence tag
@@ -1242,13 +1208,16 @@ mod tests {
         }
         payload.push(0); // unit
         assert!(serde::value_from_bytes(&payload).is_err());
-        let key = LibraryCache::request_key(&tech, 300.0, &opts());
-        std::fs::create_dir_all(cache.dir()).unwrap();
-        let path = cache.path_for(&tech, 300.0, &opts());
-        std::fs::write(&path, seal(&LIBRARY_FILE, key, &payload)).unwrap();
-        let (_, outcome) = cache.load_or_characterize(&tech, 300.0, &opts()).unwrap();
-        assert_eq!(outcome, CacheOutcome::Invalidated);
-        let _ = std::fs::remove_dir_all(cache.dir());
+        let key = CellLibrary::request_key(&tech, 300.0, &opts());
+        for traced in KINDS {
+            let cache = LibraryCache::new(temp_dir(&format!("nested-{traced}")));
+            std::fs::create_dir_all(cache.dir()).unwrap();
+            let path = cache.path_for(&tech, 300.0, &opts());
+            std::fs::write(&path, seal(&LIBRARY_FILE, key, &payload)).unwrap();
+            let (_, _, outcome) = cache.serve(&tech, 300.0, &opts(), traced).unwrap();
+            assert_eq!(outcome, CacheOutcome::Invalidated);
+            let _ = std::fs::remove_dir_all(cache.dir());
+        }
     }
 
     /// `bytes` with one seeded mutation: a byte flipped, a word
@@ -1292,11 +1261,11 @@ mod tests {
         const MUTANTS: u64 = 200;
         let tech = Technology::d25();
         let cache = LibraryCache::new(temp_dir("mutants"));
-        let (lib, sens, _) = cache.load_or_characterize_with_sens(&tech, 300.0, &opts()).unwrap();
-        let key = LibraryCache::request_key(&tech, 300.0, &opts());
+        let (lib, sens, _) = cache.serve(&tech, 300.0, &opts(), true).unwrap();
+        let key = CellLibrary::request_key(&tech, 300.0, &opts());
         let (path, sens_path) =
             (cache.path_for(&tech, 300.0, &opts()), cache.sens_path_for(&tech, 300.0, &opts()));
-        let (library, record) = (serde::to_bytes(&*lib), sens.to_bytes());
+        let (library, record) = (serde::to_bytes(&*lib), sens.unwrap().to_bytes());
         for (file, payload) in [("library", &library), ("sidecar", &record)] {
             let (mut stale, mut loaded) = (0, 0);
             for i in 0..MUTANTS {
@@ -1306,9 +1275,10 @@ mod tests {
                     if file == "library" { (&mutant, &record) } else { (&library, &mutant) };
                 std::fs::write(&path, seal(&LIBRARY_FILE, key, lib_payload)).unwrap();
                 std::fs::write(&sens_path, seal(&SENS_FILE, key, sens_payload)).unwrap();
-                match cache.try_load_with_sens(&tech, 300.0, &opts()) {
+                match cache.try_load(&tech, 300.0, &opts(), true) {
                     None => stale += 1,
                     Some((l, s)) => {
+                        let s = s.expect("a traced load carries its sidecar");
                         assert!(l.is_well_formed(), "{file} mutant {i}");
                         let again = LibrarySens::from_bytes(&l, &s.to_bytes());
                         assert_eq!(again.as_ref(), Some(&s), "{file} mutant {i}");

@@ -21,8 +21,11 @@
 //!   serializes [`CellLibrary`](nanoleak_cells::CellLibrary) LUTs to
 //!   disk behind a versioned, checksummed header keyed on the
 //!   technology/temperature/options hash, so repeated CLI and bench
-//!   runs skip the expensive characterize step entirely; a traced
-//!   request stores its sensitivities beside the library the same way.
+//!   runs skip the expensive characterize step entirely. Under the
+//!   [`MemoLibraryCache`] every front-end shares, plain and traced
+//!   requests walk one RAM → disk → solve ladder; a traced request
+//!   (the fast-MC nominal) also stores its sensitivities beside the
+//!   library.
 //! * [`mc_streaming_mode`] — **circuit-level Monte-Carlo variation**
 //!   (the paper's Section 5.3 at circuit scale): sharded, cancellable
 //!   execution of `nanoleak-variation`'s one perturbed-die driver,
@@ -37,10 +40,11 @@
 //!   characterized once per cache directory with traced Newton solves
 //!   recording per-`(cell, vector)` sensitivity slabs, and every perturbed die's
 //!   library is derived as `nominal + J·Δ` with a per-entry
-//!   linearization-error fallback to a full solve. The exact mode
-//!   stays available end to end (`mc --exact`, the server's `"exact"`
-//!   MC-job flag) and fast runs self-report their measured deviation
-//!   from it.
+//!   linearization-error fallback to a full solve. A fast run reports
+//!   how it got the nominal ([`McTelemetry::nominal`]), as every other
+//!   request reports its library. The exact mode stays available end
+//!   to end (`mc --exact`, the server's `"exact"` MC-job flag) and
+//!   fast runs self-report their measured deviation from it.
 //!
 //! Sweeps, every MLV strategy and every Monte-Carlo die evaluate their
 //! patterns through `nanoleak-core`'s one block driver,

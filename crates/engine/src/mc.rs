@@ -21,19 +21,22 @@
 //! never enter the memo: each die is drawn once per run, so memoizing
 //! it would only churn the memo and, through a disk layer, fill the
 //! disk with one-shot entries. The traced nominal is the one memo
-//! entry a run makes
-//! ([`MemoLibraryCache::get_or_characterize_with_sens`]). A disk-backed
-//! memo stores it as the request's `.nlc` and its `.nls` sensitivity
-//! sidecar, so the nominal is traced once per cache directory and a
-//! later fast run loads it; those two files are all a Monte-Carlo run
-//! ever writes.
+//! entry a run makes ([`DeltaLibraryProvider::prepare`], the traced
+//! request of the memo's one ladder). A disk-backed memo stores it as
+//! the request's `.nlc` and its `.nls` sensitivity sidecar, so the
+//! nominal is traced once per cache directory and a later fast run
+//! loads it; those two files are all a Monte-Carlo run ever writes. A
+//! fast run reports how it got the nominal in its telemetry
+//! ([`McTelemetry::nominal`]), as every other request reports its
+//! library.
 //! Every die's packed blocks, the deviation probe's included, are
 //! counted and timed by core's block driver as they run
 //! ([`block_metrics`](crate::block_metrics)).
 
-use std::time::Instant;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-use nanoleak_cells::DEFAULT_DELTA_TOL;
+use nanoleak_cells::{CellLibrary, DEFAULT_DELTA_TOL};
 use nanoleak_device::Technology;
 use nanoleak_netlist::Circuit;
 use nanoleak_variation::{
@@ -42,7 +45,7 @@ use nanoleak_variation::{
 };
 use serde::{Deserialize, Serialize};
 
-use crate::cache::{delta_metrics, DeltaLibraryProvider, MemoLibraryCache};
+use crate::cache::{delta_metrics, CacheOutcome, DeltaLibraryProvider, MemoLibraryCache};
 use crate::sweep::{run_shards, Shards};
 use crate::EngineError;
 
@@ -90,12 +93,16 @@ pub struct McShard {
 /// Wall-clock measurements of one MC run (not deterministic; kept
 /// separate from the summary so determinism is assertable on the
 /// summary alone).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct McTelemetry {
     /// Wall-clock duration of the run.
-    pub elapsed: std::time::Duration,
+    pub elapsed: Duration,
     /// Throughput in samples per second.
     pub samples_per_sec: f64,
+    /// A fast run's traced nominal library, how the cache produced it
+    /// and how long that took (counted in `elapsed`). `None` on an
+    /// exact run, and on a fast run that degraded to exact.
+    pub nominal: Option<(Arc<CellLibrary>, CacheOutcome, Duration)>,
 }
 
 /// Result of [`mc_streaming_mode`].
@@ -183,7 +190,8 @@ fn deviation(fast: &[McSample], exact: &[McSample]) -> (f64, f64) {
 /// is incremented. Fast results differ from exact results by the
 /// (reported) linearization error. Only the traced nominal enters
 /// `cache` (and its disk layer, as one `.nlc` and its `.nls`
-/// sidecar); no die library does.
+/// sidecar); no die library does. The report's
+/// [`McTelemetry::nominal`] says how the run got its nominal.
 ///
 /// # Errors
 /// The first per-sample failure ([`EngineError::Solver`] /
@@ -227,6 +235,8 @@ pub fn mc_streaming_mode(
             Err(e) => return Err(e),
         },
     };
+    let nominal =
+        delta.as_ref().map(|d| (Arc::clone(d.nominal()), d.outcome(), start_time.elapsed()));
     let provider: &dyn DeltaProvider = match &delta {
         Some(delta) => delta,
         None => &SolverProvider,
@@ -283,6 +293,7 @@ pub fn mc_streaming_mode(
         telemetry: McTelemetry {
             elapsed: start_time.elapsed(),
             samples_per_sec: config.samples as f64 / mc_elapsed.as_secs_f64().max(1e-9),
+            nominal,
         },
     }))
 }

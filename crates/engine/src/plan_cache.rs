@@ -168,7 +168,7 @@ mod tests {
     use nanoleak_cells::{CellType, CharacterizeOptions};
     use nanoleak_core::EstimatorMode;
     use nanoleak_device::Technology;
-    use nanoleak_netlist::generate::{random_circuit, RandomCircuitSpec};
+    use nanoleak_netlist::generate::{iscas_like, random_circuit, RandomCircuitSpec};
     use nanoleak_netlist::normalize::normalize;
     use nanoleak_netlist::{CircuitBuilder, Pattern};
     use rand::SeedableRng;
@@ -226,6 +226,19 @@ mod tests {
         );
         let p3 = shared_plan(&c1, &hot).unwrap();
         assert!(!Arc::ptr_eq(&p1, &p3));
+    }
+
+    #[test]
+    fn keys_do_not_move() {
+        // Both halves of a plan key run through the one FNV-1a, which
+        // also names the `.nlc` files and seeds the generated ISCAS
+        // stand-ins: pinned values keep file names, plan identities and
+        // generated circuits where earlier builds put them.
+        let opts = CharacterizeOptions::coarse(&[CellType::Inv]);
+        let key = CellLibrary::request_key(&Technology::d25(), 300.0, &opts);
+        assert_eq!(key, 0xfc8e_4403_3215_dea7);
+        let s838 = normalize(&iscas_like("s838").unwrap()).unwrap();
+        assert_eq!(s838.structural_key(), 0x08c6_5f80_fc9e_c7af);
     }
 
     #[test]

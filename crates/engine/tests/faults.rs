@@ -8,11 +8,11 @@
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-use nanoleak_cells::{CellType, CharacterizeOptions};
+use nanoleak_cells::{CellType, CharacterizeOptions, DEFAULT_DELTA_TOL};
 use nanoleak_device::Technology;
 use nanoleak_engine::{
-    mc_streaming_mode, sweep_streaming, CacheOutcome, EngineError, LibraryCache, McMode,
-    MemoLibraryCache, SweepConfig,
+    mc_streaming_mode, sweep_streaming, CacheOutcome, DeltaLibraryProvider, EngineError,
+    LibraryCache, McMode, MemoLibraryCache, SweepConfig,
 };
 use nanoleak_fault::{arm, arm_limited, disarm_all, FaultAction};
 use nanoleak_netlist::{Circuit, CircuitBuilder};
@@ -29,6 +29,11 @@ fn serial() -> MutexGuard<'static, ()> {
 
 fn opts() -> CharacterizeOptions {
     CharacterizeOptions::coarse(&[CellType::Inv, CellType::Nand2, CellType::Nor2])
+}
+
+/// How `memo` serves the traced nominal request for `tech` at 300 K.
+fn traced(memo: &MemoLibraryCache, tech: &Technology) -> CacheOutcome {
+    DeltaLibraryProvider::prepare(memo, tech, 300.0, &opts(), DEFAULT_DELTA_TOL).unwrap().outcome()
 }
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -145,6 +150,7 @@ fn char_sensitivity_fault_degrades_fast_mc_to_exact() {
         let degraded = run(&memo, McMode::fast());
         disarm_all();
         assert!(degraded.summary.fast.is_none(), "degraded run took the exact path");
+        assert!(degraded.telemetry.nominal.is_none(), "and reports no nominal");
         assert_eq!(degraded.summary, exact.summary, "degradation is bit-exact");
         assert_eq!(sens_build_fallbacks(), before + 1, "sens-build fallback counted");
 
@@ -162,7 +168,7 @@ fn char_sensitivity_fault_degrades_fast_mc_to_exact() {
     let degraded = run(&warm, McMode::fast());
     disarm_all();
     assert_eq!(degraded.summary, exact.summary);
-    let (_, _, outcome) = warm.get_or_characterize_with_sens(&tech, 300.0, &opts()).unwrap();
+    let outcome = traced(&warm, &tech);
     assert_eq!(outcome, CacheOutcome::Hit, "the stored nominal survived the drill");
     let _ = std::fs::remove_dir_all(dir);
 }
@@ -198,10 +204,10 @@ fn cache_io_fault_fails_the_traced_store_without_degrading_or_litter() {
 
     // Self-disarmed after one fire: the retry traces and stores the
     // pair, and a new memo over the directory loads it.
-    let (_, _, outcome) = memo.get_or_characterize_with_sens(&tech, 300.0, &opts()).unwrap();
+    let outcome = traced(&memo, &tech);
     assert_eq!(outcome, CacheOutcome::Miss);
     let warm = MemoLibraryCache::over(LibraryCache::new(&dir));
-    let (_, _, outcome) = warm.get_or_characterize_with_sens(&tech, 300.0, &opts()).unwrap();
+    let outcome = traced(&warm, &tech);
     assert_eq!(outcome, CacheOutcome::Hit);
     let _ = std::fs::remove_dir_all(dir);
 }

@@ -1,7 +1,7 @@
 //! A fast Monte-Carlo run on a warm cache directory makes no traced
 //! solve: it loads the nominal library and its sensitivities from the
 //! `.nlc` and its `.nls` sidecar, and its only Newton solves are the
-//! deviation probe's.
+//! deviation probe's. Each fast run reports how it got its nominal.
 //!
 //! `nanoleak_solver_newton_solves_total` is process-global, so this
 //! binary holds a single test: no other test may solve between a
@@ -12,8 +12,8 @@ use std::path::{Path, PathBuf};
 use nanoleak_cells::CellType;
 use nanoleak_device::Technology;
 use nanoleak_engine::{
-    mc_streaming_mode, LibraryCache, McMode, McReport, MemoCacheStats, MemoLibraryCache,
-    DEFAULT_DEVIATION_PROBE,
+    mc_streaming_mode, CacheOutcome, LibraryCache, McMode, McReport, MemoCacheStats,
+    MemoLibraryCache, DEFAULT_DEVIATION_PROBE,
 };
 use nanoleak_netlist::{Circuit, CircuitBuilder};
 use nanoleak_variation::{char_opts_for, run_circuit_mc_range, CircuitMcConfig, SolverProvider};
@@ -48,6 +48,11 @@ fn solves<T>(run: impl FnOnce() -> T) -> (u64, T) {
     let before = read();
     let out = run();
     (read() - before, out)
+}
+
+/// How the run's cache produced its nominal, as the run reports it.
+fn outcome(report: &McReport) -> Option<CacheOutcome> {
+    report.telemetry.nominal.as_ref().map(|(_, outcome, _)| *outcome)
 }
 
 /// The extensions of the files in `dir`, sorted.
@@ -86,12 +91,14 @@ fn a_warm_fast_run_loads_its_nominal_and_solves_only_the_probe() {
     let traced = MemoCacheStats { memory_hits: 0, disk_hits: 0, characterizations: 1 };
     assert_eq!(cold.stats(), traced);
     assert_eq!(extensions(&dir), ["nlc", "nls"]);
+    assert_eq!(outcome(&cold_report), Some(CacheOutcome::Miss), "the run reports its trace");
 
     // Warm: a fresh memo (a new process) loads the pair.
     let warm = MemoLibraryCache::over(LibraryCache::new(&dir));
     let (warm_solves, warm_report) = solves(|| fast(&warm));
     let loaded = MemoCacheStats { memory_hits: 0, disk_hits: 1, characterizations: 0 };
     assert_eq!(warm.stats(), loaded);
+    assert_eq!(outcome(&warm_report), Some(CacheOutcome::Hit), "the run reports its load");
     assert_eq!(warm_report.summary, cold_report.summary, "same answer, bit for bit");
     assert_eq!(extensions(&dir), ["nlc", "nls"]);
 
@@ -111,9 +118,10 @@ fn a_warm_fast_run_loads_its_nominal_and_solves_only_the_probe() {
     // Exact mode never asks the memo, so it writes nothing.
     let dir = temp_dir("exact");
     let exact = MemoLibraryCache::over(LibraryCache::new(&dir));
-    mc_streaming_mode(&circuit, &tech, &exact, &config, McMode::Exact, 0, |_| true)
+    let report = mc_streaming_mode(&circuit, &tech, &exact, &config, McMode::Exact, 0, |_| true)
         .unwrap()
         .unwrap();
     assert_eq!(exact.stats().requests(), 0);
+    assert_eq!(outcome(&report), None, "exact mode reports no library");
     assert!(!dir.exists(), "exact mode wrote to the disk cache");
 }

@@ -9,7 +9,7 @@
 //! and leakage flow through exactly the same machinery as combinational
 //! gates, in both the fast estimator and the reference simulator.
 
-use nanoleak_cells::CellType;
+use nanoleak_cells::{fnv1a, CellType};
 use serde::{Deserialize, Serialize};
 
 use crate::error::CircuitError;
@@ -166,14 +166,6 @@ impl Circuit {
     /// keys a shared `CompiledEstimator`: a plan-cache hit is then
     /// guaranteed to reproduce a fresh compile bit-for-bit.
     pub fn structural_key(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0100_0000_01b3;
-        fn mix(h: &mut u64, x: u64) {
-            for b in x.to_le_bytes() {
-                *h ^= u64::from(b);
-                *h = h.wrapping_mul(PRIME);
-            }
-        }
         // Canonical net numbering: every net has exactly one driver,
         // so inputs + state inputs + gate outputs cover all of them.
         let mut canon = vec![0u64; self.net_names.len()];
@@ -186,26 +178,16 @@ impl Circuit {
             canon[g.output.0] = next;
             next += 1;
         }
-        let mut h = OFFSET;
-        mix(&mut h, self.inputs.len() as u64);
-        mix(&mut h, self.state_inputs.len() as u64);
-        mix(&mut h, self.gates.len() as u64);
+        let mut words =
+            vec![self.inputs.len() as u64, self.state_inputs.len() as u64, self.gates.len() as u64];
         for g in &self.gates {
-            mix(&mut h, g.cell as u64);
-            mix(&mut h, g.inputs.len() as u64);
-            for &i in &g.inputs {
-                mix(&mut h, canon[i.0]);
-            }
-            mix(&mut h, canon[g.output.0]);
+            words.extend([g.cell as u64, g.inputs.len() as u64]);
+            words.extend(g.inputs.iter().map(|i| canon[i.0]));
+            words.push(canon[g.output.0]);
         }
-        mix(&mut h, self.outputs.len() as u64);
-        for &o in &self.outputs {
-            mix(&mut h, canon[o.0]);
-        }
-        for &d in &self.dff_d {
-            mix(&mut h, canon[d.0]);
-        }
-        h
+        words.push(self.outputs.len() as u64);
+        words.extend(self.outputs.iter().chain(&self.dff_d).map(|n| canon[n.0]));
+        fnv1a(words.into_iter().flat_map(u64::to_le_bytes))
     }
 
     /// Histogram of gate counts per cell type.

@@ -8,6 +8,8 @@
 //! synthesized-control-logic operator mix. Real `.bench` files drop
 //! into [`crate::bench_format::parse_bench`] unchanged if available.
 
+use nanoleak_cells::fnv1a;
+
 use crate::generate::random::{random_circuit, RandomCircuitSpec};
 use crate::raw::RawCircuit;
 
@@ -53,10 +55,7 @@ pub fn iscas_like(name: &str) -> Option<RawCircuit> {
 /// Generates the stand-in for an explicit profile. The seed is derived
 /// from the name so every call reproduces the same circuit.
 pub fn from_profile(profile: &IscasProfile) -> RawCircuit {
-    let seed = profile
-        .name
-        .bytes()
-        .fold(0xcbf29ce484222325u64, |h, b| (h ^ b as u64).wrapping_mul(0x100000001b3));
+    let seed = fnv1a(profile.name.bytes());
     let spec = RandomCircuitSpec::new(
         profile.name,
         profile.inputs,

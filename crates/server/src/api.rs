@@ -1060,7 +1060,9 @@ pub fn resolve_mc_config(body: &Body, circuit: &Circuit) -> Result<CircuitMcConf
 /// size and thread count — the same contract the sweep path holds.
 /// `cache` is the same memo every other request runs on; the fast
 /// mode recalls its traced nominal library there, or from the memo's
-/// disk layer, which stores it on first use.
+/// disk layer, which stores it on first use, and reports it to
+/// `observer` like every other request's library. An exact run asks
+/// the memo for nothing and reports no library.
 pub fn run_mc(
     cache: &MemoLibraryCache,
     body: &Body,
@@ -1094,6 +1096,9 @@ pub fn run_mc(
     let Some(report) = report else {
         return Err(cancelled_error());
     };
+    if let Some((lib, outcome, elapsed)) = &report.telemetry.nominal {
+        observer.library(lib, *outcome, *elapsed);
+    }
     Ok(McResponse {
         target,
         gates: circuit.gate_count(),
@@ -1264,6 +1269,31 @@ mod tests {
         assert_eq!(resolve_shard_samples(&b, 2048).unwrap_err().status, 400);
         let b = Body::parse(r#"{"shard_samples": 4}"#).unwrap();
         assert_eq!(resolve_shard_samples(&b, 12).unwrap(), 4);
+    }
+
+    #[test]
+    fn mc_reports_its_nominal_library_like_every_request() {
+        struct Outcomes(std::sync::Mutex<Vec<CacheOutcome>>);
+        impl JobObserver for Outcomes {
+            fn library(&self, _lib: &Arc<CellLibrary>, outcome: CacheOutcome, _elapsed: Duration) {
+                self.0.lock().expect("no panic while held").push(outcome);
+            }
+            fn unit(&self, _index: usize, _partial: Value) {}
+        }
+        let body = |exact: bool| {
+            let text = format!(
+                r#"{{"bench": "INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n", "samples": 2,
+                    "vectors": 2, "coarse": true, "exact": {exact}}}"#
+            );
+            Body::parse(&text).unwrap()
+        };
+        let cache = MemoLibraryCache::memory_only();
+        let seen = Outcomes(std::sync::Mutex::new(Vec::new()));
+        for exact in [true, false, false] {
+            run_mc(&cache, &body(exact), &seen).unwrap();
+        }
+        let seen = seen.0.into_inner().unwrap();
+        assert_eq!(seen, [CacheOutcome::Miss, CacheOutcome::MemoryHit], "exact runs report none");
     }
 
     #[test]
