@@ -818,6 +818,23 @@ mod tests {
     }
 
     #[test]
+    fn keys_separate_requests() {
+        let tech = Technology::d25();
+        let cache = LibraryCache::new(temp_dir("keys"));
+        let base = cache.path_for(&tech, 300.0, &opts());
+        assert_ne!(base, cache.path_for(&tech, 310.0, &opts()));
+        let wider = CharacterizeOptions { max_loading: 9e-6, ..opts() };
+        assert_ne!(base, cache.path_for(&tech, 300.0, &wider));
+        let mut other_tech = tech.clone();
+        other_tech.vdd += 0.05;
+        assert_ne!(base, cache.path_for(&other_tech, 300.0, &opts()));
+        // A request's sensitivity sidecar shares its key, not its file.
+        let sens = cache.sens_path_for(&tech, 300.0, &opts());
+        assert_ne!(base, sens);
+        assert_eq!(base.file_stem(), sens.file_stem());
+    }
+
+    #[test]
     fn miss_then_hit_round_trips_bit_identically() {
         let tech = Technology::d25();
         let cache = LibraryCache::new(temp_dir("roundtrip"));
