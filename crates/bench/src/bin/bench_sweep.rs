@@ -5,7 +5,9 @@
 //! plus their ratios — and verifies all three paths agree bit-for-bit
 //! on every pattern while measuring. The block kernel must clear 4x
 //! over the compiled scalar path on the recorded (non-`--coarse`)
-//! run; the JSON asserts it.
+//! run; the bin asserts it. The compiled and block passes it compares
+//! run interleaved, repeat by repeat, and each side keeps its fastest
+//! pass.
 //!
 //! The library is the production-resolution characterization
 //! (`CharacterizeOptions::default()`, 11-point grid) served through
@@ -132,60 +134,56 @@ fn main() {
         }
     }
 
-    // Compiled path: plan compile + scratch + index stream, like a
-    // single-thread engine sweep shard.
-    let mut compiled_secs = f64::INFINITY;
-    let mut compiled = Vec::new();
-    {
-        let _span = nanoleak_obs::span!("compiled", repeat = repeat);
-        for _ in 0..repeat {
-            let t0 = Instant::now();
-            let plan = CompiledEstimator::compile(&circuit, &lib).unwrap();
-            let mut scratch = plan.scratch();
-            let totals: Vec<f64> = (0..vectors)
-                .map(|i| {
-                    plan.estimate_index_into(&mut scratch, seed, i, EstimatorMode::Lut)
-                        .unwrap()
-                        .total()
-                })
-                .collect();
-            compiled_secs = compiled_secs.min(t0.elapsed().as_secs_f64());
-            compiled = totals;
-        }
-    }
-    // Block kernel: the same index stream packed 64 patterns to the
-    // word, exactly as a lanes=64 engine sweep shard runs it. Table
-    // construction is charged once to "block_prepare" (amortized over
-    // every subsequent sweep through the shared-plan cache), the
-    // measured passes see only the steady-state kernel.
+    // Block kernel tables: charged once to "block_prepare" (amortized
+    // over every later sweep through the shared-plan cache), so the
+    // measured block passes see only the steady-state kernel.
     {
         let _span = nanoleak_obs::span!("block_prepare");
         plan.prepare_block();
     }
-    let mut block_secs = f64::INFINITY;
-    let mut block = Vec::new();
-    {
-        let _span = nanoleak_obs::span!("block", repeat = repeat);
-        for _ in 0..repeat {
-            let t0 = Instant::now();
-            let mut scratch = plan.block_scratch();
-            let mut totals = Vec::with_capacity(vectors);
-            let mut start = 0usize;
-            while start < vectors {
-                let count = LANES.min(vectors - start);
-                plan.estimate_index_block_into(
-                    &mut scratch,
-                    seed,
-                    start,
-                    count,
-                    EstimatorMode::Lut,
-                )
+    // Compiled path: plan compile + scratch + index stream, like a
+    // single-thread engine sweep shard.
+    let compiled_pass = || {
+        let plan = CompiledEstimator::compile(&circuit, &lib).unwrap();
+        let mut scratch = plan.scratch();
+        (0..vectors)
+            .map(|i| {
+                plan.estimate_index_into(&mut scratch, seed, i, EstimatorMode::Lut).unwrap().total()
+            })
+            .collect::<Vec<f64>>()
+    };
+    // Block kernel: the same index stream packed 64 patterns to the
+    // word, exactly as a lanes=64 engine sweep shard runs it.
+    let block_pass = || {
+        let mut scratch = plan.block_scratch();
+        let mut totals = Vec::with_capacity(vectors);
+        let mut start = 0usize;
+        while start < vectors {
+            let count = LANES.min(vectors - start);
+            plan.estimate_index_block_into(&mut scratch, seed, start, count, EstimatorMode::Lut)
                 .unwrap();
-                totals.extend(scratch.totals()[..count].iter().map(|t| t.total()));
-                start += count;
-            }
+            totals.extend(scratch.totals()[..count].iter().map(|t| t.total()));
+            start += count;
+        }
+        totals
+    };
+    // The two passes the floor compares run interleaved (compiled,
+    // block, compiled, block, ...), so the host's drift over the run
+    // hits both alike; each keeps its best pass, as above.
+    let (mut compiled_secs, mut block_secs) = (f64::INFINITY, f64::INFINITY);
+    let (mut compiled, mut block) = (Vec::new(), Vec::new());
+    for _ in 0..repeat {
+        {
+            let _span = nanoleak_obs::span!("compiled");
+            let t0 = Instant::now();
+            compiled = compiled_pass();
+            compiled_secs = compiled_secs.min(t0.elapsed().as_secs_f64());
+        }
+        {
+            let _span = nanoleak_obs::span!("block");
+            let t0 = Instant::now();
+            block = block_pass();
             block_secs = block_secs.min(t0.elapsed().as_secs_f64());
-            block = totals;
         }
     }
     let trace = nanoleak_obs::end_capture();

@@ -91,6 +91,20 @@
 //!    build of [`estimate_block_into`](CompiledEstimator::estimate_block_into)
 //!    build at full width ([`MAX_SUPPORT_BITS`] and the budget).
 //!
+//! Between the two kernels sits one gather: every per-lane index the
+//! resolve kernel reads — a table index over support nets, a gate's
+//! input-vector bits for its characterization, the runtime-current
+//! folds and the `NoLoading` resolve — is built from the packed net
+//! words by one bit-matrix transpose. Each net's word splits into
+//! 8-lane bytes (4-lane nibbles for indices wider than 8 bits), each
+//! byte spreads through a const table into the byte (`u16`) lanes of
+//! a `u64`, and the spread words shift to the net's bit position and
+//! OR together, so a `w`-bit index costs `w` table reads per lane
+//! group instead of `w` shift-and-masks per lane, and a short tail
+//! block transposes only the groups it fills. Indices are integers,
+//! so the gather cannot move a bit of any answer; a unit test pins it
+//! to the per-lane loop it replaced for every width and lane count.
+//!
 //! **The block path is bit-identical to the scalar path** — and hence
 //! to [`estimate`](crate::estimate) — for every mode: per-lane totals
 //! accumulate per-gate breakdowns sequentially in gate-id order (the
@@ -164,6 +178,30 @@ pub const MAX_TABLE_ENTRIES: usize = 1 << 20;
 
 /// `tbl_off` sentinel: gate (or term) not served by a table.
 const TABLE_FALLBACK: u32 = u32::MAX;
+
+/// Byte `k` of entry `b` is bit `k` of `b`: spreads 8 lanes' bits of
+/// one net into the byte lanes of a `u64` ([`CompiledEstimator::gather_block`]).
+const SPREAD8: [u64; 256] = spread(8);
+
+/// `u16` lane `k` of entry `n` is bit `k` of `n`: the 4-lane spread
+/// for indices wider than a byte.
+const SPREAD4: [u64; 16] = spread(16);
+
+/// The spread table whose entry `v` holds bit `k` of `v` at bit
+/// `k * lane_bits`, for the `log2(N)` bits of `v`.
+const fn spread<const N: usize>(lane_bits: usize) -> [u64; N] {
+    let mut table = [0u64; N];
+    let mut v = 0;
+    while v < N {
+        let mut k = 0;
+        while 1 << k < N {
+            table[v] |= ((v >> k & 1) as u64) << (k * lane_bits);
+            k += 1;
+        }
+        v += 1;
+    }
+    table
+}
 
 /// One additive term of a split (tier-B) gate response: the pin-`pin`
 /// input response (or, at `pin == pins`, the output response), either
@@ -970,31 +1008,46 @@ impl<'a> CompiledEstimator<'a> {
         }
     }
 
-    /// Per-lane input bits for gate `g`, gathered with the pin loop
-    /// outermost so each packed net word is loaded once per block
-    /// (not once per lane) and the lane loop is all register ops.
+    /// Per-lane indices over `nets` for the block's first `len` lanes:
+    /// bit `j` of lane `l`'s index is bit `l` of `nets[j]`'s packed
+    /// word. The one gather every per-lane index comes from (see the
+    /// module docs): a bit-matrix transpose, one lane group at a time.
+    /// Each net's word splits into 8-lane bytes ([`SPREAD8`]), or
+    /// 4-lane nibbles ([`SPREAD4`]) for indices wider than 8 bits, and
+    /// each spreads into its group's lanes, shifted to the net's bit.
+    /// Only the groups the block fills are built; lanes past `len` in
+    /// the last group hold what the dead lanes' bits make, and no
+    /// reader looks at them.
     #[inline]
-    fn gate_bits_block(&self, words: &[u64], g: usize, len: usize) -> [u16; LANES] {
-        let (s, e) = (self.in_off[g] as usize, self.in_off[g + 1] as usize);
-        let mut bits = [0u16; LANES];
-        for (k, &net) in self.in_nets[s..e].iter().enumerate() {
-            let w = words[net as usize];
-            for (lane, b) in bits[..len].iter_mut().enumerate() {
-                *b |= ((w >> lane & 1) as u16) << k;
+    fn gather_block(words: &[u64], nets: &[u32], len: usize) -> [u16; LANES] {
+        debug_assert!(nets.len() <= MAX_SUPPORT_BITS, "{} bits exceed a u16 lane", nets.len());
+        let mut idx = [0u16; LANES];
+        if nets.len() <= 8 {
+            let mut acc = [0u64; LANES / 8];
+            let acc = &mut acc[..len.div_ceil(8)];
+            for (j, &net) in nets.iter().enumerate() {
+                for (a, byte) in acc.iter_mut().zip(words[net as usize].to_le_bytes()) {
+                    *a |= SPREAD8[byte as usize] << j;
+                }
             }
-        }
-        bits
-    }
-
-    /// Per-lane table indices over support nets `sup`, net loop
-    /// outermost for the same one-load-per-word reason.
-    #[inline]
-    fn gather_block(words: &[u64], sup: &[u32], len: usize) -> [u32; LANES] {
-        let mut idx = [0u32; LANES];
-        for (j, &net) in sup.iter().enumerate() {
-            let w = words[net as usize];
-            for (lane, i) in idx[..len].iter_mut().enumerate() {
-                *i |= ((w >> lane & 1) as u32) << j;
+            for (lanes, a) in idx.chunks_exact_mut(8).zip(&*acc) {
+                for (i, byte) in lanes.iter_mut().zip(a.to_le_bytes()) {
+                    *i = u16::from(byte);
+                }
+            }
+        } else {
+            let mut acc = [0u64; LANES / 4];
+            let acc = &mut acc[..len.div_ceil(4)];
+            for (j, &net) in nets.iter().enumerate() {
+                let w = words[net as usize];
+                for (group, a) in acc.iter_mut().enumerate() {
+                    *a |= SPREAD4[(w >> (4 * group) & 0xF) as usize] << j;
+                }
+            }
+            for (lanes, a) in idx.chunks_exact_mut(4).zip(&*acc) {
+                for (k, i) in lanes.iter_mut().enumerate() {
+                    *i = (a >> (16 * k)) as u16;
+                }
             }
         }
         idx
@@ -1006,7 +1059,7 @@ impl<'a> CompiledEstimator<'a> {
     fn resolve_nominal_block(&self, scratch: &mut BlockScratch, len: usize) {
         for g in 0..self.gate_cell.len() {
             let base = self.vc_base[g] as usize;
-            let bits = self.gate_bits_block(&scratch.words, g, len);
+            let bits = Self::gather_block(&scratch.words, self.gate_input_nets(GateId(g)), len);
             for (lane, total) in scratch.totals[..len].iter_mut().enumerate() {
                 *total += self.vcs[base + bits[lane] as usize].nominal;
             }
@@ -1035,7 +1088,7 @@ impl<'a> CompiledEstimator<'a> {
             cur[..len].fill(0.0);
             for &(h, pin) in loads {
                 let h = h as usize;
-                let bits = self.gate_bits_block(&scratch.words, h, len);
+                let bits = Self::gather_block(&scratch.words, self.gate_input_nets(GateId(h)), len);
                 let base = self.vc_base[h] as usize;
                 for (lane, c) in cur[..len].iter_mut().enumerate() {
                     let vc = &self.vcs[base + bits[lane] as usize];
@@ -1060,7 +1113,8 @@ impl<'a> CompiledEstimator<'a> {
                 // each delta drawn from a term table or computed by
                 // the term routine from the per-lane currents.
                 let terms = &t.terms[t.term_off[g] as usize..t.term_off[g + 1] as usize];
-                let gbits = self.gate_bits_block(&scratch.words, g, len);
+                let gbits =
+                    Self::gather_block(&scratch.words, self.gate_input_nets(GateId(g)), len);
                 let base = self.vc_base[g] as usize;
                 let mut acc = [LeakageBreakdown::default(); LANES];
                 for (lane, a) in acc[..len].iter_mut().enumerate() {
@@ -1992,6 +2046,44 @@ mod tests {
         assert_eq!(widest_table(full), fresh.block_layout(usize::MAX).cap);
         assert!(widest_table(full) > 8, "prepare_block builds at full width");
         assert!(full.tbl.len() > promoted.tbl.len());
+    }
+
+    /// The per-lane gather the transpose replaced, one shift-and-mask
+    /// per net per lane: the yardstick for
+    /// [`CompiledEstimator::gather_block`].
+    fn gather_per_lane(words: &[u64], nets: &[u32], len: usize) -> [u16; LANES] {
+        let mut idx = [0u16; LANES];
+        for (j, &net) in nets.iter().enumerate() {
+            let w = words[net as usize];
+            for (lane, i) in idx[..len].iter_mut().enumerate() {
+                *i |= ((w >> lane & 1) as u16) << j;
+            }
+        }
+        idx
+    }
+
+    #[test]
+    fn transposed_gather_matches_the_per_lane_gather() {
+        // Every index width a table or a gate's inputs can take, every
+        // live lane count, on seeded words whose dead lanes (past
+        // `len`) are random or all set. Nets repeat, as a gate's
+        // inputs may.
+        use rand::Rng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x6761_7468);
+        let random: Vec<u64> = (0..24).map(|_| rng.gen()).collect();
+        for width in 0..=MAX_SUPPORT_BITS {
+            for len in 1..=LANES {
+                let nets: Vec<u32> =
+                    (0..width).map(|_| rng.gen_range(0..random.len() as u32)).collect();
+                let dead = u64::MAX.checked_shl(len as u32).unwrap_or(0);
+                let set: Vec<u64> = random.iter().map(|w| w | dead).collect();
+                for words in [&random, &set] {
+                    let got = CompiledEstimator::gather_block(words, &nets, len);
+                    let want = gather_per_lane(words, &nets, len);
+                    assert_eq!(got[..len], want[..len], "width {width}, {len} lanes, {nets:?}");
+                }
+            }
+        }
     }
 
     #[test]

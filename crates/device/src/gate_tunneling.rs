@@ -81,10 +81,11 @@ pub fn j_signed(p: &MosParams, v: f64) -> f64 {
 }
 
 /// All gate tunneling components at the given n-like node voltages
-/// (absolute node voltages). Temperature enters only through the
+/// (absolute node voltages), with `vth` the channel's threshold as
+/// [`channel`] takes it. Temperature enters only through the
 /// inversion factor's thermal voltage, a very weak dependence.
-pub fn components(b: &BoundParams, vg: f64, vd: f64, vs: f64, vb: f64) -> GateCurrents {
-    let igc = channel(b, vg, vd, vs, vb);
+pub fn components(b: &BoundParams, vg: f64, vd: f64, vs: f64, vb: f64, vth: f64) -> GateCurrents {
+    let igc = channel(b, vg, vd, vs, vth);
     GateCurrents {
         igcs: 0.5 * igc,
         igcd: 0.5 * igc,
@@ -95,14 +96,14 @@ pub fn components(b: &BoundParams, vg: f64, vd: f64, vs: f64, vb: f64) -> GateCu
 }
 
 /// Gate-to-channel current `Igc` \[A\], before its even source/drain
-/// split. It reads all four terminals.
-pub fn channel(b: &BoundParams, vg: f64, vd: f64, vs: f64, vb: f64) -> f64 {
+/// split. It reads all four terminals: the bulk through `vth`, the
+/// threshold at the source end, [`BoundParams::vth_eff`] at `|vds|`
+/// and `vsb` clamped at zero.
+pub fn channel(b: &BoundParams, vg: f64, vd: f64, vs: f64, vth: f64) -> f64 {
     let p = b.p;
     // Channel tunneling requires an inverted channel: smooth inversion
     // factor keyed to vth at the source end.
     let vgs = vg - vs;
-    let vds_abs = (vd - vs).abs();
-    let vth = b.vth_eff(vds_abs, (vs - vb).max(0.0));
     let f_inv = logistic((vgs - vth) / b.mvt3);
     // When ON, vds ~ 0 and the channel sits near the source potential;
     // reference the oxide voltage to the channel midpoint for symmetry.
@@ -133,6 +134,13 @@ mod tests {
 
     fn pmos() -> MosParams {
         DeviceDesign::nano25(MosKind::Pmos).derive()
+    }
+
+    /// [`components`] of `p` at temperature `t`, at the channel's own
+    /// threshold.
+    fn components_at(p: &MosParams, t: f64, vg: f64, vd: f64, vs: f64, vb: f64) -> GateCurrents {
+        let b = p.at_temp(t);
+        components(&b, vg, vd, vs, vb, b.vth_eff((vd - vs).abs(), (vs - vb).max(0.0)))
     }
 
     #[test]
@@ -171,7 +179,7 @@ mod tests {
         // few hundred nA up to ~1 uA for W = 200 nm (the paper's Fig. 10
         // gate-leakage histogram spans to ~1.5 uA per inverter).
         let p = nmos();
-        let gc = components(&p.at_temp(300.0), 0.9, 0.0, 0.0, 0.0);
+        let gc = components_at(&p, 300.0, 0.9, 0.0, 0.0, 0.0);
         let total = gc.gate_total();
         assert!(total > 150.0 * NA && total < 1500.0 * NA, "Igc = {} nA", total / NA);
         // Current leaves the gate node (positive = gate -> channel).
@@ -185,7 +193,7 @@ mod tests {
         // current flows INTO the gate node (igdo < 0) — this is what
         // lifts a logic-0 input node above ground (loading effect).
         let p = nmos();
-        let gc = components(&p.at_temp(300.0), 0.0, 0.9, 0.0, 0.0);
+        let gc = components_at(&p, 300.0, 0.0, 0.9, 0.0, 0.0);
         assert!(gc.igdo < 0.0, "igdo = {} nA", gc.igdo / NA);
         assert!(gc.igdo.abs() > 1.0 * NA, "igdo = {} nA", gc.igdo / NA);
         // Channel not inverted: igc negligible compared to overlap.
@@ -202,8 +210,8 @@ mod tests {
     #[test]
     fn nearly_temperature_independent() {
         let p = nmos();
-        let g300 = components(&p.at_temp(300.0), 0.9, 0.0, 0.0, 0.0).magnitude();
-        let g400 = components(&p.at_temp(400.0), 0.9, 0.0, 0.0, 0.0).magnitude();
+        let g300 = components_at(&p, 300.0, 0.9, 0.0, 0.0, 0.0).magnitude();
+        let g400 = components_at(&p, 400.0, 0.9, 0.0, 0.0, 0.0).magnitude();
         let rel = (g400 - g300).abs() / g300;
         assert!(rel < 0.05, "gate leakage moved {}% over 100K", rel * 100.0);
     }

@@ -26,16 +26,17 @@ use crate::params::BoundParams;
 
 /// Drain-to-source channel current of the n-like core model \[A\].
 ///
-/// Arguments are n-like terminal differences; `vds` must be
+/// Arguments are n-like terminal differences and the threshold `vth`,
+/// [`BoundParams::vth_eff`] at this `vds` and `vsb`, which the caller
+/// evaluates once for the channel tunneling too. `vds` must be
 /// non-negative (the symmetric source/drain swap is handled by
 /// [`crate::Transistor`]).
 ///
 /// # Panics
 /// Debug-panics if `vds` is negative.
-pub fn ids(b: &BoundParams, vgs: f64, vds: f64, vsb: f64) -> f64 {
+pub fn ids(b: &BoundParams, vgs: f64, vds: f64, vth: f64) -> f64 {
     debug_assert!(vds >= 0.0, "ids requires vds >= 0, got {vds}");
     let p = b.p;
-    let vth = b.vth_eff(vds, vsb);
     let u = b.smooth_overdrive(vgs, vth);
     let mu_eff = b.mobility / (1.0 + p.theta * u);
     let isat = mu_eff * p.cox * b.w_over_l * u * u / b.two_m;
@@ -56,16 +57,22 @@ mod tests {
         DeviceDesign::nano25(MosKind::Pmos).derive()
     }
 
+    /// [`ids`] of `p` at temperature `t`, at its own threshold.
+    fn ids_at(p: &MosParams, t: f64, vgs: f64, vds: f64, vsb: f64) -> f64 {
+        let b = p.at_temp(t);
+        ids(&b, vgs, vds, b.vth_eff(vds, vsb))
+    }
+
     #[test]
     fn off_current_in_calibrated_range() {
         // OFF NMOS at full drain bias: the paper-scale hundreds of nA.
-        let i = ids(&nmos().at_temp(300.0), 0.0, 0.9, 0.0);
+        let i = ids_at(&nmos(), 300.0, 0.0, 0.9, 0.0);
         assert!(i > 150.0 * NA && i < 600.0 * NA, "Ioff = {} nA", i / NA);
     }
 
     #[test]
     fn pmos_off_current_same_order() {
-        let i = ids(&pmos().at_temp(300.0), 0.0, 0.9, 0.0);
+        let i = ids_at(&pmos(), 300.0, 0.0, 0.9, 0.0);
         assert!(i > 150.0 * NA && i < 900.0 * NA, "Ioff,p = {} nA", i / NA);
     }
 
@@ -74,7 +81,7 @@ mod tests {
         // Linear-region conductance of the ON device near vds = 0.
         let p = nmos();
         let dv = 1e-4;
-        let g = (ids(&p.at_temp(300.0), 0.9, dv, 0.0) - ids(&p.at_temp(300.0), 0.9, 0.0, 0.0)) / dv;
+        let g = (ids_at(&p, 300.0, 0.9, dv, 0.0) - ids_at(&p, 300.0, 0.9, 0.0, 0.0)) / dv;
         let r = 1.0 / g;
         assert!(r > 300.0 && r < 4000.0, "Ron = {r} ohm");
     }
@@ -86,8 +93,8 @@ mod tests {
         let p = nmos();
         let vt = crate::consts::thermal_voltage(300.0);
         let swing = p.m * vt * std::f64::consts::LN_10;
-        let i0 = ids(&p.at_temp(300.0), -swing, 0.9, 0.0);
-        let i1 = ids(&p.at_temp(300.0), 0.0, 0.9, 0.0);
+        let i0 = ids_at(&p, 300.0, -swing, 0.9, 0.0);
+        let i1 = ids_at(&p, 300.0, 0.0, 0.9, 0.0);
         let ratio = i1 / i0;
         assert!(ratio > 7.0 && ratio < 13.0, "decade ratio = {ratio}");
     }
@@ -95,8 +102,8 @@ mod tests {
     #[test]
     fn dibl_increases_off_current_with_drain_bias() {
         let p = nmos();
-        let lo = ids(&p.at_temp(300.0), 0.0, 0.45, 0.0);
-        let hi = ids(&p.at_temp(300.0), 0.0, 0.90, 0.0);
+        let lo = ids_at(&p, 300.0, 0.0, 0.45, 0.0);
+        let hi = ids_at(&p, 300.0, 0.0, 0.90, 0.0);
         // exp(eta * 0.45 / (m vt)) ~ 2.5-4x for eta ~ 0.1.
         assert!(hi / lo > 2.0 && hi / lo < 8.0, "DIBL ratio = {}", hi / lo);
     }
@@ -104,8 +111,8 @@ mod tests {
     #[test]
     fn off_current_grows_steeply_with_temperature() {
         let p = nmos();
-        let i300 = ids(&p.at_temp(300.0), 0.0, 0.9, 0.0);
-        let i400 = ids(&p.at_temp(400.0), 0.0, 0.9, 0.0);
+        let i300 = ids_at(&p, 300.0, 0.0, 0.9, 0.0);
+        let i400 = ids_at(&p, 400.0, 0.0, 0.9, 0.0);
         assert!(i400 / i300 > 4.0, "T ratio = {}", i400 / i300);
     }
 
@@ -114,14 +121,14 @@ mod tests {
         // Raising the source (stacking effect): vgs negative, vsb
         // positive, vds reduced => strong suppression.
         let p = nmos();
-        let flat = ids(&p.at_temp(300.0), 0.0, 0.9, 0.0);
-        let stacked = ids(&p.at_temp(300.0), -0.08, 0.82, 0.08);
+        let flat = ids_at(&p, 300.0, 0.0, 0.9, 0.0);
+        let stacked = ids_at(&p, 300.0, -0.08, 0.82, 0.08);
         assert!(stacked < 0.25 * flat, "stack factor = {}", flat / stacked);
     }
 
     #[test]
     fn current_vanishes_at_zero_vds() {
-        assert_eq!(ids(&nmos().at_temp(300.0), 0.0, 0.0, 0.0), 0.0);
+        assert_eq!(ids_at(&nmos(), 300.0, 0.0, 0.0, 0.0), 0.0);
     }
 
     #[test]
@@ -130,7 +137,7 @@ mod tests {
         let mut last = 0.0;
         for k in 0..=20 {
             let vgs = -0.2 + 0.06 * k as f64;
-            let i = ids(&p.at_temp(300.0), vgs, 0.9, 0.0);
+            let i = ids_at(&p, 300.0, vgs, 0.9, 0.0);
             assert!(i > last, "non-monotonic at vgs={vgs}");
             last = i;
         }
@@ -139,9 +146,9 @@ mod tests {
     #[test]
     fn width_scales_current_linearly() {
         let mut p = nmos();
-        let i1 = ids(&p.at_temp(300.0), 0.0, 0.9, 0.0);
+        let i1 = ids_at(&p, 300.0, 0.0, 0.9, 0.0);
         p.w *= 3.0;
-        let i3 = ids(&p.at_temp(300.0), 0.0, 0.9, 0.0);
+        let i3 = ids_at(&p, 300.0, 0.0, 0.9, 0.0);
         assert!((i3 / i1 - 3.0).abs() < 1e-9);
     }
 }

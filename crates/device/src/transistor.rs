@@ -128,12 +128,12 @@ impl BoundParams<'_> {
     /// Every part at absolute node voltages `bias`.
     pub fn parts(&self, bias: Bias) -> Parts {
         let (core, swapped) = self.core_frame(bias);
-        let gc = gate_tunneling::components(self, core.vg, core.vd, core.vs, core.vb);
+        let (vth, vth_gc) = self.thresholds(&core);
         Parts {
             bias: core,
             swapped,
-            i_ch: subthreshold::ids(self, core.vgs(), core.vds(), core.vsb()),
-            gc,
+            i_ch: subthreshold::ids(self, core.vgs(), core.vds(), vth),
+            gc: gate_tunneling::components(self, core.vg, core.vd, core.vs, core.vb, vth_gc),
             jd: Junction::at(self, core.vdb()),
             js: Junction::at(self, core.vsb()),
         }
@@ -156,8 +156,9 @@ impl BoundParams<'_> {
         parts.bias = core;
         // The channel current and the channel tunneling read every
         // terminal.
-        parts.i_ch = subthreshold::ids(self, core.vgs(), core.vds(), core.vsb());
-        let igc = gate_tunneling::channel(self, core.vg, core.vd, core.vs, core.vb);
+        let (vth, vth_gc) = self.thresholds(&core);
+        parts.i_ch = subthreshold::ids(self, core.vgs(), core.vds(), vth);
+        let igc = gate_tunneling::channel(self, core.vg, core.vd, core.vs, vth_gc);
         parts.gc.igcs = 0.5 * igc;
         parts.gc.igcd = 0.5 * igc;
         if m.g || m.s {
@@ -226,6 +227,21 @@ impl BoundParams<'_> {
             sub: parts.i_ch.abs() * off_weight,
             gate: parts.gc.magnitude(),
             btbt: parts.jd.btbt + parts.js.btbt,
+        }
+    }
+
+    /// The thresholds of the channel current and of the channel
+    /// tunneling at core-frame bias `core`. Both are
+    /// [`BoundParams::vth_eff`] at the core's `vds` and `vsb`, but the
+    /// tunneling's reads `|vds|` and clamps `vsb` at zero. In the core
+    /// frame `vds >= 0`, and `vth_eff` cannot see the sign of a zero,
+    /// so whenever `vsb >= 0` the two are one value, evaluated once.
+    fn thresholds(&self, core: &Bias) -> (f64, f64) {
+        let vth = self.vth_eff(core.vds(), core.vsb());
+        if core.vsb() >= 0.0 {
+            (vth, vth)
+        } else {
+            (vth, self.vth_eff(core.vds().abs(), 0.0))
         }
     }
 
@@ -441,6 +457,57 @@ mod tests {
         }
         assert_eq!(checked, 3 * 2 * 8 * 8 * 8 * 2 * 4 * 4);
         assert!(flips > 0, "some steps must flip the source/drain order");
+    }
+
+    #[test]
+    fn one_threshold_serves_the_channel_current_and_tunneling_bit_for_bit() {
+        // The channel current reads `vth_eff(vds, vsb)` and the channel
+        // tunneling `vth_eff(|vds|, max(vsb, 0))`, each of which used
+        // to evaluate its own. Over biases with `vsb` on both sides of
+        // zero, signed zeros at every terminal and both polarities, the
+        // parts, full and after a bulk move, must hold what those two
+        // separate evaluations give.
+        let levels = [-0.3, -0.05, -0.0, 0.0, 0.013, 0.45, 0.9, 0.95];
+        let (mut shared, mut own) = (0, 0);
+        for dev in [nmos(), pmos(), nmos().scaled_width(4.0)] {
+            for temp in [300.0, 400.0] {
+                let b = dev.params().at_temp(temp);
+                for (k, vb) in levels.into_iter().enumerate() {
+                    for vg in levels {
+                        for vd in levels {
+                            for vs in levels {
+                                let bias = Bias::new(vg, vd, vs, vb);
+                                let from = Bias { vb: levels[(k + 3) % levels.len()], ..bias };
+                                let moved = Terminals { d: false, g: false, s: false, b: true };
+                                let full = b.parts(bias);
+                                let fast = b.parts_moved(&b.parts(from), bias, moved);
+                                let c = full.bias;
+                                let vth = b.vth_eff(c.vds(), c.vsb());
+                                let i_ch = subthreshold::ids(&b, c.vgs(), c.vds(), vth);
+                                let vth_gc = b.vth_eff((c.vd - c.vs).abs(), (c.vs - c.vb).max(0.0));
+                                let igc = gate_tunneling::channel(&b, c.vg, c.vd, c.vs, vth_gc);
+                                for p in [&full, &fast] {
+                                    assert_eq!(
+                                        p.i_ch.to_bits(),
+                                        i_ch.to_bits(),
+                                        "{bias:?} at {temp} K"
+                                    );
+                                    let half = (0.5 * igc).to_bits();
+                                    assert_eq!(p.gc.igcs.to_bits(), half, "{bias:?} at {temp} K");
+                                    assert_eq!(p.gc.igcd.to_bits(), half, "{bias:?} at {temp} K");
+                                }
+                                if c.vsb() >= 0.0 {
+                                    shared += 1;
+                                } else {
+                                    own += 1;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(shared > 0 && own > 0, "{shared} shared, {own} own thresholds");
     }
 
     #[test]

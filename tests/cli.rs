@@ -30,6 +30,11 @@ fn get<'v>(v: &'v Value, name: &str) -> &'v Value {
 }
 
 fn run_json(args: &[&str]) -> Value {
+    run_json_and_stderr(args).0
+}
+
+/// [`run_json`], plus the run's stderr (progress and `[cache]` lines).
+fn run_json_and_stderr(args: &[&str]) -> (Value, String) {
     let out = cli().args(args).output().expect("spawn nanoleak-cli");
     assert!(
         out.status.success(),
@@ -38,7 +43,9 @@ fn run_json(args: &[&str]) -> Value {
         String::from_utf8_lossy(&out.stderr)
     );
     let stdout = String::from_utf8(out.stdout).expect("utf8 stdout");
-    json::value_from_str(&stdout).unwrap_or_else(|e| panic!("bad JSON ({e}): {stdout}"))
+    let value =
+        json::value_from_str(&stdout).unwrap_or_else(|e| panic!("bad JSON ({e}): {stdout}"));
+    (value, String::from_utf8_lossy(&out.stderr).into_owned())
 }
 
 /// `mlv --format json` emits the service's response type on stdout
@@ -72,11 +79,15 @@ fn mlv_json_output_parses_and_is_deterministic() {
 }
 
 /// `mc --format json` carries the full distribution summary, and the
-/// same seed reproduces it bit-exactly.
+/// same seed reproduces it bit-exactly: the first run traces the
+/// fast-MC nominal into a fresh cache directory, the second loads it.
 #[test]
 fn mc_json_output_carries_the_distribution_summary() {
     let bench = tiny_bench("mc");
     let target = bench.to_str().unwrap();
+    let cache =
+        std::env::temp_dir().join(format!("nanoleak-cli-test-mc-cache-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&cache);
     let args = [
         "mc",
         target,
@@ -89,8 +100,11 @@ fn mc_json_output_carries_the_distribution_summary() {
         "--coarse",
         "--format",
         "json",
+        "--cache-dir",
+        cache.to_str().unwrap(),
     ];
-    let first = run_json(&args);
+    let (first, cold) = run_json_and_stderr(&args);
+    assert!(cold.contains("[cache] miss"), "the first run characterizes: {cold}");
     assert_eq!(get(&first, "samples"), &Value::Int(3));
     assert_eq!(get(&first, "seed"), &Value::Int(9));
     let sigmas = get(&first, "sigmas");
@@ -102,11 +116,13 @@ fn mc_json_output_carries_the_distribution_summary() {
     assert!(loaded_mean > 0.0 && unloaded_mean > 0.0);
     assert_ne!(loaded_mean, unloaded_mean, "loading must move the distribution");
 
-    let second = run_json(&args);
+    let (second, warm) = run_json_and_stderr(&args);
+    assert!(warm.contains("[cache] hit"), "the second run loads the nominal: {warm}");
     let again_mean =
         f64::from_value(get(get(get(get(&second, "summary"), "loaded"), "total"), "mean")).unwrap();
     assert_eq!(loaded_mean.to_bits(), again_mean.to_bits(), "same seed, same bits");
     let _ = std::fs::remove_file(&bench);
+    let _ = std::fs::remove_dir_all(&cache);
 }
 
 /// Strict flag rejection covers the new subcommand too.
